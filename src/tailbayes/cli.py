@@ -27,12 +27,11 @@ from .model_core import (
     GaussianPrior,
     TargetThreshold,
     UtilitySpec,
-    make_log_posterior,
     target_threshold,
 )
 from .predict import positive_mask, predictive_mean_sd
 from .reproduce import FIGURES, reproduce_figure
-from .sampler import PosteriorSamples, SamplerConfig, gelman_rubin, run_mh
+from .sampler import PosteriorSamples, SamplerConfig, gelman_rubin
 from .simulation import (
     Sim1Config,
     Sim2Config,
@@ -41,7 +40,7 @@ from .simulation import (
     generate_sim2,
     generate_sim3,
 )
-from .tuning import DEFAULT_LAMBDA_GRID, ess_grid, fit_pipeline
+from .tuning import DEFAULT_LAMBDA_GRID, ess_grid, fit_pipeline, fit_tailored, fold_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -262,16 +261,13 @@ def cmd_fit(args) -> int:
     )
 
     rhat = None
-    extra_seeds = []
-    if args.rhat_chains > 1:
+    extra_seeds = [args.seed + 90_000 + i for i in range(1, args.rhat_chains)]
+    if extra_seeds:
         dev = train.subset(model.split.development_idx)
-        logpost = make_log_posterior(dev, model.weights, prior)
-        chains = [model.samples.draws]
-        for i in range(1, args.rhat_chains):
-            chain_seed = args.seed + 90_000 + i
-            extra_seeds.append(chain_seed)
-            extra = run_mh(logpost, dev.n_coefficients, replace(sampler_config, rng_seed=chain_seed))
-            chains.append(extra.draws)
+        chains = [model.samples.draws] + [
+            fit_tailored(dev, model.weights, prior, replace(sampler_config, rng_seed=seed)).draws
+            for seed in extra_seeds
+        ]
         rhat = gelman_rubin(chains).tolist()
 
     coefficient_names = ["intercept"] + names
@@ -312,7 +308,7 @@ def cmd_fit(args) -> int:
             "base": args.seed,
             "split": model.split.seed,
             "stage1": args.seed,
-            "cv_folds": [args.seed + k + 1 for k in range(args.k_folds)],
+            "cv_folds": [fold_seed(args.seed, k) for k in range(args.k_folds)],
             "final_fit": args.seed,
             "rhat_chains": extra_seeds,
         },
@@ -349,11 +345,18 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _load_artifact(model_dir) -> tuple[dict, PosteriorSamples, list[str]]:
+def _score_artifact(model_dir, data_path, read_covariates) -> tuple:
+    """Score a CSV's rows with a fitted artifact: (manifest, means, sds, per-row values).
+
+    ``read_covariates(path, covariate_names, outcome_col)`` loads the raw
+    covariates with the artifact's schema enforced, plus one value per row
+    (ids or outcomes) that is passed back unchanged.
+    """
     model_dir = Path(model_dir)
     manifest = dataio.read_manifest(model_dir / "manifest.json")
     header, draws = dataio.read_draws_csv(model_dir / "draws.csv")
-    expected = ["intercept"] + manifest["data"]["covariates"]
+    covariate_names = manifest["data"]["covariates"]
+    expected = ["intercept"] + covariate_names
     if header != expected:
         raise DataError(f"draws.csv columns {header} do not match the manifest {expected}")
     samples = PosteriorSamples(
@@ -363,37 +366,30 @@ def _load_artifact(model_dir) -> tuple[dict, PosteriorSamples, list[str]]:
         rng_seed=manifest["seeds"]["final_fit"],
         log_posterior_trace=np.full(draws.shape[0], np.nan),
     )
-    return manifest, samples, manifest["data"]["covariates"]
-
-
-def cmd_predict(args) -> int:
-    manifest, samples, covariate_names = _load_artifact(args.model)
-    raw_x, ids = dataio.read_covariates_csv(
-        args.data, covariate_names, manifest["data"]["outcome_col"]
-    )
+    raw_x, per_row = read_covariates(data_path, covariate_names, manifest["data"]["outcome_col"])
     if manifest["standardize"]:
         raw_x = dataio.Standardizer.from_dict(manifest["standardize"]).transform(raw_x)
     x = np.hstack([np.ones((raw_x.shape[0], 1)), raw_x])
     means, sds = predictive_mean_sd(x, samples)
-    labels = np.where(positive_mask(means, manifest["threshold"]), "positive", "negative")
-    dataio.write_predictions_csv(args.out, ids, means, sds, labels)
-    print(f"wrote {len(ids)} predictions -> {args.out}")
-    return EXIT_OK
+    return manifest, means, sds, per_row
 
 
-def _score_artifact(model_dir, data_path) -> tuple[np.ndarray, np.ndarray]:
-    """Score one labelled CSV with a fitted artifact (schema enforced)."""
-    manifest, samples, covariate_names = _load_artifact(model_dir)
-    raw_x, y, names, _ = dataio.read_dataset_csv(data_path, manifest["data"]["outcome_col"])
+def _read_labelled(data_path, covariate_names, outcome_col) -> tuple[np.ndarray, np.ndarray]:
+    raw_x, y, names, _ = dataio.read_dataset_csv(data_path, outcome_col)
     if names != covariate_names:
         raise DataError(
             f"{data_path}: covariate columns {names} do not match the model schema "
             f"{covariate_names}"
         )
-    if manifest["standardize"]:
-        raw_x = dataio.Standardizer.from_dict(manifest["standardize"]).transform(raw_x)
-    x = np.hstack([np.ones((raw_x.shape[0], 1)), raw_x])
-    return predictive_mean_sd(x, samples)[0], y
+    return raw_x, y
+
+
+def cmd_predict(args) -> int:
+    manifest, means, sds, ids = _score_artifact(args.model, args.data, dataio.read_covariates_csv)
+    labels = np.where(positive_mask(means, manifest["threshold"]), "positive", "negative")
+    dataio.write_predictions_csv(args.out, ids, means, sds, labels)
+    print(f"wrote {len(ids)} predictions -> {args.out}")
+    return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
@@ -404,9 +400,12 @@ def cmd_evaluate(args) -> int:
     if model_mode:
         if not args.data:
             raise ConfigError("--model-a needs at least one --data file")
-        scored_a = [_score_artifact(args.model_a, p) for p in args.data]
+        # [1::2] keeps (means, outcomes) of each scored --data file
+        scored_a = [_score_artifact(args.model_a, p, _read_labelled)[1::2] for p in args.data]
         scored_b = (
-            [_score_artifact(args.model_b, p) for p in args.data] if args.model_b else None
+            [_score_artifact(args.model_b, p, _read_labelled)[1::2] for p in args.data]
+            if args.model_b
+            else None
         )
     else:
         scored_a = [

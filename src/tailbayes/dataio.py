@@ -83,14 +83,19 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
 
 
 def _parse_float_column(path, rows, col, name) -> np.ndarray:
+    """One column of finite floats; anything else is a DataError naming its first bad row."""
     out = np.empty(len(rows))
     for i, row in enumerate(rows):
         try:
             out[i] = float(row[col])
         except ValueError:
-            raise DataError(
-                f"{path}: non-numeric value {row[col]!r} in column {name!r}, row {i + 2}"
-            ) from None
+            out[i] = np.nan
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(
+            f"{path}: {rows[i][col]!r} in column {name!r}, row {i + 2} is not a finite number"
+        )
     return out
 
 
@@ -227,7 +232,9 @@ def read_draws_csv(path) -> tuple[list[str], np.ndarray]:
     header, rows = _read_table(path)
     if not rows:
         raise DataError(f"{path}: no draws")
-    draws = np.array([[float(v) for v in row] for row in rows])
+    draws = np.column_stack(
+        [_parse_float_column(path, rows, j, name) for j, name in enumerate(header)]
+    )
     return header, draws
 
 
@@ -339,4 +346,7 @@ def write_manifest(path, manifest: dict) -> None:
 
 
 def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise DataError(f"{path}: unreadable manifest: {exc}") from None

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConfigError, DataError
 
@@ -309,10 +310,16 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _pointwise_log_likelihood(data: Dataset, beta) -> np.ndarray:
-    """Stable per-row Bernoulli log-likelihood y*z - log(1 + e^z)."""
-    z = linear_predictor(data, beta)
-    return data.outcomes * z - _softplus(z)
+def _weighted_log_likelihood(z: np.ndarray, w: np.ndarray, wy: np.ndarray):
+    """sum_i w_i * (y_i z_i - log(1 + e^z_i)) at linear predictors z, given wy = w * y."""
+    return wy @ z - w @ _softplus(z)
+
+
+def _check_weights(weights, n: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64).ravel()
+    if w.shape[0] != n:
+        raise DataError(f"{w.shape[0]} weights for {n} rows")
+    return w
 
 
 def tailored_log_likelihood(data: Dataset, beta, weights) -> float:
@@ -322,10 +329,9 @@ def tailored_log_likelihood(data: Dataset, beta, weights) -> float:
     predictors up to |z| ~ 700.  With all weights 1 this is exactly the
     standard logistic log-likelihood.
     """
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if w.shape[0] != data.n:
-        raise DataError(f"{w.shape[0]} weights for {data.n} rows")
-    value = float(w @ _pointwise_log_likelihood(data, beta))
+    w = _check_weights(weights, data.n)
+    z = linear_predictor(data, beta)
+    value = float(_weighted_log_likelihood(z, w, w * data.outcomes))
     if not math.isfinite(value):
         raise DataError("log-likelihood is non-finite; inputs out of numeric range")
     return value
@@ -350,16 +356,8 @@ def log_posterior_unnormalized(data: Dataset, beta, weights, prior: GaussianPrio
 def log_posterior_gradient(data: Dataset, beta, weights, prior: GaussianPrior) -> np.ndarray:
     """Analytic gradient of :func:`log_posterior_unnormalized` in beta."""
     b = _check_beta(beta, data.n_coefficients)
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if w.shape[0] != data.n:
-        raise DataError(f"{w.shape[0]} weights for {data.n} rows")
-    z = data.covariates @ b
-    # expit(z) without scipy: stable piecewise form
-    p = np.empty_like(z)
-    pos = z >= 0
-    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    p[~pos] = ez / (1.0 + ez)
+    w = _check_weights(weights, data.n)
+    p = expit(data.covariates @ b)
     grad_lik = data.covariates.T @ (w * (data.outcomes - p))
     grad_prior = -(b - prior.means) / prior.sds**2
     return grad_lik + grad_prior
@@ -373,21 +371,16 @@ def effective_sample_size(weights) -> float:
 
 def make_log_posterior(data: Dataset, weights, prior: GaussianPrior):
     """Bind data, weights and prior into a callable beta -> log-posterior."""
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if w.shape[0] != data.n:
-        raise DataError(f"{w.shape[0]} weights for {data.n} rows")
+    w = _check_weights(weights, data.n)
     x = data.covariates
-    y = data.outcomes
-    wy = w * y
+    wy = w * data.outcomes
     mu, sd = prior.means, prior.sds
     if mu.shape[0] != x.shape[1]:
         raise DataError("prior dimension does not match the design matrix")
     log_norm = -float(np.sum(np.log(sd)) + 0.5 * mu.size * math.log(2.0 * math.pi))
 
     def logpost(beta: np.ndarray) -> float:
-        z = x @ beta
-        ll = wy @ z - w @ _softplus(z)
         zp = (beta - mu) / sd
-        return float(ll - 0.5 * (zp @ zp) + log_norm)
+        return float(_weighted_log_likelihood(x @ beta, w, wy) - 0.5 * (zp @ zp) + log_norm)
 
     return logpost

@@ -68,7 +68,7 @@ def _cells(figure: str, overrides: dict) -> list[dict]:
 
 
 def _rep_worker(payload: tuple) -> dict:
-    figure, cell, rep, base_seed, lambda_grid, final_cfg, cv_cfg, jobs = payload
+    figure, cell, rep, base_seed, lambda_grid, final_cfg, cv_cfg = payload
     seeds = np.random.SeedSequence([int(base_seed), _cell_key(cell), rep]).generate_state(4)
     train_seed, test_seed, fit_seed, _ = (int(s) for s in seeds)
     t = TargetThreshold(cell["t"])
@@ -92,7 +92,6 @@ def _rep_worker(payload: tuple) -> dict:
         lambda_grid=lambda_grid,
         sampler_config=replace(final_cfg, rng_seed=fit_seed),
         cv_sampler_config=replace(cv_cfg, rng_seed=fit_seed),
-        jobs=jobs,
     )
     baseline = fit_standard(train, replace(final_cfg, rng_seed=fit_seed))
 
@@ -137,7 +136,7 @@ def reproduce_figure(
     reps = max(1, round(FULL_SCALE_REPETITIONS * scale))
     cells = _cells(figure, overrides or {})
     payloads = [
-        (figure, cell, rep, seed, tuple(lambda_grid), final_sampler, cv_sampler, 1)
+        (figure, cell, rep, seed, tuple(lambda_grid), final_sampler, cv_sampler)
         for cell in cells
         for rep in range(reps)
     ]

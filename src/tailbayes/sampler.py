@@ -40,7 +40,6 @@ class SamplerConfig:
     thin: int = 1
     initial_sd: float = 0.1
     target_acceptance: float = 0.24
-    adapt_during_burn_in: bool = True
     rng_seed: int = 0
     initial_beta: np.ndarray | None = None
 
@@ -165,7 +164,7 @@ def run_mh(
         in_burn_in = i < burn_in
         if in_burn_in:
             batch_accepts += accept
-            if config.adapt_during_burn_in and (i + 1) % ADAPT_BATCH_SIZE == 0:
+            if (i + 1) % ADAPT_BATCH_SIZE == 0:
                 batch_index += 1
                 sd = adapt_proposal_sd(
                     sd,

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError
-from .evaluation import NetBenefitReport
+from .evaluation import NetBenefitReport, net_benefit
 from .model_core import Dataset, TargetThreshold
 
 __all__ = [
@@ -214,21 +214,14 @@ def optimal_boundary(
 
 
 def optimal_nb(oracle_probs, outcomes, t: TargetThreshold | float) -> NetBenefitReport:
-    """Net Benefit of classifying on the true probabilities (pi > t)."""
+    """Net Benefit of classifying on the true probabilities (pi > t).
+
+    The strict-odds decisions are scored as 0/1 probabilities, which the
+    model-facing ``>= t`` rule treats exactly where pi > t.
+    """
     tt = t if isinstance(t, TargetThreshold) else TargetThreshold(float(t))
-    p = np.asarray(oracle_probs, dtype=np.float64).ravel()
-    y = np.asarray(outcomes, dtype=np.float64).ravel()
-    positive = p > tt.t
-    tp = int(np.count_nonzero(positive & (y == 1.0)))
-    fp = int(np.count_nonzero(positive & (y == 0.0)))
-    n = p.shape[0]
-    return NetBenefitReport(
-        t=tt,
-        tp_count=tp,
-        fp_count=fp,
-        n=n,
-        net_benefit=tp / n - fp / n * (tt.t / (1.0 - tt.t)),
-    )
+    treat = np.asarray(oracle_probs, dtype=np.float64).ravel() > tt.t
+    return net_benefit(treat.astype(np.float64), outcomes, tt)
 
 
 def boundary_points(

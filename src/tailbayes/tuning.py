@@ -41,7 +41,9 @@ __all__ = [
     "FittedTailoredModel",
     "make_split",
     "make_cv_plan",
+    "fit_tailored",
     "fit_standard",
+    "fold_seed",
     "stage1_pi_u",
     "cv_select_lambda",
     "fit_pipeline",
@@ -173,6 +175,17 @@ def make_cv_plan(
     return CvPlan(k=k, lambda_grid=tuple(lambda_grid), fold_ids=fold_ids, seed=int(seed))
 
 
+def fit_tailored(
+    data: Dataset,
+    weights: np.ndarray,
+    prior: GaussianPrior,
+    sampler_config: SamplerConfig,
+) -> PosteriorSamples:
+    """One MH chain on the weighted-likelihood posterior; every fit runs through here."""
+    logpost = make_log_posterior(data, weights, prior)
+    return run_mh(logpost, data.n_coefficients, sampler_config)
+
+
 def fit_standard(
     data: Dataset,
     sampler_config: SamplerConfig,
@@ -181,8 +194,12 @@ def fit_standard(
     """Standard (unweighted) Bayesian logistic regression fit."""
     if prior is None:
         prior = GaussianPrior.vague(data.n_coefficients)
-    logpost = make_log_posterior(data, np.ones(data.n), prior)
-    return run_mh(logpost, data.n_coefficients, sampler_config)
+    return fit_tailored(data, np.ones(data.n), prior, sampler_config)
+
+
+def fold_seed(base_seed: int, fold: int) -> int:
+    """Sampler seed of CV fold ``fold`` (0-based): the base seed plus fold + 1."""
+    return base_seed + fold + 1
 
 
 @dataclass(frozen=True)
@@ -214,42 +231,15 @@ def stage1_pi_u(
     return Stage1Model(samples=samples, n_design_rows=design.n)
 
 
-def _fit_tailored(
-    data: Dataset,
-    weights: np.ndarray,
-    prior: GaussianPrior,
-    sampler_config: SamplerConfig,
-) -> PosteriorSamples:
-    logpost = make_log_posterior(data, weights, prior)
-    return run_mh(logpost, data.n_coefficients, sampler_config)
-
-
-def _cv_cell_worker(payload: tuple) -> tuple:
-    """Fit one (lam, fold) cell; top-level so process pools can pickle it."""
-    (
-        lam_index,
-        fold,
-        x_train,
-        y_train,
-        w_train,
-        x_fold,
-        y_fold,
-        t_value,
-        prior_means,
-        prior_sds,
-        config,
-        seed,
-    ) = payload
+def _cv_cell(payload: tuple) -> tuple[float, str | None]:
+    """Fit one (lam, fold) cell and score its held-out fold; top-level so pools can pickle it."""
+    train, weights, test, threshold, prior, config = payload
     try:
-        data = Dataset(outcomes=y_train, covariates=x_train)
-        prior = GaussianPrior(prior_means, prior_sds)
-        cfg = replace(config, rng_seed=seed)
-        samples = _fit_tailored(data, w_train, prior, cfg)
-        means, _ = predictive_mean_sd(x_fold, samples)
-        nb = net_benefit(means, y_fold, t_value).net_benefit
-        return lam_index, fold, nb, None
+        samples = fit_tailored(train, weights, prior, config)
     except SamplerError as exc:
-        return lam_index, fold, float("nan"), str(exc)
+        return float("nan"), str(exc)
+    means, _ = predictive_mean_sd(test.covariates, samples)
+    return net_benefit(means, test.outcomes, threshold).net_benefit, None
 
 
 def cv_select_lambda(
@@ -265,7 +255,7 @@ def cv_select_lambda(
     """Choose lam maximising the fold-average Net Benefit at the threshold.
 
     Fold fits share one sampler configuration with per-fold seeds
-    (base seed + fold number).  Ties break toward the smallest lam.  A
+    (:func:`fold_seed`).  Ties break toward the smallest lam.  A
     sampler failure invalidates its cell; a lam stays eligible only if
     at least K - 1 of its folds succeeded (the average then runs over
     the successes, and the failure is logged).
@@ -284,59 +274,46 @@ def cv_select_lambda(
         for lam in grid
     ]
 
-    payloads = []
-    for li, lam in enumerate(grid):
-        for fold in range(cv_plan.k):
-            tr = cv_plan.train_indices(fold)
-            te = cv_plan.fold_indices(fold)
-            payloads.append(
-                (
-                    li,
-                    fold,
-                    development.covariates[tr],
-                    development.outcomes[tr],
-                    weights_per_lam[li][tr],
-                    development.covariates[te],
-                    development.outcomes[te],
-                    threshold.t,
-                    prior.means,
-                    prior.sds,
-                    sampler_config,
-                    sampler_config.rng_seed + fold + 1,
-                )
-            )
-
+    seeds = [fold_seed(sampler_config.rng_seed, fold) for fold in range(cv_plan.k)]
+    folds = []  # each fold is subset and seeded once, then shared by every lam
+    for fold, seed in enumerate(seeds):
+        tr = cv_plan.train_indices(fold)
+        test = development.subset(cv_plan.fold_indices(fold))
+        folds.append((tr, development.subset(tr), test, replace(sampler_config, rng_seed=seed)))
+    payloads = [
+        (train, weights[tr], test, threshold, prior, config)
+        for weights in weights_per_lam
+        for tr, train, test, config in folds
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cv_cell_worker, payloads))
+            results = list(pool.map(_cv_cell, payloads))
     else:
-        results = [_cv_cell_worker(p) for p in payloads]
+        results = [_cv_cell(p) for p in payloads]
 
     table: list[dict] = []
-    by_lam: dict[int, list[float]] = {li: [] for li in range(len(grid))}
-    for li, fold, nb, error in sorted(results, key=lambda r: (r[0], r[1])):
+    cells = [(li, fold) for li in range(len(grid)) for fold in range(cv_plan.k)]
+    for (li, fold), (nb, error) in zip(cells, results):
         table.append(
             {
                 "lambda": grid[li],
                 "fold": fold + 1,
                 "nb": None if error else nb,
-                "seed": sampler_config.rng_seed + fold + 1,
+                "seed": seeds[fold],
                 "error": error,
             }
         )
-        if error is None:
-            by_lam[li].append(nb)
-        else:
+        if error is not None:
             logger.warning("CV cell lam=%s fold=%d failed: %s", grid[li], fold + 1, error)
 
-    best_li = None
+    best_lam = None
     best_nb = -np.inf
-    for li in range(len(grid)):
-        successes = by_lam[li]
+    for lam in grid:
+        successes = [row["nb"] for row in table if row["lambda"] == lam and row["error"] is None]
         if len(successes) < cv_plan.k - 1:
             logger.warning(
                 "lam=%s dropped: only %d of %d folds succeeded",
-                grid[li],
+                lam,
                 len(successes),
                 cv_plan.k,
             )
@@ -344,10 +321,10 @@ def cv_select_lambda(
         avg = float(np.mean(successes))
         if avg > best_nb:
             best_nb = avg
-            best_li = li
-    if best_li is None:
+            best_lam = lam
+    if best_lam is None:
         raise SamplerError("every lambda candidate lost too many CV folds")
-    return grid[best_li], table
+    return best_lam, table
 
 
 @dataclass(frozen=True)
@@ -449,7 +426,7 @@ def fit_pipeline(
             ess_t,
             100 * ESS_WARNING_FRACTION,
         )
-    samples = _fit_tailored(development, weights, prior, sampler_config)
+    samples = fit_tailored(development, weights, prior, sampler_config)
     return FittedTailoredModel(
         lambda_star=lambda_star,
         threshold=threshold,

@@ -51,7 +51,7 @@ class TestSimulate:
 class TestFit:
     def test_byte_identical_manifests(self, tmp_path, train_csv):
         m1 = fit_artifact(tmp_path, train_csv, "m1")
-        m2 = fit_artifact(tmp_path, train_csv, "m2")
+        m2 = fit_artifact(tmp_path, train_csv, "m2", extra=["--jobs", 2])  # CV cells in a process pool
         assert (m1 / "manifest.json").read_bytes() == (m2 / "manifest.json").read_bytes()
         assert (m1 / "draws.csv").read_bytes() == (m2 / "draws.csv").read_bytes()
         assert (m1 / "weights.csv").read_bytes() == (m2 / "weights.csv").read_bytes()
@@ -148,6 +148,20 @@ class TestPredict:
         lines += [",".join(row[i] for i in order) for row in rows]
         permuted.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run(["predict", "--model", model, "--data", permuted, "--out", tmp_path / "p.csv"]) == 3
+
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [("draws.csv", lambda text: text.replace(text.splitlines()[1].split(",")[0], "oops", 1)),
+         ("manifest.json", lambda text: text[: len(text) // 2])],
+        ids=["draws.csv", "manifest.json"],
+    )
+    def test_corrupt_artifact_is_data_error(self, tmp_path, train_csv, name, corrupt):
+        model = fit_artifact(tmp_path, train_csv)
+        path = model / name
+        path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert run(["predict", "--model", model, "--data", train_csv, "--out", out]) == 3
+        assert not out.exists()
 
     def test_single_draw_artifact_gives_plug_in(self, tmp_path, train_csv):
         model = fit_artifact(tmp_path, train_csv)
@@ -272,6 +286,23 @@ class TestReproduceAndEssGrid:
         assert float(rows[0][2]) == 1.0
         fractions = [float(r[2]) for r in rows]
         assert fractions[0] > fractions[1] > fractions[2]
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "ess-grid"])
+def test_non_finite_input_number_is_data_error(tmp_path, train_csv, command):
+    bad = tmp_path / "bad.csv"
+    out = tmp_path / "out"
+    if command == "predict":
+        bad.write_text("x1,x2\n0.5,0.5\n0.5,nan\n", encoding="utf-8")
+        args = ["predict", "--model", fit_artifact(tmp_path, train_csv), "--data", bad, "--out", out]
+    elif command == "evaluate":
+        bad.write_text("prob,y\n0.4,1\nnan,0\n", encoding="utf-8")
+        args = ["evaluate", "--scored-a", bad, "--thresholds", 0.3, "--out", out]
+    else:
+        bad.write_text("pi_u\n0.2\nnan\n", encoding="utf-8")
+        args = ["ess-grid", "--pi-u-file", bad, "--t", 0.3, "--out", out]
+    assert run(args) == 3
+    assert not out.exists()
 
 
 def _read_csv(path):

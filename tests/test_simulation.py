@@ -218,6 +218,21 @@ class TestOptimalNb:
         assert report.net_benefit == 0.3
         assert report.fp_count == 0
 
+    def test_strict_rule_matches_counted_formula(self):
+        """Scoring pi > t as 0/1 decisions gives the counted strict-rule NB exactly, ties included."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            t = float(rng.choice([0.1, 0.25, 0.5, rng.uniform(0.01, 0.99)]))
+            probs = rng.choice([0.0, t, 1.0, *rng.uniform(size=3)], size=n)
+            outcomes = (rng.uniform(size=n) < 0.4).astype(float)
+            treat = probs > t
+            tp = int(np.count_nonzero(treat & (outcomes == 1.0)))
+            fp = int(np.count_nonzero(treat & (outcomes == 0.0)))
+            report = optimal_nb(probs, outcomes, t)
+            assert (report.tp_count, report.fp_count, report.n) == (tp, fp, n)
+            assert report.net_benefit == tp / n - fp / n * (t / (1.0 - t))
+
     def test_nonnegative_at_scale(self):
         for seed in range(5):
             data, probs, _ = generate_sim3(Sim3Config(n=2000, seed=seed))
