@@ -31,7 +31,7 @@ from .model_core import (
 )
 from .predict import positive_mask, predictive_mean_sd
 from .reproduce import FIGURES, reproduce_figure
-from .sampler import PosteriorSamples, SamplerConfig, gelman_rubin
+from .sampler import TARGET_ACCEPTANCE, PosteriorSamples, SamplerConfig, gelman_rubin
 from .simulation import (
     Sim1Config,
     Sim2Config,
@@ -65,7 +65,10 @@ def _thresholds(text: str) -> tuple[float, ...]:
         if step <= 0 or hi < lo:
             raise argparse.ArgumentTypeError("need lo <= hi and step > 0")
         return tuple(np.round(np.arange(lo, hi + step / 2, step), 12))
-    return _csv_floats(text)
+    values = _csv_floats(text)
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one threshold")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +299,7 @@ def cmd_fit(args) -> int:
             "burn_in": sampler_config.burn_in,
             "thin": sampler_config.thin,
             "initial_sd": sampler_config.initial_sd,
-            "target_acceptance": sampler_config.target_acceptance,
+            "target_acceptance": TARGET_ACCEPTANCE,
         },
         "cv_sampler": {
             "n_iterations": cv_config.n_iterations,
@@ -334,11 +337,14 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_manifest(out / "manifest.json", manifest)
     dataio.write_draws_csv(out / "draws.csv", coefficient_names, model.samples.draws)
-    dataio.write_weights_csv(
+    dataio.write_rows(
         out / "weights.csv",
-        model.split.development_idx,
-        model.pi_u_development,
-        model.weights,
+        ["row", "pi_u", "weight"],
+        zip(
+            model.split.development_idx.tolist(),
+            model.pi_u_development.tolist(),
+            model.weights.tolist(),
+        ),
     )
     dataio.write_ess_table(out / "ess_table.csv", grid_rows)
     print(f"fitted lambda*={model.lambda_star} ess={model.ess_t:.1f} -> {out}")
@@ -354,6 +360,8 @@ def _score_artifact(model_dir, data_path, read_covariates) -> tuple:
     """
     model_dir = Path(model_dir)
     manifest = dataio.read_manifest(model_dir / "manifest.json")
+    if not isinstance(manifest, dict) or manifest.get("command") != "fit":
+        raise DataError(f"{model_dir / 'manifest.json'}: not a manifest written by fit")
     header, draws = dataio.read_draws_csv(model_dir / "draws.csv")
     covariate_names = manifest["data"]["covariates"]
     expected = ["intercept"] + covariate_names
@@ -387,7 +395,11 @@ def _read_labelled(data_path, covariate_names, outcome_col) -> tuple[np.ndarray,
 def cmd_predict(args) -> int:
     manifest, means, sds, ids = _score_artifact(args.model, args.data, dataio.read_covariates_csv)
     labels = np.where(positive_mask(means, manifest["threshold"]), "positive", "negative")
-    dataio.write_predictions_csv(args.out, ids, means, sds, labels)
+    dataio.write_rows(
+        args.out,
+        ["id", "mean_probability", "predictive_sd", "classification"],
+        zip(ids, means.tolist(), sds.tolist(), labels.tolist()),
+    )
     print(f"wrote {len(ids)} predictions -> {args.out}")
     return EXIT_OK
 
@@ -427,21 +439,13 @@ def cmd_evaluate(args) -> int:
             for t in args.thresholds:
                 report = net_benefit(probs, outcomes, t)
                 nb_rows.append(
-                    {
-                        "threshold": t,
-                        "model": label,
-                        "split": split,
-                        "tp": report.tp_count,
-                        "fp": report.fp_count,
-                        "n": report.n,
-                        "nb": report.net_benefit,
-                    }
+                    (t, label, split, report.tp_count, report.fp_count, report.n, report.net_benefit)
                 )
                 nb_values[label].setdefault(t, []).append(report.net_benefit)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataio.write_nb_table(out / "nb.csv", nb_rows)
+    dataio.write_rows(out / "nb.csv", ["threshold", "model", "split", "tp", "fp", "n", "nb"], nb_rows)
     written = [out / "nb.csv"]
     if scored_b is not None:
         if len(scored_a) < 2:
@@ -449,10 +453,8 @@ def cmd_evaluate(args) -> int:
         delta_rows = []
         for t in args.thresholds:
             delta = paired_delta(nb_values[args.label_a][t], nb_values[args.label_b][t])
-            delta_rows.append(
-                {"threshold": t, "mean_delta": delta.mean_delta, "se_delta": delta.se_delta}
-            )
-        dataio.write_delta_table(out / "delta_nb.csv", delta_rows)
+            delta_rows.append((t, delta.mean_delta, delta.se_delta))
+        dataio.write_rows(out / "delta_nb.csv", ["threshold", "mean_delta", "se_delta"], delta_rows)
         written.append(out / "delta_nb.csv")
     print("wrote " + ", ".join(str(p) for p in written))
     return EXIT_OK
@@ -513,34 +515,19 @@ def cmd_reproduce(args) -> int:
         raw_header.append("nb_optimal")
     dataio.write_rows(out / "nb_raw.csv", raw_header, [[row[k] for k in raw_header] for row in raw])
 
-    agg_rows = []
-    for agg in result["aggregated"]:
-        r = {k: agg[k] for k in cell_keys if k in agg}
-        r.update(
-            threshold=agg["t"],
-            mean_delta=agg["mean_delta"],
-            se_delta=agg["se_delta"],
-        )
-        r.pop("t", None)
-        agg_rows.append(r)
-    dataio.write_delta_table(out / "delta_nb.csv", agg_rows)
-
+    aggregated = result["aggregated"]
+    groups = [k for k in cell_keys if k != "t"]
+    dataio.write_rows(
+        out / "delta_nb.csv",
+        groups + ["threshold", "mean_delta", "se_delta"],
+        [[agg[k] for k in groups + ["t", "mean_delta", "se_delta"]] for agg in aggregated],
+    )
     if args.figure == "sim3-fig6":
-        summary_rows = [
-            {
-                "threshold": agg["t"],
-                "psi": agg["psi"],
-                "mean_nb_tb": agg["mean_nb_tb"],
-                "mean_nb_sb": agg["mean_nb_sb"],
-                "mean_nb_optimal": agg["mean_nb_optimal"],
-                "mean_delta": agg["mean_delta"],
-                "se_delta": agg["se_delta"],
-            }
-            for agg in result["aggregated"]
-        ]
-        header = list(summary_rows[0])
+        summary = ["psi", "mean_nb_tb", "mean_nb_sb", "mean_nb_optimal", "mean_delta", "se_delta"]
         dataio.write_rows(
-            out / "nb_summary.csv", header, [[row[k] for k in header] for row in summary_rows]
+            out / "nb_summary.csv",
+            ["threshold"] + summary,
+            [[agg["t"]] + [agg[k] for k in summary] for agg in aggregated],
         )
 
     manifest = {

@@ -27,11 +27,7 @@ __all__ = [
     "read_scored_csv",
     "read_draws_csv",
     "write_rows",
-    "write_predictions_csv",
     "write_draws_csv",
-    "write_weights_csv",
-    "write_nb_table",
-    "write_delta_table",
     "write_ess_table",
     "write_simulated_csv",
     "write_manifest",
@@ -196,36 +192,29 @@ def read_scored_csv(path, prob_col: str = "prob", outcome_col: str = "y"):
 
 
 def write_rows(path, header: list[str], rows) -> None:
-    """Write a generic CSV table (RFC 4180 quoting, CRLF line ends)."""
+    """Write a CSV table (RFC 4180 quoting, CRLF line ends).
+
+    ``csv`` writes a float (``np.float64`` included) as its shortest repr
+    and a numpy integer as a plain integer, so every cell round-trips
+    exactly; only booleans need converting first.  Python floats format
+    about twice as fast as numpy scalars, so pass ``array.tolist()``.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
+# The writers below call this private name, so a wrapper around each public
+# ``write_*`` function counts every file once.
 _write_rows = write_rows
-
-
-def write_predictions_csv(path, ids, means, sds, labels) -> None:
-    _write_rows(
-        path,
-        ["id", "mean_probability", "predictive_sd", "classification"],
-        [
-            (i, repr(float(m)), repr(float(s)), lab)
-            for i, m, s, lab in zip(ids, means, sds, labels)
-        ],
-    )
 
 
 def write_draws_csv(path, coefficient_names: list[str], draws: np.ndarray) -> None:
     """One column per coefficient, one row per retained draw."""
     if draws.shape[1] != len(coefficient_names):
         raise DataError("coefficient names do not match the draw matrix width")
-    _write_rows(
-        path,
-        list(coefficient_names),
-        [[repr(float(v)) for v in row] for row in draws],
-    )
+    _write_rows(path, list(coefficient_names), draws.tolist())
 
 
 def read_draws_csv(path) -> tuple[list[str], np.ndarray]:
@@ -238,76 +227,17 @@ def read_draws_csv(path) -> tuple[list[str], np.ndarray]:
     return header, draws
 
 
-def write_weights_csv(path, row_indices, pi_u, weights) -> None:
-    _write_rows(
-        path,
-        ["row", "pi_u", "weight"],
-        [
-            (int(r), repr(float(p)), repr(float(w)))
-            for r, p, w in zip(row_indices, pi_u, weights)
-        ],
-    )
-
-
-def write_nb_table(path, rows: list[dict]) -> None:
-    """Rows of (threshold, model, split, tp, fp, n, nb)."""
-    _write_rows(
-        path,
-        ["threshold", "model", "split", "tp", "fp", "n", "nb"],
-        [
-            (
-                repr(float(r["threshold"])),
-                r["model"],
-                r["split"],
-                r["tp"],
-                r["fp"],
-                r["n"],
-                repr(float(r["nb"])),
-            )
-            for r in rows
-        ],
-    )
-
-
-def write_delta_table(path, rows: list[dict]) -> None:
-    """Rows of (threshold, mean_delta, se_delta) plus any extra grouping keys."""
-    if not rows:
-        raise DataError("no delta rows to write")
-    extra = [k for k in rows[0] if k not in ("threshold", "mean_delta", "se_delta")]
-    header = extra + ["threshold", "mean_delta", "se_delta"]
-    _write_rows(
-        path,
-        header,
-        [
-            [r[k] for k in extra]
-            + [
-                repr(float(r["threshold"])),
-                repr(float(r["mean_delta"])),
-                repr(float(r["se_delta"])),
-            ]
-            for r in rows
-        ],
-    )
-
-
 def write_ess_table(path, rows: list[dict]) -> None:
+    """ESS per lam, with ``low_ess`` written as 0/1."""
     _write_rows(
         path,
         ["lambda", "ess", "ess_fraction", "low_ess"],
-        [
-            (
-                repr(float(r["lambda"])),
-                repr(float(r["ess"])),
-                repr(float(r["ess_fraction"])),
-                int(r["low_ess"]),
-            )
-            for r in rows
-        ],
+        [(r["lambda"], r["ess"], r["ess_fraction"], int(r["low_ess"])) for r in rows],
     )
 
 
 def write_simulated_csv(path, data: Dataset, oracle=None, mask=None) -> None:
-    """Simulated dataset as x1..xd plus y (plus oracle columns on request)."""
+    """Simulated dataset as x1..xd plus y (plus oracle columns on request); y is written as 0/1."""
     d = data.d
     header = [f"x{j + 1}" for j in range(d)] + ["y"]
     cols = [data.covariates[:, 1:], data.outcomes[:, None]]
@@ -317,14 +247,7 @@ def write_simulated_csv(path, data: Dataset, oracle=None, mask=None) -> None:
     if mask is not None:
         header.append("contaminated")
         cols.append(np.asarray(mask, dtype=np.float64)[:, None])
-    matrix = np.hstack(cols)
-    rows = []
-    for row in matrix:
-        out = [repr(float(v)) for v in row[:d]]
-        out.append(str(int(row[d])))
-        for v in row[d + 1 :]:
-            out.append(repr(float(v)))
-        rows.append(out)
+    rows = [row[:d] + [int(row[d])] + row[d + 1 :] for row in np.hstack(cols).tolist()]
     _write_rows(path, header, rows)
 
 

@@ -11,7 +11,6 @@ completion order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from .simulation import (
     generate_sim3,
     optimal_nb,
 )
-from .tuning import DEFAULT_LAMBDA_GRID, fit_pipeline, fit_standard
+from .tuning import DEFAULT_LAMBDA_GRID, fit_pipeline, fit_standard, map_jobs
 
 __all__ = ["FIGURES", "FULL_SCALE_REPETITIONS", "reproduce_figure"]
 
@@ -68,7 +67,7 @@ def _cells(figure: str, overrides: dict) -> list[dict]:
 
 
 def _rep_worker(payload: tuple) -> dict:
-    figure, cell, rep, base_seed, lambda_grid, final_cfg, cv_cfg = payload
+    figure, cell, rep, base_seed, lambda_grid = payload
     seeds = np.random.SeedSequence([int(base_seed), _cell_key(cell), rep]).generate_state(4)
     train_seed, test_seed, fit_seed, _ = (int(s) for s in seeds)
     t = TargetThreshold(cell["t"])
@@ -90,10 +89,10 @@ def _rep_worker(payload: tuple) -> dict:
         train,
         t,
         lambda_grid=lambda_grid,
-        sampler_config=replace(final_cfg, rng_seed=fit_seed),
-        cv_sampler_config=replace(cv_cfg, rng_seed=fit_seed),
+        sampler_config=replace(FINAL_SAMPLER, rng_seed=fit_seed),
+        cv_sampler_config=replace(CV_SAMPLER, rng_seed=fit_seed),
     )
-    baseline = fit_standard(train, replace(final_cfg, rng_seed=fit_seed))
+    baseline = fit_standard(train, replace(FINAL_SAMPLER, rng_seed=fit_seed))
 
     tailored_probs = predictive_mean_sd(test.covariates, model.samples)[0]
     standard_probs = predictive_mean_sd(test.covariates, baseline)[0]
@@ -125,8 +124,6 @@ def reproduce_figure(
     jobs: int = 1,
     lambda_grid=DEFAULT_LAMBDA_GRID,
     overrides: dict | None = None,
-    final_sampler: SamplerConfig = FINAL_SAMPLER,
-    cv_sampler: SamplerConfig = CV_SAMPLER,
 ) -> dict:
     """Run one figure's grid and return raw and aggregated result rows."""
     if figure not in FIGURES:
@@ -135,16 +132,8 @@ def reproduce_figure(
         raise ConfigError("scale must lie in (0, 1]")
     reps = max(1, round(FULL_SCALE_REPETITIONS * scale))
     cells = _cells(figure, overrides or {})
-    payloads = [
-        (figure, cell, rep, seed, tuple(lambda_grid), final_sampler, cv_sampler)
-        for cell in cells
-        for rep in range(reps)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_rep_worker, payloads))
-    else:
-        raw = [_rep_worker(p) for p in payloads]
+    payloads = [(figure, cell, rep, seed, tuple(lambda_grid)) for cell in cells for rep in range(reps)]
+    raw = map_jobs(_rep_worker, payloads, jobs)
 
     cell_keys = [tuple(sorted(c.items())) for c in cells]
     aggregated = []

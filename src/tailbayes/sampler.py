@@ -2,7 +2,7 @@
 
 All coefficients update jointly with an isotropic Gaussian proposal
 N(beta, sd^2 I).  The proposal scale adapts in batches during burn-in
-toward a target acceptance rate (default 0.24) and is frozen afterwards
+toward a target acceptance rate (0.24) and is frozen afterwards
 so the retained chain is a valid Markov chain.
 """
 
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 ADAPT_BATCH_SIZE = 50
+TARGET_ACCEPTANCE = 0.24
 SD_MIN = 1e-8
 SD_MAX = 1e3
 
@@ -39,7 +40,6 @@ class SamplerConfig:
     burn_in: int = 5_000
     thin: int = 1
     initial_sd: float = 0.1
-    target_acceptance: float = 0.24
     rng_seed: int = 0
     initial_beta: np.ndarray | None = None
 
@@ -52,8 +52,6 @@ class SamplerConfig:
             raise ConfigError("thin must be >= 1")
         if not (self.initial_sd > 0.0):
             raise ConfigError("initial_sd must be positive")
-        if not (0.0 < self.target_acceptance < 1.0):
-            raise ConfigError("target_acceptance must lie in (0, 1)")
         if not (0 <= int(self.rng_seed) < 2**64):
             raise ConfigError("rng_seed must fit in an unsigned 64-bit integer")
 
@@ -98,15 +96,14 @@ def adapt_proposal_sd(
     current_sd: float,
     batch_acceptance: float,
     batch_index: int,
-    target: float = 0.24,
 ) -> float:
-    """One Robbins-Monro update sd * exp(k^-0.6 * (acc - target)).
+    """One Robbins-Monro update sd * exp(k^-0.6 * (acc - TARGET_ACCEPTANCE)).
 
     ``batch_index`` is 1-based.  The result is clamped to
     [1e-8, 1e3]; an on-target batch leaves sd unchanged.
     """
     gamma = batch_index ** -0.6
-    sd = current_sd * math.exp(gamma * (batch_acceptance - target))
+    sd = current_sd * math.exp(gamma * (batch_acceptance - TARGET_ACCEPTANCE))
     return min(max(sd, SD_MIN), SD_MAX)
 
 
@@ -166,12 +163,7 @@ def run_mh(
             batch_accepts += accept
             if (i + 1) % ADAPT_BATCH_SIZE == 0:
                 batch_index += 1
-                sd = adapt_proposal_sd(
-                    sd,
-                    batch_accepts / ADAPT_BATCH_SIZE,
-                    batch_index,
-                    config.target_acceptance,
-                )
+                sd = adapt_proposal_sd(sd, batch_accepts / ADAPT_BATCH_SIZE, batch_index)
                 sd_trace.append((i + 1, sd))
                 batch_accepts = 0
         else:

@@ -44,6 +44,7 @@ __all__ = [
     "fit_tailored",
     "fit_standard",
     "fold_seed",
+    "map_jobs",
     "stage1_pi_u",
     "cv_select_lambda",
     "fit_pipeline",
@@ -202,6 +203,18 @@ def fold_seed(base_seed: int, fold: int) -> int:
     return base_seed + fold + 1
 
 
+def map_jobs(fn, payloads: list, jobs: int) -> list:
+    """``[fn(p) for p in payloads]``, over ``jobs`` worker processes when jobs > 1.
+
+    Results keep the payload order.  ``fn`` must be a top-level function so
+    the pool can pickle it; callers pass it at call time.
+    """
+    if jobs <= 1:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, payloads))
+
+
 @dataclass(frozen=True)
 class Stage1Model:
     """First-stage probability model: an unweighted Bayesian logistic fit."""
@@ -285,11 +298,7 @@ def cv_select_lambda(
         for weights in weights_per_lam
         for tr, train, test, config in folds
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cv_cell, payloads))
-    else:
-        results = [_cv_cell(p) for p in payloads]
+    results = map_jobs(_cv_cell, payloads, jobs)
 
     table: list[dict] = []
     cells = [(li, fold) for li in range(len(grid)) for fold in range(cv_plan.k)]
@@ -362,7 +371,6 @@ def fit_pipeline(
     sampler_config: SamplerConfig | None = None,
     cv_sampler_config: SamplerConfig | None = None,
     prior: GaussianPrior | None = None,
-    split_seed: int | None = None,
     external_pi_u: np.ndarray | None = None,
     jobs: int = 1,
 ) -> FittedTailoredModel:
@@ -371,6 +379,7 @@ def fit_pipeline(
     The final model always fits on the entire development part at the
     chosen lam, using the sampler config's own seed, so a grid of {0}
     reproduces a standard fit on the development data bit for bit.
+    The same seed also draws the split and the CV fold assignment.
     When ``external_pi_u`` provides per-row probabilities for the whole
     training set, no design split is made and stage 1 is skipped.
     """
@@ -382,8 +391,7 @@ def fit_pipeline(
         cv_sampler_config = sampler_config
     if prior is None:
         prior = GaussianPrior.vague(train.n_coefficients)
-    if split_seed is None:
-        split_seed = sampler_config.rng_seed
+    split_seed = sampler_config.rng_seed
 
     if external_pi_u is not None:
         external_pi_u = np.asarray(external_pi_u, dtype=np.float64).ravel()

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -37,6 +39,9 @@ class TestSimulate:
         x, y, names, _ = dataio.read_dataset_csv(out)
         assert names == ["x1", "x2", "true_probability", "contaminated"]
         assert x.shape[0] == 110
+        header, rows = _read_csv(out)
+        assert header == ["x1", "x2", "y", "true_probability", "contaminated"]
+        assert {r[2] for r in rows} == {"0", "1"}  # the outcome is written as a literal 0/1
         meta = dataio.read_manifest(str(out) + ".meta.json")
         assert meta["study"] == "sim3" and meta["psi"] == 0.1 and meta["seed"] == 5
         assert meta["rows_written"] == 110
@@ -88,6 +93,12 @@ class TestFit:
         assert 0.0 < manifest["ess_fraction"] <= 1.0
         rows = dataio.read_manifest(out / "manifest.json")["ess_grid"]
         assert rows[0]["ess_fraction"] == 1.0
+        header, weight_rows = _read_csv(out / "weights.csv")
+        assert header == ["row", "pi_u", "weight"]
+        assert len(weight_rows) == 240
+        header, ess_rows = _read_csv(out / "ess_table.csv")
+        assert header == ["lambda", "ess", "ess_fraction", "low_ess"]
+        assert [r[3] for r in ess_rows] == [str(int(r["low_ess"])) for r in rows]
 
     def test_standardize_recorded_and_rhat(self, tmp_path, train_csv):
         out = fit_artifact(tmp_path, train_csv, "m_std", extra=["--standardize", "--rhat-chains", "2"])
@@ -163,6 +174,27 @@ class TestPredict:
         assert run(["predict", "--model", model, "--data", train_csv, "--out", out]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_fit_manifest_is_data_error(self, tmp_path, train_csv, command):
+        # a reproduce output directory holding a copied draws.csv is not a model artifact
+        model = fit_artifact(tmp_path, train_csv)
+        other = tmp_path / "rep"
+        other.mkdir()
+        shutil.copy(model / "draws.csv", other / "draws.csv")
+        dataio.write_manifest(
+            other / "manifest.json",
+            {"tool": "tailbayes", "command": "reproduce", "figure": "sim3-fig6", "scale": 0.1,
+             "repetitions": 2, "seed": 1, "lambda_grid": [0.0, 10.0], "overrides": {}},
+        )
+        out = tmp_path / "out"
+        if command == "predict":
+            args = ["predict", "--model", other, "--data", train_csv, "--out", out]
+        else:
+            args = ["evaluate", "--model-a", other, "--data", train_csv,
+                    "--thresholds", 0.3, "--out", out]
+        assert run(args) == 3
+        assert not out.exists()
+
     def test_single_draw_artifact_gives_plug_in(self, tmp_path, train_csv):
         model = fit_artifact(tmp_path, train_csv)
         names, draws = dataio.read_draws_csv(model / "draws.csv")
@@ -207,7 +239,8 @@ class TestEvaluate:
         a = self._scored(tmp_path, "none.csv", np.zeros(5), outcomes)
         out = tmp_path / "eval2"
         assert run(["evaluate", "--scored-a", a, "--thresholds", "0.2,0.5,0.8", "--out", out]) == 0
-        _, rows = _read_csv(out / "nb.csv")
+        header, rows = _read_csv(out / "nb.csv")
+        assert header == ["threshold", "model", "split", "tp", "fp", "n", "nb"]
         assert len(rows) == 3
         assert all(float(r[6]) == 0.0 for r in rows)
 
@@ -254,6 +287,14 @@ class TestEvaluate:
         assert run(["evaluate", "--scored-a", a, "--model-a", tmp_path,
                     "--thresholds", "0.5", "--out", tmp_path / "y"]) == 2
 
+    def test_empty_threshold_list_is_usage_error(self, tmp_path):
+        a = self._scored(tmp_path, "a.csv", [0.5], [1])
+        with pytest.raises(SystemExit) as exc:
+            run(["evaluate", "--scored-a", a, "--scored-a", a, "--scored-b", a, "--scored-b", a,
+                 "--thresholds", ",", "--out", tmp_path / "x"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
 
 class TestReproduceAndEssGrid:
     def test_unknown_figure_is_usage_error(self, tmp_path):
@@ -270,7 +311,12 @@ class TestReproduceAndEssGrid:
         header, rows = _read_csv(out / "nb_raw.csv")
         assert header == ["n", "psi", "t", "rep", "lambda_star", "nb_tb", "nb_sb", "delta", "nb_optimal"]
         assert len(rows) == 2  # 10% of 20 repetitions
-        _, summary = _read_csv(out / "nb_summary.csv")
+        header, delta = _read_csv(out / "delta_nb.csv")
+        assert header == ["n", "psi", "threshold", "mean_delta", "se_delta"]
+        assert len(delta) == 1
+        header, summary = _read_csv(out / "nb_summary.csv")
+        assert header == ["threshold", "psi", "mean_nb_tb", "mean_nb_sb", "mean_nb_optimal",
+                          "mean_delta", "se_delta"]
         assert len(summary) == 1
         manifest = dataio.read_manifest(out / "manifest.json")
         assert manifest["figure"] == "sim3-fig6" and manifest["repetitions"] == 2
@@ -279,10 +325,11 @@ class TestReproduceAndEssGrid:
         pi = tmp_path / "pi.csv"
         pi.write_text("pi_u\n0.1\n0.4\n0.8\n", encoding="utf-8")
         out = tmp_path / "ess.csv"
-        assert run(["ess-grid", "--pi-u-file", pi, "--t", 0.3, "--lambda-grid", "0,5,50",
+        assert run(["ess-grid", "--pi-u-file", pi, "--t", 0.3, "--lambda-grid", "0,5,50,200",
                     "--out", out]) == 0
         header, rows = _read_csv(out)
         assert header == ["lambda", "ess", "ess_fraction", "low_ess"]
+        assert [r[3] for r in rows] == ["0", "0", "0", "1"]  # ess_fraction 0.045 at lam = 200
         assert float(rows[0][2]) == 1.0
         fractions = [float(r[2]) for r in rows]
         assert fractions[0] > fractions[1] > fractions[2]

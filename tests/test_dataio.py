@@ -155,16 +155,3 @@ class TestWriters:
         assert x.shape == (44, 4)
         np.testing.assert_array_equal(y, data.outcomes)
         np.testing.assert_allclose(x[:, 2], probs, rtol=1e-15)
-
-    def test_nb_and_delta_tables(self, tmp_path):
-        nb_path = tmp_path / "nb.csv"
-        dataio.write_nb_table(
-            nb_path,
-            [{"threshold": 0.3, "model": "a", "split": 1, "tp": 5, "fp": 2, "n": 50, "nb": 0.07}],
-        )
-        assert nb_path.read_text().splitlines()[0] == "threshold,model,split,tp,fp,n,nb"
-        delta_path = tmp_path / "d.csv"
-        dataio.write_delta_table(
-            delta_path, [{"threshold": 0.3, "mean_delta": 0.01, "se_delta": 0.002}]
-        )
-        assert delta_path.read_text().splitlines()[0] == "threshold,mean_delta,se_delta"
