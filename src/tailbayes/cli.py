@@ -244,7 +244,7 @@ def cmd_fit(args) -> int:
     if args.cv_iterations is not None or args.cv_burn_in is not None:
         cv_config = replace(
             sampler_config,
-            n_iterations=args.cv_iterations or args.iterations,
+            n_iterations=args.cv_iterations if args.cv_iterations is not None else args.iterations,
             burn_in=args.cv_burn_in if args.cv_burn_in is not None else args.burn_in,
         )
     prior = GaussianPrior.vague(train.n_coefficients, sd=args.prior_sd)
@@ -351,35 +351,50 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _manifest_field(manifest: dict, path: Path, keys: str, kinds):
+    """The value at dotted ``keys``; DataError unless it is present and of a type in ``kinds``."""
+    value = manifest
+    for key in keys.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise DataError(f"{path}: fit manifest has no {keys!r}")
+        value = value[key]
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise DataError(f"{path}: fit manifest field {keys!r} has the wrong type")
+    return value
+
+
 def _score_artifact(model_dir, data_path, read_covariates) -> tuple:
-    """Score a CSV's rows with a fitted artifact: (manifest, means, sds, per-row values).
+    """Score a CSV's rows with a fitted artifact: (threshold, means, sds, per-row values).
 
     ``read_covariates(path, covariate_names, outcome_col)`` loads the raw
     covariates with the artifact's schema enforced, plus one value per row
     (ids or outcomes) that is passed back unchanged.
     """
-    model_dir = Path(model_dir)
-    manifest = dataio.read_manifest(model_dir / "manifest.json")
+    path = Path(model_dir) / "manifest.json"
+    manifest = dataio.read_manifest(path)
     if not isinstance(manifest, dict) or manifest.get("command") != "fit":
-        raise DataError(f"{model_dir / 'manifest.json'}: not a manifest written by fit")
-    header, draws = dataio.read_draws_csv(model_dir / "draws.csv")
-    covariate_names = manifest["data"]["covariates"]
+        raise DataError(f"{path}: not a manifest written by fit")
+    covariate_names = _manifest_field(manifest, path, "data.covariates", list)
+    outcome_col = _manifest_field(manifest, path, "data.outcome_col", str)
+    standardize = _manifest_field(manifest, path, "standardize", (dict, type(None)))
+    threshold = _manifest_field(manifest, path, "threshold", (int, float))
+    header, draws = dataio.read_draws_csv(path.parent / "draws.csv")
     expected = ["intercept"] + covariate_names
     if header != expected:
         raise DataError(f"draws.csv columns {header} do not match the manifest {expected}")
     samples = PosteriorSamples(
         draws=draws,
-        acceptance_rate=manifest["chain"]["acceptance_rate"],
-        final_proposal_sd=manifest["chain"]["final_proposal_sd"],
-        rng_seed=manifest["seeds"]["final_fit"],
+        acceptance_rate=_manifest_field(manifest, path, "chain.acceptance_rate", (int, float)),
+        final_proposal_sd=_manifest_field(manifest, path, "chain.final_proposal_sd", (int, float)),
+        rng_seed=_manifest_field(manifest, path, "seeds.final_fit", int),
         log_posterior_trace=np.full(draws.shape[0], np.nan),
     )
-    raw_x, per_row = read_covariates(data_path, covariate_names, manifest["data"]["outcome_col"])
-    if manifest["standardize"]:
-        raw_x = dataio.Standardizer.from_dict(manifest["standardize"]).transform(raw_x)
+    raw_x, per_row = read_covariates(data_path, covariate_names, outcome_col)
+    if standardize:
+        raw_x = dataio.Standardizer.from_dict(standardize).transform(raw_x)
     x = np.hstack([np.ones((raw_x.shape[0], 1)), raw_x])
     means, sds = predictive_mean_sd(x, samples)
-    return manifest, means, sds, per_row
+    return threshold, means, sds, per_row
 
 
 def _read_labelled(data_path, covariate_names, outcome_col) -> tuple[np.ndarray, np.ndarray]:
@@ -393,8 +408,8 @@ def _read_labelled(data_path, covariate_names, outcome_col) -> tuple[np.ndarray,
 
 
 def cmd_predict(args) -> int:
-    manifest, means, sds, ids = _score_artifact(args.model, args.data, dataio.read_covariates_csv)
-    labels = np.where(positive_mask(means, manifest["threshold"]), "positive", "negative")
+    threshold, means, sds, ids = _score_artifact(args.model, args.data, dataio.read_covariates_csv)
+    labels = np.where(positive_mask(means, threshold), "positive", "negative")
     dataio.write_rows(
         args.out,
         ["id", "mean_probability", "predictive_sd", "classification"],
@@ -430,29 +445,30 @@ def cmd_evaluate(args) -> int:
         )
     if scored_b is not None and len(scored_b) != len(scored_a):
         raise DataError("paired evaluation needs the same number of splits for both models")
+    if scored_b is not None and len(scored_a) < 2:
+        raise DataError("paired delta needs at least two splits per model")
 
     nb_rows = []
-    nb_values: dict[str, dict[float, list[float]]] = {}
+    # Net Benefit per split, by model and threshold position: labels and thresholds may repeat
+    nb_values = []
     for label, scored in ((args.label_a, scored_a), (args.label_b, scored_b or [])):
-        nb_values[label] = {}
+        nb_values.append([[] for _ in args.thresholds])
         for split, (probs, outcomes) in enumerate(scored, start=1):
-            for t in args.thresholds:
+            for i, t in enumerate(args.thresholds):
                 report = net_benefit(probs, outcomes, t)
                 nb_rows.append(
                     (t, label, split, report.tp_count, report.fp_count, report.n, report.net_benefit)
                 )
-                nb_values[label].setdefault(t, []).append(report.net_benefit)
+                nb_values[-1][i].append(report.net_benefit)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_rows(out / "nb.csv", ["threshold", "model", "split", "tp", "fp", "n", "nb"], nb_rows)
     written = [out / "nb.csv"]
     if scored_b is not None:
-        if len(scored_a) < 2:
-            raise DataError("paired delta needs at least two splits per model")
         delta_rows = []
-        for t in args.thresholds:
-            delta = paired_delta(nb_values[args.label_a][t], nb_values[args.label_b][t])
+        for t, nb_a, nb_b in zip(args.thresholds, *nb_values):
+            delta = paired_delta(nb_a, nb_b)
             delta_rows.append((t, delta.mean_delta, delta.se_delta))
         dataio.write_rows(out / "delta_nb.csv", ["threshold", "mean_delta", "se_delta"], delta_rows)
         written.append(out / "delta_nb.csv")
@@ -509,7 +525,7 @@ def cmd_reproduce(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     raw = result["raw"]
-    cell_keys = [k for k in raw[0] if k not in ("figure", "rep", "lambda_star", "nb_tb", "nb_sb", "delta", "nb_optimal")]
+    cell_keys = result["cell_keys"]
     raw_header = cell_keys + ["rep", "lambda_star", "nb_tb", "nb_sb", "delta"]
     if args.figure == "sim3-fig6":
         raw_header.append("nb_optimal")

@@ -126,12 +126,15 @@ def read_dataset_csv(path, outcome_col: str = "y"):
     x = np.column_stack(
         [_parse_float_column(path, rows, j, name) for j, name in cov_cols]
     )
-    if ID_COLUMN in header:
-        ids = [row[header.index(ID_COLUMN)] for row in rows]
-    else:
-        ids = [str(i + 1) for i in range(len(rows))]
     names = [name for _, name in cov_cols]
-    return x, y, names, ids
+    return x, y, names, _row_ids(header, rows)
+
+
+def _row_ids(header: list[str], rows: list[list[str]]) -> list[str]:
+    """The ``id`` column's values when present, else 1-based row numbers."""
+    if ID_COLUMN in header:
+        return [row[header.index(ID_COLUMN)] for row in rows]
+    return [str(i + 1) for i in range(len(rows))]
 
 
 def read_covariates_csv(path, covariate_names: list[str], outcome_col: str = "y"):
@@ -154,11 +157,7 @@ def read_covariates_csv(path, covariate_names: list[str], outcome_col: str = "y"
     x = np.column_stack(
         [_parse_float_column(path, rows, j, header[j]) for j in cols]
     )
-    if ID_COLUMN in header:
-        ids = [row[header.index(ID_COLUMN)] for row in rows]
-    else:
-        ids = [str(i + 1) for i in range(len(rows))]
-    return x, ids
+    return x, _row_ids(header, rows)
 
 
 def read_pi_u_csv(path, expected_rows: int | None = None) -> np.ndarray:

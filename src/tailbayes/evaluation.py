@@ -34,6 +34,8 @@ MISCALIBRATION_KINDS = ("overestimation", "underestimation", "overfitting", "und
 MISCALIBRATION_DEGREES = ("mild", "severe")
 _SHIFT_DELTA = {"mild": 0.5, "severe": 1.5}
 _OVERFIT_SLOPE = {"mild": 1.5, "severe": 3.0}
+RECALIBRATION_MAX_ITERATIONS = 100
+RECALIBRATION_GRAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -164,16 +166,12 @@ def calibration_curve(predictions, outcomes, n_bins: int = 10) -> CalibrationCur
     )
 
 
-def logistic_recalibrate(
-    raw_probabilities,
-    outcomes,
-    max_iterations: int = 100,
-    grad_tol: float = 1e-8,
-) -> RecalibrationResult:
+def logistic_recalibrate(raw_probabilities, outcomes) -> RecalibrationResult:
     """Fit logit(p') = a + b logit(p) by Newton-Raphson maximum likelihood.
 
     Raises RecalibrationError on separation (coefficients running away)
-    or failure to reach the gradient tolerance within ``max_iterations``.
+    or failure to reach the gradient tolerance ``RECALIBRATION_GRAD_TOL``
+    within ``RECALIBRATION_MAX_ITERATIONS`` Newton steps.
     """
     p, y = _check_pred_outcome(raw_probabilities, outcomes)
     if np.any((p <= 0.0) | (p >= 1.0)):
@@ -181,12 +179,12 @@ def logistic_recalibrate(
     z = logit(p)
     design = np.column_stack([np.ones_like(z), z])
     theta = np.array([0.0, 1.0])
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, RECALIBRATION_MAX_ITERATIONS + 1):
         fitted = expit(design @ theta)
         grad = design.T @ (y - fitted)
-        if np.max(np.abs(grad)) < grad_tol:
-            weights = fitted * (1.0 - fitted)
-            hessian = design.T @ (design * weights[:, None])
+        weights = fitted * (1.0 - fitted)
+        hessian = design.T @ (design * weights[:, None])
+        if np.max(np.abs(grad)) < RECALIBRATION_GRAD_TOL:
             try:
                 cov = np.linalg.inv(hessian)
             except np.linalg.LinAlgError as exc:
@@ -197,11 +195,9 @@ def logistic_recalibrate(
                 slope=float(theta[1]),
                 se_intercept=float(se[0]),
                 se_slope=float(se[1]),
-                probabilities=expit(design @ theta),
+                probabilities=fitted,
                 n_iterations=iteration,
             )
-        weights = fitted * (1.0 - fitted)
-        hessian = design.T @ (design * weights[:, None])
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError as exc:
@@ -215,7 +211,7 @@ def logistic_recalibrate(
             raise RecalibrationError(
                 "recalibration coefficients diverged; outcomes appear separated"
             )
-    raise RecalibrationError(f"no convergence after {max_iterations} Newton iterations")
+    raise RecalibrationError(f"no convergence after {RECALIBRATION_MAX_ITERATIONS} Newton iterations")
 
 
 def logit_affine(probabilities, shift: float = 0.0, slope: float = 1.0) -> np.ndarray:

@@ -249,8 +249,6 @@ def target_threshold(spec: UtilitySpec) -> TargetThreshold:
     when either the net benefit B or net harm H is zero or negative.
     """
     b, h = spec.benefit, spec.harm
-    if b + h <= 0.0:
-        raise ConfigError("degenerate utilities: benefit + harm must be positive")
     t = h / (h + b)
     if not (0.0 < t < 1.0):
         raise ConfigError(

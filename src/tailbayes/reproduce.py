@@ -59,9 +59,8 @@ _SIM3_GRID = {
 def _cells(figure: str, overrides: dict) -> list[dict]:
     base = {"sim1-fig2": _SIM1_GRID, "sim2-fig4": _SIM2_GRID, "sim3-fig6": _SIM3_GRID}[figure]
     grid = {key: tuple(overrides.get(key) or vals) for key, vals in base.items()}
-    keys = list(grid)
     cells = [{}]
-    for key in keys:
+    for key in grid:
         cells = [dict(c, **{key: v}) for c in cells for v in grid[key]]
     return cells
 
@@ -82,8 +81,7 @@ def _rep_worker(payload: tuple) -> dict:
         train, _, _ = generate_sim3(
             Sim3Config(cell["n"], contamination=cell["psi"], seed=train_seed)
         )
-        test_data, oracle, _ = generate_sim3(Sim3Config(TEST_SET_SIZE, seed=test_seed))
-        test = test_data
+        test, oracle, _ = generate_sim3(Sim3Config(TEST_SET_SIZE, seed=test_seed))
 
     model = fit_pipeline(
         train,
@@ -125,7 +123,7 @@ def reproduce_figure(
     lambda_grid=DEFAULT_LAMBDA_GRID,
     overrides: dict | None = None,
 ) -> dict:
-    """Run one figure's grid and return raw and aggregated result rows."""
+    """Run one figure's grid and return its cell keys and its raw and aggregated result rows."""
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure id {figure!r}; choose from {FIGURES}")
     if not (0.0 < scale <= 1.0):
@@ -135,13 +133,9 @@ def reproduce_figure(
     payloads = [(figure, cell, rep, seed, tuple(lambda_grid)) for cell in cells for rep in range(reps)]
     raw = map_jobs(_rep_worker, payloads, jobs)
 
-    cell_keys = [tuple(sorted(c.items())) for c in cells]
     aggregated = []
-    for key, cell in zip(cell_keys, cells):
-        rows = sorted(
-            (r for r in raw if tuple(sorted((k, r[k]) for k in cell)) == key),
-            key=lambda r: r["rep"],
-        )
+    for i, cell in enumerate(cells):
+        rows = raw[i * reps : (i + 1) * reps]  # payloads are cell-major and map_jobs keeps their order
         nb_tb = [r["nb_tb"] for r in rows]
         nb_sb = [r["nb_sb"] for r in rows]
         agg = dict(cell)
@@ -158,4 +152,5 @@ def reproduce_figure(
         if figure == "sim3-fig6":
             agg["mean_nb_optimal"] = float(np.mean([r["nb_optimal"] for r in rows]))
         aggregated.append(agg)
-    return {"figure": figure, "repetitions": reps, "raw": raw, "aggregated": aggregated}
+    return {"figure": figure, "repetitions": reps, "cell_keys": list(cells[0]),
+            "raw": raw, "aggregated": aggregated}

@@ -32,6 +32,7 @@ ADAPT_BATCH_SIZE = 50
 TARGET_ACCEPTANCE = 0.24
 SD_MIN = 1e-8
 SD_MAX = 1e3
+MCSE_BATCHES = 50
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,8 @@ class SamplerConfig:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < n_iterations")
         if self.thin < 1:
             raise ConfigError("thin must be >= 1")
+        if self.thin > self.n_iterations - self.burn_in:
+            raise ConfigError("thin must not exceed n_iterations - burn_in, or no draw is retained")
         if not (self.initial_sd > 0.0):
             raise ConfigError("initial_sd must be positive")
         if not (0 <= int(self.rng_seed) < 2**64):
@@ -226,14 +229,14 @@ def summarize(
     return HpdSummary(means=means, medians=medians, intervals=intervals)
 
 
-def mc_standard_error(draws: np.ndarray, n_batches: int = 50) -> float:
-    """Batch-means Monte-Carlo standard error of the chain mean."""
+def mc_standard_error(draws: np.ndarray) -> float:
+    """Batch-means Monte-Carlo standard error of the chain mean over ``MCSE_BATCHES`` batches."""
     x = np.asarray(draws, dtype=np.float64).ravel()
-    if x.shape[0] < 2 * n_batches:
-        raise ConfigError("chain too short for the requested number of batches")
-    m = x.shape[0] // n_batches
-    batches = x[: m * n_batches].reshape(n_batches, m).mean(axis=1)
-    return float(batches.std(ddof=1) / math.sqrt(n_batches))
+    if x.shape[0] < 2 * MCSE_BATCHES:
+        raise ConfigError(f"chain too short for {MCSE_BATCHES} batches")
+    m = x.shape[0] // MCSE_BATCHES
+    batches = x[: m * MCSE_BATCHES].reshape(MCSE_BATCHES, m).mean(axis=1)
+    return float(batches.std(ddof=1) / math.sqrt(MCSE_BATCHES))
 
 
 def gelman_rubin(chains: Sequence[np.ndarray]) -> np.ndarray:

@@ -44,6 +44,16 @@ __all__ = [
     "boundary_points",
 ]
 
+# Study 2's class-conditional Gaussians (diagonal variances) and study 3's
+# logistic coefficients (intercept first) and contaminant distribution.
+SIM2_MEAN1 = (1.0, 0.0)
+SIM2_VAR1 = (1.0, 2.0)
+SIM2_MEAN0 = (0.0, 1.0)
+SIM2_VAR0 = (2.0, 1.0)
+SIM3_BETA = (0.0, 2.0, 3.0)
+SIM3_CONTAMINANT_MEAN = 1.5
+SIM3_CONTAMINANT_SD = 0.5
+
 
 @dataclass(frozen=True)
 class Sim1Config:
@@ -67,18 +77,12 @@ class Sim2Config:
     n: int
     seed: int = 0
     prevalence: float = 0.5
-    mean1: tuple[float, float] = (1.0, 0.0)
-    var1: tuple[float, float] = (1.0, 2.0)
-    mean0: tuple[float, float] = (0.0, 1.0)
-    var0: tuple[float, float] = (2.0, 1.0)
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if not (0.0 < self.prevalence < 1.0):
             raise ConfigError("prevalence must lie in (0, 1)")
-        if min(*self.var1, *self.var0) <= 0.0:
-            raise ConfigError("variances must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,7 @@ class Sim3Config:
     """
 
     n: int
-    beta: tuple[float, ...] = (0.0, 2.0, 3.0)
     contamination: float = 0.0
-    contaminant_mean: float = 1.5
-    contaminant_sd: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -102,8 +103,6 @@ class Sim3Config:
             raise ConfigError("n must be >= 1")
         if not (0.0 <= self.contamination < 0.5):
             raise ConfigError("contamination fraction must lie in [0, 0.5)")
-        if self.contaminant_sd <= 0.0:
-            raise ConfigError("contaminant sd must be positive")
 
 
 def sim1_oracle_probability(x1, x2, q: float) -> np.ndarray:
@@ -137,8 +136,8 @@ def sim2_oracle_probability(x1, x2, config: Sim2Config) -> np.ndarray:
     pts = np.column_stack(
         [np.asarray(x1, dtype=np.float64).ravel(), np.asarray(x2, dtype=np.float64).ravel()]
     )
-    log1 = _diag_gauss_logpdf(pts, config.mean1, config.var1) + math.log(config.prevalence)
-    log0 = _diag_gauss_logpdf(pts, config.mean0, config.var0) + math.log(1.0 - config.prevalence)
+    log1 = _diag_gauss_logpdf(pts, SIM2_MEAN1, SIM2_VAR1) + math.log(config.prevalence)
+    log0 = _diag_gauss_logpdf(pts, SIM2_MEAN0, SIM2_VAR0) + math.log(1.0 - config.prevalence)
     return expit(log1 - log0)
 
 
@@ -147,8 +146,8 @@ def generate_sim2(config: Sim2Config) -> tuple[Dataset, np.ndarray]:
     rng = np.random.default_rng(config.seed)
     y = (rng.uniform(size=config.n) < config.prevalence).astype(np.float64)
     noise = rng.standard_normal((config.n, 2))
-    mean = np.where(y[:, None] == 1.0, config.mean1, config.mean0)
-    sd = np.where(y[:, None] == 1.0, np.sqrt(config.var1), np.sqrt(config.var0))
+    mean = np.where(y[:, None] == 1.0, SIM2_MEAN1, SIM2_MEAN0)
+    sd = np.where(y[:, None] == 1.0, np.sqrt(SIM2_VAR1), np.sqrt(SIM2_VAR0))
     x = mean + sd * noise
     data = Dataset.from_raw(x, y)
     return data, sim2_oracle_probability(x[:, 0], x[:, 1], config)
@@ -163,7 +162,7 @@ def generate_sim3(config: Sim3Config) -> tuple[Dataset, np.ndarray, np.ndarray]:
     were forced to 0; the mask marks those rows.
     """
     rng = np.random.default_rng(config.seed)
-    beta = np.asarray(config.beta, dtype=np.float64)
+    beta = np.asarray(SIM3_BETA, dtype=np.float64)
     d = beta.shape[0] - 1
     x = rng.standard_normal((config.n, d))
     z = beta[0] + x @ beta[1:]
@@ -172,7 +171,7 @@ def generate_sim3(config: Sim3Config) -> tuple[Dataset, np.ndarray, np.ndarray]:
 
     n_bad = int(math.floor(config.contamination * config.n))
     if n_bad > 0:
-        x_bad = rng.normal(config.contaminant_mean, config.contaminant_sd, size=(n_bad, d))
+        x_bad = rng.normal(SIM3_CONTAMINANT_MEAN, SIM3_CONTAMINANT_SD, size=(n_bad, d))
         probs_bad = expit(beta[0] + x_bad @ beta[1:])
         x = np.vstack([x, x_bad])
         y = np.concatenate([y, np.zeros(n_bad)])

@@ -262,7 +262,7 @@ def cv_select_lambda(
     cv_plan: CvPlan,
     sampler_config: SamplerConfig,
     prior: GaussianPrior | None = None,
-    distance: DistanceFunction | None = None,
+    distance: DistanceFunction = DistanceFunction(),
     jobs: int = 1,
 ) -> tuple[float, list[dict]]:
     """Choose lam maximising the fold-average Net Benefit at the threshold.
@@ -273,8 +273,6 @@ def cv_select_lambda(
     at least K - 1 of its folds succeeded (the average then runs over
     the successes, and the failure is logged).
     """
-    if distance is None:
-        distance = DistanceFunction.squared()
     pi_u_dev = np.asarray(pi_u_dev, dtype=np.float64).ravel()
     if pi_u_dev.shape[0] != development.n:
         raise DataError("pi_u values do not align with the development rows")
@@ -367,8 +365,8 @@ def fit_pipeline(
     lambda_grid=DEFAULT_LAMBDA_GRID,
     k_folds: int = 5,
     design_fraction: float = 0.20,
-    distance: DistanceFunction | None = None,
-    sampler_config: SamplerConfig | None = None,
+    distance: DistanceFunction = DistanceFunction(),
+    sampler_config: SamplerConfig = SamplerConfig(),
     cv_sampler_config: SamplerConfig | None = None,
     prior: GaussianPrior | None = None,
     external_pi_u: np.ndarray | None = None,
@@ -383,10 +381,6 @@ def fit_pipeline(
     When ``external_pi_u`` provides per-row probabilities for the whole
     training set, no design split is made and stage 1 is skipped.
     """
-    if distance is None:
-        distance = DistanceFunction.squared()
-    if sampler_config is None:
-        sampler_config = SamplerConfig()
     if cv_sampler_config is None:
         cv_sampler_config = sampler_config
     if prior is None:
@@ -457,11 +451,9 @@ def ess_grid(
     pi_u,
     threshold: TargetThreshold,
     lambda_grid=DEFAULT_LAMBDA_GRID,
-    distance: DistanceFunction | None = None,
+    distance: DistanceFunction = DistanceFunction(),
 ) -> list[dict]:
     """Effective sample size per lam candidate, computable before any fit."""
-    if distance is None:
-        distance = DistanceFunction.squared()
     pi_u = np.asarray(pi_u, dtype=np.float64).ravel()
     rows = []
     for lam in lambda_grid:

@@ -80,6 +80,20 @@ class TestFit:
     def test_threshold_required(self, tmp_path, train_csv):
         assert run(["fit", train_csv, "--out", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize(
+        "chain, message",
+        [(["--iterations", 1500, "--burn-in", 600, "--cv-iterations", 0], "n_iterations must be positive"),
+         (["--iterations", 600, "--burn-in", 200, "--thin", 1000], "thin must not exceed")],
+        ids=["cv-iterations-0", "thin-retains-no-draw"],
+    )
+    def test_chain_without_draws_is_usage_error(self, tmp_path, train_csv, capsys, chain, message):
+        # a CV length of 0 is not "unset", and a thin wider than the post-burn-in chain keeps nothing
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0,5", "--jobs", 1,
+                    "--out", out, *chain]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_records_configuration(self, tmp_path, train_csv):
         out = fit_artifact(tmp_path, train_csv)
         manifest = dataio.read_manifest(out / "manifest.json")
@@ -195,6 +209,28 @@ class TestPredict:
         assert run(args) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize(
+        "edit, key",
+        [(lambda m: {"command": "fit"}, "data.covariates"),
+         (lambda m: dict(m, chain={}), "chain.acceptance_rate"),
+         (lambda m: dict(m, threshold="0.3"), "threshold")],
+        ids=["only-command", "no-chain-fields", "string-threshold"],
+    )
+    def test_incomplete_fit_manifest_is_data_error(self, tmp_path, train_csv, capsys, command, edit, key):
+        model = fit_artifact(tmp_path, train_csv)
+        path = model / "manifest.json"
+        dataio.write_manifest(path, edit(dataio.read_manifest(path)))
+        out = tmp_path / "out"
+        if command == "predict":
+            args = ["predict", "--model", model, "--data", train_csv, "--out", out]
+        else:
+            args = ["evaluate", "--model-a", model, "--data", train_csv,
+                    "--thresholds", 0.3, "--out", out]
+        assert run(args) == 3
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_draw_artifact_gives_plug_in(self, tmp_path, train_csv):
         model = fit_artifact(tmp_path, train_csv)
         names, draws = dataio.read_draws_csv(model / "draws.csv")
@@ -266,6 +302,25 @@ class TestEvaluate:
         out = tmp_path / "eval4"
         assert run(["evaluate", "--scored-a", a, "--scored-a", a,
                     "--scored-b", a, "--thresholds", "0.5", "--out", out]) == 3
+        # one split each has no paired standard error; nothing is written
+        assert run(["evaluate", "--scored-a", a, "--scored-b", a,
+                    "--thresholds", "0.5", "--out", out]) == 3
+        assert not out.exists()
+
+    def test_equal_labels_and_repeated_thresholds_keep_the_pairing(self, tmp_path):
+        rng = np.random.default_rng(2)
+        outcomes = (rng.uniform(size=40) < 0.5).astype(int)
+        s1 = self._scored(tmp_path, "s1.csv", rng.uniform(size=40), outcomes)
+        s2 = self._scored(tmp_path, "s2.csv", rng.uniform(size=40), outcomes)
+        splits = ["--scored-a", s1, "--scored-a", s2, "--scored-b", s2, "--scored-b", s1]
+        assert run(["evaluate", *splits, "--thresholds", "0.3", "--out", tmp_path / "ref"]) == 0
+        assert run(["evaluate", *splits, "--label-a", "m", "--label-b", "m",
+                    "--thresholds", "0.3", "--out", tmp_path / "same"]) == 0
+        assert run(["evaluate", *splits, "--thresholds", "0.3,0.3", "--out", tmp_path / "twice"]) == 0
+        _, ref = _read_csv(tmp_path / "ref" / "delta_nb.csv")
+        assert float(ref[0][2]) > 0.0
+        assert _read_csv(tmp_path / "same" / "delta_nb.csv")[1] == ref
+        assert _read_csv(tmp_path / "twice" / "delta_nb.csv")[1] == ref + ref
 
     def test_model_plus_data_mode(self, tmp_path, train_csv):
         model = fit_artifact(tmp_path, train_csv)

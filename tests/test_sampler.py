@@ -135,6 +135,9 @@ class TestRunMh:
         with pytest.raises(ConfigError):
             SamplerConfig(thin=0)
         with pytest.raises(ConfigError):
+            SamplerConfig(n_iterations=600, burn_in=200, thin=401)  # would retain no draw
+        assert SamplerConfig(n_iterations=600, burn_in=200, thin=400).thin == 400
+        with pytest.raises(ConfigError):
             SamplerConfig(initial_sd=0.0)
 
 
