@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -377,6 +378,17 @@ def _score_artifact(model_dir, data_path, read_covariates) -> tuple:
     covariate_names = _manifest_field(manifest, path, "data.covariates", list)
     outcome_col = _manifest_field(manifest, path, "data.outcome_col", str)
     standardize = _manifest_field(manifest, path, "standardize", (dict, type(None)))
+    if standardize is not None:
+        for key in ("means", "sds"):
+            values = _manifest_field(manifest, path, f"standardize.{key}", list)
+            if len(values) != len(covariate_names) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in values
+            ):
+                raise DataError(f"{path}: fit manifest field 'standardize.{key}' needs "
+                                f"one finite number per covariate")
+        if any(v <= 0.0 for v in standardize["sds"]):
+            raise DataError(f"{path}: fit manifest field 'standardize.sds' must be positive")
     threshold = _manifest_field(manifest, path, "threshold", (int, float))
     header, draws = dataio.read_draws_csv(path.parent / "draws.csv")
     expected = ["intercept"] + covariate_names
@@ -390,7 +402,7 @@ def _score_artifact(model_dir, data_path, read_covariates) -> tuple:
         log_posterior_trace=np.full(draws.shape[0], np.nan),
     )
     raw_x, per_row = read_covariates(data_path, covariate_names, outcome_col)
-    if standardize:
+    if standardize is not None:
         raw_x = dataio.Standardizer.from_dict(standardize).transform(raw_x)
     x = np.hstack([np.ones((raw_x.shape[0], 1)), raw_x])
     means, sds = predictive_mean_sd(x, samples)
@@ -506,6 +518,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if args.n_list and not all(v.is_integer() for v in args.n_list):
+        raise ConfigError(f"--n-list values must be whole numbers, got {list(args.n_list)}")
     overrides = {
         "n": tuple(int(v) for v in args.n_list) if args.n_list else None,
         "q": args.q_list,

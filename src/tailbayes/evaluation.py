@@ -15,6 +15,7 @@ from scipy.special import expit, logit
 
 from .errors import ConfigError, DataError, RecalibrationError
 from .model_core import TargetThreshold
+from .predict import positive_mask
 
 __all__ = [
     "NetBenefitReport",
@@ -116,7 +117,7 @@ def net_benefit(predictions, outcomes, t: TargetThreshold | float) -> NetBenefit
     if not isinstance(t, TargetThreshold):
         t = TargetThreshold(float(t))
     p, y = _check_pred_outcome(predictions, outcomes)
-    positive = p >= t.t
+    positive = positive_mask(p, t)
     tp = int(np.count_nonzero(positive & (y == 1.0)))
     fp = int(np.count_nonzero(positive & (y == 0.0)))
     n = p.shape[0]

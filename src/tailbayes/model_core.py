@@ -208,10 +208,6 @@ class TailoringConfig:
     def n(self) -> int:
         return self.pi_u.shape[0]
 
-    def boundary_pi_u_count(self) -> int:
-        """How many pi_u values sit exactly at 0 or 1 (flagged, not rejected)."""
-        return int(np.count_nonzero((self.pi_u == 0.0) | (self.pi_u == 1.0)))
-
 
 @dataclass(frozen=True)
 class GaussianPrior:

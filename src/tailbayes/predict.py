@@ -2,77 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .model_core import TargetThreshold
 from .sampler import PosteriorSamples
 
-__all__ = [
-    "PredictiveResult",
-    "posterior_predictive",
-    "predictive_mean_sd",
-    "probability_draw_matrix",
-    "classify",
-    "positive_mask",
-]
-
-
-@dataclass(frozen=True)
-class PredictiveResult:
-    """Predictive distribution of the class-1 probability for one row.
-
-    ``mean_probability`` is the average of the per-draw probabilities,
-    never the probability at the average draw.
-    """
-
-    mean_probability: float
-    probability_draws: np.ndarray
-    predictive_sd: float
-
-
-def probability_draw_matrix(covariates: np.ndarray, samples: PosteriorSamples) -> np.ndarray:
-    """Per-draw logistic probabilities, shape (n_rows, n_draws)."""
-    x = np.asarray(covariates, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != samples.dim:
-        raise DataError(
-            f"covariate rows have {x.shape[1]} columns, posterior has {samples.dim}"
-        )
-    return expit(x @ samples.draws.T)
-
-
-def posterior_predictive(x_star, samples: PosteriorSamples) -> PredictiveResult:
-    """Predictive probability for a single covariate row (intercept included)."""
-    if samples.n_draws < 1:
-        raise DataError("posterior contains no draws")
-    probs = probability_draw_matrix(np.asarray(x_star, dtype=np.float64).ravel(), samples)[0]
-    return PredictiveResult(
-        mean_probability=float(probs.mean()),
-        probability_draws=probs,
-        predictive_sd=float(probs.std()),
-    )
+__all__ = ["predictive_mean_sd", "positive_mask"]
 
 
 def predictive_mean_sd(covariates: np.ndarray, samples: PosteriorSamples) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior predictive mean and sd for each row of a design matrix."""
-    probs = probability_draw_matrix(covariates, samples)
+    """Posterior predictive mean and sd for each row of a design matrix.
+
+    The mean is the average of the per-draw probabilities, never the
+    probability at the average draw.
+    """
+    x = np.asarray(covariates, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != samples.dim:
+        raise DataError(f"covariates must be a 2-D matrix of {samples.dim} columns, got shape {x.shape}")
+    if samples.n_draws < 1:
+        raise DataError("posterior contains no draws")
+    probs = expit(x @ samples.draws.T)
     return probs.mean(axis=1), probs.std(axis=1)
 
 
-def classify(prob: float, threshold: TargetThreshold | float) -> str:
-    """'positive' when prob >= t (ties treat), else 'negative'."""
-    t = threshold.t if isinstance(threshold, TargetThreshold) else float(threshold)
-    if not (0.0 <= prob <= 1.0):
-        raise ConfigError(f"probability must lie in [0, 1], got {prob}")
-    return "positive" if prob >= t else "negative"
-
-
 def positive_mask(probs, threshold: TargetThreshold | float) -> np.ndarray:
-    """Vectorised classification: True where prob >= t."""
+    """The classification rule: True (treat) where prob >= t, ties included."""
     t = threshold.t if isinstance(threshold, TargetThreshold) else float(threshold)
     return np.asarray(probs, dtype=np.float64) >= t

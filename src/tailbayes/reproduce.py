@@ -59,6 +59,9 @@ _SIM3_GRID = {
 def _cells(figure: str, overrides: dict) -> list[dict]:
     base = {"sim1-fig2": _SIM1_GRID, "sim2-fig4": _SIM2_GRID, "sim3-fig6": _SIM3_GRID}[figure]
     grid = {key: tuple(overrides.get(key) or vals) for key, vals in base.items()}
+    for key, vals in grid.items():
+        if len(set(vals)) < len(vals):
+            raise ConfigError(f"override {key!r} repeats a value: {list(vals)}")
     cells = [{}]
     for key in grid:
         cells = [dict(c, **{key: v}) for c in cells for v in grid[key]]

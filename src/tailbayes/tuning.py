@@ -37,7 +37,6 @@ __all__ = [
     "ESS_WARNING_FRACTION",
     "SplitPlan",
     "CvPlan",
-    "Stage1Model",
     "FittedTailoredModel",
     "make_split",
     "make_cv_plan",
@@ -61,21 +60,18 @@ ESS_WARNING_FRACTION = 0.10
 class SplitPlan:
     """Disjoint, exhaustive index partition of a dataset.
 
-    The design set gets floor(design_fraction * n_train) rows; the
-    remainder goes to development.  An optional test fraction is carved
-    off first.
+    The design set gets floor(design_fraction * n) rows; the remainder
+    goes to development.
     """
 
     design_idx: np.ndarray
     development_idx: np.ndarray
-    test_idx: np.ndarray
     design_fraction: float
-    test_fraction: float
     seed: int
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        for part in (self.design_idx, self.development_idx, self.test_idx):
+        for part in (self.design_idx, self.development_idx):
             h.update(np.asarray(part, dtype=np.int64).tobytes())
         return h.hexdigest()
 
@@ -83,40 +79,28 @@ class SplitPlan:
 def make_split(
     n: int,
     design_fraction: float = 0.20,
-    test_fraction: float = 0.0,
     seed: int = 0,
 ) -> SplitPlan:
-    """Uniformly random, seed-reproducible design/development(/test) partition.
+    """Uniformly random, seed-reproducible design/development partition.
 
-    Raises DataError when a positive fraction floors to an empty
-    partition or when the development part comes out empty.  A zero
+    Raises DataError when a positive design fraction floors to an empty
+    design set or when the development part comes out empty.  A zero
     design fraction is allowed deliberately, for externally supplied
     first-stage probabilities.
     """
-    if not (0.0 <= design_fraction < 1.0) or not (0.0 <= test_fraction < 1.0):
+    if not (0.0 <= design_fraction < 1.0):
         raise ConfigError("fractions must lie in [0, 1)")
-    if design_fraction + test_fraction >= 1.0:
-        raise ConfigError("design and test fractions must leave room for development")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_test = int(np.floor(test_fraction * n))
-    n_train = n - n_test
-    n_design = int(np.floor(design_fraction * n_train))
-    if test_fraction > 0.0 and n_test == 0:
-        raise DataError("test fraction yields an empty test set")
+    n_design = int(np.floor(design_fraction * n))
     if design_fraction > 0.0 and n_design == 0:
         raise DataError("design fraction yields an empty design set")
-    if n_train - n_design < 1:
+    if n - n_design < 1:
         raise DataError("development set is empty")
-    test_idx = np.sort(perm[:n_test])
-    design_idx = np.sort(perm[n_test : n_test + n_design])
-    development_idx = np.sort(perm[n_test + n_design :])
     return SplitPlan(
-        design_idx=design_idx,
-        development_idx=development_idx,
-        test_idx=test_idx,
+        design_idx=np.sort(perm[:n_design]),
+        development_idx=np.sort(perm[n_design:]),
         design_fraction=design_fraction,
-        test_fraction=test_fraction,
         seed=int(seed),
     )
 
@@ -215,24 +199,12 @@ def map_jobs(fn, payloads: list, jobs: int) -> list:
         return list(pool.map(fn, payloads))
 
 
-@dataclass(frozen=True)
-class Stage1Model:
-    """First-stage probability model: an unweighted Bayesian logistic fit."""
-
-    samples: PosteriorSamples
-    n_design_rows: int
-
-    def predict_mean(self, covariates: np.ndarray) -> np.ndarray:
-        """Posterior-predictive mean probability for each design-matrix row."""
-        return predictive_mean_sd(covariates, self.samples)[0]
-
-
 def stage1_pi_u(
     design: Dataset,
     sampler_config: SamplerConfig,
     prior: GaussianPrior | None = None,
-) -> Stage1Model:
-    """Fit the first-stage model on the design set.
+) -> PosteriorSamples:
+    """Fit the first-stage model, a standard logistic fit, on the design set.
 
     Requires both outcome classes to be present; with an externally
     supplied probability source this step is skipped entirely.
@@ -240,8 +212,7 @@ def stage1_pi_u(
     n_pos = int(np.sum(design.outcomes))
     if n_pos == 0 or n_pos == design.n:
         raise DataError("design set contains a single outcome class")
-    samples = fit_standard(design, sampler_config, prior)
-    return Stage1Model(samples=samples, n_design_rows=design.n)
+    return fit_standard(design, sampler_config, prior)
 
 
 def _cv_cell(payload: tuple) -> tuple[float, str | None]:
@@ -348,7 +319,7 @@ class FittedTailoredModel:
     ess_t: float
     weights: np.ndarray
     pi_u_development: np.ndarray
-    stage1: Stage1Model | None
+    stage1: PosteriorSamples | None
     prior: GaussianPrior
     sampler_config: SamplerConfig
     cv_sampler_config: SamplerConfig
@@ -398,7 +369,7 @@ def fit_pipeline(
         split = make_split(train.n, design_fraction=design_fraction, seed=split_seed)
         design = train.subset(split.design_idx)
         stage1 = stage1_pi_u(design, sampler_config, prior)
-        pi_u_dev = stage1.predict_mean(train.covariates[split.development_idx])
+        pi_u_dev = predictive_mean_sd(train.covariates[split.development_idx], stage1)[0]
 
     development = train.subset(split.development_idx)
     n_boundary = int(np.count_nonzero((pi_u_dev == 0.0) | (pi_u_dev == 1.0)))

@@ -214,8 +214,12 @@ class TestPredict:
         "edit, key",
         [(lambda m: {"command": "fit"}, "data.covariates"),
          (lambda m: dict(m, chain={}), "chain.acceptance_rate"),
-         (lambda m: dict(m, threshold="0.3"), "threshold")],
-        ids=["only-command", "no-chain-fields", "string-threshold"],
+         (lambda m: dict(m, threshold="0.3"), "threshold"),
+         (lambda m: dict(m, standardize={"means": [0.0, 0.0]}), "standardize.sds"),
+         (lambda m: dict(m, standardize={"means": [0.0], "sds": [1.0]}), "standardize.means"),
+         (lambda m: dict(m, standardize={"means": [0.0, 0.0], "sds": [0.0, 1.0]}), "standardize.sds")],
+        ids=["only-command", "no-chain-fields", "string-threshold",
+             "standardize-no-sds", "standardize-one-value", "standardize-zero-sd"],
     )
     def test_incomplete_fit_manifest_is_data_error(self, tmp_path, train_csv, capsys, command, edit, key):
         model = fit_artifact(tmp_path, train_csv)
@@ -375,6 +379,19 @@ class TestReproduceAndEssGrid:
         assert len(summary) == 1
         manifest = dataio.read_manifest(out / "manifest.json")
         assert manifest["figure"] == "sim3-fig6" and manifest["repetitions"] == 2
+
+    @pytest.mark.parametrize(
+        "lists",
+        [["--n-list", "200", "--t-list", "0.3,0.3"], ["--n-list", "200.5", "--t-list", "0.3"]],
+        ids=["repeated-t", "fractional-n"],
+    )
+    def test_bad_override_list_is_usage_error(self, tmp_path, capsys, lists):
+        out = tmp_path / "rep"
+        code = run(["reproduce", "--figure", "sim3-fig6", "--scale", 0.1, "--jobs", 1,
+                    "--psi-list", "0.1", *lists, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_ess_grid_from_file(self, tmp_path):
         pi = tmp_path / "pi.csv"

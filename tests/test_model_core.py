@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from tailbayes.model_core import (
     target_threshold,
     threshold_band_for_benefit,
 )
+from tailbayes.sampler import SamplerConfig
+from tailbayes.tuning import fit_pipeline
 
 
 def random_dataset(rng, n=30, d=2, beta_scale=1.0):
@@ -187,13 +190,21 @@ class TestWeights:
         with pytest.raises(ConfigError):
             TailoringConfig(TargetThreshold(0.3), 1.0, np.array([1.2]))
 
-    def test_boundary_pi_u_flagged(self):
+    def test_boundary_pi_u_flagged(self, caplog):
         cfg = TailoringConfig(
             TargetThreshold(0.3), 1.0, np.array([0.0, 0.5, 1.0]),
             DistanceFunction.epsilon_insensitive(0.05),
         )
-        assert cfg.boundary_pi_u_count() == 2
         assert np.all(np.isfinite(compute_weights(cfg)))
+        # the pipeline accepts boundary values and says how many it saw
+        data, _ = random_dataset(np.random.default_rng(5), n=40)
+        pi_u = np.concatenate([[0.0, 1.0, 0.0], np.linspace(0.1, 0.9, 37)])
+        with caplog.at_level(logging.WARNING, logger="tailbayes.tuning"):
+            fit_pipeline(
+                data, TargetThreshold(0.3), lambda_grid=(0.0,), external_pi_u=pi_u,
+                sampler_config=SamplerConfig(n_iterations=300, burn_in=100, rng_seed=1),
+            )
+        assert "3 first-stage probabilities sit exactly at 0 or 1" in caplog.messages
 
 
 class TestTailoredLogLikelihood:

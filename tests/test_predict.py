@@ -4,12 +4,7 @@ from scipy.special import expit, logit
 
 from tailbayes.errors import DataError
 from tailbayes.model_core import TargetThreshold
-from tailbayes.predict import (
-    classify,
-    positive_mask,
-    posterior_predictive,
-    predictive_mean_sd,
-)
+from tailbayes.predict import positive_mask, predictive_mean_sd
 from tailbayes.sampler import PosteriorSamples
 
 
@@ -24,47 +19,58 @@ def samples_from_draws(draws):
     )
 
 
+def one_row(x, samples):
+    """Predictive mean and sd of a single covariate row, as floats."""
+    means, sds = predictive_mean_sd(np.asarray([x], dtype=np.float64), samples)
+    assert means.shape == sds.shape == (1,)
+    return float(means[0]), float(sds[0])
+
+
 class TestPosteriorPredictive:
     def test_single_zero_draw(self):
         s = samples_from_draws([[0.0, 0.0]])
-        r = posterior_predictive([1.0, 2.0], s)
-        assert r.mean_probability == 0.5
-        assert r.predictive_sd == 0.0
+        assert one_row([1.0, 2.0], s) == (0.5, 0.0)
 
     def test_two_draw_average(self):
         s = samples_from_draws([[logit(0.2)], [logit(0.4)]])
-        r = posterior_predictive([1.0], s)
-        np.testing.assert_allclose(r.mean_probability, 0.3, rtol=1e-12)
-        np.testing.assert_allclose(r.probability_draws, [0.2, 0.4], rtol=1e-12)
+        mean, sd = one_row([1.0], s)
+        np.testing.assert_allclose(mean, 0.3, rtol=1e-12)
+        np.testing.assert_allclose(sd, 0.1, rtol=1e-12)
 
     def test_degenerate_posterior_equals_plug_in(self):
         beta = np.array([0.4, -1.1, 2.0])
         s = samples_from_draws(np.tile(beta, (50, 1)))
         x = np.array([1.0, 0.7, -0.2])
-        r = posterior_predictive(x, s)
-        np.testing.assert_allclose(r.mean_probability, expit(x @ beta), rtol=1e-12)
-        assert r.predictive_sd == 0.0
+        mean, sd = one_row(x, s)
+        np.testing.assert_allclose(mean, expit(x @ beta), rtol=1e-12)
+        assert sd == 0.0
 
     def test_mean_is_average_of_draws(self):
         rng = np.random.default_rng(0)
-        s = samples_from_draws(rng.standard_normal((200, 3)))
-        r = posterior_predictive([1.0, 0.5, -0.5], s)
-        np.testing.assert_allclose(r.mean_probability, r.probability_draws.mean(), rtol=1e-15)
-        assert np.all((r.probability_draws >= 0.0) & (r.probability_draws <= 1.0))
+        draws = rng.standard_normal((200, 3))
+        x = np.array([1.0, 0.5, -0.5])
+        mean, sd = one_row(x, samples_from_draws(draws))
+        per_draw = expit(draws @ x)
+        np.testing.assert_allclose(mean, per_draw.mean(), rtol=1e-15)
+        np.testing.assert_allclose(sd, per_draw.std(), rtol=1e-12)
+        assert 0.0 <= mean <= 1.0
 
     def test_jensen_gap_on_dispersed_posterior(self):
         """Averaging probabilities differs from the probability at the mean draw."""
         rng = np.random.default_rng(1)
         draws = rng.normal(1.5, 2.0, size=(5000, 1))
-        s = samples_from_draws(draws)
-        r = posterior_predictive([1.0], s)
+        mean, _ = one_row([1.0], samples_from_draws(draws))
         plug_in = expit(draws.mean())
-        assert abs(r.mean_probability - plug_in) > 0.01
+        assert abs(mean - plug_in) > 0.01
 
     def test_dimension_mismatch(self):
         s = samples_from_draws([[0.0, 0.0]])
         with pytest.raises(DataError):
-            posterior_predictive([1.0, 2.0, 3.0], s)
+            one_row([1.0, 2.0, 3.0], s)
+        with pytest.raises(DataError):  # a bare row is not a design matrix
+            predictive_mean_sd(np.array([1.0, 2.0]), s)
+        with pytest.raises(DataError):
+            predictive_mean_sd(np.ones((3, 2)), samples_from_draws(np.empty((0, 2))))
 
 
 class TestBatch:
@@ -74,33 +80,32 @@ class TestBatch:
         x = np.column_stack([np.ones(20), rng.standard_normal((20, 2))])
         means, sds = predictive_mean_sd(x, s)
         for i in (0, 7, 19):
-            r = posterior_predictive(x[i], s)
-            np.testing.assert_allclose(means[i], r.mean_probability, rtol=1e-12)
-            np.testing.assert_allclose(sds[i], r.predictive_sd, rtol=1e-12)
+            mean, sd = one_row(x[i], s)
+            np.testing.assert_allclose(means[i], mean, rtol=1e-12)
+            np.testing.assert_allclose(sds[i], sd, rtol=1e-12)
 
 
 class TestClassify:
     def test_tie_goes_positive(self):
-        assert classify(0.3, TargetThreshold(0.3)) == "positive"
+        assert positive_mask(0.3, TargetThreshold(0.3))
 
     def test_extremes(self):
         for t in (0.05, 0.5, 0.95):
-            assert classify(0.0, TargetThreshold(t)) == "negative"
-            assert classify(1.0, TargetThreshold(t)) == "positive"
+            assert positive_mask([0.0, 1.0], TargetThreshold(t)).tolist() == [False, True]
 
     def test_monotone_in_probability(self):
-        t = TargetThreshold(0.4)
-        labels = [classify(p, t) for p in np.linspace(0, 1, 21)]
-        flips = sum(a != b for a, b in zip(labels, labels[1:]))
-        assert flips == 1 and labels[0] == "negative" and labels[-1] == "positive"
+        labels = positive_mask(np.linspace(0, 1, 21), TargetThreshold(0.4))
+        flips = np.count_nonzero(labels[1:] != labels[:-1])
+        assert flips == 1 and not labels[0] and labels[-1]
 
     def test_antitone_in_threshold(self):
         prob = 0.42
-        labels = [classify(prob, TargetThreshold(t)) for t in np.linspace(0.05, 0.95, 19)]
+        labels = [bool(positive_mask(prob, TargetThreshold(t))) for t in np.linspace(0.05, 0.95, 19)]
         flips = sum(a != b for a, b in zip(labels, labels[1:]))
-        assert flips == 1 and labels[0] == "positive" and labels[-1] == "negative"
+        assert flips == 1 and labels[0] and not labels[-1]
 
     def test_mask_agrees_with_scalar(self):
         probs = np.array([0.1, 0.3, 0.5, 0.9])
         mask = positive_mask(probs, 0.3)
         assert mask.tolist() == [False, True, True, True]
+        assert mask.tolist() == [bool(positive_mask(p, TargetThreshold(0.3))) for p in probs]

@@ -1,22 +1,41 @@
+import numpy as np
+import pytest
+
 from tailbayes import reproduce
+from tailbayes.errors import ConfigError
+
+OVERRIDES = {"n": (200,), "psi": (0.1,)}
 
 
 def _stub_rep_worker(payload):
-    """A cheap deterministic stand-in for one repetition: delta is 0.01 * rep^2."""
+    """A cheap deterministic stand-in for one repetition: delta is t + 0.01 * rep^2."""
     figure, cell, rep, _seed, _grid = payload
-    row = dict(cell, figure=figure, rep=rep, lambda_star=0.0, nb_tb=0.1 + 0.01 * rep**2, nb_sb=0.1)
+    row = dict(cell, figure=figure, rep=rep, lambda_star=0.0,
+               nb_tb=0.1 + cell["t"] + 0.01 * rep**2, nb_sb=0.1)
     row["delta"] = row["nb_tb"] - row["nb_sb"]
     row["nb_optimal"] = 0.2
     return row
 
 
-def test_repeated_override_value_aggregates_each_cell_once(monkeypatch):
+def test_distinct_t_values_aggregate_their_own_rows(monkeypatch):
     monkeypatch.setattr(reproduce, "_rep_worker", _stub_rep_worker)
-    overrides = {"n": (200,), "psi": (0.1,)}
-    single = reproduce.reproduce_figure("sim3-fig6", scale=0.1, overrides=dict(overrides, t=(0.3,)))
-    twice = reproduce.reproduce_figure("sim3-fig6", scale=0.1, overrides=dict(overrides, t=(0.3, 0.3)))
-    assert single["cell_keys"] == twice["cell_keys"] == ["n", "psi", "t"]
-    assert len(twice["raw"]) == 2 * twice["repetitions"]
-    (cell,) = single["aggregated"]
-    assert cell["repetitions"] == single["repetitions"] == 2 and cell["se_delta"] > 0.0
-    assert twice["aggregated"] == [cell, cell]
+    result = reproduce.reproduce_figure("sim3-fig6", scale=0.1, overrides=dict(OVERRIDES, t=(0.3, 0.5)))
+    assert result["cell_keys"] == ["n", "psi", "t"]
+    reps = result["repetitions"]
+    assert reps == 2 and len(result["raw"]) == 2 * reps
+    assert [cell["t"] for cell in result["aggregated"]] == [0.3, 0.5]
+    for cell in result["aggregated"]:
+        own = [row for row in result["raw"] if row["t"] == cell["t"]]
+        assert cell["repetitions"] == len(own) == reps
+        assert cell["mean_nb_tb"] == np.mean([row["nb_tb"] for row in own])
+        assert cell["mean_delta"] == pytest.approx(cell["t"] + 0.005)
+        assert cell["se_delta"] > 0.0
+
+
+def test_repeated_override_value_is_config_error(monkeypatch):
+    def never(payload):
+        raise AssertionError("no repetition may run")
+
+    monkeypatch.setattr(reproduce, "_rep_worker", never)
+    with pytest.raises(ConfigError, match="'t'"):
+        reproduce.reproduce_figure("sim3-fig6", scale=0.1, overrides=dict(OVERRIDES, t=(0.3, 0.3)))

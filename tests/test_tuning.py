@@ -13,6 +13,7 @@ from tailbayes.model_core import (
     compute_weights,
     make_log_posterior,
 )
+from tailbayes.predict import predictive_mean_sd
 from tailbayes.sampler import SamplerConfig, run_mh
 from tailbayes.simulation import Sim1Config, Sim3Config, generate_sim1, generate_sim3
 from tailbayes.tuning import (
@@ -50,10 +51,10 @@ class TestMakeSplit:
         assert plan.development_idx.shape[0] == 4718 - 943
 
     def test_disjoint_and_exhaustive(self):
-        plan = make_split(57, design_fraction=0.3, test_fraction=0.2, seed=3)
-        combined = np.concatenate([plan.design_idx, plan.development_idx, plan.test_idx])
+        plan = make_split(57, design_fraction=0.3, seed=3)
+        combined = np.concatenate([plan.design_idx, plan.development_idx])
         assert np.array_equal(np.sort(combined), np.arange(57))
-        assert plan.test_idx.shape[0] == math.floor(0.2 * 57)
+        assert plan.design_idx.shape[0] == math.floor(0.3 * 57)
 
     def test_zero_design_fraction_allowed(self):
         plan = make_split(20, design_fraction=0.0, seed=0)
@@ -64,9 +65,10 @@ class TestMakeSplit:
         with pytest.raises(DataError):
             make_split(3, design_fraction=0.2, seed=0)
         with pytest.raises(DataError):
-            make_split(4, design_fraction=0.2, test_fraction=0.1, seed=0)
-        with pytest.raises(ConfigError):
-            make_split(100, design_fraction=0.7, test_fraction=0.4, seed=0)
+            make_split(0, design_fraction=0.0, seed=0)
+        for fraction in (-0.1, 1.0):
+            with pytest.raises(ConfigError):
+                make_split(100, design_fraction=fraction, seed=0)
 
 
 class TestCvPlan:
@@ -118,15 +120,14 @@ class TestStage1:
         design, _, _ = generate_sim3(Sim3Config(n=120, seed=3))
         stage1 = stage1_pi_u(design, FAST)
         baseline = fit_standard(design, FAST)
-        assert np.array_equal(stage1.samples.draws, baseline.draws)
-        assert stage1.n_design_rows == 120
+        assert np.array_equal(stage1.draws, baseline.draws)
 
     def test_probabilities_approximately_calibrated(self):
         """Binned check on fresh rows from the same distribution."""
         design, _, _ = generate_sim3(Sim3Config(n=2500, seed=40))
         stage1 = stage1_pi_u(design, SamplerConfig(n_iterations=5000, burn_in=2000, rng_seed=8))
         fresh, _, _ = generate_sim3(Sim3Config(n=3000, seed=41))
-        pi = stage1.predict_mean(fresh.covariates)
+        pi = predictive_mean_sd(fresh.covariates, stage1)[0]
         curve = calibration_curve(pi, fresh.outcomes, n_bins=8)
         for j in np.flatnonzero(curve.counts >= 80):
             se = math.sqrt(
@@ -249,7 +250,7 @@ class TestFitPipeline:
         design, dev = model.split.design_idx, model.split.development_idx
         assert np.intersect1d(design, dev).size == 0
         assert np.array_equal(np.sort(np.concatenate([design, dev])), np.arange(250))
-        assert model.stage1.n_design_rows == design.shape[0]
+        assert np.array_equal(model.stage1.draws, fit_standard(train.subset(design), FASTER).draws)
         assert model.pi_u_development.shape[0] == dev.shape[0]
         folds = np.concatenate(
             [model.cv_plan.fold_indices(k) for k in range(model.cv_plan.k)]

@@ -1,0 +1,149 @@
+"""Digest every output of a fixed set of small CLI runs, for byte-identity checks.
+
+    python tools/output_digest.py --src path/to/src --work path/to/empty-dir
+
+runs the ``tailbayes`` CLI from the package under ``--src`` (put first on
+``PYTHONPATH``) through a fixed list of small invocations inside
+``--work``, which must be empty or absent.  Every subcommand runs, plus
+the usage and data errors that guard the inputs.  Each invocation's
+stdout, stderr and exit code are saved next to its outputs, and the
+script prints ``sha256  relative/path`` for every file in ``--work``.
+To compare two source trees, run it once per tree into two work
+directories and ``diff`` the two listings.
+
+A full run takes about 15 s on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+FAST = ["--iterations", "1500", "--burn-in", "600", "--cv-iterations", "800", "--cv-burn-in", "300"]
+REPRODUCE = ["reproduce", "--figure", "sim3-fig6", "--scale", "0.1", "--seed", "1",
+             "--lambda-grid", "0,10", "--psi-list", "0.1"]
+MALFORMED_STANDARDIZE = {
+    "std_no_sds": {"means": [0.0, 0.0]},
+    "std_one_value": {"means": [0.0], "sds": [1.0]},
+    "std_zero_sd": {"means": [0.0, 0.0], "sds": [0.0, 1.0]},
+}
+
+# (name, argv); a name starting with "copy:" instead copies the fit_std
+# artifact into a new directory whose manifest has a malformed standardize block.
+RUNS = [
+    ("sim1_oracle", ["simulate", "--study", "sim1", "--n", "300", "--seed", "3",
+                     "--with-oracle", "--out", "sim1_oracle.csv"]),
+    ("sim1_oracle_b", ["simulate", "--study", "sim1", "--n", "300", "--seed", "4",
+                       "--with-oracle", "--out", "sim1_oracle_b.csv"]),
+    ("sim2", ["simulate", "--study", "sim2", "--n", "120", "--prevalence", "0.3", "--seed", "5",
+              "--out", "sim2.csv"]),
+    ("sim3_oracle", ["simulate", "--study", "sim3", "--n", "200", "--psi", "0.1", "--seed", "6",
+                     "--with-oracle", "--out", "sim3_oracle.csv"]),
+    ("train", ["simulate", "--study", "sim1", "--n", "300", "--seed", "7", "--out", "train.csv"]),
+    ("test_a", ["simulate", "--study", "sim1", "--n", "200", "--seed", "8", "--out", "test_a.csv"]),
+    ("test_b", ["simulate", "--study", "sim1", "--n", "200", "--seed", "9", "--out", "test_b.csv"]),
+    ("fit_std", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0,5,25", "--jobs", "2",
+                 "--standardize", "--rhat-chains", "3", "--seed", "11", "--out", "fit_std", *FAST]),
+    ("fit_zero", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--seed", "12",
+                  "--out", "fit_zero", *FAST]),
+    ("fit_external", ["fit", "train.csv", "--utilities", "9,0,0,1", "--pi-u-file", "pi_u.csv",
+                      "--distance", "epsilon-insensitive", "--epsilon", "0.05",
+                      "--lambda-grid", "0,10", "--jobs", "1", "--seed", "13",
+                      "--out", "fit_external", *FAST]),
+    ("predict_std", ["predict", "--model", "fit_std", "--data", "test_a.csv",
+                     "--out", "predict_std.csv"]),
+    ("predict_zero", ["predict", "--model", "fit_zero", "--data", "test_a.csv",
+                      "--out", "predict_zero.csv"]),
+    ("evaluate_models", ["evaluate", "--model-a", "fit_std", "--model-b", "fit_zero",
+                         "--data", "test_a.csv", "--data", "test_b.csv",
+                         "--thresholds", "0.2,0.3", "--out", "evaluate_models"]),
+    ("evaluate_scored_one", ["evaluate", "--scored-a", "sim1_oracle.csv",
+                             "--prob-col", "true_probability", "--thresholds", "0.1:0.5:0.1",
+                             "--out", "evaluate_scored_one"]),
+    ("evaluate_scored_paired", ["evaluate", "--scored-a", "sim1_oracle.csv",
+                                "--scored-a", "sim1_oracle_b.csv", "--scored-b", "sim1_oracle_b.csv",
+                                "--scored-b", "sim1_oracle.csv", "--prob-col", "true_probability",
+                                "--label-a", "a", "--label-b", "b", "--thresholds", "0.3,0.3",
+                                "--out", "evaluate_scored_paired"]),
+    ("evaluate_scored_unpaired", ["evaluate", "--scored-a", "sim1_oracle.csv",
+                                  "--scored-b", "sim1_oracle.csv", "--prob-col", "true_probability",
+                                  "--thresholds", "0.3", "--out", "evaluate_scored_unpaired"]),
+    ("reproduce", [*REPRODUCE, "--n-list", "200", "--t-list", "0.3", "--jobs", "2",
+                   "--out", "reproduce"]),
+    ("reproduce_repeated_t", [*REPRODUCE, "--n-list", "200", "--t-list", "0.3,0.3", "--jobs", "1",
+                              "--out", "reproduce_repeated_t"]),
+    ("reproduce_fractional_n", [*REPRODUCE, "--n-list", "200.5", "--t-list", "0.3", "--jobs", "1",
+                                "--out", "reproduce_fractional_n"]),
+    ("ess_grid", ["ess-grid", "--pi-u-file", "pi_u.csv", "--t", "0.3", "--lambda-grid", "0,5,50,200",
+                  "--out", "ess_grid.csv"]),
+    *[(f"copy:{name}", []) for name in MALFORMED_STANDARDIZE],
+    *[(f"predict_{name}", ["predict", "--model", name, "--data", "test_a.csv",
+                           "--out", f"predict_{name}.csv"]) for name in MALFORMED_STANDARDIZE],
+]
+
+
+def write_pi_u(path: Path, n: int = 300) -> None:
+    """First-stage probabilities for ``train.csv``, with exact 0s and 1s among them."""
+    values = [0.0, 1.0] + [((7 * i) % 97 + 1) / 99 for i in range(n - 2)]
+    path.write_text("pi_u\n" + "".join(f"{v!r}\n" for v in values), encoding="utf-8")
+
+
+def copy_with_standardize(work: Path, name: str) -> None:
+    shutil.copytree(work / "fit_std", work / name)
+    path = work / name / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["standardize"] = MALFORMED_STANDARDIZE[name]
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def run_all(src: Path, work: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    logs = work / "_logs"
+    logs.mkdir()
+    write_pi_u(work / "pi_u.csv")
+    for name, argv in RUNS:
+        if name.startswith("copy:"):
+            copy_with_standardize(work, name[len("copy:"):])
+            continue
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailbayes.cli", *argv],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+        # a traceback names the source tree; blank it so two trees compare equal
+        for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+            (logs / f"{name}.{stream}").write_text(text.replace(str(src), "<src>"), encoding="utf-8")
+        (logs / f"{name}.exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
+
+
+def listing(work: Path) -> list[str]:
+    return [
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(work).as_posix()}"
+        for p in sorted(work.rglob("*"))
+        if p.is_file()
+    ]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory holding the tailbayes package")
+    parser.add_argument("--work", required=True, help="empty or absent directory for the outputs")
+    args = parser.parse_args(argv)
+    src, work = Path(args.src).resolve(), Path(args.work).resolve()
+    if not (src / "tailbayes" / "cli.py").is_file():
+        parser.error(f"{src} holds no tailbayes package")
+    if work.exists() and any(work.iterdir()):
+        parser.error(f"{work} is not empty")
+    work.mkdir(parents=True, exist_ok=True)
+    run_all(src, work)
+    print("\n".join(listing(work)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
