@@ -65,7 +65,22 @@ def _cells(figure: str, overrides: dict) -> list[dict]:
     cells = [{}]
     for key in grid:
         cells = [dict(c, **{key: v}) for c in cells for v in grid[key]]
+    for cell in cells:  # building each cell's configs checks its values before any fit
+        _sim_configs(figure, cell, 0, 0)
+        TargetThreshold(cell["t"])
     return cells
+
+
+def _sim_configs(figure: str, cell: dict, train_seed: int, test_seed: int) -> tuple:
+    """The cell's generator with its training and (clean) test configs."""
+    if figure == "sim1-fig2":
+        return (generate_sim1, Sim1Config(cell["n"], cell["q"], train_seed),
+                Sim1Config(TEST_SET_SIZE, cell["q"], test_seed))
+    if figure == "sim2-fig4":
+        return (generate_sim2, Sim2Config(cell["n"], train_seed, cell["prevalence"]),
+                Sim2Config(TEST_SET_SIZE, test_seed, cell["prevalence"]))
+    return (generate_sim3, Sim3Config(cell["n"], contamination=cell["psi"], seed=train_seed),
+            Sim3Config(TEST_SET_SIZE, seed=test_seed))
 
 
 def _rep_worker(payload: tuple) -> dict:
@@ -73,18 +88,9 @@ def _rep_worker(payload: tuple) -> dict:
     seeds = np.random.SeedSequence([int(base_seed), _cell_key(cell), rep]).generate_state(4)
     train_seed, test_seed, fit_seed, _ = (int(s) for s in seeds)
     t = TargetThreshold(cell["t"])
-
-    if figure == "sim1-fig2":
-        train, _ = generate_sim1(Sim1Config(cell["n"], cell["q"], train_seed))
-        test, oracle = generate_sim1(Sim1Config(TEST_SET_SIZE, cell["q"], test_seed))
-    elif figure == "sim2-fig4":
-        train, _ = generate_sim2(Sim2Config(cell["n"], train_seed, cell["prevalence"]))
-        test, oracle = generate_sim2(Sim2Config(TEST_SET_SIZE, test_seed, cell["prevalence"]))
-    else:
-        train, _, _ = generate_sim3(
-            Sim3Config(cell["n"], contamination=cell["psi"], seed=train_seed)
-        )
-        test, oracle, _ = generate_sim3(Sim3Config(TEST_SET_SIZE, seed=test_seed))
+    generate, train_config, test_config = _sim_configs(figure, cell, train_seed, test_seed)
+    train = generate(train_config)[0]
+    test, oracle = generate(test_config)[:2]
 
     model = fit_pipeline(
         train,

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit, logit
 
+from tailbayes import predict
 from tailbayes.errors import DataError
 from tailbayes.model_core import TargetThreshold
 from tailbayes.predict import positive_mask, predictive_mean_sd
@@ -83,6 +90,81 @@ class TestBatch:
             mean, sd = one_row(x[i], s)
             np.testing.assert_allclose(means[i], mean, rtol=1e-12)
             np.testing.assert_allclose(sds[i], sd, rtol=1e-12)
+
+
+def _repeated_ends(rng):
+    """Runs of repeated draws, including at the first and at the last draw."""
+    distinct = rng.standard_normal((12, 3))
+    return distinct[[0, 0, 0, 1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 8, 9, 9, 10, 11, 11, 11]]
+
+
+DRAW_KINDS = {
+    "all_distinct": lambda rng: rng.standard_normal((20, 3)),
+    "all_equal": lambda rng: np.tile(rng.standard_normal(3), (20, 1)),
+    "repeated_ends": _repeated_ends,
+}
+
+
+class TestChunking:
+    @pytest.mark.parametrize("kind", sorted(DRAW_KINDS))
+    def test_same_bytes_for_every_chunk_size(self, monkeypatch, kind):
+        rng = np.random.default_rng(3)
+        draws = DRAW_KINDS[kind](rng)
+        s = samples_from_draws(draws)
+        x = np.column_stack([np.ones(23), rng.standard_normal((23, 2))])
+        row_bytes = 8 * draws.shape[0]
+
+        monkeypatch.setattr(predict, "CHUNK_BYTES", 100 * x.shape[0] * row_bytes)
+        whole = predictive_mean_sd(x, s)
+        for rows in (1, 5):  # one row per chunk, and a size that does not divide 23
+            monkeypatch.setattr(predict, "CHUNK_BYTES", rows * row_bytes)
+            means, sds = predictive_mean_sd(x, s)
+            assert np.array_equal(means, whole[0]) and np.array_equal(sds, whole[1])
+
+        naive = expit(x @ draws.T)
+        np.testing.assert_allclose(whole[0], naive.mean(axis=1), rtol=1e-14)
+        # equal probabilities have an sd of a few ulps of rounding noise, hence atol
+        np.testing.assert_allclose(whole[1], naive.std(axis=1), rtol=1e-14, atol=1e-15)
+
+
+# Predicts a 10 000 x 15 000 case from a random-walk-like chain (about a
+# quarter of the draws distinct) and prints its own peak RSS and a digest.
+_LARGE_CHILD = """
+import hashlib, json, resource
+import numpy as np
+from tailbayes.predict import predictive_mean_sd
+from tailbayes.sampler import PosteriorSamples
+
+rng = np.random.default_rng(0)
+steps = rng.normal(0.0, 0.05, size=(15000, 3)) * (rng.uniform(size=(15000, 1)) < 0.24)
+draws = np.cumsum(steps, axis=0) + np.array([-0.5, 1.0, -1.0])
+x = np.column_stack([np.ones(10000), rng.standard_normal((10000, 2))])
+samples = PosteriorSamples(draws=draws, acceptance_rate=0.24, final_proposal_sd=0.05,
+                           rng_seed=0, log_posterior_trace=np.zeros(15000))
+means, sds = predictive_mean_sd(x, samples)
+print(json.dumps({
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "sha256": hashlib.sha256(means.tobytes() + sds.tobytes()).hexdigest(),
+}))
+"""
+
+
+def _run_large_child(**env_overrides):
+    env = dict(os.environ, PYTHONPATH=str(Path(predict.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_overrides)
+    proc = subprocess.run([sys.executable, "-c", _LARGE_CHILD], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestBoundedMemory:
+    def test_large_prediction_stays_small_and_ignores_blas_threads(self):
+        default = _run_large_child()
+        one_thread = _run_large_child(OPENBLAS_NUM_THREADS="1")
+        # the two n x S float64 matrices alone would take 2.4 GB
+        assert default["maxrss_mb"] < 400
+        assert one_thread["sha256"] == default["sha256"]
 
 
 class TestClassify:

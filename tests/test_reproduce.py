@@ -39,3 +39,20 @@ def test_repeated_override_value_is_config_error(monkeypatch):
     monkeypatch.setattr(reproduce, "_rep_worker", never)
     with pytest.raises(ConfigError, match="'t'"):
         reproduce.reproduce_figure("sim3-fig6", scale=0.1, overrides=dict(OVERRIDES, t=(0.3, 0.3)))
+
+
+@pytest.mark.parametrize(
+    "figure, overrides",
+    [
+        ("sim3-fig6", dict(OVERRIDES, t=(0.3, 1.5))),
+        ("sim3-fig6", {"n": (200,), "psi": (0.1, 0.6), "t": (0.3,)}),
+        ("sim1-fig2", {"n": (200,), "q": (0.5, -1.0), "t": (0.3,)}),
+        ("sim2-fig4", {"n": (200, 0), "prevalence": (0.3,), "t": (0.3,)}),
+    ],
+)
+def test_bad_override_value_fails_before_any_fit(monkeypatch, figure, overrides):
+    calls = []
+    monkeypatch.setattr(reproduce, "_rep_worker", lambda payload: calls.append(payload))
+    with pytest.raises(ConfigError):
+        reproduce.reproduce_figure(figure, scale=0.1, overrides=overrides)
+    assert calls == []
