@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     fit.add_argument("--standardize", action="store_true", help="z-score covariates (recorded in the artifact)")
     fit.add_argument("--pi-u-file", help="external first-stage probabilities (skips the design split)")
-    fit.add_argument("--rhat-chains", type=int, default=0, help="extra chains for an R-hat diagnostic")
+    fit.add_argument("--rhat-chains", type=int, default=0, help="R-hat chains, final chain included: 0 or >= 2")
 
     pred = sub.add_parser("predict", help="score new rows with a fitted artifact")
     pred.add_argument("--model", required=True, help="artifact directory written by fit")
@@ -221,6 +221,10 @@ def _resolve_threshold(args) -> tuple[TargetThreshold, dict | None]:
 
 
 def cmd_fit(args) -> int:
+    if args.rhat_chains != 0 and args.rhat_chains < 2:
+        raise ConfigError(
+            f"--rhat-chains counts the final chain, so it must be 0 or at least 2, got {args.rhat_chains}"
+        )
     threshold, utilities = _resolve_threshold(args)
     raw_x, y, names, _ = dataio.read_dataset_csv(args.data, args.outcome_col)
 

@@ -5,7 +5,8 @@ The model downweights each datapoint's log-likelihood contribution by
 implied by the misclassification utilities, ``pi_u_i`` is a first-stage
 probability estimate for row ``i`` and ``h`` is a distance function.
 Everything in this module is a pure function of immutable inputs and is
-safe to call concurrently.
+safe to call concurrently, except the callable that
+:func:`make_log_posterior` returns, which reuses its buffers.
 """
 
 from __future__ import annotations
@@ -299,14 +300,19 @@ def compute_weights(config: TailoringConfig) -> np.ndarray:
     return np.exp(-config.lam * h)
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    """log(1 + e^z) without overflow, via max(z, 0) + log1p(e^-|z|)."""
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def _softplus(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """log(1 + e^z) without overflow, via max(z, 0) + log1p(e^-|z|), into optional buffers shaped like z."""
+    out = np.abs(z, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0, out=scratch)
+    return out
 
 
-def _weighted_log_likelihood(z: np.ndarray, w: np.ndarray, wy: np.ndarray):
-    """sum_i w_i * (y_i z_i - log(1 + e^z_i)) at linear predictors z, given wy = w * y."""
-    return wy @ z - w @ _softplus(z)
+def _weighted_log_likelihood(z: np.ndarray, w: np.ndarray, wy: np.ndarray, out=None, scratch=None):
+    """sum_i w_i * (y_i z_i - log(1 + e^z_i)) along the last axis, given wy = w * y."""
+    return np.vecdot(wy, z) - np.vecdot(w, _softplus(z, out, scratch))
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -364,17 +370,33 @@ def effective_sample_size(weights) -> float:
 
 
 def make_log_posterior(data: Dataset, weights, prior: GaussianPrior):
-    """Bind data, weights and prior into a callable beta -> log-posterior."""
-    w = _check_weights(weights, data.n)
-    x = data.covariates
+    """Bind data, weights and prior into a callable beta -> log-posterior.
+
+    With one weight per row the callable maps a (d,) vector to a float;
+    with a (C, n) weight matrix it maps a (C, d) array to C values, row c
+    under weight row c, through one BLAS product ``B @ x.T``.  That product
+    may round a row differently for different C, so values can differ
+    between batch sizes in the last bits.  The callable reuses its C x n
+    buffers, so it must not run in two threads at once.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim < 2:
+        w = _check_weights(w, data.n)[None, :]
+    if w.ndim != 2 or w.shape[1] != data.n:
+        raise DataError(f"a weight matrix of shape {w.shape} does not fit {data.n} rows")
+    xt = np.ascontiguousarray(data.covariates.T)
     wy = w * data.outcomes
     mu, sd = prior.means, prior.sds
-    if mu.shape[0] != x.shape[1]:
+    if mu.shape[0] != xt.shape[0]:
         raise DataError("prior dimension does not match the design matrix")
     log_norm = -float(np.sum(np.log(sd)) + 0.5 * mu.size * math.log(2.0 * math.pi))
+    z, out, scratch = np.empty((3,) + w.shape)
 
-    def logpost(beta: np.ndarray) -> float:
-        zp = (beta - mu) / sd
-        return float(_weighted_log_likelihood(x @ beta, w, wy) - 0.5 * (zp @ zp) + log_norm)
+    def logpost(beta: np.ndarray):
+        b = np.asarray(beta).reshape(-1, mu.size)
+        zp = (b - mu) / sd
+        lik = _weighted_log_likelihood(np.matmul(b, xt, out=z), w, wy, out, scratch)
+        value = lik - 0.5 * np.vecdot(zp, zp) + log_norm
+        return float(value[0]) if np.ndim(beta) == 1 else value
 
     return logpost

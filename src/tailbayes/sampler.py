@@ -4,6 +4,11 @@ All coefficients update jointly with an isotropic Gaussian proposal
 N(beta, sd^2 I).  The proposal scale adapts in batches during burn-in
 toward a target acceptance rate (0.24) and is frozen afterwards
 so the retained chain is a valid Markov chain.
+
+:func:`run_mh` can advance C chains that share one seed as a single
+batch: one (C, d) state, one log-posterior call per iteration, and one
+random stream whose draws every chain uses.  A single chain is the
+C = 1 case of that loop.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .errors import ConfigError, SamplerError
 __all__ = [
     "SamplerConfig",
     "PosteriorSamples",
+    "ChainBatch",
     "HpdSummary",
     "run_mh",
     "adapt_proposal_sd",
@@ -87,6 +93,27 @@ class PosteriorSamples:
 
 
 @dataclass(frozen=True)
+class ChainBatch:
+    """The C chains of one batched :func:`run_mh` call, in order.
+
+    ``chains[c]`` is chain c's :class:`PosteriorSamples`, or the
+    SamplerError that failed it because its start point was non-finite.
+    The properties summarise the chains that ran.
+    """
+
+    chains: tuple
+
+    @property
+    def acceptance_rate(self) -> float:
+        rates = [c.acceptance_rate for c in self.chains if isinstance(c, PosteriorSamples)]
+        return sum(rates) / len(rates) if rates else 0.0
+
+    @property
+    def n_nonfinite_proposals(self) -> int:
+        return sum(c.n_nonfinite_proposals for c in self.chains if isinstance(c, PosteriorSamples))
+
+
+@dataclass(frozen=True)
 class HpdSummary:
     """Per-coefficient posterior location and highest-density intervals."""
 
@@ -112,84 +139,114 @@ def adapt_proposal_sd(
 
 def run_mh(
     log_posterior: Callable[[np.ndarray], float],
-    dim: int,
+    dim: int | tuple[int, int],
     config: SamplerConfig,
-) -> PosteriorSamples:
-    """Sample from an unnormalised log-posterior over R^dim.
+) -> PosteriorSamples | ChainBatch:
+    """Sample from an unnormalised log-posterior over R^d.
 
-    The chain is deterministic given ``config.rng_seed``.  Proposals with
-    a non-finite log-posterior are rejected (and counted); a non-finite
-    value at the start point raises SamplerError.
+    With ``dim = d`` this runs one chain: ``log_posterior`` maps a (d,)
+    vector to a float, the result is a :class:`PosteriorSamples`, and a
+    non-finite value at the start point raises SamplerError.  With
+    ``dim = (C, d)`` it runs C chains as one batch: ``log_posterior`` maps
+    a (C, d) array to C values, and the result is a :class:`ChainBatch`.
+    A batched chain whose start point is non-finite gets a SamplerError
+    in its slot and the other chains run on.
+
+    A single chain is the C = 1 case.  The chains of a batch share the
+    random stream seeded by ``config.rng_seed``: each iteration draws one
+    ``standard_normal(d)`` and one ``random()`` for all of them, and only
+    each chain's adapted proposal sd and its accept test differ.  So chain
+    c is the chain a single run with the same config gives on chain c's
+    log-posterior, as long as both evaluations return the same values
+    (:func:`~tailbayes.model_core.make_log_posterior` may differ between
+    batch sizes in the last bits).  Proposals with a non-finite
+    log-posterior are rejected (and counted).
     """
+    if isinstance(dim, tuple):
+        n_chains, dim = dim
+        return ChainBatch(tuple(_run_chains(log_posterior, n_chains, dim, config)))
+    (chain,) = _run_chains(lambda b: np.array([log_posterior(b[0])]), 1, dim, config)
+    if isinstance(chain, SamplerError):
+        raise chain
+    return chain
+
+
+def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig) -> list:
     rng = np.random.default_rng(int(config.rng_seed))
-    beta = (
+    start = (
         np.zeros(dim)
         if config.initial_beta is None
         else np.array(config.initial_beta, dtype=np.float64).ravel()
     )
-    if beta.shape[0] != dim:
-        raise ConfigError(f"initial_beta has length {beta.shape[0]}, expected {dim}")
-    current_lp = float(log_posterior(beta))
-    if not math.isfinite(current_lp):
-        raise SamplerError("log-posterior is non-finite at the initial point")
+    if start.shape[0] != dim:
+        raise ConfigError(f"initial_beta has length {start.shape[0]}, expected {dim}")
+    beta = np.tile(start, (n_chains, 1))
+    current_lp = np.array(log_posterior(beta), dtype=np.float64)
+    alive = np.isfinite(current_lp)
+    if not alive.any():
+        return [_start_failure() for _ in range(n_chains)]
+    current_lp[~alive] = np.nan  # a NaN current value fails every accept test below
 
     n_iter, burn_in, thin = config.n_iterations, config.burn_in, config.thin
     n_retained = (n_iter - burn_in) // thin
-    draws = np.empty((n_retained, dim))
-    lp_trace = np.empty(n_retained)
-    accepted_trace = np.zeros(n_retained, dtype=bool)
-    sd_trace = []
-
-    sd = config.initial_sd
-    batch_accepts = 0
-    batch_index = 0
-    post_accepts = 0
-    post_proposed = 0
-    n_nonfinite = 0
+    draws = np.empty((n_retained, n_chains, dim))
+    lp_trace = np.empty((n_retained, n_chains))
+    proposed_lp = np.empty((n_iter, n_chains))
+    accepts = np.empty((n_iter, n_chains), dtype=bool)
+    sd = np.full(n_chains, float(config.initial_sd))
+    sd_column = sd[:, None]  # a view: adapting sd in place rescales the proposals
+    sd_steps, sd_trace = [], []
     keep = 0
 
     for i in range(n_iter):
-        proposal = beta + sd * rng.standard_normal(dim)
+        proposal = beta + sd_column * rng.standard_normal(dim)
         log_u = math.log(rng.random())
-        prop_lp = float(log_posterior(proposal))
-        if math.isfinite(prop_lp) and log_u < prop_lp - current_lp:
-            beta = proposal
-            current_lp = prop_lp
-            accept = True
-        else:
-            if not math.isfinite(prop_lp):
-                n_nonfinite += 1
-            accept = False
+        proposed_lp[i] = prop_lp = log_posterior(proposal)
+        accept = np.less(log_u, prop_lp - current_lp, out=accepts[i])
+        if np.count_nonzero(accept):
+            accept &= np.isfinite(prop_lp)  # a +inf proposal passes the test above
+            np.copyto(beta, proposal, where=accept[:, None])
+            np.copyto(current_lp, prop_lp, where=accept)
 
-        in_burn_in = i < burn_in
-        if in_burn_in:
-            batch_accepts += accept
+        if i < burn_in:
             if (i + 1) % ADAPT_BATCH_SIZE == 0:
-                batch_index += 1
-                sd = adapt_proposal_sd(sd, batch_accepts / ADAPT_BATCH_SIZE, batch_index)
-                sd_trace.append((i + 1, sd))
-                batch_accepts = 0
-        else:
-            post_proposed += 1
-            post_accepts += accept
-            j = i - burn_in
-            if j % thin == thin - 1 and keep < n_retained:
-                draws[keep] = beta
-                lp_trace[keep] = current_lp
-                accepted_trace[keep] = accept
-                keep += 1
+                batch_accepts = accepts[i + 1 - ADAPT_BATCH_SIZE : i + 1].sum(axis=0)
+                batch_index = len(sd_steps) + 1
+                for c in range(n_chains):
+                    sd[c] = adapt_proposal_sd(sd[c], batch_accepts[c] / ADAPT_BATCH_SIZE, batch_index)
+                sd_steps.append(i + 1)
+                sd_trace.append(sd.copy())
+        elif (i - burn_in) % thin == thin - 1 and keep < n_retained:
+            draws[keep] = beta
+            lp_trace[keep] = current_lp
+            keep += 1
 
-    acceptance_rate = post_accepts / post_proposed if post_proposed else 0.0
-    return PosteriorSamples(
-        draws=draws,
-        acceptance_rate=acceptance_rate,
-        final_proposal_sd=sd,
-        rng_seed=int(config.rng_seed),
-        log_posterior_trace=lp_trace,
-        accepted=accepted_trace,
-        proposal_sd_trace=np.array(sd_trace, dtype=np.float64).reshape(-1, 2),
-        n_nonfinite_proposals=n_nonfinite,
-    )
+    post_accepts = accepts[burn_in:].sum(axis=0)
+    n_nonfinite = (~np.isfinite(proposed_lp)).sum(axis=0)
+    retained_accepts = accepts[burn_in + thin - 1 :: thin][:n_retained]
+    sd_history = np.array(sd_trace, dtype=np.float64).reshape(-1, n_chains)
+    chains = []
+    for c in range(n_chains):
+        if not alive[c]:
+            chains.append(_start_failure())
+            continue
+        chains.append(
+            PosteriorSamples(
+                draws=np.ascontiguousarray(draws[:, c]),
+                acceptance_rate=float(post_accepts[c] / (n_iter - burn_in)),
+                final_proposal_sd=float(sd[c]),
+                rng_seed=int(config.rng_seed),
+                log_posterior_trace=np.ascontiguousarray(lp_trace[:, c]),
+                accepted=np.ascontiguousarray(retained_accepts[:, c]),
+                proposal_sd_trace=np.column_stack([sd_steps, sd_history[:, c]]).reshape(-1, 2),
+                n_nonfinite_proposals=int(n_nonfinite[c]),
+            )
+        )
+    return chains
+
+
+def _start_failure() -> SamplerError:
+    return SamplerError("log-posterior is non-finite at the initial point")
 
 
 def hpd_interval(draws: np.ndarray, mass: float) -> tuple[float, float]:

@@ -6,6 +6,10 @@ development part (chooses the decay rate lam by stratified K-fold CV on
 Net Benefit, then receives the final fit).  With lam = 0 every weight
 is 1 and the pipeline reduces exactly to standard Bayesian logistic
 regression.
+
+Every fit runs through :func:`fit_chains`.  The final, stage-1 and
+standard fits are single chains; each CV fold runs its lam chains as one
+batch, because they share the fold's seed and so its random stream.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .model_core import (
 )
 from .evaluation import net_benefit
 from .predict import predictive_mean_sd
-from .sampler import PosteriorSamples, SamplerConfig, run_mh
+from .sampler import ChainBatch, PosteriorSamples, SamplerConfig, run_mh
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
@@ -41,6 +45,7 @@ __all__ = [
     "make_split",
     "make_cv_plan",
     "fit_tailored",
+    "fit_chains",
     "fit_standard",
     "fold_seed",
     "map_jobs",
@@ -166,9 +171,26 @@ def fit_tailored(
     prior: GaussianPrior,
     sampler_config: SamplerConfig,
 ) -> PosteriorSamples:
-    """One MH chain on the weighted-likelihood posterior; every fit runs through here."""
+    """One MH chain on the weighted-likelihood posterior: the C = 1 case of :func:`fit_chains`."""
+    (samples,) = fit_chains(data, np.reshape(weights, (1, -1)), prior, sampler_config).chains
+    if isinstance(samples, SamplerError):
+        raise samples
+    return samples
+
+
+def fit_chains(
+    data: Dataset,
+    weights: np.ndarray,
+    prior: GaussianPrior,
+    sampler_config: SamplerConfig,
+) -> ChainBatch:
+    """One MH chain per row of the (C, n) ``weights`` matrix, run as one batch.
+
+    The chains share ``sampler_config`` and so its random stream (see
+    :func:`~tailbayes.sampler.run_mh`).  Every fit runs through here.
+    """
     logpost = make_log_posterior(data, weights, prior)
-    return run_mh(logpost, data.n_coefficients, sampler_config)
+    return run_mh(logpost, (len(weights), data.n_coefficients), sampler_config)
 
 
 def fit_standard(
@@ -188,14 +210,16 @@ def fold_seed(base_seed: int, fold: int) -> int:
 
 
 def map_jobs(fn, payloads: list, jobs: int) -> list:
-    """``[fn(p) for p in payloads]``, over ``jobs`` worker processes when jobs > 1.
+    """``[fn(p) for p in payloads]``, over at most ``jobs`` worker processes.
 
-    Results keep the payload order.  ``fn`` must be a top-level function so
-    the pool can pickle it; callers pass it at call time.
+    The pool gets one worker per payload at most, and a single worker runs
+    in-process.  Results keep the payload order.  ``fn`` must be a top-level
+    function so the pool can pickle it; callers pass it at call time.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(payloads))
+    if workers <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
 
 
@@ -215,15 +239,17 @@ def stage1_pi_u(
     return fit_standard(design, sampler_config, prior)
 
 
-def _cv_cell(payload: tuple) -> tuple[float, str | None]:
-    """Fit one (lam, fold) cell and score its held-out fold; top-level so pools can pickle it."""
+def _cv_fold(payload: tuple) -> list[tuple[float, str | None]]:
+    """(Net Benefit, error) of each lam chain of one fold's batch; top-level so pools can pickle it."""
     train, weights, test, threshold, prior, config = payload
-    try:
-        samples = fit_tailored(train, weights, prior, config)
-    except SamplerError as exc:
-        return float("nan"), str(exc)
-    means, _ = predictive_mean_sd(test.covariates, samples)
-    return net_benefit(means, test.outcomes, threshold).net_benefit, None
+    scores = []
+    for samples in fit_chains(train, weights, prior, config).chains:
+        if isinstance(samples, SamplerError):
+            scores.append((float("nan"), str(samples)))
+            continue
+        means, _ = predictive_mean_sd(test.covariates, samples)
+        scores.append((net_benefit(means, test.outcomes, threshold).net_benefit, None))
+    return scores
 
 
 def cv_select_lambda(
@@ -239,10 +265,13 @@ def cv_select_lambda(
     """Choose lam maximising the fold-average Net Benefit at the threshold.
 
     Fold fits share one sampler configuration with per-fold seeds
-    (:func:`fold_seed`).  Ties break toward the smallest lam.  A
-    sampler failure invalidates its cell; a lam stays eligible only if
-    at least K - 1 of its folds succeeded (the average then runs over
-    the successes, and the failure is logged).
+    (:func:`fold_seed`).  A fold's lam chains share its seed, so they run
+    as one batch on one random stream (:func:`fit_chains`), and ``jobs``
+    worker processes take whole folds; the result does not depend on
+    ``jobs``.  Ties break toward the smallest lam.  A sampler failure
+    invalidates its cell; a lam stays eligible only if at least K - 1 of
+    its folds succeeded (the average then runs over the successes, and
+    the failure is logged).
     """
     pi_u_dev = np.asarray(pi_u_dev, dtype=np.float64).ravel()
     if pi_u_dev.shape[0] != development.n:
@@ -251,38 +280,27 @@ def cv_select_lambda(
         prior = GaussianPrior.vague(development.n_coefficients)
 
     grid = cv_plan.lambda_grid
-    weights_per_lam = [
-        compute_weights(TailoringConfig(threshold, lam, pi_u_dev, distance))
-        for lam in grid
-    ]
-
+    weights = np.stack(
+        [compute_weights(TailoringConfig(threshold, lam, pi_u_dev, distance)) for lam in grid]
+    )
     seeds = [fold_seed(sampler_config.rng_seed, fold) for fold in range(cv_plan.k)]
-    folds = []  # each fold is subset and seeded once, then shared by every lam
+    payloads = []
     for fold, seed in enumerate(seeds):
         tr = cv_plan.train_indices(fold)
         test = development.subset(cv_plan.fold_indices(fold))
-        folds.append((tr, development.subset(tr), test, replace(sampler_config, rng_seed=seed)))
-    payloads = [
-        (train, weights[tr], test, threshold, prior, config)
-        for weights in weights_per_lam
-        for tr, train, test, config in folds
-    ]
-    results = map_jobs(_cv_cell, payloads, jobs)
+        config = replace(sampler_config, rng_seed=seed)
+        payloads.append((development.subset(tr), weights[:, tr], test, threshold, prior, config))
+    scores = map_jobs(_cv_fold, payloads, jobs)
 
     table: list[dict] = []
-    cells = [(li, fold) for li in range(len(grid)) for fold in range(cv_plan.k)]
-    for (li, fold), (nb, error) in zip(cells, results):
-        table.append(
-            {
-                "lambda": grid[li],
-                "fold": fold + 1,
-                "nb": None if error else nb,
-                "seed": seeds[fold],
-                "error": error,
-            }
-        )
-        if error is not None:
-            logger.warning("CV cell lam=%s fold=%d failed: %s", grid[li], fold + 1, error)
+    for li, lam in enumerate(grid):
+        for fold, seed in enumerate(seeds):
+            nb, error = scores[fold][li]
+            table.append(
+                {"lambda": lam, "fold": fold + 1, "nb": None if error else nb, "seed": seed, "error": error}
+            )
+            if error is not None:
+                logger.warning("CV cell lam=%s fold=%d failed: %s", lam, fold + 1, error)
 
     best_lam = None
     best_nb = -np.inf

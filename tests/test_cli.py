@@ -56,7 +56,7 @@ class TestSimulate:
 class TestFit:
     def test_byte_identical_manifests(self, tmp_path, train_csv):
         m1 = fit_artifact(tmp_path, train_csv, "m1")
-        m2 = fit_artifact(tmp_path, train_csv, "m2", extra=["--jobs", 2])  # CV cells in a process pool
+        m2 = fit_artifact(tmp_path, train_csv, "m2", extra=["--jobs", 2])  # CV folds in a process pool
         assert (m1 / "manifest.json").read_bytes() == (m2 / "manifest.json").read_bytes()
         assert (m1 / "draws.csv").read_bytes() == (m2 / "draws.csv").read_bytes()
         assert (m1 / "weights.csv").read_bytes() == (m2 / "weights.csv").read_bytes()
@@ -121,6 +121,15 @@ class TestFit:
         assert len(manifest["standardize"]["means"]) == 2
         assert len(manifest["rhat"]) == 3
         assert all(0.8 < r < 1.5 for r in manifest["rhat"])
+
+    @pytest.mark.parametrize("chains", [1, -3])
+    def test_rhat_chains_below_two_is_usage_error(self, tmp_path, train_csv, capsys, chains):
+        # the count includes the final chain, so 1 would add no chain and give no R-hat
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--jobs", 1,
+                    "--rhat-chains", chains, "--out", out, *FIT_SPEED]) == 2
+        assert "--rhat-chains" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_external_pi_u(self, tmp_path, train_csv):
         pi_path = tmp_path / "pi.csv"

@@ -6,6 +6,7 @@ import pytest
 from tailbayes.errors import ConfigError, SamplerError
 from tailbayes.model_core import Dataset, GaussianPrior, make_log_posterior
 from tailbayes.sampler import (
+    ChainBatch,
     PosteriorSamples,
     SamplerConfig,
     adapt_proposal_sd,
@@ -139,6 +140,62 @@ class TestRunMh:
         assert SamplerConfig(n_iterations=600, burn_in=200, thin=400).thin == 400
         with pytest.raises(ConfigError):
             SamplerConfig(initial_sd=0.0)
+
+
+class TestBatchedChains:
+    """C chains in one run_mh call share one random stream and nothing else."""
+
+    SCALES = np.array([0.5, 1.0, 3.0])
+    CFG = SamplerConfig(n_iterations=3000, burn_in=1000, thin=2, rng_seed=21)
+
+    @staticmethod
+    def single(scale):
+        return lambda b: float(-0.5 * (b @ b) / scale**2)
+
+    def batch(self, offsets=0.0):
+        return lambda b: -0.5 * np.vecdot(b, b) / self.SCALES**2 + offsets
+
+    def test_each_chain_equals_its_single_run(self):
+        batch = run_mh(self.batch(), (3, 2), self.CFG)
+        assert isinstance(batch, ChainBatch) and len(batch.chains) == 3
+        for scale, chain in zip(self.SCALES, batch.chains):
+            alone = run_mh(self.single(scale), 2, self.CFG)
+            assert np.array_equal(chain.draws, alone.draws)
+            assert np.array_equal(chain.log_posterior_trace, alone.log_posterior_trace)
+            assert np.array_equal(chain.accepted, alone.accepted)
+            assert np.array_equal(chain.proposal_sd_trace, alone.proposal_sd_trace)
+            assert chain.acceptance_rate == alone.acceptance_rate
+            assert chain.final_proposal_sd == alone.final_proposal_sd
+            assert chain.rng_seed == alone.rng_seed == self.CFG.rng_seed
+        # the chains differ: each adapts its own proposal sd to its own target
+        assert len({chain.final_proposal_sd for chain in batch.chains}) == 3
+
+    def test_nonfinite_start_fails_only_its_chain(self):
+        batch = run_mh(self.batch(np.array([0.0, np.nan, 0.0])), (3, 2), self.CFG)
+        failed = batch.chains[1]
+        assert isinstance(failed, SamplerError) and "initial point" in str(failed)
+        for c in (0, 2):
+            alone = run_mh(self.single(self.SCALES[c]), 2, self.CFG)
+            assert np.array_equal(batch.chains[c].draws, alone.draws)
+        rates = [batch.chains[c].acceptance_rate for c in (0, 2)]
+        assert batch.acceptance_rate == sum(rates) / 2
+
+    def test_nonfinite_proposals_counted_per_chain(self):
+        def batch_logpost(b):  # chain 0: a standard normal; chain 1: a Gamma(3, 1) on (0, inf)
+            return np.array([standard_normal_logpost(b[0]), gamma_logpost(b[1])])
+
+        cfg = SamplerConfig(n_iterations=4000, burn_in=1000, initial_beta=np.array([1.0]), rng_seed=4)
+        batch = run_mh(batch_logpost, (2, 1), cfg)
+        alone = run_mh(gamma_logpost, 1, cfg)
+        assert batch.chains[0].n_nonfinite_proposals == 0
+        assert batch.chains[1].n_nonfinite_proposals == alone.n_nonfinite_proposals > 0
+        assert np.array_equal(batch.chains[1].draws, alone.draws)
+        assert batch.n_nonfinite_proposals == alone.n_nonfinite_proposals
+
+    def test_every_start_nonfinite_fails_every_chain(self):
+        batch = run_mh(lambda b: np.full(b.shape[0], np.nan), (2, 2), self.CFG)
+        assert all(isinstance(chain, SamplerError) for chain in batch.chains)
+        assert batch.acceptance_rate == 0.0 and batch.n_nonfinite_proposals == 0
 
 
 class TestAdaptProposalSd:

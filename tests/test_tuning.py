@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,19 +9,23 @@ from tailbayes.errors import ConfigError, DataError, SamplerError
 from tailbayes.evaluation import calibration_curve
 from tailbayes.model_core import (
     Dataset,
+    DistanceFunction,
+    GaussianPrior,
     TailoringConfig,
     TargetThreshold,
     compute_weights,
     make_log_posterior,
 )
 from tailbayes.predict import predictive_mean_sd
-from tailbayes.sampler import SamplerConfig, run_mh
+from tailbayes.sampler import ChainBatch, PosteriorSamples, SamplerConfig, run_mh
 from tailbayes.simulation import Sim1Config, Sim3Config, generate_sim1, generate_sim3
 from tailbayes.tuning import (
     cv_select_lambda,
     ess_grid,
     fit_pipeline,
     fit_standard,
+    fit_tailored,
+    fold_seed,
     make_cv_plan,
     make_split,
     stage1_pi_u,
@@ -166,16 +171,21 @@ class TestCvSelectLambda:
         parallel = cv_select_lambda(train, pi_u, TargetThreshold(0.3), plan, FASTER, jobs=2)
         assert serial == parallel
 
+    @staticmethod
+    def fail_folds(monkeypatch, seeds):
+        """Make every chain of each fold whose sampler seed is in ``seeds`` fail."""
+        real_fit_chains = tuning.fit_chains
+
+        def flaky(data, weights, prior, config):
+            if config.rng_seed in seeds:
+                return ChainBatch(tuple(SamplerError("injected failure") for _ in weights))
+            return real_fit_chains(data, weights, prior, config)
+
+        monkeypatch.setattr(tuning, "fit_chains", flaky)
+
     def test_single_fold_failure_tolerated(self, monkeypatch):
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
-        real_run_mh = tuning.run_mh
-
-        def flaky(logpost, dim, config):
-            if config.rng_seed == FASTER.rng_seed + 1:  # fold 1 always fails
-                raise SamplerError("injected failure")
-            return real_run_mh(logpost, dim, config)
-
-        monkeypatch.setattr(tuning, "run_mh", flaky)
+        self.fail_folds(monkeypatch, {FASTER.rng_seed + 1})  # fold 1 always fails
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
         lam, table = cv_select_lambda(
             train, np.full(train.n, 0.4), TargetThreshold(0.3), plan, FASTER
@@ -187,19 +197,113 @@ class TestCvSelectLambda:
 
     def test_too_many_failures_raise(self, monkeypatch):
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
-        real_run_mh = tuning.run_mh
-
-        def flaky(logpost, dim, config):
-            if config.rng_seed in (FASTER.rng_seed + 1, FASTER.rng_seed + 2):
-                raise SamplerError("injected failure")
-            return real_run_mh(logpost, dim, config)
-
-        monkeypatch.setattr(tuning, "run_mh", flaky)
+        self.fail_folds(monkeypatch, {FASTER.rng_seed + 1, FASTER.rng_seed + 2})
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
         with pytest.raises(SamplerError):
             cv_select_lambda(
                 train, np.full(train.n, 0.4), TargetThreshold(0.3), plan, FASTER
             )
+
+    def test_nonfinite_start_fails_only_its_cells(self, monkeypatch):
+        """Infinite weights at lam = 5 make that chain's start point NaN in every fold."""
+        train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
+        pi_u = np.random.default_rng(2).uniform(0.1, 0.9, size=train.n)
+        real_compute_weights = tuning.compute_weights
+
+        def poisoned(config):
+            w = real_compute_weights(config)
+            return np.full_like(w, np.inf) if config.lam == 5.0 else w
+
+        monkeypatch.setattr(tuning, "compute_weights", poisoned)
+        plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0, 50.0), seed=1)
+        with np.errstate(invalid="ignore"):
+            lam, table = cv_select_lambda(train, pi_u, TargetThreshold(0.3), plan, FASTER)
+        failed = {(row["lambda"], row["fold"]) for row in table if row["error"]}
+        assert failed == {(5.0, 1), (5.0, 2), (5.0, 3)}
+        assert all("initial point" in row["error"] for row in table if row["error"])
+        assert all(row["nb"] is not None for row in table if row["lambda"] != 5.0)
+        assert lam in (0.0, 50.0)
+
+    def test_batched_chains_equal_single_fits(self, monkeypatch):
+        """Each fold's lam chains run as one batch, yet each equals its own fit_tailored run."""
+        train, _ = generate_sim1(Sim1Config(n=150, q=1.0, seed=8))
+        pi_u = np.random.default_rng(0).uniform(0.1, 0.9, size=train.n)
+        t = TargetThreshold(0.3)
+        plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0, 50.0), seed=1)
+        batches = {}
+        real_fit_chains = tuning.fit_chains
+
+        def recording(data, weights, prior, config):
+            batches[config.rng_seed] = real_fit_chains(data, weights, prior, config)
+            return batches[config.rng_seed]
+
+        monkeypatch.setattr(tuning, "fit_chains", recording)
+        _, table = cv_select_lambda(train, pi_u, t, plan, FASTER)
+        monkeypatch.undo()  # fit_tailored runs through fit_chains too
+        prior = GaussianPrior.vague(train.n_coefficients)
+        assert len(batches) == plan.k
+        assert all(len(batch.chains) == len(plan.lambda_grid) for batch in batches.values())
+        for fold in range(plan.k):
+            seed = fold_seed(FASTER.rng_seed, fold)
+            tr = plan.train_indices(fold)
+            for lam, chain in zip(plan.lambda_grid, batches[seed].chains):
+                weights = compute_weights(TailoringConfig(t, lam, pi_u, DistanceFunction()))
+                alone = fit_tailored(train.subset(tr), weights[tr], prior, replace(FASTER, rng_seed=seed))
+                assert isinstance(chain, PosteriorSamples)
+                assert np.array_equal(chain.draws, alone.draws)
+                assert chain.acceptance_rate == alone.acceptance_rate
+                assert chain.final_proposal_sd == alone.final_proposal_sd
+                assert chain.n_nonfinite_proposals == alone.n_nonfinite_proposals
+        # the lam chains of a fold sample different posteriors
+        assert not np.array_equal(batches[FASTER.rng_seed + 1].chains[0].draws,
+                                  batches[FASTER.rng_seed + 1].chains[2].draws)
+        assert len(table) == len(plan.lambda_grid) * plan.k
+
+
+class TestMapJobs:
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
+
+        sizes: list = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        self.RecordingPool.sizes = []
+        monkeypatch.setattr(tuning, "ProcessPoolExecutor", self.RecordingPool)
+        return self.RecordingPool.sizes
+
+    def test_pool_never_outnumbers_payloads(self, pool_sizes):
+        assert tuning.map_jobs(abs, [-1, -2, -3], 64) == [1, 2, 3]
+        assert tuning.map_jobs(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert pool_sizes == [3, 2]
+
+    def test_single_payload_or_job_runs_in_process(self, pool_sizes):
+        assert tuning.map_jobs(abs, [-4], 64) == [4]
+        assert tuning.map_jobs(abs, [-1, -2], 1) == [1, 2]
+        assert tuning.map_jobs(abs, [], 8) == []
+        assert pool_sizes == []
+
+    def test_cv_pool_gets_one_worker_per_fold(self, pool_sizes):
+        train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
+        plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0), seed=1)
+        serial = cv_select_lambda(train, np.full(train.n, 0.4), TargetThreshold(0.3), plan, FASTER)
+        pooled = cv_select_lambda(
+            train, np.full(train.n, 0.4), TargetThreshold(0.3), plan, FASTER, jobs=64
+        )
+        assert pool_sizes == [3]
+        assert pooled == serial
 
 
 class TestFitPipeline:
