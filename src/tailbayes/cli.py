@@ -56,6 +56,16 @@ def _csv_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _thresholds(text: str) -> tuple[float, ...]:
     """Parse '0.1,0.2,...' or 'lo:hi:step' (inclusive endpoints)."""
     if ":" in text:
@@ -109,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--cv-burn-in", type=int)
     fit.add_argument("--prior-sd", type=float, default=100.0)
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    fit.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     fit.add_argument("--standardize", action="store_true", help="z-score covariates (recorded in the artifact)")
     fit.add_argument("--pi-u-file", help="external first-stage probabilities (skips the design split)")
     fit.add_argument("--rhat-chains", type=int, default=0, help="R-hat chains, final chain included: 0 or >= 2")
@@ -152,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--scale", type=float, default=1.0,
                      help="fraction of the full 20 repetitions per cell")
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    rep.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     rep.add_argument("--lambda-grid", type=_csv_floats, default=DEFAULT_LAMBDA_GRID)
     rep.add_argument("--n-list", type=_csv_floats)
     rep.add_argument("--q-list", type=_csv_floats)

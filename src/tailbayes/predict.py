@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError
 from .model_core import TargetThreshold
@@ -21,15 +20,25 @@ def predictive_mean_sd(covariates: np.ndarray, samples: PosteriorSamples) -> tup
     The mean is the average of the per-draw probabilities, never the
     probability at the average draw.
 
-    Rows are processed in chunks whose rows x draws float64 probability
-    matrix fits in ``CHUNK_BYTES``, so peak memory is a small multiple of
-    that budget whatever the number of rows.  The linear predictor is
-    summed one coefficient at a time with elementwise ufuncs (no BLAS
-    matrix product), and ``expit`` runs once per run of repeated draws
-    before the runs are expanded back to every draw.  Each row therefore
-    reduces the same values in the same order, so the result is a pure
-    function of the covariates and the draws: it does not depend on the
-    chunk size or on the number of BLAS threads.
+    A random-walk chain repeats its previous draw on every rejection, so
+    the draws form runs of equal values.  Each run is evaluated once and
+    weighted by its integer length: the mean is the length-weighted sum
+    of the run probabilities divided by the number of draws, and the sd
+    the square root of the length-weighted sum of their squared
+    deviations divided by the number of draws.  In exact arithmetic these
+    are the mean and population sd over every draw; since the weights are
+    exact, a mean never leaves [0, 1] and probabilities that are all 1.0
+    give a mean of exactly 1.0 and an sd of 0.0.  The logistic is
+    ``1 / (1 + exp(-z))`` in numpy, the formula of ``scipy.special.expit``.
+
+    Rows are processed in chunks of ``CHUNK_BYTES // (8 * n_draws)`` rows,
+    so peak memory is a small multiple of that budget whatever the number
+    of rows.  The linear predictor is summed one coefficient at a time
+    with elementwise ufuncs (no BLAS matrix product), and both reductions
+    are numpy's pairwise sums along each row.  Each row therefore reduces
+    the same values in the same order, so the result is a pure function of
+    the covariates and the draws: it does not depend on the chunk size or
+    on the number of BLAS threads.
     """
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != samples.dim:
@@ -37,21 +46,33 @@ def predictive_mean_sd(covariates: np.ndarray, samples: PosteriorSamples) -> tup
     if samples.n_draws < 1:
         raise DataError("posterior contains no draws")
     draws = samples.draws
-    # A random-walk chain repeats its previous draw on every rejection.
-    run_start = np.concatenate([[True], np.any(draws[1:] != draws[:-1], axis=1)])
-    run_of = np.cumsum(run_start) - 1
-    distinct = np.ascontiguousarray(draws[run_start].T)  # row j: coefficient j of each run
+    run_start = np.flatnonzero(np.concatenate([[True], np.any(draws[1:] != draws[:-1], axis=1)]))
+    run_len = np.diff(run_start, append=samples.n_draws).astype(np.float64)
+    neg_runs = -np.ascontiguousarray(draws[run_start].T)  # row j: minus coefficient j of each run
     chunk_rows = max(1, CHUNK_BYTES // (8 * samples.n_draws))
+    probs = np.empty((min(chunk_rows, x.shape[0]), run_start.size))
+    work = np.empty_like(probs)
     means = np.empty(x.shape[0])
     sds = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], chunk_rows):
         xc = x[lo : lo + chunk_rows]
-        z = xc[:, :1] * distinct[0]
+        p, w = probs[: xc.shape[0]], work[: xc.shape[0]]
+        np.multiply(xc[:, :1], neg_runs[0], out=p)  # p holds -z
         for j in range(1, samples.dim):
-            z += xc[:, j : j + 1] * distinct[j]
-        probs = expit(z, out=z).take(run_of, axis=1)
-        means[lo : lo + chunk_rows] = probs.mean(axis=1)
-        sds[lo : lo + chunk_rows] = probs.std(axis=1)
+            p += np.multiply(xc[:, j : j + 1], neg_runs[j], out=w)
+        # exp(-z) overflows to inf (probability exactly 0) or underflows
+        # to 0 (probability exactly 1) once |z| > ~709; deviations too
+        # small to square give 0, below the last digit of the sd.
+        with np.errstate(over="ignore", under="ignore"):
+            np.exp(p, out=p)
+            p += 1.0
+            np.reciprocal(p, out=p)
+            mean = np.multiply(p, run_len, out=w).sum(axis=1) / samples.n_draws
+            np.subtract(p, mean[:, None], out=w)
+            np.square(w, out=w)
+            w *= run_len
+        means[lo : lo + chunk_rows] = mean
+        sds[lo : lo + chunk_rows] = np.sqrt(w.sum(axis=1) / samples.n_draws)
     return means, sds
 
 

@@ -131,6 +131,14 @@ class TestFit:
         assert "--rhat-chains" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_jobs_below_one_is_usage_error(self, tmp_path, train_csv, capsys):
+        out = tmp_path / "m"
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", train_csv, "--t", 0.3, "--jobs", 0, "--out", out])
+        assert exc.value.code == 2
+        assert "--jobs: must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_external_pi_u(self, tmp_path, train_csv):
         pi_path = tmp_path / "pi.csv"
         pi_path.write_text("pi_u\n" + "\n".join(["0.3"] * 300) + "\n", encoding="utf-8")
@@ -400,6 +408,14 @@ class TestReproduceAndEssGrid:
                     "--psi-list", "0.1", *lists, "--out", out])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        with pytest.raises(SystemExit) as exc:
+            run(["reproduce", "--figure", "sim3-fig6", "--jobs", -4, "--out", out])
+        assert exc.value.code == 2
+        assert "--jobs: must be at least 1, got -4" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ess_grid_from_file(self, tmp_path):

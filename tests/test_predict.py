@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,26 @@ class TestPosteriorPredictive:
         plug_in = expit(draws.mean())
         assert abs(mean - plug_in) > 0.01
 
+    def test_saturated_linear_predictor_is_exact_and_silent(self):
+        # |z| near 800 overflows exp(-z) to inf or underflows it to 0
+        draws = np.array([[8.0], [8.0], [8.05], [7.9], [7.9]])
+        x = np.array([[100.0], [-100.0], [99.0], [-101.0]])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            means, sds = predictive_mean_sd(x, samples_from_draws(draws))
+        assert means.tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert sds.tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("run_lengths", [(1, 2, 3, 3, 1), (1,) * 6])
+    def test_probabilities_of_one_average_to_exactly_one(self, run_lengths):
+        # 1 + exp(-z) rounds to 1 once z > ~37; rounded length / S weights
+        # for these run lengths sum to 1 +- 1 ulp
+        draws = np.repeat(np.arange(1.0, 1.0 + len(run_lengths)), run_lengths)[:, None]
+        x = np.array([[45.0], [60.0]])
+        means, sds = predictive_mean_sd(x, samples_from_draws(draws))
+        assert means.tolist() == [1.0, 1.0]
+        assert sds.tolist() == [0.0, 0.0]
+
     def test_dimension_mismatch(self):
         s = samples_from_draws([[0.0, 0.0]])
         with pytest.raises(DataError):
@@ -98,10 +119,17 @@ def _repeated_ends(rng):
     return distinct[[0, 0, 0, 1, 2, 2, 3, 4, 5, 5, 5, 6, 7, 8, 9, 9, 10, 11, 11, 11]]
 
 
+def _non_adjacent_repeats(rng):
+    """Draw A recurs after other draws (A, B, A, A, C, A), so runs are not distinct values."""
+    a, b, c = rng.standard_normal((3, 3))
+    return np.array([a, b, a, a, c, a])
+
+
 DRAW_KINDS = {
     "all_distinct": lambda rng: rng.standard_normal((20, 3)),
     "all_equal": lambda rng: np.tile(rng.standard_normal(3), (20, 1)),
     "repeated_ends": _repeated_ends,
+    "non_adjacent_repeats": _non_adjacent_repeats,
 }
 
 

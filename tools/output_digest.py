@@ -63,6 +63,9 @@ RUNS = [
                      "--out", "predict_std.csv"]),
     ("predict_zero", ["predict", "--model", "fit_zero", "--data", "test_a.csv",
                       "--out", "predict_zero.csv"]),
+    # unstandardised covariates near +-1e3: the linear predictor saturates the logistic
+    ("predict_saturated", ["predict", "--model", "fit_zero", "--data", "saturated.csv",
+                           "--out", "predict_saturated.csv"]),
     ("evaluate_models", ["evaluate", "--model-a", "fit_std", "--model-b", "fit_zero",
                          "--data", "test_a.csv", "--data", "test_b.csv",
                          "--thresholds", "0.2,0.3", "--out", "evaluate_models"]),
@@ -97,6 +100,13 @@ def write_pi_u(path: Path, n: int = 300) -> None:
     path.write_text("pi_u\n" + "".join(f"{v!r}\n" for v in values), encoding="utf-8")
 
 
+def write_saturated(path: Path) -> None:
+    """Rows for the ``x1,x2`` schema of ``train.csv`` with covariates of about +-1e3."""
+    values = (-1000.0, -750.0, 0.0, 750.0, 1000.0)
+    rows = [f"{a!r},{b!r}\n" for a in values for b in values]
+    path.write_text("x1,x2\n" + "".join(rows), encoding="utf-8")
+
+
 def copy_with_standardize(work: Path, name: str) -> None:
     shutil.copytree(work / "fit_std", work / name)
     path = work / name / "manifest.json"
@@ -110,6 +120,7 @@ def run_all(src: Path, work: Path) -> None:
     logs = work / "_logs"
     logs.mkdir()
     write_pi_u(work / "pi_u.csv")
+    write_saturated(work / "saturated.csv")
     for name, argv in RUNS:
         if name.startswith("copy:"):
             copy_with_standardize(work, name[len("copy:"):])
