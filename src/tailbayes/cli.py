@@ -194,8 +194,12 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         if not prefixed:
             return argv
         path = prefixed[0].split("=", 1)[1]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     flags: list[str] = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -210,6 +214,15 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             flags.extend([flag, value])
     # config values go first so explicit flags win
     return argv[:1] + flags + argv[1:]
+
+
+def _out_dir(path) -> Path:
+    """The ``--out`` directory; ConfigError if it, or its nearest existing ancestor, is not a directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {path}: {existing} exists and is not a directory")
+    return out
 
 
 def _distance_from_args(args) -> DistanceFunction:
@@ -236,6 +249,8 @@ def cmd_fit(args) -> int:
             f"--rhat-chains counts the final chain, so it must be 0 or at least 2, got {args.rhat_chains}"
         )
     threshold, utilities = _resolve_threshold(args)
+    distance = _distance_from_args(args)
+    out = _out_dir(args.out)
     raw_x, y, names, _ = dataio.read_dataset_csv(args.data, args.outcome_col)
 
     standardizer = None
@@ -270,7 +285,7 @@ def cmd_fit(args) -> int:
         lambda_grid=args.lambda_grid,
         k_folds=args.k_folds,
         design_fraction=args.design_fraction,
-        distance=_distance_from_args(args),
+        distance=distance,
         sampler_config=sampler_config,
         cv_sampler_config=cv_config,
         prior=prior,
@@ -348,7 +363,6 @@ def cmd_fit(args) -> int:
         "rhat": rhat,
     }
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_manifest(out / "manifest.json", manifest)
     dataio.write_draws_csv(out / "draws.csv", coefficient_names, model.samples.draws)
@@ -450,6 +464,7 @@ def cmd_evaluate(args) -> int:
     model_mode = args.model_a is not None
     if scored_mode == model_mode:
         raise ConfigError("supply either --scored-a files or --model-a with --data")
+    out = _out_dir(args.out)
     if model_mode:
         if not args.data:
             raise ConfigError("--model-a needs at least one --data file")
@@ -487,7 +502,6 @@ def cmd_evaluate(args) -> int:
                 )
                 nb_values[-1][i].append(report.net_benefit)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_rows(out / "nb.csv", ["threshold", "model", "split", "tp", "fp", "n", "nb"], nb_rows)
     written = [out / "nb.csv"]
@@ -534,6 +548,7 @@ def cmd_simulate(args) -> int:
 def cmd_reproduce(args) -> int:
     if args.n_list and not all(v.is_integer() for v in args.n_list):
         raise ConfigError(f"--n-list values must be whole numbers, got {list(args.n_list)}")
+    out = _out_dir(args.out)
     overrides = {
         "n": tuple(int(v) for v in args.n_list) if args.n_list else None,
         "q": args.q_list,
@@ -549,7 +564,6 @@ def cmd_reproduce(args) -> int:
         lambda_grid=args.lambda_grid,
         overrides={k: v for k, v in overrides.items() if v},
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     raw = result["raw"]

@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import ConfigError, DataError, RecalibrationError
-from .model_core import TargetThreshold
+from .model_core import TargetThreshold, expit, logit
 from .predict import positive_mask
 
 __all__ = [

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, DataError
 
@@ -28,6 +27,8 @@ __all__ = [
     "GaussianPrior",
     "target_threshold",
     "threshold_band_for_benefit",
+    "expit",
+    "logit",
     "linear_predictor",
     "compute_weights",
     "tailored_log_likelihood",
@@ -166,7 +167,7 @@ class DistanceFunction:
     def __post_init__(self):
         if self.kind not in ("squared", "epsilon_insensitive"):
             raise ConfigError(f"unknown distance kind: {self.kind!r}")
-        if self.epsilon < 0.0:
+        if not (self.epsilon >= 0.0):
             raise ConfigError("epsilon must be >= 0")
         if self.kind == "squared" and self.epsilon != 0.0:
             raise ConfigError("squared distance takes no epsilon parameter")
@@ -282,6 +283,32 @@ def _check_beta(beta, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(b)):
         raise DataError("coefficient vector contains non-finite values")
     return b
+
+
+def expit(z):
+    """The logistic function 1 / (1 + exp(-z)), elementwise.
+
+    exp(-z) overflows to inf below z of about -709, giving exactly 0.0,
+    and underflows to 0 above about 745, giving exactly 1.0; neither warns.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
+
+
+def logit(p):
+    """The inverse of :func:`expit`, log(p / (1 - p)), elementwise.
+
+    On [0.3, 0.65] it is log1p(2p - 1) - log1p(1 - 2p) instead, since
+    2p - 1 is exact there while 1 - p can round: near p = 0.5, where the
+    logit is near 0, log(p / (1 - p)) can be off by half its value.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return np.where(
+            (p >= 0.3) & (p <= 0.65),
+            np.log1p(2.0 * p - 1.0) - np.log1p(1.0 - 2.0 * p),
+            np.log(p / (1.0 - p)),
+        )
 
 
 def linear_predictor(data: Dataset, beta) -> np.ndarray:

@@ -29,7 +29,8 @@ def predictive_mean_sd(covariates: np.ndarray, samples: PosteriorSamples) -> tup
     are the mean and population sd over every draw; since the weights are
     exact, a mean never leaves [0, 1] and probabilities that are all 1.0
     give a mean of exactly 1.0 and an sd of 0.0.  The logistic is
-    ``1 / (1 + exp(-z))`` in numpy, the formula of ``scipy.special.expit``.
+    ``1 / (1 + exp(-z))``, the formula of :func:`model_core.expit`, computed
+    in place.
 
     Rows are processed in chunks of ``CHUNK_BYTES // (8 * n_draws)`` rows,
     so peak memory is a small multiple of that budget whatever the number

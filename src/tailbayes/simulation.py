@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError
 from .evaluation import NetBenefitReport, net_benefit
-from .model_core import Dataset, TargetThreshold
+from .model_core import Dataset, TargetThreshold, expit
 
 __all__ = [
     "Sim1Config",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from tailbayes import dataio
+from tailbayes import cli, dataio
 from tailbayes.cli import main
 
 FIT_SPEED = ["--iterations", "1500", "--burn-in", "600", "--cv-iterations", "800", "--cv-burn-in", "300"]
@@ -137,6 +137,18 @@ class TestFit:
             run(["fit", train_csv, "--t", 0.3, "--jobs", 0, "--out", out])
         assert exc.value.code == 2
         assert "--jobs: must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, train_csv, capsys, problem):
+        cfg = tmp_path / "fit.cfg"
+        if problem == "directory":
+            cfg.mkdir()
+        elif problem == "not-utf8":
+            cfg.write_bytes(b"t = 0.3\nseed = \xff\n")
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg}: ")
         assert not out.exists()
 
     def test_external_pi_u(self, tmp_path, train_csv):
@@ -430,6 +442,48 @@ class TestReproduceAndEssGrid:
         assert float(rows[0][2]) == 1.0
         fractions = [float(r[2]) for r in rows]
         assert fractions[0] > fractions[1] > fractions[2]
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("a usage error must be raised before any fit")
+
+
+@pytest.mark.parametrize("command", ["fit", "ess-grid"])
+def test_nan_epsilon_is_usage_error_before_any_fit(tmp_path, train_csv, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "fit_pipeline", _no_fit)
+    out = tmp_path / "out"
+    if command == "fit":
+        args = ["fit", train_csv, "--t", 0.3, "--jobs", 1, *FIT_SPEED]
+    else:
+        pi = tmp_path / "pi.csv"
+        pi.write_text("pi_u\n0.1\n0.4\n", encoding="utf-8")
+        args = ["ess-grid", "--pi-u-file", pi, "--t", 0.3]
+    assert run([*args, "--distance", "epsilon-insensitive", "--epsilon", "nan", "--out", out]) == 2
+    assert "epsilon must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-under-file", "evaluate", "reproduce"])
+def test_out_that_is_a_file_is_usage_error_before_any_work(tmp_path, train_csv, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "fit_pipeline", _no_fit)
+    monkeypatch.setattr(cli, "reproduce_figure", _no_fit)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    scored = tmp_path / "scored.csv"
+    scored.write_text("prob,y\n0.4,1\n0.2,0\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    out = taken / "sub" if command == "fit-under-file" else taken
+    if command.startswith("fit"):
+        args = ["fit", train_csv, "--t", 0.3, "--jobs", 1, *FIT_SPEED]
+    elif command == "evaluate":
+        args = ["evaluate", "--scored-a", scored, "--thresholds", 0.3]
+    else:
+        args = ["reproduce", "--figure", "sim3-fig6", "--scale", 0.1, "--jobs", 1, "--n-list", "200",
+                "--psi-list", "0.1", "--t-list", "0.3", "--lambda-grid", "0,10"]
+    assert run([*args, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: {taken} exists and is not a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate", "ess-grid"])

@@ -1,9 +1,16 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
+import tailbayes
 from tailbayes.errors import ConfigError, DataError
 from tailbayes.model_core import (
     Dataset,
@@ -14,10 +21,12 @@ from tailbayes.model_core import (
     UtilitySpec,
     compute_weights,
     effective_sample_size,
+    expit,
     linear_predictor,
     log_posterior_gradient,
     log_posterior_unnormalized,
     log_prior,
+    logit,
     make_log_posterior,
     tailored_log_likelihood,
     target_threshold,
@@ -372,6 +381,40 @@ class TestDistanceFunction:
         with pytest.raises(ConfigError):
             DistanceFunction.epsilon_insensitive(-0.1)
 
+    def test_nan_epsilon_rejected(self):
+        # nan < 0 is False, so the check must be written as not (epsilon >= 0)
+        with pytest.raises(ConfigError, match="epsilon must be >= 0"):
+            DistanceFunction.epsilon_insensitive(math.nan)
+
     def test_epsilon_zero_is_absolute_distance(self):
         dist = DistanceFunction.epsilon_insensitive(0.0)
         np.testing.assert_allclose(dist(np.array([0.2, 0.8]), 0.5), [0.3, 0.3])
+
+
+class TestLogistic:
+    def test_expit_matches_scipy(self):
+        z = np.linspace(-800.0, 800.0, 200_001)
+        np.testing.assert_allclose(expit(z), scipy.special.expit(z), rtol=1e-15)
+
+    def test_logit_matches_scipy(self):
+        # one ulp either side of 0.5, log(p / (1 - p)) is off by half the logit's value
+        near_half = [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]
+        p = np.concatenate([np.linspace(0.0, 1.0, 200_001)[1:-1], near_half])
+        np.testing.assert_allclose(logit(p), scipy.special.logit(p), rtol=1e-15)
+
+    def test_expit_saturates_exactly_and_silently(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert expit(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
+            assert expit(-800.0) == 0.0 and expit(800.0) == 1.0
+
+    def test_package_imports_no_scipy(self):
+        # scipy is a test dependency only; importing it would add ~0.2 s to every CLI process
+        code = (
+            "import sys, tailbayes, tailbayes.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tailbayes.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

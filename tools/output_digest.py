@@ -88,6 +88,16 @@ RUNS = [
                                 "--out", "reproduce_fractional_n"]),
     ("ess_grid", ["ess-grid", "--pi-u-file", "pi_u.csv", "--t", "0.3", "--lambda-grid", "0,5,50,200",
                   "--out", "ess_grid.csv"]),
+    ("ess_grid_nan_epsilon", ["ess-grid", "--pi-u-file", "pi_u.csv", "--t", "0.3",
+                              "--distance", "epsilon-insensitive", "--epsilon", "nan",
+                              "--out", "ess_grid_nan_epsilon"]),
+    ("fit_nan_epsilon", ["fit", "train.csv", "--t", "0.3", "--distance", "epsilon-insensitive",
+                         "--epsilon", "nan", "--lambda-grid", "0,10", "--jobs", "1", "--seed", "13",
+                         "--out", "fit_nan_epsilon", *FAST]),
+    # a directory as the config file, and an existing file (train.csv, hashed below) as --out
+    ("fit_config_dir", ["fit", "train.csv", "--config", "fit_zero", "--out", "fit_config_dir"]),
+    ("fit_out_file", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--seed", "12",
+                      "--out", "train.csv", *FAST]),
     *[(f"copy:{name}", []) for name in MALFORMED_STANDARDIZE],
     *[(f"predict_{name}", ["predict", "--model", name, "--data", "test_a.csv",
                            "--out", f"predict_{name}.csv"]) for name in MALFORMED_STANDARDIZE],
