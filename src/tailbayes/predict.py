@@ -10,8 +10,11 @@ from .sampler import PosteriorSamples
 
 __all__ = ["predictive_mean_sd", "positive_mask"]
 
-# Byte budget of one row chunk's rows x draws probability matrix.
-CHUNK_BYTES = 32 * 2**20
+# Byte budget of one row chunk's rows x draws probability matrix.  The
+# two buffers hold rows x runs, a data-dependent share of it, so a small
+# budget keeps peak memory nearly the same whatever the chain's
+# acceptance; chunks of 1-2 MiB also stay in cache.
+CHUNK_BYTES = 2 * 2**20
 
 
 def predictive_mean_sd(covariates: np.ndarray, samples: PosteriorSamples) -> tuple[np.ndarray, np.ndarray]:
