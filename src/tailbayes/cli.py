@@ -225,6 +225,15 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _out_file(*paths) -> None:
+    """ConfigError unless each path can be written as a file: not a directory, in an existing directory."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise ConfigError(f"--out {path} is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"--out {path}: {path.parent} is not an existing directory")
+
+
 def _distance_from_args(args) -> DistanceFunction:
     if args.distance == "squared":
         return DistanceFunction.squared()
@@ -448,6 +457,7 @@ def _read_labelled(data_path, covariate_names, outcome_col) -> tuple[np.ndarray,
 
 
 def cmd_predict(args) -> int:
+    _out_file(args.out)
     threshold, means, sds, ids = _score_artifact(args.model, args.data, dataio.read_covariates_csv)
     labels = np.where(positive_mask(means, threshold), "positive", "negative")
     dataio.write_rows(
@@ -517,6 +527,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _out_file(args.out, str(args.out) + ".meta.json")
     if args.study == "sim1":
         config = Sim1Config(n=args.n, q=args.q, seed=args.seed)
         data, oracle = generate_sim1(config)
@@ -605,6 +616,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_ess_grid(args) -> int:
+    _out_file(args.out)
     pi_u = dataio.read_pi_u_csv(args.pi_u_file)
     rows = ess_grid(pi_u, TargetThreshold(args.t), args.lambda_grid, _distance_from_args(args))
     dataio.write_ess_table(args.out, rows)

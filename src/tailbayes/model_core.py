@@ -6,7 +6,7 @@ implied by the misclassification utilities, ``pi_u_i`` is a first-stage
 probability estimate for row ``i`` and ``h`` is a distance function.
 Everything in this module is a pure function of immutable inputs and is
 safe to call concurrently, except the callable that
-:func:`make_log_posterior` returns, which reuses its buffers.
+:func:`make_log_posterior` returns, which reuses its buffer.
 """
 
 from __future__ import annotations
@@ -327,19 +327,35 @@ def compute_weights(config: TailoringConfig) -> np.ndarray:
     return np.exp(-config.lam * h)
 
 
-def _softplus(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """log(1 + e^z) without overflow, via max(z, 0) + log1p(e^-|z|), into optional buffers shaped like z."""
-    out = np.abs(z, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(z, 0.0, out=scratch)
-    return out
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) without overflow, via max(z, 0) + log1p(e^-|z|)."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _weighted_log_likelihood(z: np.ndarray, w: np.ndarray, wy: np.ndarray, out=None, scratch=None):
-    """sum_i w_i * (y_i z_i - log(1 + e^z_i)) along the last axis, given wy = w * y."""
-    return np.vecdot(wy, z) - np.vecdot(w, _softplus(z, out, scratch))
+def _signed_design(data: Dataset) -> np.ndarray:
+    """The transposed design with column i times s_i = 1 - 2 y_i, so that ``b @ xs`` is s * z."""
+    return np.ascontiguousarray(data.covariates.T * (1.0 - 2.0 * data.outcomes))
+
+
+def _weighted_loss(b: np.ndarray, xs: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """sum_i w_i log(1 + e^(s_i z_i)), the negated weighted log-likelihood, for each row of ``b``.
+
+    ``xs`` comes from :func:`_signed_design` and ``w`` is a (C, n) weight
+    matrix; row r of the (k, d) ``b`` is under weight row r mod C.  A
+    datapoint contributes y z - log(1 + e^z) = -log(1 + e^(s z)) to the
+    log-likelihood, so each row is one ``matmul``, ``exp``, ``log1p`` and
+    ``vecdot``.  A row whose sum is non-finite (exp overflowed at some
+    s z above about 709) is recomputed alone through the overflow-free
+    :func:`_softplus`.  ``out`` is an optional (k, n) buffer.
+    """
+    e = np.matmul(b, xs, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    loss = np.vecdot(np.log1p(e, out=e).reshape(-1, *w.shape), w).reshape(-1)
+    if not math.isfinite(np.add.reduce(loss)):
+        for r in np.flatnonzero(~np.isfinite(loss)):
+            loss[r] = np.vecdot(w[r % len(w)], _softplus(b[r] @ xs))
+    return loss
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -352,13 +368,14 @@ def _check_weights(weights, n: int) -> np.ndarray:
 def tailored_log_likelihood(data: Dataset, beta, weights) -> float:
     """Weighted logistic log-likelihood sum_i w_i * l_i(beta).
 
-    Computed through log1p-based softplus so it stays finite for linear
-    predictors up to |z| ~ 700.  With all weights 1 this is exactly the
-    standard logistic log-likelihood.
+    Computed by the kernel of :func:`make_log_posterior`
+    (:func:`_weighted_loss`), whose overflow-free fallback keeps it
+    finite for any finite linear predictor.  With all weights 1 this is
+    exactly the standard logistic log-likelihood.
     """
     w = _check_weights(weights, data.n)
-    z = linear_predictor(data, beta)
-    value = float(_weighted_log_likelihood(z, w, w * data.outcomes))
+    b = _check_beta(beta, data.n_coefficients)
+    value = -float(_weighted_loss(b[None], _signed_design(data), w[None])[0])
     if not math.isfinite(value):
         raise DataError("log-likelihood is non-finite; inputs out of numeric range")
     return value
@@ -399,31 +416,35 @@ def effective_sample_size(weights) -> float:
 def make_log_posterior(data: Dataset, weights, prior: GaussianPrior):
     """Bind data, weights and prior into a callable beta -> log-posterior.
 
-    With one weight per row the callable maps a (d,) vector to a float;
-    with a (C, n) weight matrix it maps a (C, d) array to C values, row c
-    under weight row c, through one BLAS product ``B @ x.T``.  That product
-    may round a row differently for different C, so values can differ
-    between batch sizes in the last bits.  The callable reuses its C x n
-    buffers, so it must not run in two threads at once.
+    With one weight per row the callable maps a (d,) vector to a float.
+    With a (C, n) weight matrix it maps an (m * C, d) array to m * C
+    values, row r under weight row r mod C, through one BLAS product
+    ``B @ xs`` with the outcome signs folded into ``xs``
+    (:func:`_weighted_loss`).  That product may round a row differently
+    for different batch shapes, so a row's value can depend on the
+    shape of its batch in the last bits.  The callable reuses its
+    buffer, so it must not run in two threads at once.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim < 2:
         w = _check_weights(w, data.n)[None, :]
     if w.ndim != 2 or w.shape[1] != data.n:
         raise DataError(f"a weight matrix of shape {w.shape} does not fit {data.n} rows")
-    xt = np.ascontiguousarray(data.covariates.T)
-    wy = w * data.outcomes
+    xs = _signed_design(data)
     mu, sd = prior.means, prior.sds
-    if mu.shape[0] != xt.shape[0]:
+    if mu.shape[0] != xs.shape[0]:
         raise DataError("prior dimension does not match the design matrix")
     log_norm = -float(np.sum(np.log(sd)) + 0.5 * mu.size * math.log(2.0 * math.pi))
-    z, out, scratch = np.empty((3,) + w.shape)
+    buffer = np.empty(w.shape)
 
     def logpost(beta: np.ndarray):
+        nonlocal buffer
         b = np.asarray(beta).reshape(-1, mu.size)
+        if len(b) > len(buffer):
+            buffer = np.empty((len(b), data.n))
         zp = (b - mu) / sd
-        lik = _weighted_log_likelihood(np.matmul(b, xt, out=z), w, wy, out, scratch)
-        value = lik - 0.5 * np.vecdot(zp, zp) + log_norm
+        loss = _weighted_loss(b, xs, w, buffer[: len(b)])
+        value = log_norm - (loss + 0.5 * np.vecdot(zp, zp))
         return float(value[0]) if np.ndim(beta) == 1 else value
 
     return logpost

@@ -8,7 +8,8 @@ so the retained chain is a valid Markov chain.
 :func:`run_mh` can advance C chains that share one seed as a single
 batch: one (C, d) state, one log-posterior call per iteration, and one
 random stream whose draws every chain uses.  A single chain is the
-C = 1 case of that loop.
+C = 1 case of that loop, and it evaluates up to four iterations per
+call: the proposals a run of rejections would make, prefetched.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ TARGET_ACCEPTANCE = 0.24
 SD_MIN = 1e-8
 SD_MAX = 1e3
 MCSE_BATCHES = 50
+PREFETCH = 4  # iterations a single chain proposes per log-posterior call
 
 
 @dataclass(frozen=True)
@@ -148,30 +150,42 @@ def run_mh(
     vector to a float, the result is a :class:`PosteriorSamples`, and a
     non-finite value at the start point raises SamplerError.  With
     ``dim = (C, d)`` it runs C chains as one batch: ``log_posterior`` maps
-    a (C, d) array to C values, and the result is a :class:`ChainBatch`.
-    A batched chain whose start point is non-finite gets a SamplerError
-    in its slot and the other chains run on.
+    an (m * C, d) array to m * C values, row r a proposal for chain
+    r mod C, and the result is a :class:`ChainBatch`.  A batched chain
+    whose start point is non-finite gets a SamplerError in its slot and
+    the other chains run on.
 
-    A single chain is the C = 1 case.  The chains of a batch share the
-    random stream seeded by ``config.rng_seed``: each iteration draws one
-    ``standard_normal(d)`` and one ``random()`` for all of them, and only
-    each chain's adapted proposal sd and its accept test differ.  So chain
-    c is the chain a single run with the same config gives on chain c's
-    log-posterior, as long as both evaluations return the same values
+    The chains of a batch share the random stream seeded by
+    ``config.rng_seed``: each iteration draws one ``standard_normal(d)``
+    and one ``random()`` for all of them, and only each chain's adapted
+    proposal sd and its accept test differ.  So chain c is the chain a
+    single run with the same config gives on chain c's log-posterior, as
+    long as both evaluations return the same values
     (:func:`~tailbayes.model_core.make_log_posterior` may differ between
-    batch sizes in the last bits).  Proposals with a non-finite
+    batch shapes in the last bits).  Proposals with a non-finite
     log-posterior are rejected (and counted).
+
+    A batch of C = 1 prefetches: it makes the proposals of its next
+    ``PREFETCH`` iterations from the current state, as a run of
+    rejections would, and evaluates them in one call (m = 4).  The chain
+    takes the iterations up to and including the first accept and
+    proposes the rest again from the new state; a block never spans an
+    adaptation step.  So the chain, and the random stream it uses, are
+    those of one proposal per call.  Batches of C >= 2 chains, and the
+    ``dim = d`` path, evaluate one iteration per call (m = 1).  The
+    stream is drawn ahead one adaptation batch (50 iterations) at a time.
     """
     if isinstance(dim, tuple):
         n_chains, dim = dim
-        return ChainBatch(tuple(_run_chains(log_posterior, n_chains, dim, config)))
-    (chain,) = _run_chains(lambda b: np.array([log_posterior(b[0])]), 1, dim, config)
+        block = PREFETCH if n_chains == 1 else 1
+        return ChainBatch(tuple(_run_chains(log_posterior, n_chains, dim, config, block)))
+    (chain,) = _run_chains(lambda b: np.array([log_posterior(b[0])]), 1, dim, config, 1)
     if isinstance(chain, SamplerError):
         raise chain
     return chain
 
 
-def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig) -> list:
+def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, block: int) -> list:
     rng = np.random.default_rng(int(config.rng_seed))
     start = (
         np.zeros(dim)
@@ -191,39 +205,75 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig) -
     n_retained = (n_iter - burn_in) // thin
     draws = np.empty((n_retained, n_chains, dim))
     lp_trace = np.empty((n_retained, n_chains))
-    proposed_lp = np.empty((n_iter, n_chains))
-    accepts = np.empty((n_iter, n_chains), dtype=bool)
+    kept_accepts = np.empty((n_retained, n_chains), dtype=bool)
+    # One adaptation batch of the stream and of its outcomes at a time, one
+    # row per iteration and chain (row r is iteration r // C, chain r % C).
+    normals = np.empty((ADAPT_BATCH_SIZE, dim))
+    uniforms = np.empty(ADAPT_BATCH_SIZE)
+    steps = np.empty((ADAPT_BATCH_SIZE, n_chains, dim))
+    proposed_lp = np.empty(ADAPT_BATCH_SIZE * n_chains)
+    accepts = np.empty(ADAPT_BATCH_SIZE * n_chains, dtype=bool)
+    post_accepts = np.zeros(n_chains, dtype=np.int64)
+    n_nonfinite = np.zeros(n_chains, dtype=np.int64)
     sd = np.full(n_chains, float(config.initial_sd))
-    sd_column = sd[:, None]  # a view: adapting sd in place rescales the proposals
     sd_steps, sd_trace = [], []
-    keep = 0
+    span = block * n_chains
+    keep, next_keep = 0, burn_in + thin - 1  # the next retained iteration
 
-    for i in range(n_iter):
-        proposal = beta + sd_column * rng.standard_normal(dim)
-        log_u = math.log(rng.random())
-        proposed_lp[i] = prop_lp = log_posterior(proposal)
-        accept = np.less(log_u, prop_lp - current_lp, out=accepts[i])
-        if np.count_nonzero(accept):
-            accept &= np.isfinite(prop_lp)  # a +inf proposal passes the test above
-            np.copyto(beta, proposal, where=accept[:, None])
-            np.copyto(current_lp, prop_lp, where=accept)
+    for first in range(0, n_iter, ADAPT_BATCH_SIZE):
+        size = min(ADAPT_BATCH_SIZE, n_iter - first)
+        for r in range(size):
+            normals[r] = rng.standard_normal(dim)
+            uniforms[r] = math.log(rng.random())
+        rows = size * n_chains
+        flat_steps = np.multiply(sd[:, None], normals[:size, None], out=steps[:size]).reshape(rows, dim)
+        log_u = np.repeat(uniforms[:size], n_chains)
+        keep0, next_keep0 = keep, next_keep
+        a = 0
+        while a < rows:
+            # One block: rows a .. b - 1, every one proposed from the current state.
+            b = min(a + span, rows)
+            proposal = beta + flat_steps[a:b]
+            lp = log_posterior(proposal)
+            proposed_lp[a:b] = lp
+            accept = np.less(log_u[a:b], lp - current_lp, out=accepts[a:b])
+            moved = np.count_nonzero(accept)
+            if moved:
+                accept &= np.isfinite(lp)  # a +inf proposal passes the test above
+                if b - a > n_chains:  # several iterations: take those up to the first accept
+                    k = int(accept.argmax()) // n_chains * n_chains
+                    last = slice(k, k + n_chains)
+                    b = a + last.stop
+                    proposal, lp, accept = proposal[last], lp[last], accept[last]
+            end = first + b // n_chains  # the block took iterations up to end - 1
+            if next_keep < end - 1:  # retained before the block's last iteration: the old state
+                n_old = -(-(end - 1 - next_keep) // thin)
+                draws[keep : keep + n_old] = beta
+                lp_trace[keep : keep + n_old] = current_lp
+                keep += n_old
+                next_keep += n_old * thin
+            if moved:
+                np.copyto(beta, proposal, where=accept[:, None])
+                np.copyto(current_lp, lp, where=accept)
+            if next_keep == end - 1:
+                draws[keep] = beta
+                lp_trace[keep] = current_lp
+                keep += 1
+                next_keep += thin
+            a = b
 
-        if i < burn_in:
-            if (i + 1) % ADAPT_BATCH_SIZE == 0:
-                batch_accepts = accepts[i + 1 - ADAPT_BATCH_SIZE : i + 1].sum(axis=0)
-                batch_index = len(sd_steps) + 1
-                for c in range(n_chains):
-                    sd[c] = adapt_proposal_sd(sd[c], batch_accepts[c] / ADAPT_BATCH_SIZE, batch_index)
-                sd_steps.append(i + 1)
-                sd_trace.append(sd.copy())
-        elif (i - burn_in) % thin == thin - 1 and keep < n_retained:
-            draws[keep] = beta
-            lp_trace[keep] = current_lp
-            keep += 1
+        taken = accepts[:rows].reshape(size, n_chains)
+        n_nonfinite += size - np.count_nonzero(np.isfinite(proposed_lp[:rows].reshape(size, n_chains)), axis=0)
+        if first + size <= burn_in:
+            batch_index = len(sd_steps) + 1
+            for c, batch_accepts in enumerate(taken.sum(axis=0)):
+                sd[c] = adapt_proposal_sd(sd[c], batch_accepts / ADAPT_BATCH_SIZE, batch_index)
+            sd_steps.append(first + size)
+            sd_trace.append(sd.copy())
+        else:
+            post_accepts += taken[max(burn_in - first, 0) :].sum(axis=0)
+            kept_accepts[keep0:keep] = taken[next_keep0 - first :: thin][: keep - keep0]
 
-    post_accepts = accepts[burn_in:].sum(axis=0)
-    n_nonfinite = (~np.isfinite(proposed_lp)).sum(axis=0)
-    retained_accepts = accepts[burn_in + thin - 1 :: thin][:n_retained]
     sd_history = np.array(sd_trace, dtype=np.float64).reshape(-1, n_chains)
     chains = []
     for c in range(n_chains):
@@ -237,7 +287,7 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig) -
                 final_proposal_sd=float(sd[c]),
                 rng_seed=int(config.rng_seed),
                 log_posterior_trace=np.ascontiguousarray(lp_trace[:, c]),
-                accepted=np.ascontiguousarray(retained_accepts[:, c]),
+                accepted=np.ascontiguousarray(kept_accepts[:, c]),
                 proposal_sd_trace=np.column_stack([sd_steps, sd_history[:, c]]).reshape(-1, 2),
                 n_nonfinite_proposals=int(n_nonfinite[c]),
             )

@@ -486,6 +486,43 @@ def test_out_that_is_a_file_is_usage_error_before_any_work(tmp_path, train_csv, 
     assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        ("predict", "directory"),
+        ("predict", "missing-parent"),
+        ("simulate", "directory"),
+        ("simulate", "meta-directory"),
+        ("simulate", "missing-parent"),
+        ("ess-grid", "directory"),
+        ("ess-grid", "missing-parent"),
+    ],
+)
+def test_unwritable_out_file_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, case):
+    for work in ("_score_artifact", "generate_sim1", "ess_grid"):
+        monkeypatch.setattr(cli, work, _no_fit)
+    pi = tmp_path / "pi.csv"
+    pi.write_text("pi_u\n0.1\n0.4\n", encoding="utf-8")
+    out = tmp_path / ("nodir/out.csv" if case == "missing-parent" else "out.csv")
+    bad = tmp_path / "out.csv.meta.json" if case == "meta-directory" else out
+    if case != "missing-parent":
+        bad.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    if command == "predict":
+        args = ["predict", "--model", tmp_path / "model", "--data", pi]
+    elif command == "simulate":
+        args = ["simulate", "--study", "sim1", "--n", 50, "--seed", 1]
+    else:
+        args = ["ess-grid", "--pi-u-file", pi, "--t", 0.3]
+    assert run([*args, "--out", out]) == 2
+    if case == "missing-parent":
+        expected = f"error: --out {out}: {out.parent} is not an existing directory\n"
+    else:
+        expected = f"error: --out {bad} is a directory\n"
+    assert capsys.readouterr().err == expected
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate", "ess-grid"])
 def test_non_finite_input_number_is_data_error(tmp_path, train_csv, command):
     bad = tmp_path / "bad.csv"

@@ -327,6 +327,46 @@ class TestLogPosterior:
         )
 
 
+class TestLikelihoodKernel:
+    """Small integers and halves keep every linear predictor exact in any summation order."""
+
+    DATA = Dataset.from_raw([[-3.0, 2.0], [1.0, 0.0], [2.0, -1.0], [0.0, 3.0]], [0, 1, 1, 0])
+    PRIOR = GaussianPrior.vague(3)
+    WEIGHTS = np.array([1.0, 0.5, 0.25, 2.0])
+    # Row 1 puts z = 901 on the first datapoint, whose y = 0: s * z = 901 overflows exp.
+    BETAS = np.array([[0.5, -1.0, 0.25], [1.0, -300.0, 0.0], [-0.5, 0.0, 1.5]])
+
+    def softplus_value(self, beta):
+        sz = (1.0 - 2.0 * self.DATA.outcomes) * (self.DATA.covariates @ beta)
+        return -float(np.sum(self.WEIGHTS * np.logaddexp(0.0, sz)))
+
+    def test_overflowing_row_falls_back_to_softplus(self):
+        logpost = make_log_posterior(self.DATA, self.WEIGHTS[None, :], self.PRIOR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = logpost(self.BETAS)
+            alone = [logpost(beta) for beta in self.BETAS]
+        expected = self.softplus_value(self.BETAS[1]) + log_prior(self.BETAS[1], self.PRIOR)
+        np.testing.assert_allclose(values[1], expected, rtol=1e-14)
+        assert values[0] == alone[0] and values[2] == alone[2]
+        np.testing.assert_allclose(alone[1], expected, rtol=1e-14)
+
+    def test_tailored_log_likelihood_falls_back_to_softplus(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = tailored_log_likelihood(self.DATA, self.BETAS[1], self.WEIGHTS)
+        np.testing.assert_allclose(value, self.softplus_value(self.BETAS[1]), rtol=1e-14)
+
+    def test_batch_rows_cycle_through_weight_rows(self):
+        """With C weight rows, row r of an (m * C, d) batch is under weight row r mod C."""
+        weights = np.stack([self.WEIGHTS, self.WEIGHTS[::-1]])
+        batch = np.concatenate([self.BETAS[[0, 2]], self.BETAS[[2, 0]]])
+        values = make_log_posterior(self.DATA, weights, self.PRIOR)(batch)
+        for r, beta in enumerate(batch):
+            alone = make_log_posterior(self.DATA, weights[r % 2], self.PRIOR)(beta)
+            assert values[r] == alone
+
+
 class TestGradient:
     def test_matches_central_differences(self):
         """Analytic gradient vs step-1e-5 central differences, 100 instances."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,48 @@ class TestBatchedChains:
         assert batch.chains[1].n_nonfinite_proposals == alone.n_nonfinite_proposals > 0
         assert np.array_equal(batch.chains[1].draws, alone.draws)
         assert batch.n_nonfinite_proposals == alone.n_nonfinite_proposals
+
+    @pytest.mark.parametrize(
+        "logpost, cfg",
+        [
+            (standard_normal_logpost, SamplerConfig(n_iterations=3000, burn_in=1030, thin=3, rng_seed=17)),
+            (gamma_logpost, SamplerConfig(n_iterations=4000, burn_in=975, initial_beta=np.array([1.0]), rng_seed=4)),
+        ],
+        ids=["normal-thin-3", "gamma-nonfinite"],
+    )
+    def test_prefetching_single_chain_changes_no_draw(self, logpost, cfg):
+        """A C = 1 batch evaluates several iterations per call yet runs the chain of the dim = d path."""
+        batch_sizes = []
+
+        def rows(b):  # row by row, so a row's value does not depend on its batch
+            batch_sizes.append(len(b))
+            return np.array([logpost(row) for row in b])
+
+        dim = cfg.initial_beta.size if cfg.initial_beta is not None else 2
+        (prefetched,) = run_mh(rows, (1, dim), cfg).chains
+        alone = run_mh(logpost, dim, cfg)
+        assert max(batch_sizes) == 4 and len(batch_sizes) < cfg.n_iterations
+        assert np.array_equal(prefetched.draws, alone.draws)
+        assert np.array_equal(prefetched.accepted, alone.accepted)
+        assert np.array_equal(prefetched.log_posterior_trace, alone.log_posterior_trace)
+        assert np.array_equal(prefetched.proposal_sd_trace, alone.proposal_sd_trace)
+        assert prefetched.acceptance_rate == alone.acceptance_rate
+        assert prefetched.n_nonfinite_proposals == alone.n_nonfinite_proposals
+        if logpost is gamma_logpost:
+            assert alone.n_nonfinite_proposals > 0
+
+    def test_memory_bounded_by_the_returned_arrays(self):
+        """No array as long as the run: the peak stays near the bytes of the retained chain."""
+        cfg = SamplerConfig(n_iterations=50_000, burn_in=1_000, thin=5, rng_seed=8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            (chain,) = run_mh(lambda b: -0.5 * np.vecdot(b, b), (1, 4), cfg).chains
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        arrays = (chain.draws, chain.log_posterior_trace, chain.accepted, chain.proposal_sd_trace)
+        assert peak <= 1.5 * sum(a.nbytes for a in arrays) + 2**20
 
     def test_every_start_nonfinite_fails_every_chain(self):
         batch = run_mh(lambda b: np.full(b.shape[0], np.nan), (2, 2), self.CFG)

@@ -98,6 +98,11 @@ RUNS = [
     ("fit_config_dir", ["fit", "train.csv", "--config", "fit_zero", "--out", "fit_config_dir"]),
     ("fit_out_file", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--seed", "12",
                       "--out", "train.csv", *FAST]),
+    # a file --out that is an existing directory, or lies in a directory that does not exist
+    ("predict_out_dir", ["predict", "--model", "fit_zero", "--data", "test_a.csv", "--out", "fit_zero"]),
+    ("simulate_out_missing_dir", ["simulate", "--study", "sim1", "--n", "50", "--seed", "3",
+                                  "--out", "no_such_dir/sim.csv"]),
+    ("ess_grid_out_dir", ["ess-grid", "--pi-u-file", "pi_u.csv", "--t", "0.3", "--out", "fit_zero"]),
     *[(f"copy:{name}", []) for name in MALFORMED_STANDARDIZE],
     *[(f"predict_{name}", ["predict", "--model", name, "--data", "test_a.csv",
                            "--out", f"predict_{name}.csv"]) for name in MALFORMED_STANDARDIZE],
