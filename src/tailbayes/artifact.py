@@ -1,0 +1,151 @@
+"""The fit artifact, the directory ``fit`` writes and ``predict`` and ``evaluate`` score with.
+
+It holds ``manifest.json`` (configuration, seeds, chain diagnostics),
+``draws.csv``, ``weights.csv`` (first-stage probability and weight per
+development row) and ``ess_table.csv``.  Only this module knows these
+file names and the manifest's fields.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import asdict, dataclass
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__, dataio
+from .errors import DataError
+from .model_core import UtilitySpec
+from .predict import predictive_mean_sd
+from .sampler import TARGET_ACCEPTANCE, PosteriorSamples, SamplerConfig
+from .tuning import FittedTailoredModel, ess_grid, fold_seed, rhat_seeds
+
+__all__ = ["LoadedFit", "save_fit", "load_fit"]
+
+
+def _sampler_block(config: SamplerConfig) -> dict:
+    return {key: getattr(config, key) for key in ("n_iterations", "burn_in", "thin", "initial_sd")}
+
+
+def save_fit(
+    out: Path, model: FittedTailoredModel, *, data_path, outcome_col: str, covariates: list[str],
+    utilities: UtilitySpec | None, design_fraction: float, standardizer: dataio.Standardizer | None,
+    external_pi_u, rhat_chains: int, rhat: np.ndarray | None,
+) -> None:
+    """Write the artifact of ``model`` into the directory ``out``, creating it.
+
+    The keywords are what the model does not hold: the training file, its
+    schema and settings as given (``design_fraction`` even where external
+    first-stage probabilities skip the split), and the R-hat of the final
+    chain with ``rhat_chains - 1`` reruns (:func:`~tailbayes.tuning.final_fit_rhat`).
+    """
+    base = model.sampler_config.rng_seed
+    split = model.split
+    grid_rows = ess_grid(model.pi_u_development, model.threshold, model.cv_plan.lambda_grid, model.distance)
+    manifest = {
+        "tool": "tailbayes",
+        "version": __version__,
+        "command": "fit",
+        "data": {"path": str(data_path), "n": split.design_idx.size + split.development_idx.size,
+                 "outcome_col": outcome_col, "covariates": covariates},
+        "threshold": model.threshold.t,
+        "utilities": asdict(utilities) if utilities else None,
+        "lambda_grid": list(model.cv_plan.lambda_grid),
+        "lambda_star": model.lambda_star,
+        "k_folds": model.cv_plan.k,
+        "design_fraction": design_fraction,
+        "distance": {"kind": model.distance.kind, "epsilon": model.distance.epsilon},
+        "standardize": standardizer.to_dict() if standardizer else None,
+        "external_pi_u": str(external_pi_u) if external_pi_u else None,
+        "sampler": dict(_sampler_block(model.sampler_config), target_acceptance=TARGET_ACCEPTANCE),
+        "cv_sampler": _sampler_block(model.cv_sampler_config),
+        # stage1 is the base seed even where external probabilities skip stage 1
+        "seeds": {"base": base, "split": split.seed, "stage1": base, "final_fit": base,
+                  "cv_folds": [fold_seed(base, k) for k in range(model.cv_plan.k)],
+                  "rhat_chains": rhat_seeds(base, rhat_chains)},
+        "split": {"design_rows": split.design_idx.size, "development_rows": split.development_idx.size,
+                  "indices_sha256": split.digest()},
+        "cv_table": model.cv_table,
+        "ess_t": model.ess_t,
+        "ess_fraction": model.ess_fraction,
+        "ess_grid": grid_rows,
+        "chain": {"acceptance_rate": model.samples.acceptance_rate,
+                  "final_proposal_sd": model.samples.final_proposal_sd,
+                  "retained_draws": model.samples.n_draws,
+                  "nonfinite_proposals": model.samples.n_nonfinite_proposals},
+        "rhat": None if rhat is None else rhat.tolist(),
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    dataio.write_manifest(out / "manifest.json", manifest)
+    dataio.write_draws_csv(out / "draws.csv", ["intercept"] + covariates, model.samples.draws)
+    dataio.write_rows(
+        out / "weights.csv",
+        ["row", "pi_u", "weight"],
+        zip(split.development_idx.tolist(), model.pi_u_development.tolist(), model.weights.tolist()),
+    )
+    dataio.write_ess_table(out / "ess_table.csv", grid_rows)
+
+
+@dataclass(frozen=True)
+class LoadedFit:
+    """What scoring needs from an artifact: the covariate schema, threshold, z-scoring and draws."""
+
+    covariates: list[str]
+    outcome_col: str
+    threshold: float
+    standardizer: dataio.Standardizer | None
+    samples: PosteriorSamples
+
+    def predict(self, raw_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive mean and sd of each row of covariates in the file's units, without intercept."""
+        if self.standardizer is not None:
+            raw_x = self.standardizer.transform(raw_x)
+        return predictive_mean_sd(np.hstack([np.ones((raw_x.shape[0], 1)), raw_x]), self.samples)
+
+
+def load_fit(model_dir) -> LoadedFit:
+    """Read and check the artifact in ``model_dir``; DataError names the file or the manifest field at fault."""
+    path = Path(model_dir) / "manifest.json"
+    manifest = dataio.read_manifest(path)
+    if not isinstance(manifest, dict) or manifest.get("command") != "fit":
+        raise DataError(f"{path}: not a manifest written by fit")
+
+    def field(keys: str, kinds):
+        value = manifest
+        for key in keys.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise DataError(f"{path}: fit manifest has no {keys!r}")
+            value = value[key]
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise DataError(f"{path}: fit manifest field {keys!r} has the wrong type")
+        return value
+
+    covariates = field("data.covariates", list)
+    outcome_col = field("data.outcome_col", str)
+    standardize = field("standardize", (dict, type(None)))
+    if standardize is not None:
+        for key in ("means", "sds"):
+            values = field(f"standardize.{key}", list)
+            if len(values) != len(covariates) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in values
+            ):
+                raise DataError(f"{path}: fit manifest field 'standardize.{key}' needs "
+                                f"one finite number per covariate")
+        if any(v <= 0.0 for v in standardize["sds"]):
+            raise DataError(f"{path}: fit manifest field 'standardize.sds' must be positive")
+    threshold = field("threshold", (int, float))
+    header, draws = dataio.read_draws_csv(path.parent / "draws.csv")
+    expected = ["intercept"] + covariates
+    if header != expected:
+        raise DataError(f"draws.csv columns {header} do not match the manifest {expected}")
+    samples = PosteriorSamples(
+        draws=draws,
+        acceptance_rate=field("chain.acceptance_rate", (int, float)),
+        final_proposal_sd=field("chain.final_proposal_sd", (int, float)),
+        rng_seed=field("seeds.final_fit", int),
+        log_posterior_trace=np.full(draws.shape[0], np.nan),
+    )
+    standardizer = dataio.Standardizer.from_dict(standardize) if standardize is not None else None
+    return LoadedFit(covariates, outcome_col, threshold, standardizer, samples)

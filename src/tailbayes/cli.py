@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
@@ -20,28 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio
+from .artifact import load_fit, save_fit
 from .errors import ConfigError, DataError, SamplerError, TailbayesError
 from .evaluation import net_benefit, paired_delta
-from .model_core import (
-    DistanceFunction,
-    Dataset,
-    GaussianPrior,
-    TargetThreshold,
-    UtilitySpec,
-    target_threshold,
-)
-from .predict import positive_mask, predictive_mean_sd
+from .model_core import Dataset, DistanceFunction, GaussianPrior, TargetThreshold, UtilitySpec, target_threshold
+from .predict import positive_mask
 from .reproduce import FIGURES, reproduce_figure
-from .sampler import TARGET_ACCEPTANCE, PosteriorSamples, SamplerConfig, gelman_rubin
-from .simulation import (
-    Sim1Config,
-    Sim2Config,
-    Sim3Config,
-    generate_sim1,
-    generate_sim2,
-    generate_sim3,
-)
-from .tuning import DEFAULT_LAMBDA_GRID, ess_grid, fit_pipeline, fit_tailored, fold_seed
+from .sampler import SamplerConfig
+from .simulation import STUDY_PARAMETER, study
+from .tuning import DEFAULT_LAMBDA_GRID, ess_grid, final_fit_rhat, fit_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -240,16 +226,15 @@ def _distance_from_args(args) -> DistanceFunction:
     return DistanceFunction.epsilon_insensitive(args.epsilon)
 
 
-def _resolve_threshold(args) -> tuple[TargetThreshold, dict | None]:
+def _resolve_threshold(args) -> tuple[TargetThreshold, UtilitySpec | None]:
     if (args.t is None) == (args.utilities is None):
         raise ConfigError("exactly one of --t and --utilities must be given")
     if args.t is not None:
         return TargetThreshold(args.t), None
     if len(args.utilities) != 4:
         raise ConfigError("--utilities needs exactly four values: UTP,UFP,UFN,UTN")
-    u_tp, u_fp, u_fn, u_tn = args.utilities
-    spec = UtilitySpec(u_tp=u_tp, u_fp=u_fp, u_fn=u_fn, u_tn=u_tn)
-    return target_threshold(spec), {"u_tp": u_tp, "u_fp": u_fp, "u_fn": u_fn, "u_tn": u_tn}
+    spec = UtilitySpec(*args.utilities)
+    return target_threshold(spec), spec
 
 
 def cmd_fit(args) -> int:
@@ -262,15 +247,9 @@ def cmd_fit(args) -> int:
     out = _out_dir(args.out)
     raw_x, y, names, _ = dataio.read_dataset_csv(args.data, args.outcome_col)
 
-    standardizer = None
-    if args.standardize:
-        standardizer = dataio.Standardizer.fit(raw_x)
-        raw_x = standardizer.transform(raw_x)
-    train = Dataset.from_raw(raw_x, y)
-
-    external_pi_u = None
-    if args.pi_u_file:
-        external_pi_u = dataio.read_pi_u_csv(args.pi_u_file, expected_rows=train.n)
+    standardizer = dataio.Standardizer.fit(raw_x) if args.standardize else None
+    train = Dataset.from_raw(standardizer.transform(raw_x) if standardizer else raw_x, y)
+    external_pi_u = dataio.read_pi_u_csv(args.pi_u_file, expected_rows=train.n) if args.pi_u_file else None
 
     sampler_config = SamplerConfig(
         n_iterations=args.iterations,
@@ -279,13 +258,11 @@ def cmd_fit(args) -> int:
         initial_sd=args.initial_sd,
         rng_seed=args.seed,
     )
-    cv_config = sampler_config
-    if args.cv_iterations is not None or args.cv_burn_in is not None:
-        cv_config = replace(
-            sampler_config,
-            n_iterations=args.cv_iterations if args.cv_iterations is not None else args.iterations,
-            burn_in=args.cv_burn_in if args.cv_burn_in is not None else args.burn_in,
-        )
+    cv_config = replace(
+        sampler_config,
+        n_iterations=args.cv_iterations if args.cv_iterations is not None else args.iterations,
+        burn_in=args.cv_burn_in if args.cv_burn_in is not None else args.burn_in,
+    )
     prior = GaussianPrior.vague(train.n_coefficients, sd=args.prior_sd)
 
     model = fit_pipeline(
@@ -302,164 +279,20 @@ def cmd_fit(args) -> int:
         jobs=args.jobs,
     )
 
-    rhat = None
-    extra_seeds = [args.seed + 90_000 + i for i in range(1, args.rhat_chains)]
-    if extra_seeds:
-        dev = train.subset(model.split.development_idx)
-        chains = [model.samples.draws] + [
-            fit_tailored(dev, model.weights, prior, replace(sampler_config, rng_seed=seed)).draws
-            for seed in extra_seeds
-        ]
-        rhat = gelman_rubin(chains).tolist()
-
-    coefficient_names = ["intercept"] + names
-    grid_rows = ess_grid(model.pi_u_development, threshold, args.lambda_grid, model.distance)
-    manifest = {
-        "tool": "tailbayes",
-        "version": __version__,
-        "command": "fit",
-        "data": {
-            "path": str(args.data),
-            "n": train.n,
-            "outcome_col": args.outcome_col,
-            "covariates": names,
-        },
-        "threshold": threshold.t,
-        "utilities": utilities,
-        "lambda_grid": list(args.lambda_grid),
-        "lambda_star": model.lambda_star,
-        "k_folds": args.k_folds,
-        "design_fraction": args.design_fraction,
-        "distance": {"kind": model.distance.kind, "epsilon": model.distance.epsilon},
-        "standardize": standardizer.to_dict() if standardizer else None,
-        "external_pi_u": str(args.pi_u_file) if args.pi_u_file else None,
-        "sampler": {
-            "n_iterations": sampler_config.n_iterations,
-            "burn_in": sampler_config.burn_in,
-            "thin": sampler_config.thin,
-            "initial_sd": sampler_config.initial_sd,
-            "target_acceptance": TARGET_ACCEPTANCE,
-        },
-        "cv_sampler": {
-            "n_iterations": cv_config.n_iterations,
-            "burn_in": cv_config.burn_in,
-            "thin": cv_config.thin,
-            "initial_sd": cv_config.initial_sd,
-        },
-        "seeds": {
-            "base": args.seed,
-            "split": model.split.seed,
-            "stage1": args.seed,
-            "cv_folds": [fold_seed(args.seed, k) for k in range(args.k_folds)],
-            "final_fit": args.seed,
-            "rhat_chains": extra_seeds,
-        },
-        "split": {
-            "design_rows": int(model.split.design_idx.shape[0]),
-            "development_rows": int(model.split.development_idx.shape[0]),
-            "indices_sha256": model.split.digest(),
-        },
-        "cv_table": model.cv_table,
-        "ess_t": model.ess_t,
-        "ess_fraction": model.ess_fraction,
-        "ess_grid": grid_rows,
-        "chain": {
-            "acceptance_rate": model.samples.acceptance_rate,
-            "final_proposal_sd": model.samples.final_proposal_sd,
-            "retained_draws": model.samples.n_draws,
-            "nonfinite_proposals": model.samples.n_nonfinite_proposals,
-        },
-        "rhat": rhat,
-    }
-
-    out.mkdir(parents=True, exist_ok=True)
-    dataio.write_manifest(out / "manifest.json", manifest)
-    dataio.write_draws_csv(out / "draws.csv", coefficient_names, model.samples.draws)
-    dataio.write_rows(
-        out / "weights.csv",
-        ["row", "pi_u", "weight"],
-        zip(
-            model.split.development_idx.tolist(),
-            model.pi_u_development.tolist(),
-            model.weights.tolist(),
-        ),
-    )
-    dataio.write_ess_table(out / "ess_table.csv", grid_rows)
+    rhat = final_fit_rhat(train, model, args.rhat_chains) if args.rhat_chains else None
+    save_fit(out, model, data_path=args.data, outcome_col=args.outcome_col, covariates=names,
+             utilities=utilities, design_fraction=args.design_fraction, standardizer=standardizer,
+             external_pi_u=args.pi_u_file, rhat_chains=args.rhat_chains, rhat=rhat)
     print(f"fitted lambda*={model.lambda_star} ess={model.ess_t:.1f} -> {out}")
     return EXIT_OK
 
 
-def _manifest_field(manifest: dict, path: Path, keys: str, kinds):
-    """The value at dotted ``keys``; DataError unless it is present and of a type in ``kinds``."""
-    value = manifest
-    for key in keys.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise DataError(f"{path}: fit manifest has no {keys!r}")
-        value = value[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise DataError(f"{path}: fit manifest field {keys!r} has the wrong type")
-    return value
-
-
-def _score_artifact(model_dir, data_path, read_covariates) -> tuple:
-    """Score a CSV's rows with a fitted artifact: (threshold, means, sds, per-row values).
-
-    ``read_covariates(path, covariate_names, outcome_col)`` loads the raw
-    covariates with the artifact's schema enforced, plus one value per row
-    (ids or outcomes) that is passed back unchanged.
-    """
-    path = Path(model_dir) / "manifest.json"
-    manifest = dataio.read_manifest(path)
-    if not isinstance(manifest, dict) or manifest.get("command") != "fit":
-        raise DataError(f"{path}: not a manifest written by fit")
-    covariate_names = _manifest_field(manifest, path, "data.covariates", list)
-    outcome_col = _manifest_field(manifest, path, "data.outcome_col", str)
-    standardize = _manifest_field(manifest, path, "standardize", (dict, type(None)))
-    if standardize is not None:
-        for key in ("means", "sds"):
-            values = _manifest_field(manifest, path, f"standardize.{key}", list)
-            if len(values) != len(covariate_names) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                for v in values
-            ):
-                raise DataError(f"{path}: fit manifest field 'standardize.{key}' needs "
-                                f"one finite number per covariate")
-        if any(v <= 0.0 for v in standardize["sds"]):
-            raise DataError(f"{path}: fit manifest field 'standardize.sds' must be positive")
-    threshold = _manifest_field(manifest, path, "threshold", (int, float))
-    header, draws = dataio.read_draws_csv(path.parent / "draws.csv")
-    expected = ["intercept"] + covariate_names
-    if header != expected:
-        raise DataError(f"draws.csv columns {header} do not match the manifest {expected}")
-    samples = PosteriorSamples(
-        draws=draws,
-        acceptance_rate=_manifest_field(manifest, path, "chain.acceptance_rate", (int, float)),
-        final_proposal_sd=_manifest_field(manifest, path, "chain.final_proposal_sd", (int, float)),
-        rng_seed=_manifest_field(manifest, path, "seeds.final_fit", int),
-        log_posterior_trace=np.full(draws.shape[0], np.nan),
-    )
-    raw_x, per_row = read_covariates(data_path, covariate_names, outcome_col)
-    if standardize is not None:
-        raw_x = dataio.Standardizer.from_dict(standardize).transform(raw_x)
-    x = np.hstack([np.ones((raw_x.shape[0], 1)), raw_x])
-    means, sds = predictive_mean_sd(x, samples)
-    return threshold, means, sds, per_row
-
-
-def _read_labelled(data_path, covariate_names, outcome_col) -> tuple[np.ndarray, np.ndarray]:
-    raw_x, y, names, _ = dataio.read_dataset_csv(data_path, outcome_col)
-    if names != covariate_names:
-        raise DataError(
-            f"{data_path}: covariate columns {names} do not match the model schema "
-            f"{covariate_names}"
-        )
-    return raw_x, y
-
-
 def cmd_predict(args) -> int:
     _out_file(args.out)
-    threshold, means, sds, ids = _score_artifact(args.model, args.data, dataio.read_covariates_csv)
-    labels = np.where(positive_mask(means, threshold), "positive", "negative")
+    fit = load_fit(args.model)
+    raw_x, ids = dataio.read_covariates_csv(args.data, fit.covariates, fit.outcome_col)
+    means, sds = fit.predict(raw_x)
+    labels = np.where(positive_mask(means, fit.threshold), "positive", "negative")
     dataio.write_rows(
         args.out,
         ["id", "mean_probability", "predictive_sd", "classification"],
@@ -475,25 +308,26 @@ def cmd_evaluate(args) -> int:
     if scored_mode == model_mode:
         raise ConfigError("supply either --scored-a files or --model-a with --data")
     out = _out_dir(args.out)
-    if model_mode:
-        if not args.data:
-            raise ConfigError("--model-a needs at least one --data file")
-        # [1::2] keeps (means, outcomes) of each scored --data file
-        scored_a = [_score_artifact(args.model_a, p, _read_labelled)[1::2] for p in args.data]
-        scored_b = (
-            [_score_artifact(args.model_b, p, _read_labelled)[1::2] for p in args.data]
-            if args.model_b
-            else None
-        )
-    else:
-        scored_a = [
-            dataio.read_scored_csv(p, args.prob_col, args.outcome_col) for p in args.scored_a
-        ]
-        scored_b = (
-            [dataio.read_scored_csv(p, args.prob_col, args.outcome_col) for p in args.scored_b]
-            if args.scored_b
-            else None
-        )
+    if model_mode and not args.data:
+        raise ConfigError("--model-a needs at least one --data file")
+
+    def scored(source) -> list:
+        """(probabilities, outcomes) per split: the scored files, or each --data file scored by the artifact."""
+        if not model_mode:
+            return [dataio.read_scored_csv(p, args.prob_col, args.outcome_col) for p in source]
+        fit = load_fit(source)
+        splits = []
+        for path in args.data:
+            raw_x, y, names, _ = dataio.read_dataset_csv(path, fit.outcome_col)
+            if names != fit.covariates:
+                raise DataError(f"{path}: covariate columns {names} do not match the model schema "
+                                f"{fit.covariates}")
+            splits.append((fit.predict(raw_x)[0], y))
+        return splits
+
+    source_b = args.model_b if model_mode else args.scored_b
+    scored_a = scored(args.model_a if model_mode else args.scored_a)
+    scored_b = scored(source_b) if source_b else None
     if scored_b is not None and len(scored_b) != len(scored_a):
         raise DataError("paired evaluation needs the same number of splits for both models")
     if scored_b is not None and len(scored_a) < 2:
@@ -528,28 +362,17 @@ def cmd_evaluate(args) -> int:
 
 def cmd_simulate(args) -> int:
     _out_file(args.out, str(args.out) + ".meta.json")
-    if args.study == "sim1":
-        config = Sim1Config(n=args.n, q=args.q, seed=args.seed)
-        data, oracle = generate_sim1(config)
-        mask = None
-        meta = {"study": "sim1", "n": args.n, "q": args.q, "seed": args.seed}
-    elif args.study == "sim2":
-        config = Sim2Config(n=args.n, seed=args.seed, prevalence=args.prevalence)
-        data, oracle = generate_sim2(config)
-        mask = None
-        meta = {"study": "sim2", "n": args.n, "prevalence": args.prevalence, "seed": args.seed}
-    else:
-        config = Sim3Config(n=args.n, contamination=args.psi, seed=args.seed)
-        data, oracle, mask = generate_sim3(config)
-        meta = {"study": "sim3", "n": args.n, "psi": args.psi, "seed": args.seed}
-    meta["oracle_included"] = bool(args.with_oracle)
-    meta["rows_written"] = data.n
+    key = STUDY_PARAMETER[args.study]
+    generate, config = study(args.study, args.n, args.seed, getattr(args, key))
+    data, oracle, *mask = generate(config)  # only sim3 returns a contamination mask
+    meta = {"study": args.study, "n": args.n, key: getattr(args, key), "seed": args.seed,
+            "oracle_included": args.with_oracle, "rows_written": data.n}
 
     dataio.write_simulated_csv(
         args.out,
         data,
         oracle=oracle if args.with_oracle else None,
-        mask=mask if (args.with_oracle and mask is not None) else None,
+        mask=mask[0] if (args.with_oracle and mask) else None,
     )
     dataio.write_manifest(str(args.out) + ".meta.json", meta)
     print(f"wrote {data.n} rows -> {args.out}")
@@ -654,9 +477,6 @@ def main(argv: list[str] | None = None) -> int:
     except TailbayesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

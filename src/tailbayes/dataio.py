@@ -64,13 +64,17 @@ class Standardizer:
 
 
 def _read_table(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except OSError as exc:  # the message names the file
+        raise DataError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file, header row required")
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -270,5 +274,7 @@ def write_manifest(path, manifest: dict) -> None:
 def read_manifest(path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # the message names the file
+        raise DataError(str(exc)) from None
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise DataError(f"{path}: unreadable manifest: {exc}") from None

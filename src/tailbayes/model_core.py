@@ -346,11 +346,12 @@ def _weighted_loss(b: np.ndarray, xs: np.ndarray, w: np.ndarray, out=None) -> np
     log-likelihood, so each row is one ``matmul``, ``exp``, ``log1p`` and
     ``vecdot``.  A row whose sum is non-finite (exp overflowed at some
     s z above about 709) is recomputed alone through the overflow-free
-    :func:`_softplus`.  ``out`` is an optional (k, n) buffer.
+    :func:`_softplus`.  ``out`` is an optional (k, n) buffer.  Callers
+    run it under ``np.errstate(over="ignore")``: an overflow gives inf,
+    which the fallback or the caller's finite check handles.
     """
     e = np.matmul(b, xs, out=out)
-    with np.errstate(over="ignore"):
-        np.exp(e, out=e)
+    np.exp(e, out=e)
     loss = np.vecdot(np.log1p(e, out=e).reshape(-1, *w.shape), w).reshape(-1)
     if not math.isfinite(np.add.reduce(loss)):
         for r in np.flatnonzero(~np.isfinite(loss)):
@@ -375,7 +376,8 @@ def tailored_log_likelihood(data: Dataset, beta, weights) -> float:
     """
     w = _check_weights(weights, data.n)
     b = _check_beta(beta, data.n_coefficients)
-    value = -float(_weighted_loss(b[None], _signed_design(data), w[None])[0])
+    with np.errstate(over="ignore"):
+        value = -float(_weighted_loss(b[None], _signed_design(data), w[None])[0])
     if not math.isfinite(value):
         raise DataError("log-likelihood is non-finite; inputs out of numeric range")
     return value
@@ -442,9 +444,10 @@ def make_log_posterior(data: Dataset, weights, prior: GaussianPrior):
         b = np.asarray(beta).reshape(-1, mu.size)
         if len(b) > len(buffer):
             buffer = np.empty((len(b), data.n))
-        zp = (b - mu) / sd
-        loss = _weighted_loss(b, xs, w, buffer[: len(b)])
-        value = log_norm - (loss + 0.5 * np.vecdot(zp, zp))
+        with np.errstate(over="ignore"):  # an overflowing term gives -inf, never a warning
+            zp = (b - mu) / sd
+            loss = _weighted_loss(b, xs, w, buffer[: len(b)])
+            value = log_norm - (loss + 0.5 * np.vecdot(zp, zp))
         return float(value[0]) if np.ndim(beta) == 1 else value
 
     return logpost

@@ -20,15 +20,7 @@ from .evaluation import net_benefit, paired_delta
 from .model_core import TargetThreshold
 from .predict import predictive_mean_sd
 from .sampler import SamplerConfig
-from .simulation import (
-    Sim1Config,
-    Sim2Config,
-    Sim3Config,
-    generate_sim1,
-    generate_sim2,
-    generate_sim3,
-    optimal_nb,
-)
+from .simulation import STUDY_PARAMETER, optimal_nb, study
 from .tuning import DEFAULT_LAMBDA_GRID, fit_pipeline, fit_standard, map_jobs
 
 __all__ = ["FIGURES", "FULL_SCALE_REPETITIONS", "reproduce_figure"]
@@ -72,15 +64,12 @@ def _cells(figure: str, overrides: dict) -> list[dict]:
 
 
 def _sim_configs(figure: str, cell: dict, train_seed: int, test_seed: int) -> tuple:
-    """The cell's generator with its training and (clean) test configs."""
-    if figure == "sim1-fig2":
-        return (generate_sim1, Sim1Config(cell["n"], cell["q"], train_seed),
-                Sim1Config(TEST_SET_SIZE, cell["q"], test_seed))
-    if figure == "sim2-fig4":
-        return (generate_sim2, Sim2Config(cell["n"], train_seed, cell["prevalence"]),
-                Sim2Config(TEST_SET_SIZE, test_seed, cell["prevalence"]))
-    return (generate_sim3, Sim3Config(cell["n"], contamination=cell["psi"], seed=train_seed),
-            Sim3Config(TEST_SET_SIZE, seed=test_seed))
+    """The cell's generator with its training and test configs; sim3's test set is uncontaminated."""
+    name = figure.split("-")[0]
+    param = cell[STUDY_PARAMETER[name]]
+    generate, train_config = study(name, cell["n"], train_seed, param)
+    test_config = study(name, TEST_SET_SIZE, test_seed, 0.0 if name == "sim3" else param)[1]
+    return generate, train_config, test_config
 
 
 def _rep_worker(payload: tuple) -> dict:

@@ -99,7 +99,8 @@ class ChainBatch:
     """The C chains of one batched :func:`run_mh` call, in order.
 
     ``chains[c]`` is chain c's :class:`PosteriorSamples`, or the
-    SamplerError that failed it because its start point was non-finite.
+    SamplerError that failed it because its start point was non-finite
+    or it accepted no proposal after burn-in.
     The properties summarise the chains that ran.
     """
 
@@ -148,12 +149,13 @@ def run_mh(
 
     With ``dim = d`` this runs one chain: ``log_posterior`` maps a (d,)
     vector to a float, the result is a :class:`PosteriorSamples`, and a
-    non-finite value at the start point raises SamplerError.  With
+    non-finite value at the start point, or a chain that accepts no
+    proposal after burn-in, raises SamplerError.  With
     ``dim = (C, d)`` it runs C chains as one batch: ``log_posterior`` maps
     an (m * C, d) array to m * C values, row r a proposal for chain
     r mod C, and the result is a :class:`ChainBatch`.  A batched chain
-    whose start point is non-finite gets a SamplerError in its slot and
-    the other chains run on.
+    whose start point is non-finite, or that accepts no proposal after
+    burn-in, gets a SamplerError in its slot and the other chains run on.
 
     The chains of a batch share the random stream seeded by
     ``config.rng_seed``: each iteration draws one ``standard_normal(d)``
@@ -279,6 +281,9 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, b
     for c in range(n_chains):
         if not alive[c]:
             chains.append(_start_failure())
+            continue
+        if not post_accepts[c]:
+            chains.append(SamplerError("the chain never moved: no proposal was accepted after burn-in"))
             continue
         chains.append(
             PosteriorSamples(

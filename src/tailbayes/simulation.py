@@ -31,6 +31,8 @@ __all__ = [
     "Sim1Config",
     "Sim2Config",
     "Sim3Config",
+    "STUDY_PARAMETER",
+    "study",
     "generate_sim1",
     "generate_sim2",
     "generate_sim3",
@@ -179,6 +181,21 @@ def generate_sim3(config: Sim3Config) -> tuple[Dataset, np.ndarray, np.ndarray]:
     mask[config.n :] = True
     data = Dataset.from_raw(x, y)
     return data, probs, mask
+
+
+# The parameter each study varies, named as in the CLI flags, sidecars and reproduce grids.
+STUDY_PARAMETER = {"sim1": "q", "sim2": "prevalence", "sim3": "psi"}
+
+
+def study(name: str, n: int, seed: int, param: float) -> tuple[Callable, Sim1Config | Sim2Config | Sim3Config]:
+    """A study's generator and its config for ``n`` rows; ``param`` is that of ``STUDY_PARAMETER[name]``."""
+    if name == "sim1":
+        return generate_sim1, Sim1Config(n, q=param, seed=seed)
+    if name == "sim2":
+        return generate_sim2, Sim2Config(n, seed=seed, prevalence=param)
+    if name == "sim3":
+        return generate_sim3, Sim3Config(n, contamination=param, seed=seed)
+    raise ConfigError(f"unknown study {name!r}; choose from {list(STUDY_PARAMETER)}")
 
 
 def sim1_boundary_slope(q: float, t: float) -> float:

@@ -34,7 +34,7 @@ from .model_core import (
 )
 from .evaluation import net_benefit
 from .predict import predictive_mean_sd
-from .sampler import ChainBatch, PosteriorSamples, SamplerConfig, run_mh
+from .sampler import ChainBatch, PosteriorSamples, SamplerConfig, gelman_rubin, run_mh
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
@@ -48,6 +48,8 @@ __all__ = [
     "fit_chains",
     "fit_standard",
     "fold_seed",
+    "rhat_seeds",
+    "final_fit_rhat",
     "map_jobs",
     "stage1_pi_u",
     "cv_select_lambda",
@@ -207,6 +209,11 @@ def fit_standard(
 def fold_seed(base_seed: int, fold: int) -> int:
     """Sampler seed of CV fold ``fold`` (0-based): the base seed plus fold + 1."""
     return base_seed + fold + 1
+
+
+def rhat_seeds(base_seed: int, n_chains: int) -> list[int]:
+    """Sampler seeds of the chains an R-hat check of ``n_chains`` adds to the final chain: base + 90 000 + i."""
+    return [base_seed + 90_000 + i for i in range(1, n_chains)]
 
 
 def map_jobs(fn, payloads: list, jobs: int) -> list:
@@ -434,6 +441,16 @@ def fit_pipeline(
         sampler_config=sampler_config,
         cv_sampler_config=cv_sampler_config,
     )
+
+
+def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int) -> np.ndarray:
+    """Gelman-Rubin R-hat per coefficient of the final chain plus ``n_chains - 1`` on :func:`rhat_seeds`."""
+    dev = train.subset(model.split.development_idx)
+    chains = [model.samples.draws] + [
+        fit_tailored(dev, model.weights, model.prior, replace(model.sampler_config, rng_seed=seed)).draws
+        for seed in rhat_seeds(model.sampler_config.rng_seed, n_chains)
+    ]
+    return gelman_rubin(chains)
 
 
 def ess_grid(

@@ -122,6 +122,17 @@ class TestFit:
         assert len(manifest["rhat"]) == 3
         assert all(0.8 < r < 1.5 for r in manifest["rhat"])
 
+    @pytest.mark.parametrize("flag", [["--prior-sd", "1e-300"], ["--initial-sd", "1e300"]],
+                             ids=["prior-sd-1e-300", "initial-sd-1e300"])
+    def test_chain_that_never_moves_is_sampler_error(self, tmp_path, train_csv, capsys, flag):
+        # every proposal's log-posterior is -inf (or far below the start's), so the chain keeps its start
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--iterations", 600,
+                    "--burn-in", 200, *flag, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("sampler error: the chain never moved") and "Warning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("chains", [1, -3])
     def test_rhat_chains_below_two_is_usage_error(self, tmp_path, train_csv, capsys, chains):
         # the count includes the final chain, so 1 would add no chain and give no R-hat
@@ -499,7 +510,7 @@ def test_out_that_is_a_file_is_usage_error_before_any_work(tmp_path, train_csv, 
     ],
 )
 def test_unwritable_out_file_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, case):
-    for work in ("_score_artifact", "generate_sim1", "ess_grid"):
+    for work in ("load_fit", "study", "ess_grid"):
         monkeypatch.setattr(cli, work, _no_fit)
     pi = tmp_path / "pi.csv"
     pi.write_text("pi_u\n0.1\n0.4\n", encoding="utf-8")
@@ -521,6 +532,42 @@ def test_unwritable_out_file_is_usage_error_before_any_work(tmp_path, capsys, mo
         expected = f"error: --out {bad} is a directory\n"
     assert capsys.readouterr().err == expected
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "command, problem",
+    [("fit", "directory"), ("fit", "not-utf8"), ("fit --pi-u-file", "directory"),
+     ("fit --pi-u-file", "not-utf8"), ("predict --data", "directory"), ("predict --data", "not-utf8"),
+     ("predict --model", "directory"), ("evaluate --scored-a", "directory"),
+     ("evaluate --scored-a", "not-utf8"), ("ess-grid --pi-u-file", "directory"),
+     ("ess-grid --pi-u-file", "not-utf8")],
+)
+def test_unreadable_input_is_data_error(tmp_path, train_csv, capsys, command, problem):
+    # the file is a directory or holds a byte that is not UTF-8; predict --model reads <model>/manifest.json
+    bad = tmp_path / "model" / "manifest.json" if command == "predict --model" else tmp_path / "bad.csv"
+    bad.parent.mkdir(exist_ok=True)
+    if problem == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"x1,x2,y,prob,pi_u\n0.5,0.\xff,1,0.5,0.5\n")
+    out = tmp_path / "out"
+    args = {
+        "fit": ["fit", bad, "--t", 0.3],
+        "fit --pi-u-file": ["fit", train_csv, "--t", 0.3, "--pi-u-file", bad, "--jobs", 1, *FIT_SPEED],
+        "predict --data": lambda: ["predict", "--model", fit_artifact(tmp_path, train_csv, "m"), "--data", bad],
+        "predict --model": ["predict", "--model", bad.parent, "--data", train_csv],
+        "evaluate --scored-a": ["evaluate", "--scored-a", bad, "--thresholds", 0.3],
+        "ess-grid --pi-u-file": ["ess-grid", "--pi-u-file", bad, "--t", 0.3],
+    }[command]
+    args = args() if callable(args) else args
+    capsys.readouterr()
+    assert run([*args, "--out", out]) == 3
+    err = capsys.readouterr().err
+    if problem == "directory":
+        assert err == f"data error: [Errno 21] Is a directory: '{bad}'\n"
+    else:
+        assert err.startswith(f"data error: {bad}: not UTF-8 text: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate", "ess-grid"])

@@ -357,6 +357,15 @@ class TestLikelihoodKernel:
             value = tailored_log_likelihood(self.DATA, self.BETAS[1], self.WEIGHTS)
         np.testing.assert_allclose(value, self.softplus_value(self.BETAS[1]), rtol=1e-14)
 
+    def test_overflowing_prior_term_gives_minus_inf_silently(self):
+        # (b - mu) / sd and its squared norm overflow: the value is -inf, with no RuntimeWarning
+        logpost = make_log_posterior(self.DATA, self.WEIGHTS, GaussianPrior.vague(3, sd=1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logpost(self.BETAS[0]) == -np.inf
+            assert logpost(self.BETAS).tolist() == [-np.inf] * 3
+            assert math.isfinite(logpost(np.zeros(3)))
+
     def test_batch_rows_cycle_through_weight_rows(self):
         """With C weight rows, row r of an (m * C, d) batch is under weight row r mod C."""
         weights = np.stack([self.WEIGHTS, self.WEIGHTS[::-1]])

@@ -87,6 +87,12 @@ class TestRunMh:
         with pytest.raises(SamplerError):
             run_mh(gamma_logpost, 1, SamplerConfig(n_iterations=100, burn_in=10, rng_seed=1))
 
+    def test_chain_that_never_moves_raises(self):
+        # finite only at the start point, so no proposal is ever accepted
+        cfg = SamplerConfig(n_iterations=300, burn_in=100, rng_seed=1)
+        with pytest.raises(SamplerError, match="no proposal was accepted after burn-in"):
+            run_mh(lambda b: 0.0 if not np.any(b) else -np.inf, 2, cfg)
+
     def test_nonfinite_proposals_rejected_not_fatal(self):
         cfg = SamplerConfig(
             n_iterations=5000, burn_in=1000, rng_seed=7, initial_beta=np.array([3.0])
@@ -180,6 +186,19 @@ class TestBatchedChains:
             assert np.array_equal(batch.chains[c].draws, alone.draws)
         rates = [batch.chains[c].acceptance_rate for c in (0, 2)]
         assert batch.acceptance_rate == sum(rates) / 2
+
+    def test_chain_that_never_moves_fails_only_its_chain(self):
+        def logpost(b):  # chain 1 is finite only at its start point
+            values = self.batch()(b)
+            if np.any(b[1]):
+                values[1] = -np.inf
+            return values
+
+        batch = run_mh(logpost, (3, 2), self.CFG)
+        failed = batch.chains[1]
+        assert isinstance(failed, SamplerError) and "no proposal was accepted" in str(failed)
+        for c in (0, 2):
+            assert np.array_equal(batch.chains[c].draws, run_mh(self.single(self.SCALES[c]), 2, self.CFG).draws)
 
     def test_nonfinite_proposals_counted_per_chain(self):
         def batch_logpost(b):  # chain 0: a standard normal; chain 1: a Gamma(3, 1) on (0, inf)

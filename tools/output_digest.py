@@ -106,6 +106,14 @@ RUNS = [
     *[(f"copy:{name}", []) for name in MALFORMED_STANDARDIZE],
     *[(f"predict_{name}", ["predict", "--model", name, "--data", "test_a.csv",
                            "--out", f"predict_{name}.csv"]) for name in MALFORMED_STANDARDIZE],
+    # unreadable inputs: a directory as the data CSV, and a CSV holding a byte that is not UTF-8
+    ("fit_data_dir", ["fit", "fit_zero", "--t", "0.3", "--out", "fit_data_dir"]),
+    ("fit_not_utf8", ["fit", "not_utf8.csv", "--t", "0.3", "--out", "fit_not_utf8"]),
+    ("predict_data_dir", ["predict", "--model", "fit_zero", "--data", "fit_zero",
+                          "--out", "predict_data_dir.csv"]),
+    # a prior so narrow that every proposal's log-posterior is -inf: the chain never moves
+    ("fit_prior_sd_tiny", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--iterations", "600",
+                           "--burn-in", "200", "--prior-sd", "1e-300", "--out", "fit_prior_sd_tiny"]),
 ]
 
 
@@ -122,6 +130,11 @@ def write_saturated(path: Path) -> None:
     path.write_text("x1,x2\n" + "".join(rows), encoding="utf-8")
 
 
+def write_not_utf8(path: Path) -> None:
+    """A ``train.csv``-shaped file whose second row holds the byte 0xff."""
+    path.write_bytes(b"x1,x2,y\n0.25,0.5,1\n0.5,0.\xff,0\n")
+
+
 def copy_with_standardize(work: Path, name: str) -> None:
     shutil.copytree(work / "fit_std", work / name)
     path = work / name / "manifest.json"
@@ -136,6 +149,7 @@ def run_all(src: Path, work: Path) -> None:
     logs.mkdir()
     write_pi_u(work / "pi_u.csv")
     write_saturated(work / "saturated.csv")
+    write_not_utf8(work / "not_utf8.csv")
     for name, argv in RUNS:
         if name.startswith("copy:"):
             copy_with_standardize(work, name[len("copy:"):])
