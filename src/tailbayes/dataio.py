@@ -208,16 +208,31 @@ def write_rows(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-# The writers below call this private name, so a wrapper around each public
-# ``write_*`` function counts every file once.
+# The writers below that reuse write_rows call this private name, so a wrapper
+# around each public ``write_*`` function counts every file once.
 _write_rows = write_rows
 
 
 def write_draws_csv(path, coefficient_names: list[str], draws: np.ndarray) -> None:
-    """One column per coefficient, one row per retained draw."""
+    """One column per coefficient, one row per retained draw, in the bytes :func:`write_rows` writes.
+
+    A rejected MH proposal repeats the previous draw, so most rows repeat
+    the row before; each run of repeats is formatted once.  A repeat is
+    judged by bit pattern: 0.0 == -0.0, but the two are written differently.
+    """
     if draws.shape[1] != len(coefficient_names):
         raise DataError("coefficient names do not match the draw matrix width")
-    _write_rows(path, list(coefficient_names), draws.tolist())
+    draws = np.ascontiguousarray(draws, dtype=np.float64)
+    bits = draws.view(np.uint64)
+    repeats = [False, *np.all(bits[1:] == bits[:-1], axis=1).tolist()]
+    lines, line = [], ""
+    for row, repeat in zip(draws.tolist(), repeats):
+        if not repeat:
+            line = ",".join(map(repr, row)) + "\r\n"  # csv's excel dialect: a float is its repr, never quoted
+        lines.append(line)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(coefficient_names)
+        fh.write("".join(lines))
 
 
 def read_draws_csv(path) -> tuple[list[str], np.ndarray]:

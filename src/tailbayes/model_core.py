@@ -6,7 +6,7 @@ implied by the misclassification utilities, ``pi_u_i`` is a first-stage
 probability estimate for row ``i`` and ``h`` is a distance function.
 Everything in this module is a pure function of immutable inputs and is
 safe to call concurrently, except the callable that
-:func:`make_log_posterior` returns, which reuses its buffer.
+:func:`make_log_posterior` returns, which reuses its buffers.
 """
 
 from __future__ import annotations
@@ -337,26 +337,30 @@ def _signed_design(data: Dataset) -> np.ndarray:
     return np.ascontiguousarray(data.covariates.T * (1.0 - 2.0 * data.outcomes))
 
 
-def _weighted_loss(b: np.ndarray, xs: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
-    """sum_i w_i log(1 + e^(s_i z_i)), the negated weighted log-likelihood, for each row of ``b``.
+def _weighted_loss(b: np.ndarray, xs: np.ndarray, w: np.ndarray, buffer: np.ndarray, out: np.ndarray) -> None:
+    """Write sum_i w_i log(1 + e^(s_i z_i)), the negated weighted log-likelihood, of each ``b`` row to ``out``.
 
     ``xs`` comes from :func:`_signed_design` and ``w`` is a (C, n) weight
     matrix; row r of the (k, d) ``b`` is under weight row r mod C.  A
     datapoint contributes y z - log(1 + e^z) = -log(1 + e^(s z)) to the
     log-likelihood, so each row is one ``matmul``, ``exp``, ``log1p`` and
-    ``vecdot``.  A row whose sum is non-finite (exp overflowed at some
-    s z above about 709) is recomputed alone through the overflow-free
-    :func:`_softplus`.  ``out`` is an optional (k, n) buffer.  Callers
-    run it under ``np.errstate(over="ignore")``: an overflow gives inf,
-    which the fallback or the caller's finite check handles.
+    ``vecdot``, computed in the (k, n) ``buffer``.  A row whose sum is
+    non-finite (exp overflowed at some s z above about 709) is recomputed
+    alone through the overflow-free :func:`_softplus`.  Callers run it
+    under ``np.errstate(over="ignore")``: an overflow gives inf, which the
+    fallback or the caller's finite check handles.  Outputs are passed by
+    position, which numpy parses faster than ``out=``.
     """
-    e = np.matmul(b, xs, out=out)
-    np.exp(e, out=e)
-    loss = np.vecdot(np.log1p(e, out=e).reshape(-1, *w.shape), w).reshape(-1)
-    if not math.isfinite(np.add.reduce(loss)):
-        for r in np.flatnonzero(~np.isfinite(loss)):
-            loss[r] = np.vecdot(w[r % len(w)], _softplus(b[r] @ xs))
-    return loss
+    e = np.matmul(b, xs, buffer)
+    np.exp(e, e)
+    np.log1p(e, e)
+    if len(w) == 1 or len(e) == len(w):  # one weight row, or one row of b per weight row
+        np.vecdot(e, w, out)
+    else:
+        np.vecdot(e.reshape(-1, *w.shape), w, out.reshape(-1, len(w)))
+    if not math.isfinite(sum(out.tolist())):  # for a few rows, cheaper than np.add.reduce
+        for r in np.flatnonzero(~np.isfinite(out)):
+            out[r] = np.vecdot(w[r % len(w)], _softplus(b[r] @ xs))
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -376,8 +380,10 @@ def tailored_log_likelihood(data: Dataset, beta, weights) -> float:
     """
     w = _check_weights(weights, data.n)
     b = _check_beta(beta, data.n_coefficients)
+    loss = np.empty(1)
     with np.errstate(over="ignore"):
-        value = -float(_weighted_loss(b[None], _signed_design(data), w[None])[0])
+        _weighted_loss(b[None], _signed_design(data), w[None], np.empty((1, data.n)), loss)
+    value = -float(loss[0])
     if not math.isfinite(value):
         raise DataError("log-likelihood is non-finite; inputs out of numeric range")
     return value
@@ -425,7 +431,14 @@ def make_log_posterior(data: Dataset, weights, prior: GaussianPrior):
     (:func:`_weighted_loss`).  That product may round a row differently
     for different batch shapes, so a row's value can depend on the
     shape of its batch in the last bits.  The callable reuses its
-    buffer, so it must not run in two threads at once.
+    buffers, so it must not run in two threads at once.
+
+    The callable's ``_fill_rows(b, out)`` attribute writes the values of
+    the rows of a (k, d) float64 array into the float64 vector ``out``
+    and returns nothing; it leaves ``np.errstate`` to its caller, which
+    :func:`~tailbayes.sampler.run_mh` enters once per run.  A value is
+    never +inf: the loss and the prior's quadratic term are both >= 0, so
+    it is at most the log of the prior's normalising constant, or NaN.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim < 2:
@@ -437,17 +450,27 @@ def make_log_posterior(data: Dataset, weights, prior: GaussianPrior):
     if mu.shape[0] != xs.shape[0]:
         raise DataError("prior dimension does not match the design matrix")
     log_norm = -float(np.sum(np.log(sd)) + 0.5 * mu.size * math.log(2.0 * math.pi))
-    buffer = np.empty(w.shape)
+    # b - 0.0 is b, and dividing by equal sds is dividing by one of them: the same bits, fewer numpy calls
+    centre = mu if mu.any() else None
+    scale = float(sd[0]) if np.all(sd == sd[0]) else sd
+    scratch = [np.empty(w.shape), np.empty((len(w), mu.size)), np.empty(len(w))]
+
+    def fill_rows(b: np.ndarray, out: np.ndarray) -> None:
+        if len(b) > len(scratch[0]):
+            scratch[:] = np.empty((len(b), data.n)), np.empty(b.shape), np.empty(len(b))
+        e, z, half_sq = scratch if len(b) == len(scratch[0]) else [a[: len(b)] for a in scratch]
+        _weighted_loss(b, xs, w, e, out)
+        np.divide(b if centre is None else b - centre, scale, z)
+        np.multiply(np.vecdot(z, z, half_sq), 0.5, half_sq)
+        np.add(out, half_sq, out)
+        np.subtract(log_norm, out, out)
 
     def logpost(beta: np.ndarray):
-        nonlocal buffer
-        b = np.asarray(beta).reshape(-1, mu.size)
-        if len(b) > len(buffer):
-            buffer = np.empty((len(b), data.n))
+        b = np.asarray(beta, dtype=np.float64).reshape(-1, mu.size)
+        value = np.empty(len(b))
         with np.errstate(over="ignore"):  # an overflowing term gives -inf, never a warning
-            zp = (b - mu) / sd
-            loss = _weighted_loss(b, xs, w, buffer[: len(b)])
-            value = log_norm - (loss + 0.5 * np.vecdot(zp, zp))
+            fill_rows(b, value)
         return float(value[0]) if np.ndim(beta) == 1 else value
 
+    logpost._fill_rows = fill_rows
     return logpost

@@ -61,8 +61,8 @@ class SamplerConfig:
             raise ConfigError("thin must be >= 1")
         if self.thin > self.n_iterations - self.burn_in:
             raise ConfigError("thin must not exceed n_iterations - burn_in, or no draw is retained")
-        if not (self.initial_sd > 0.0):
-            raise ConfigError("initial_sd must be positive")
+        if not (math.isfinite(self.initial_sd) and self.initial_sd > 0.0):
+            raise ConfigError(f"initial_sd must be finite and positive, got {self.initial_sd}")
         if not (0 <= int(self.rng_seed) < 2**64):
             raise ConfigError("rng_seed must fit in an unsigned 64-bit integer")
 
@@ -165,7 +165,10 @@ def run_mh(
     long as both evaluations return the same values
     (:func:`~tailbayes.model_core.make_log_posterior` may differ between
     batch shapes in the last bits).  Proposals with a non-finite
-    log-posterior are rejected (and counted).
+    log-posterior are rejected (and counted).  A run enters
+    ``np.errstate(over="ignore", invalid="ignore")`` once, so an
+    overflowing step or log-posterior term, in ``log_posterior`` too,
+    rejects its proposal without a RuntimeWarning.
 
     A batch of C = 1 prefetches: it makes the proposals of its next
     ``PREFETCH`` iterations from the current state, as a run of
@@ -181,13 +184,30 @@ def run_mh(
         n_chains, dim = dim
         block = PREFETCH if n_chains == 1 else 1
         return ChainBatch(tuple(_run_chains(log_posterior, n_chains, dim, config, block)))
-    (chain,) = _run_chains(lambda b: np.array([log_posterior(b[0])]), 1, dim, config, 1)
+    (chain,) = _run_chains(lambda b: log_posterior(b[0]), 1, dim, config, 1)
     if isinstance(chain, SamplerError):
         raise chain
     return chain
 
 
+def _plain_fill(log_posterior):
+    """The ``_fill_rows`` entry of a plain log-posterior callable (see :func:`_run_chains`)."""
+
+    def fill_rows(b, out):
+        out[:] = log_posterior(b)
+        out[out == np.inf] = np.nan  # +inf would pass every accept test; NaN passes none
+
+    return fill_rows
+
+
+@np.errstate(over="ignore", invalid="ignore")  # once per run: a non-finite proposal is rejected and counted
 def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, block: int) -> list:
+    # fill_rows(b, out) writes the log-posterior of each row of b into out, in place.
+    # make_log_posterior's callables carry one that never returns +inf; any other
+    # callable, whatever other attributes it carries, is adapted.
+    fill_rows = getattr(log_posterior, "_fill_rows", None)
+    if not callable(fill_rows):
+        fill_rows = _plain_fill(log_posterior)
     rng = np.random.default_rng(int(config.rng_seed))
     start = (
         np.zeros(dim)
@@ -197,7 +217,8 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, b
     if start.shape[0] != dim:
         raise ConfigError(f"initial_beta has length {start.shape[0]}, expected {dim}")
     beta = np.tile(start, (n_chains, 1))
-    current_lp = np.array(log_posterior(beta), dtype=np.float64)
+    current_lp = np.empty(n_chains)
+    fill_rows(beta, current_lp)
     alive = np.isfinite(current_lp)
     if not alive.any():
         return [_start_failure() for _ in range(n_chains)]
@@ -210,10 +231,16 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, b
     kept_accepts = np.empty((n_retained, n_chains), dtype=bool)
     # One adaptation batch of the stream and of its outcomes at a time, one
     # row per iteration and chain (row r is iteration r // C, chain r % C).
+    # Row 0 of ``held`` is the state before the batch and row t + 1 holds
+    # iteration t's proposals, so a chain's state after iteration t is the
+    # row of its last accept up to t.
     normals = np.empty((ADAPT_BATCH_SIZE, dim))
     uniforms = np.empty(ADAPT_BATCH_SIZE)
     steps = np.empty((ADAPT_BATCH_SIZE, n_chains, dim))
-    proposed_lp = np.empty(ADAPT_BATCH_SIZE * n_chains)
+    held = np.empty((ADAPT_BATCH_SIZE + 1, n_chains, dim))
+    held_lp = np.empty((ADAPT_BATCH_SIZE + 1, n_chains))
+    proposals = held[1:].reshape(-1, dim)
+    proposed_lp = held_lp[1:].reshape(-1)
     accepts = np.empty(ADAPT_BATCH_SIZE * n_chains, dtype=bool)
     post_accepts = np.zeros(n_chains, dtype=np.int64)
     n_nonfinite = np.zeros(n_chains, dtype=np.int64)
@@ -221,47 +248,34 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, b
     sd_steps, sd_trace = [], []
     span = block * n_chains
     keep, next_keep = 0, burn_in + thin - 1  # the next retained iteration
+    chain_index = np.arange(n_chains)
 
     for first in range(0, n_iter, ADAPT_BATCH_SIZE):
         size = min(ADAPT_BATCH_SIZE, n_iter - first)
         for r in range(size):
-            normals[r] = rng.standard_normal(dim)
+            rng.standard_normal(out=normals[r])
             uniforms[r] = math.log(rng.random())
         rows = size * n_chains
         flat_steps = np.multiply(sd[:, None], normals[:size, None], out=steps[:size]).reshape(rows, dim)
         log_u = np.repeat(uniforms[:size], n_chains)
-        keep0, next_keep0 = keep, next_keep
+        held[0], held_lp[0] = beta, current_lp
         a = 0
         while a < rows:
             # One block: rows a .. b - 1, every one proposed from the current state.
+            # Outputs are passed by position, which numpy parses faster than out=.
             b = min(a + span, rows)
-            proposal = beta + flat_steps[a:b]
-            lp = log_posterior(proposal)
-            proposed_lp[a:b] = lp
-            accept = np.less(log_u[a:b], lp - current_lp, out=accepts[a:b])
-            moved = np.count_nonzero(accept)
-            if moved:
-                accept &= np.isfinite(lp)  # a +inf proposal passes the test above
-                if b - a > n_chains:  # several iterations: take those up to the first accept
-                    k = int(accept.argmax()) // n_chains * n_chains
-                    last = slice(k, k + n_chains)
-                    b = a + last.stop
-                    proposal, lp, accept = proposal[last], lp[last], accept[last]
-            end = first + b // n_chains  # the block took iterations up to end - 1
-            if next_keep < end - 1:  # retained before the block's last iteration: the old state
-                n_old = -(-(end - 1 - next_keep) // thin)
-                draws[keep : keep + n_old] = beta
-                lp_trace[keep : keep + n_old] = current_lp
-                keep += n_old
-                next_keep += n_old * thin
-            if moved:
+            proposal = np.add(beta, flat_steps[a:b], proposals[a:b])
+            lp = proposed_lp[a:b]
+            fill_rows(proposal, lp)
+            accept = np.less(log_u[a:b], lp - current_lp, accepts[a:b])
+            if b - a > n_chains:  # one chain's prefetched iterations: take those up to the first accept
+                k = int(accept.argmax())
+                if accept[k]:
+                    b = a + k + 1
+                    beta[0], current_lp[0] = proposal[k], lp[k]
+            else:
                 np.copyto(beta, proposal, where=accept[:, None])
                 np.copyto(current_lp, lp, where=accept)
-            if next_keep == end - 1:
-                draws[keep] = beta
-                lp_trace[keep] = current_lp
-                keep += 1
-                next_keep += thin
             a = b
 
         taken = accepts[:rows].reshape(size, n_chains)
@@ -272,9 +286,15 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, b
                 sd[c] = adapt_proposal_sd(sd[c], batch_accepts / ADAPT_BATCH_SIZE, batch_index)
             sd_steps.append(first + size)
             sd_trace.append(sd.copy())
-        else:
-            post_accepts += taken[max(burn_in - first, 0) :].sum(axis=0)
-            kept_accepts[keep0:keep] = taken[next_keep0 - first :: thin][: keep - keep0]
+            continue
+        post_accepts += taken[max(burn_in - first, 0) :].sum(axis=0)
+        kept = np.arange(next_keep - first, size, thin)  # the batch's retained iterations
+        last = np.maximum.accumulate(np.where(taken, np.arange(1, size + 1)[:, None], 0), axis=0)[kept]
+        draws[keep : keep + len(kept)] = held[last, chain_index]
+        lp_trace[keep : keep + len(kept)] = held_lp[last, chain_index]
+        kept_accepts[keep : keep + len(kept)] = taken[kept]
+        keep += len(kept)
+        next_keep += len(kept) * thin
 
     sd_history = np.array(sd_trace, dtype=np.float64).reshape(-1, n_chains)
     chains = []

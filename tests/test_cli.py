@@ -122,8 +122,8 @@ class TestFit:
         assert len(manifest["rhat"]) == 3
         assert all(0.8 < r < 1.5 for r in manifest["rhat"])
 
-    @pytest.mark.parametrize("flag", [["--prior-sd", "1e-300"], ["--initial-sd", "1e300"]],
-                             ids=["prior-sd-1e-300", "initial-sd-1e300"])
+    @pytest.mark.parametrize("flag", [["--prior-sd", "1e-300"], ["--initial-sd", "1e300"], ["--initial-sd", "1e308"]],
+                             ids=["prior-sd-1e-300", "initial-sd-1e300", "initial-sd-1e308"])
     def test_chain_that_never_moves_is_sampler_error(self, tmp_path, train_csv, capsys, flag):
         # every proposal's log-posterior is -inf (or far below the start's), so the chain keeps its start
         out = tmp_path / "m"
@@ -131,6 +131,12 @@ class TestFit:
                     "--burn-in", 200, *flag, "--out", out]) == 4
         err = capsys.readouterr().err
         assert err.startswith("sampler error: the chain never moved") and "Warning" not in err
+        assert not out.exists()
+
+    def test_non_finite_initial_sd_is_usage_error(self, tmp_path, train_csv, capsys):
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--initial-sd", "inf", "--out", out]) == 2
+        assert "initial_sd must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("chains", [1, -3])

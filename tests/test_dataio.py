@@ -130,6 +130,22 @@ class TestWriters:
         assert names == ["intercept", "x1", "x2"]
         assert np.array_equal(back, draws)  # repr round-trips float64 exactly
 
+    def test_draws_bytes_equal_write_rows_over_repeats(self, tmp_path):
+        """Runs of repeated draws are formatted once, yet the file is write_rows' bytes, -0.0 after 0.0 included."""
+        rng = np.random.default_rng(2)
+        draws = rng.standard_normal((400, 3))
+        for i in np.flatnonzero(rng.random(400) < 0.75):
+            draws[i] = draws[i - 1]
+        draws[10:13] = [[0.0, -0.0, np.nan], [-0.0, 0.0, np.nan], [np.inf, -np.inf, 1e-300]]
+        draws[13:15] = draws[12]
+        names = ["intercept", "x,1", 'x"2']
+        for cols in (slice(None), slice(0, 1)):
+            dataio.write_draws_csv(tmp_path / "draws.csv", names[cols], draws[:, cols])
+            dataio.write_rows(tmp_path / "rows.csv", names[cols], draws[:, cols].tolist())
+            written = (tmp_path / "draws.csv").read_bytes()
+            assert written == (tmp_path / "rows.csv").read_bytes()
+        assert b"\r\n0.0\r\n-0.0\r\ninf\r\ninf\r\ninf\r\n" in written
+
     def test_rfc4180_quoting(self, tmp_path):
         path = tmp_path / "t.csv"
         dataio.write_rows(path, ["name", "value"], [['with,comma', 1], ['with"quote', 2]])

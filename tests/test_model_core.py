@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tailbayes
 from tailbayes.errors import ConfigError, DataError
@@ -19,6 +21,9 @@ from tailbayes.model_core import (
     TailoringConfig,
     TargetThreshold,
     UtilitySpec,
+    _signed_design,
+    _softplus,
+    _weighted_loss,
     compute_weights,
     effective_sample_size,
     expit,
@@ -374,6 +379,40 @@ class TestLikelihoodKernel:
         for r, beta in enumerate(batch):
             alone = make_log_posterior(self.DATA, weights[r % 2], self.PRIOR)(beta)
             assert values[r] == alone
+
+
+@st.composite
+def loss_batches(draw):
+    """(data, (C, n) weights, (m * C, d) coefficients) in halves, so every s z is exact in any order.
+
+    Coefficients reach +-300, so some rows put s z far above 709 and overflow exp.
+    """
+    n, d, c, m = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    halves = lambda bound: st.integers(-2 * bound, 2 * bound).map(lambda v: v / 2)  # noqa: E731
+    x = draw(arrays(np.float64, (n, d - 1), elements=halves(4)))
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    w = draw(arrays(np.float64, (c, n), elements=st.floats(0.0, 4.0)))
+    b = draw(arrays(np.float64, (m * c, d), elements=halves(3) | halves(300)))
+    return Dataset.from_raw(x, y), w, b
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(loss_batches())
+def test_weighted_loss_batch_row_equals_row_alone(case):
+    """Row r of a batch, under weight row r mod C, is the row evaluated alone; an overflowing row is its softplus sum."""
+    data, w, b = case
+    xs = _signed_design(data)
+    batch = np.empty(len(b))
+    with np.errstate(over="ignore"):
+        _weighted_loss(b, xs, w, np.empty((len(b), data.n)), batch)
+        for r, row in enumerate(b):
+            alone = np.empty(1)
+            _weighted_loss(row[None], xs, w[[r % len(w)]], np.empty((1, data.n)), alone)
+            np.testing.assert_array_max_ulp(batch[r], alone[0], maxulp=4)
+            sz = row @ xs
+            if sz.max() >= 710.0:  # exp(710) overflows: the row took the overflow-free fallback
+                assert batch[r] == np.vecdot(w[r % len(w)], _softplus(sz))
+    assert np.all(np.isfinite(batch))
 
 
 class TestGradient:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,9 @@ class TestRunMh:
         assert SamplerConfig(n_iterations=600, burn_in=200, thin=400).thin == 400
         with pytest.raises(ConfigError):
             SamplerConfig(initial_sd=0.0)
+        for sd in (math.inf, math.nan):  # a step of inf * normal is inf or nan: no chain could run
+            with pytest.raises(ConfigError, match="initial_sd must be finite"):
+                SamplerConfig(initial_sd=sd)
 
 
 class TestBatchedChains:
@@ -240,6 +244,47 @@ class TestBatchedChains:
         assert prefetched.n_nonfinite_proposals == alone.n_nonfinite_proposals
         if logpost is gamma_logpost:
             assert alone.n_nonfinite_proposals > 0
+
+    @pytest.mark.parametrize(
+        "n_chains, prior, thin",
+        [(8, GaussianPrior.vague(3), 1), (1, GaussianPrior(np.array([0.5, -1.0, 0.0]), np.array([2.0, 5.0, 0.5])), 3)],
+        ids=["C=8-vague", "C=1-centred-thin-3"],
+    )
+    def test_plain_callable_runs_the_chains_of_the_private_entry(self, n_chains, prior, thin):
+        """A plain one-argument callable, shaped like perfbench's traced closure, gives the same chains."""
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((150, 2))
+        data = Dataset.from_raw(x, (rng.random(150) < 1 / (1 + np.exp(-x[:, 0]))).astype(float))
+        weights = np.exp(-np.outer(np.arange(n_chains), rng.random(150)))
+        logpost = make_log_posterior(data, weights, prior)
+        calls = []
+
+        def plain(b):
+            calls.append(len(b))
+            return logpost(b)
+
+        plain.rows = data.n  # an integer attribute, as perfbench sets, is not an entry point
+        cfg = SamplerConfig(n_iterations=1500, burn_in=500, thin=thin, initial_sd=0.3, rng_seed=5)
+        fast = run_mh(logpost, (n_chains, 3), cfg)
+        generic = run_mh(plain, (n_chains, 3), cfg)
+        assert callable(logpost._fill_rows) and calls
+        for a, b in zip(fast.chains, generic.chains):
+            assert np.array_equal(a.draws, b.draws)
+            assert np.array_equal(a.log_posterior_trace, b.log_posterior_trace)
+            assert np.array_equal(a.accepted, b.accepted)
+            assert a.n_nonfinite_proposals == b.n_nonfinite_proposals
+
+    @pytest.mark.parametrize("prior_sd, initial_sd", [(1e-300, 0.1), (100.0, 1e308)],
+                             ids=["prior-sd-1e-300", "initial-sd-1e308"])
+    def test_private_entry_never_warns(self, prior_sd, initial_sd):
+        """Overflowing priors and steps give rejected proposals, not RuntimeWarnings."""
+        data = Dataset.from_raw([[0.5, -1.0], [1.5, 0.0], [-1.0, 2.0]], [0, 1, 1])
+        logpost = make_log_posterior(data, np.ones((2, 3)), GaussianPrior.vague(3, sd=prior_sd))
+        cfg = SamplerConfig(n_iterations=300, burn_in=250, initial_sd=initial_sd, rng_seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = run_mh(logpost, (2, 3), cfg)
+        assert all(isinstance(c, SamplerError) and "never moved" in str(c) for c in batch.chains)
 
     def test_memory_bounded_by_the_returned_arrays(self):
         """No array as long as the run: the peak stays near the bytes of the retained chain."""

@@ -1,0 +1,130 @@
+"""Time the MH sampler layer of two source trees, alternating, and hash what it produced.
+
+    python tools/mh_bench.py --src path/to/parent/src --src path/to/change/src [--pairs 15]
+
+runs ``tailbayes.tuning.fit_chains`` in two cases, the CV batch and the
+single chain:
+
+- ``C=8``: eight lambda chains as one batch, n = 640, 3000 iterations
+  (1200 burn-in), as one CV fold of ``reproduce`` runs them;
+- ``C=1``: one prefetched chain, n = 200, 8000 iterations (3000 burn-in),
+  as stage 1 and the final fit of ``reproduce`` run it.
+
+Both trees are imported into one process, each under its own copy of the
+``tailbayes`` modules, and run the same inputs.  After one untimed run
+each, the trees take turns, and which goes first alternates from pair to
+pair, so a pair's two runs are a fraction of a second apart and drift of
+a shared host's speed cancels within it.  A run is timed in CPU time
+(``time.process_time``), which other processes disturb less than wall
+time.  The script prints, per case, each tree's median and quartiles in
+microseconds per iteration, the median over pairs of the second tree's
+time as a ratio of the first's, and per tree one sha256 over every
+chain's draws, ``log_posterior_trace``, ``accepted`` flags, proposal-sd
+trace and non-finite count.  Equal hashes mean the two trees sample bit
+for bit the same chains.  Outside the test suite: the times depend on
+the host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+CASES = {
+    "C=8": {"chains": 8, "n": 640, "iterations": 3000, "burn_in": 1200},
+    "C=1": {"chains": 1, "n": 200, "iterations": 8000, "burn_in": 3000},
+}
+
+
+def load_tree(src: Path) -> dict:
+    """The ``tailbayes`` package under ``src`` as a private set of module objects."""
+    ours = lambda name: name == "tailbayes" or name.startswith("tailbayes.")  # noqa: E731
+    for name in [n for n in sys.modules if ours(n)]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        modules = {name: importlib.import_module(f"tailbayes.{name}") for name in ("model_core", "sampler", "tuning")}
+    finally:
+        sys.path.remove(str(src))
+        for name in [n for n in sys.modules if ours(n)]:
+            del sys.modules[name]
+    return modules
+
+
+def make_inputs(tree: dict, case: dict) -> tuple:
+    rng = np.random.default_rng(20211)
+    n = case["n"]
+    x = rng.standard_normal((n, 2))
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x @ [1.0, -0.5] - 0.4)))).astype(float)
+    pi_u = 1.0 / (1.0 + np.exp(-(x @ [0.8, -0.4] - 0.3)))
+    lams = [0.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0][: case["chains"]]
+    core, sampler = tree["model_core"], tree["sampler"]
+    return (
+        core.Dataset.from_raw(x, y),
+        np.exp(-np.outer(lams, (pi_u - 0.3) ** 2)),
+        core.GaussianPrior.vague(3),
+        sampler.SamplerConfig(n_iterations=case["iterations"], burn_in=case["burn_in"], initial_sd=0.15, rng_seed=31),
+    )
+
+
+def digest(batch) -> str:
+    h = hashlib.sha256()
+    for chain in batch.chains:
+        for part in (chain.draws, chain.log_posterior_trace, chain.accepted, chain.proposal_sd_trace):
+            h.update(np.ascontiguousarray(part).tobytes())
+        h.update(str(chain.n_nonfinite_proposals).encode())
+    return h.hexdigest()
+
+
+def timed_run(tree: dict, inputs: tuple, iterations: int) -> tuple[float, str]:
+    start = time.process_time()
+    batch = tree["tuning"].fit_chains(*inputs)
+    return (time.process_time() - start) / iterations * 1e6, digest(batch)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append", required=True,
+                        help="directory holding a tailbayes package; give it twice, parent first")
+    parser.add_argument("--pairs", type=int, default=15, help="timed pairs of runs per case")
+    args = parser.parse_args(argv)
+    srcs = [Path(s).resolve() for s in args.src]
+    if len(srcs) != 2:
+        parser.error("give --src exactly twice")
+    for src in srcs:
+        if not (src / "tailbayes" / "sampler.py").is_file():
+            parser.error(f"{src} holds no tailbayes package")
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    trees = [load_tree(src) for src in srcs]
+
+    for name, case in CASES.items():
+        inputs = [make_inputs(tree, case) for tree in trees]
+        hashes = [{timed_run(tree, inp, case["iterations"])[1]} for tree, inp in zip(trees, inputs)]
+        times = [[], []]
+        for pair in range(args.pairs):
+            for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+                us, sha = timed_run(trees[side], inputs[side], case["iterations"])
+                times[side].append(us)
+                hashes[side].add(sha)
+        for side in (0, 1):
+            q1, q2, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
+            print(f"{name} {srcs[side]}: median {q2:.1f} us/iter (quartiles {q1:.1f}, {q3:.1f}; "
+                  f"{args.pairs} runs) sha256 {' '.join(sorted(hashes[side]))}")
+        ratio = statistics.median(b / a for a, b in zip(*times))
+        wins = sum(b < a for a, b in zip(*times))
+        same = hashes[0] == hashes[1] and len(hashes[0]) == 1
+        print(f"{name} ratio {ratio:.3f} (median over pairs; second tree faster in {wins} of {args.pairs}); "
+              f"outputs {'identical' if same else 'DIFFER'}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
