@@ -337,30 +337,57 @@ def _signed_design(data: Dataset) -> np.ndarray:
     return np.ascontiguousarray(data.covariates.T * (1.0 - 2.0 * data.outcomes))
 
 
-def _weighted_loss(b: np.ndarray, xs: np.ndarray, w: np.ndarray, buffer: np.ndarray, out: np.ndarray) -> None:
-    """Write sum_i w_i log(1 + e^(s_i z_i)), the negated weighted log-likelihood, of each ``b`` row to ``out``.
+def _loss_views(xs: np.ndarray, ws: list, k: int) -> tuple:
+    """The buffers :func:`_weighted_loss` fills for a (k, d) ``b``, with each group's views of them.
 
-    ``xs`` comes from :func:`_signed_design` and ``w`` is a (C, n) weight
-    matrix; row r of the (k, d) ``b`` is under weight row r mod C.  A
-    datapoint contributes y z - log(1 + e^z) = -log(1 + e^(s z)) to the
-    log-likelihood, so each row is one ``matmul``, ``exp``, ``log1p`` and
-    ``vecdot``, computed in the (k, n) ``buffer``.  A row whose sum is
-    non-finite (exp overflowed at some s z above about 709) is recomputed
-    alone through the overflow-free :func:`_softplus`.  Callers run it
-    under ``np.errstate(over="ignore")``: an overflow gives inf, which the
-    fallback or the caller's finite check handles.  Outputs are passed by
-    position, which numpy parses faster than ``out=``.
+    Returns the shape (G, k / G, d) of ``b`` as stacked groups, the
+    (G, k / G, n_max) product buffer, the k losses, and per group g the
+    view of its own n_g buffer columns, ``ws[g]``, and the view of its
+    losses, both shaped (m, C, ...) when each weight row has m rows.
     """
-    e = np.matmul(b, xs, buffer)
+    rows = k // len(ws)
+    buffer, loss = np.empty((len(ws), rows, xs.shape[2])), np.empty(k)
+    groups = []
+    for g, w in enumerate(ws):
+        e, part = buffer[g, :, : w.shape[1]], loss[g * rows : (g + 1) * rows]
+        if len(w) > 1 and rows > len(w):  # m rows of b per weight row
+            e, part = e.reshape(-1, *w.shape), part.reshape(-1, len(w))
+        groups.append((e, w, part))
+    return (len(ws), rows, xs.shape[1]), buffer, loss, groups
+
+
+def _weighted_loss(b: np.ndarray, xs: np.ndarray, views: tuple) -> np.ndarray:
+    """The losses sum_i w_i log(1 + e^(s_i z_i)), the negated weighted log-likelihood, of the ``b`` rows.
+
+    ``xs`` stacks G signed designs from :func:`_signed_design` as a
+    (G, d, n_max) array, each zero-padded to ``n_max`` columns, and
+    ``views`` comes from :func:`_loss_views` for the group weights ``ws``,
+    ``ws[g]`` being group g's (C, n_g) matrix.  The (k, d) ``b`` holds G
+    equal groups of rows in order; row r of group g is under ``ws[g]`` row
+    r mod C.  A datapoint contributes y z - log(1 + e^z) = -log(1 + e^(s z))
+    to the log-likelihood, so the stack is one ``matmul``, ``exp`` and
+    ``log1p`` in the product buffer, then one ``vecdot`` per group over
+    its own n_g columns: padding columns are computed, never summed.  A
+    row whose sum is non-finite (exp overflowed at some s z above about
+    709) is recomputed alone through the overflow-free :func:`_softplus`.
+    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
+    an overflow gives inf, and a zero weight times inf NaN, which the
+    fallback or the caller's finite check handles.  Outputs are passed by
+    position, which numpy parses faster than ``out=``.  Returns the loss
+    vector of ``views``, which the next call overwrites.
+    """
+    shape, buffer, loss, groups = views
+    e = np.matmul(b.reshape(shape), xs, buffer)
     np.exp(e, e)
     np.log1p(e, e)
-    if len(w) == 1 or len(e) == len(w):  # one weight row, or one row of b per weight row
-        np.vecdot(e, w, out)
-    else:
-        np.vecdot(e.reshape(-1, *w.shape), w, out.reshape(-1, len(w)))
-    if not math.isfinite(sum(out.tolist())):  # for a few rows, cheaper than np.add.reduce
-        for r in np.flatnonzero(~np.isfinite(out)):
-            out[r] = np.vecdot(w[r % len(w)], _softplus(b[r] @ xs))
+    for group_e, w, part in groups:
+        np.vecdot(group_e, w, part)
+    if not math.isfinite(sum(loss.tolist())):  # for a few rows, cheaper than np.add.reduce
+        for r in np.flatnonzero(~np.isfinite(loss)):
+            g = r // shape[1]
+            w = groups[g][1]
+            loss[r] = np.vecdot(w[r % len(w)], _softplus(b[r] @ xs[g, :, : w.shape[1]]))
+    return loss
 
 
 def _check_weights(weights, n: int) -> np.ndarray:
@@ -380,10 +407,9 @@ def tailored_log_likelihood(data: Dataset, beta, weights) -> float:
     """
     w = _check_weights(weights, data.n)
     b = _check_beta(beta, data.n_coefficients)
-    loss = np.empty(1)
-    with np.errstate(over="ignore"):
-        _weighted_loss(b[None], _signed_design(data), w[None], np.empty((1, data.n)), loss)
-    value = -float(loss[0])
+    xs = _signed_design(data)[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = -float(_weighted_loss(b[None], xs, _loss_views(xs, [w[None]], 1))[0])
     if not math.isfinite(value):
         raise DataError("log-likelihood is non-finite; inputs out of numeric range")
     return value
@@ -440,35 +466,57 @@ def make_log_posterior(data: Dataset, weights, prior: GaussianPrior):
     never +inf: the loss and the prior's quadratic term are both >= 0, so
     it is at most the log of the prior's normalising constant, or NaN.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim < 2:
-        w = _check_weights(w, data.n)[None, :]
-    if w.ndim != 2 or w.shape[1] != data.n:
-        raise DataError(f"a weight matrix of shape {w.shape} does not fit {data.n} rows")
-    xs = _signed_design(data)
+    return _stacked_log_posterior((data,), (weights,), prior)
+
+
+def _stacked_log_posterior(datasets, weights, prior: GaussianPrior):
+    """The callable of :func:`make_log_posterior` for G (data, weights) pairs under one prior; G = 1 is that function.
+
+    Every ``weights[g]`` has the same number C of rows.  The callable
+    maps G equal groups of rows, in order, to their values, group g under
+    pair g.  A group keeps its weights' memory layout and sums only its
+    own n_g columns, so its values are those of its own callable whenever
+    the stacked ``matmul`` rounds as the group's own does.
+    """
+    ws = []
+    for data, w in zip(datasets, weights):
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim < 2:
+            w = _check_weights(w, data.n)[None, :]
+        if w.ndim != 2 or w.shape[1] != data.n:
+            raise DataError(f"a weight matrix of shape {w.shape} does not fit {data.n} rows")
+        ws.append(w)
+    if len({len(w) for w in ws}) != 1:
+        raise DataError("every stacked group needs the same number of weight rows")
     mu, sd = prior.means, prior.sds
-    if mu.shape[0] != xs.shape[0]:
+    if any(data.n_coefficients != mu.size for data in datasets):
         raise DataError("prior dimension does not match the design matrix")
+    xs = np.zeros((len(ws), mu.size, max(data.n for data in datasets)))  # zero padding columns
+    for g, data in enumerate(datasets):
+        xs[g, :, : data.n] = _signed_design(data)
     log_norm = -float(np.sum(np.log(sd)) + 0.5 * mu.size * math.log(2.0 * math.pi))
     # b - 0.0 is b, and dividing by equal sds is dividing by one of them: the same bits, fewer numpy calls
     centre = mu if mu.any() else None
     scale = float(sd[0]) if np.all(sd == sd[0]) else sd
-    scratch = [np.empty(w.shape), np.empty((len(w), mu.size)), np.empty(len(w))]
+    cache = {}  # rows of b -> (loss views, z, half_sq); the sampler uses one to four row counts
 
     def fill_rows(b: np.ndarray, out: np.ndarray) -> None:
-        if len(b) > len(scratch[0]):
-            scratch[:] = np.empty((len(b), data.n)), np.empty(b.shape), np.empty(len(b))
-        e, z, half_sq = scratch if len(b) == len(scratch[0]) else [a[: len(b)] for a in scratch]
-        _weighted_loss(b, xs, w, e, out)
+        views = cache.get(len(b))
+        if views is None:
+            if len(cache) >= 8:
+                cache.clear()
+            views = cache[len(b)] = _loss_views(xs, ws, len(b)), np.empty(b.shape), np.empty(len(b))
+        loss_views, z, half_sq = views
+        loss = _weighted_loss(b, xs, loss_views)
         np.divide(b if centre is None else b - centre, scale, z)
         np.multiply(np.vecdot(z, z, half_sq), 0.5, half_sq)
-        np.add(out, half_sq, out)
+        np.add(loss, half_sq, out)
         np.subtract(log_norm, out, out)
 
     def logpost(beta: np.ndarray):
         b = np.asarray(beta, dtype=np.float64).reshape(-1, mu.size)
         value = np.empty(len(b))
-        with np.errstate(over="ignore"):  # an overflowing term gives -inf, never a warning
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing term gives -inf, never a warning
             fill_rows(b, value)
         return float(value[0]) if np.ndim(beta) == 1 else value
 

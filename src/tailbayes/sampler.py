@@ -9,7 +9,10 @@ so the retained chain is a valid Markov chain.
 batch: one (C, d) state, one log-posterior call per iteration, and one
 random stream whose draws every chain uses.  A single chain is the
 C = 1 case of that loop, and it evaluates up to four iterations per
-call: the proposals a run of rejections would make, prefetched.
+call: the proposals a run of rejections would make, prefetched.  The
+same loop stacks G such batches, each on its own seed's stream, behind
+one log-posterior call per iteration (:func:`_run_batches`, which the
+CV folds use); a lone batch is G = 1.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class SamplerConfig:
             raise ConfigError("thin must not exceed n_iterations - burn_in, or no draw is retained")
         if not (math.isfinite(self.initial_sd) and self.initial_sd > 0.0):
             raise ConfigError(f"initial_sd must be finite and positive, got {self.initial_sd}")
+        if self.initial_sd < SD_MIN:  # every step would round away, so every proposal would be accepted
+            raise ConfigError(f"initial_sd must be at least {SD_MIN}, the floor of the adapted sd, got {self.initial_sd}")
         if not (0 <= int(self.rng_seed) < 2**64):
             raise ConfigError("rng_seed must fit in an unsigned 64-bit integer")
 
@@ -182,12 +187,29 @@ def run_mh(
     """
     if isinstance(dim, tuple):
         n_chains, dim = dim
-        block = PREFETCH if n_chains == 1 else 1
-        return ChainBatch(tuple(_run_chains(log_posterior, n_chains, dim, config, block)))
-    (chain,) = _run_chains(lambda b: log_posterior(b[0]), 1, dim, config, 1)
+        (batch,) = _run_batches(log_posterior, [config.rng_seed], n_chains, dim, config)
+        return batch
+    (chain,) = _run_chains(lambda b: log_posterior(b[0]), [config.rng_seed], 1, dim, config, 1)
     if isinstance(chain, SamplerError):
         raise chain
     return chain
+
+
+def _run_batches(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, config: SamplerConfig) -> list:
+    """One :class:`ChainBatch` of ``n_chains`` chains per seed, all advanced in one loop.
+
+    ``log_posterior`` maps G = ``len(seeds)`` equal groups of rows, in
+    seed order, to their values, as
+    :func:`~tailbayes.model_core._stacked_log_posterior` does; batch g is
+    the batch :func:`run_mh` gives for ``dim = (n_chains, dim)`` on group
+    g's log-posterior with ``config`` seeded by ``seeds[g]``, as long as
+    both evaluations return the same values.  Each group draws from its
+    own stream, so groups share nothing but the loop and the
+    log-posterior call.  Only a single chain (G = 1, C = 1) prefetches.
+    """
+    block = PREFETCH if len(seeds) * n_chains == 1 else 1
+    chains = _run_chains(log_posterior, seeds, n_chains, dim, config, block)
+    return [ChainBatch(tuple(chains[g * n_chains : (g + 1) * n_chains])) for g in range(len(seeds))]
 
 
 def _plain_fill(log_posterior):
@@ -201,14 +223,17 @@ def _plain_fill(log_posterior):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run: a non-finite proposal is rejected and counted
-def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, block: int) -> list:
+def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, config: SamplerConfig, block: int) -> list:
+    # G = len(seeds) groups of n_chains chains; group g draws from the stream
+    # seeded by seeds[g], and chain j is chain j % n_chains of group j // n_chains.
     # fill_rows(b, out) writes the log-posterior of each row of b into out, in place.
     # make_log_posterior's callables carry one that never returns +inf; any other
     # callable, whatever other attributes it carries, is adapted.
     fill_rows = getattr(log_posterior, "_fill_rows", None)
     if not callable(fill_rows):
         fill_rows = _plain_fill(log_posterior)
-    rng = np.random.default_rng(int(config.rng_seed))
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    n_groups, total = len(seeds), len(seeds) * n_chains
     start = (
         np.zeros(dim)
         if config.initial_beta is None
@@ -216,59 +241,69 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, b
     )
     if start.shape[0] != dim:
         raise ConfigError(f"initial_beta has length {start.shape[0]}, expected {dim}")
-    beta = np.tile(start, (n_chains, 1))
-    current_lp = np.empty(n_chains)
+    beta = np.tile(start, (total, 1))
+    current_lp = np.empty(total)
     fill_rows(beta, current_lp)
     alive = np.isfinite(current_lp)
     if not alive.any():
-        return [_start_failure() for _ in range(n_chains)]
+        return [_start_failure() for _ in range(total)]
     current_lp[~alive] = np.nan  # a NaN current value fails every accept test below
 
     n_iter, burn_in, thin = config.n_iterations, config.burn_in, config.thin
     n_retained = (n_iter - burn_in) // thin
-    draws = np.empty((n_retained, n_chains, dim))
-    lp_trace = np.empty((n_retained, n_chains))
-    kept_accepts = np.empty((n_retained, n_chains), dtype=bool)
-    # One adaptation batch of the stream and of its outcomes at a time, one
-    # row per iteration and chain (row r is iteration r // C, chain r % C).
+    # Chain-major, so each chain's draws, trace and flags are contiguous views.
+    draws = np.empty((total, n_retained, dim))
+    lp_trace = np.empty((total, n_retained))
+    kept_accepts = np.empty((total, n_retained), dtype=bool)
+    # One adaptation batch of each stream and of its outcomes at a time, one
+    # row per iteration and chain (row r is iteration r // total, chain r % total).
     # Row 0 of ``held`` is the state before the batch and row t + 1 holds
     # iteration t's proposals, so a chain's state after iteration t is the
     # row of its last accept up to t.
-    normals = np.empty((ADAPT_BATCH_SIZE, dim))
-    uniforms = np.empty(ADAPT_BATCH_SIZE)
-    steps = np.empty((ADAPT_BATCH_SIZE, n_chains, dim))
-    held = np.empty((ADAPT_BATCH_SIZE + 1, n_chains, dim))
-    held_lp = np.empty((ADAPT_BATCH_SIZE + 1, n_chains))
-    proposals = held[1:].reshape(-1, dim)
-    proposed_lp = held_lp[1:].reshape(-1)
-    accepts = np.empty(ADAPT_BATCH_SIZE * n_chains, dtype=bool)
-    post_accepts = np.zeros(n_chains, dtype=np.int64)
-    n_nonfinite = np.zeros(n_chains, dtype=np.int64)
-    sd = np.full(n_chains, float(config.initial_sd))
+    normals = np.empty((n_groups, ADAPT_BATCH_SIZE, dim))
+    uniforms = np.empty((n_groups, ADAPT_BATCH_SIZE))
+    steps = np.empty((ADAPT_BATCH_SIZE, n_groups, n_chains, dim))
+    log_u = np.empty((ADAPT_BATCH_SIZE, n_groups, n_chains))
+    held = np.empty((ADAPT_BATCH_SIZE + 1, total, dim))
+    held_lp = np.empty((ADAPT_BATCH_SIZE + 1, total))
+    accepts = np.empty(ADAPT_BATCH_SIZE * total, dtype=bool)
+    proposals, proposed_lp = held[1:].reshape(-1, dim), held_lp[1:].reshape(-1)
+    flat = (steps.reshape(-1, dim), proposals, proposed_lp, log_u.reshape(-1), accepts)
+    post_accepts = np.zeros(total, dtype=np.int64)
+    n_nonfinite = np.zeros(total, dtype=np.int64)
+    sd = np.full(total, float(config.initial_sd))
+    group_sd = sd.reshape(n_groups, n_chains, 1)
     sd_steps, sd_trace = [], []
-    span = block * n_chains
+    span = block * total
+    block_rows = 0  # the batch size in rows that ``blocks`` was made for
     keep, next_keep = 0, burn_in + thin - 1  # the next retained iteration
-    chain_index = np.arange(n_chains)
+    chain_index = np.arange(total)[:, None]
 
     for first in range(0, n_iter, ADAPT_BATCH_SIZE):
         size = min(ADAPT_BATCH_SIZE, n_iter - first)
-        for r in range(size):
-            rng.standard_normal(out=normals[r])
-            uniforms[r] = math.log(rng.random())
-        rows = size * n_chains
-        flat_steps = np.multiply(sd[:, None], normals[:size, None], out=steps[:size]).reshape(rows, dim)
-        log_u = np.repeat(uniforms[:size], n_chains)
+        for rng, group_normals, group_uniforms in zip(rngs, normals, uniforms):
+            for r in range(size):
+                rng.standard_normal(out=group_normals[r])
+                group_uniforms[r] = math.log(rng.random())
+        rows = size * total
+        if rows != block_rows:  # the block that starts at row a: its end b and views of rows a .. b - 1
+            block_rows, blocks = rows, {}
+            for a in range(0, rows, total):
+                b = min(a + span, rows)
+                blocks[a] = (b, *(part[a:b] for part in flat))
+        # step of iteration r, chain c of group g: sd[g, c] * normals[g, r]
+        np.multiply(group_sd, normals[:, :size, None].swapaxes(0, 1), steps[:size])
+        log_u[:size] = uniforms[:, :size, None].swapaxes(0, 1)
         held[0], held_lp[0] = beta, current_lp
         a = 0
         while a < rows:
-            # One block: rows a .. b - 1, every one proposed from the current state.
+            # One block, every proposal made from the current state.
             # Outputs are passed by position, which numpy parses faster than out=.
-            b = min(a + span, rows)
-            proposal = np.add(beta, flat_steps[a:b], proposals[a:b])
-            lp = proposed_lp[a:b]
+            b, step, proposal, lp, block_log_u, accept = blocks[a]
+            np.add(beta, step, proposal)
             fill_rows(proposal, lp)
-            accept = np.less(log_u[a:b], lp - current_lp, accepts[a:b])
-            if b - a > n_chains:  # one chain's prefetched iterations: take those up to the first accept
+            np.less(block_log_u, lp - current_lp, accept)
+            if b - a > total:  # one chain's prefetched iterations: take those up to the first accept
                 k = int(accept.argmax())
                 if accept[k]:
                     b = a + k + 1
@@ -278,8 +313,8 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, b
                 np.copyto(current_lp, lp, where=accept)
             a = b
 
-        taken = accepts[:rows].reshape(size, n_chains)
-        n_nonfinite += size - np.count_nonzero(np.isfinite(proposed_lp[:rows].reshape(size, n_chains)), axis=0)
+        taken = accepts[:rows].reshape(size, total)
+        n_nonfinite += size - np.count_nonzero(np.isfinite(proposed_lp[:rows].reshape(size, total)), axis=0)
         if first + size <= burn_in:
             batch_index = len(sd_steps) + 1
             for c, batch_accepts in enumerate(taken.sum(axis=0)):
@@ -289,16 +324,16 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, b
             continue
         post_accepts += taken[max(burn_in - first, 0) :].sum(axis=0)
         kept = np.arange(next_keep - first, size, thin)  # the batch's retained iterations
-        last = np.maximum.accumulate(np.where(taken, np.arange(1, size + 1)[:, None], 0), axis=0)[kept]
-        draws[keep : keep + len(kept)] = held[last, chain_index]
-        lp_trace[keep : keep + len(kept)] = held_lp[last, chain_index]
-        kept_accepts[keep : keep + len(kept)] = taken[kept]
+        last = np.maximum.accumulate(np.where(taken, np.arange(1, size + 1)[:, None], 0), axis=0)[kept].T
+        draws[:, keep : keep + len(kept)] = held[last, chain_index]
+        lp_trace[:, keep : keep + len(kept)] = held_lp[last, chain_index]
+        kept_accepts[:, keep : keep + len(kept)] = taken[kept].T
         keep += len(kept)
         next_keep += len(kept) * thin
 
-    sd_history = np.array(sd_trace, dtype=np.float64).reshape(-1, n_chains)
+    sd_history = np.array(sd_trace, dtype=np.float64).reshape(-1, total)
     chains = []
-    for c in range(n_chains):
+    for c in range(total):
         if not alive[c]:
             chains.append(_start_failure())
             continue
@@ -307,12 +342,12 @@ def _run_chains(log_posterior, n_chains: int, dim: int, config: SamplerConfig, b
             continue
         chains.append(
             PosteriorSamples(
-                draws=np.ascontiguousarray(draws[:, c]),
+                draws=draws[c],
                 acceptance_rate=float(post_accepts[c] / (n_iter - burn_in)),
                 final_proposal_sd=float(sd[c]),
-                rng_seed=int(config.rng_seed),
-                log_posterior_trace=np.ascontiguousarray(lp_trace[:, c]),
-                accepted=np.ascontiguousarray(kept_accepts[:, c]),
+                rng_seed=int(seeds[c // n_chains]),
+                log_posterior_trace=lp_trace[c],
+                accepted=kept_accepts[c],
                 proposal_sd_trace=np.column_stack([sd_steps, sd_history[:, c]]).reshape(-1, 2),
                 n_nonfinite_proposals=int(n_nonfinite[c]),
             )

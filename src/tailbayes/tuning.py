@@ -7,9 +7,11 @@ Net Benefit, then receives the final fit).  With lam = 0 every weight
 is 1 and the pipeline reduces exactly to standard Bayesian logistic
 regression.
 
-Every fit runs through :func:`fit_chains`.  The final, stage-1 and
-standard fits are single chains; each CV fold runs its lam chains as one
-batch, because they share the fold's seed and so its random stream.
+The final, stage-1 and standard fits are single chains run through
+:func:`fit_chains`.  Each CV fold runs its lam chains as one batch,
+because they share the fold's seed and so its random stream, and the
+folds a worker takes run stacked as one batch of batches
+(:func:`fit_folds`).
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from .model_core import (
     GaussianPrior,
     TailoringConfig,
     TargetThreshold,
+    _stacked_log_posterior,
     compute_weights,
     effective_sample_size,
     make_log_posterior,
 )
 from .evaluation import net_benefit
 from .predict import predictive_mean_sd
-from .sampler import ChainBatch, PosteriorSamples, SamplerConfig, gelman_rubin, run_mh
+from .sampler import ChainBatch, PosteriorSamples, SamplerConfig, _run_batches, gelman_rubin, run_mh
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
@@ -46,6 +49,7 @@ __all__ = [
     "make_cv_plan",
     "fit_tailored",
     "fit_chains",
+    "fit_folds",
     "fit_standard",
     "fold_seed",
     "rhat_seeds",
@@ -189,10 +193,31 @@ def fit_chains(
     """One MH chain per row of the (C, n) ``weights`` matrix, run as one batch.
 
     The chains share ``sampler_config`` and so its random stream (see
-    :func:`~tailbayes.sampler.run_mh`).  Every fit runs through here.
+    :func:`~tailbayes.sampler.run_mh`).
     """
     logpost = make_log_posterior(data, weights, prior)
     return run_mh(logpost, (len(weights), data.n_coefficients), sampler_config)
+
+
+def fit_folds(
+    datasets: list[Dataset],
+    weights: list[np.ndarray],
+    prior: GaussianPrior,
+    sampler_config: SamplerConfig,
+    seeds: list[int],
+) -> list[ChainBatch]:
+    """``fit_chains(datasets[g], weights[g], prior, sampler_config)`` seeded by ``seeds[g]``, for every g, stacked.
+
+    Every (C, n_g) ``weights[g]`` has the same C.  The G batches advance in
+    one sampler loop, each on its own random stream, with one
+    log-posterior call per iteration for all of them.  Each batch is bit
+    for bit the one :func:`fit_chains` gives, except for C = 1 with
+    G >= 2: a lone chain prefetches four proposals per call and a stacked
+    one evaluates one, so its ``log_posterior_trace`` can differ in the
+    last bits.
+    """
+    logpost = _stacked_log_posterior(datasets, weights, prior)
+    return _run_batches(logpost, seeds, len(weights[0]), datasets[0].n_coefficients, sampler_config)
 
 
 def fit_standard(
@@ -246,17 +271,19 @@ def stage1_pi_u(
     return fit_standard(design, sampler_config, prior)
 
 
-def _cv_fold(payload: tuple) -> list[tuple[float, str | None]]:
-    """(Net Benefit, error) of each lam chain of one fold's batch; top-level so pools can pickle it."""
-    train, weights, test, threshold, prior, config = payload
-    scores = []
-    for samples in fit_chains(train, weights, prior, config).chains:
-        if isinstance(samples, SamplerError):
-            scores.append((float("nan"), str(samples)))
-            continue
-        means, _ = predictive_mean_sd(test.covariates, samples)
-        scores.append((net_benefit(means, test.outcomes, threshold).net_benefit, None))
-    return scores
+def _cv_folds(payload: tuple) -> list[list[tuple[float, str | None]]]:
+    """(Net Benefit, error) of each lam chain of each fold of one group; top-level so pools can pickle it."""
+    folds, threshold, prior, config = payload
+    trains, weights, tests, seeds = zip(*folds)
+    batches = fit_folds(trains, weights, prior, config, seeds)
+    return [[_cv_score(samples, test, threshold) for samples in batch.chains] for batch, test in zip(batches, tests)]
+
+
+def _cv_score(samples, test: Dataset, threshold: TargetThreshold) -> tuple[float, str | None]:
+    if isinstance(samples, SamplerError):
+        return float("nan"), str(samples)
+    means, _ = predictive_mean_sd(test.covariates, samples)
+    return net_benefit(means, test.outcomes, threshold).net_benefit, None
 
 
 def cv_select_lambda(
@@ -273,10 +300,11 @@ def cv_select_lambda(
 
     Fold fits share one sampler configuration with per-fold seeds
     (:func:`fold_seed`).  A fold's lam chains share its seed, so they run
-    as one batch on one random stream (:func:`fit_chains`), and ``jobs``
-    worker processes take whole folds; the result does not depend on
-    ``jobs``.  Ties break toward the smallest lam.  A sampler failure
-    invalidates its cell; a lam stays eligible only if at least K - 1 of
+    as one batch on one random stream.  ``jobs`` splits the folds into
+    at most ``jobs`` contiguous groups (3 + 2 folds for jobs = 2 and
+    K = 5), one per worker process, and each group's folds run stacked
+    (:func:`fit_folds`); the result does not depend on ``jobs``.  Ties
+    break toward the smallest lam.  A sampler failure invalidates its cell; a lam stays eligible only if at least K - 1 of
     its folds succeeded (the average then runs over the successes, and
     the failure is logged).
     """
@@ -291,13 +319,15 @@ def cv_select_lambda(
         [compute_weights(TailoringConfig(threshold, lam, pi_u_dev, distance)) for lam in grid]
     )
     seeds = [fold_seed(sampler_config.rng_seed, fold) for fold in range(cv_plan.k)]
-    payloads = []
+    folds = []
     for fold, seed in enumerate(seeds):
         tr = cv_plan.train_indices(fold)
         test = development.subset(cv_plan.fold_indices(fold))
-        config = replace(sampler_config, rng_seed=seed)
-        payloads.append((development.subset(tr), weights[:, tr], test, threshold, prior, config))
-    scores = map_jobs(_cv_fold, payloads, jobs)
+        folds.append((development.subset(tr), weights[:, tr], test, seed))
+    # a one-lam grid runs each fold alone: a single chain prefetches (run_mh), a stacked one cannot
+    groups = np.array_split(np.arange(cv_plan.k), min(jobs, cv_plan.k) if len(grid) > 1 else cv_plan.k)
+    payloads = [([folds[f] for f in group], threshold, prior, sampler_config) for group in groups]
+    scores = [fold for group in map_jobs(_cv_folds, payloads, jobs) for fold in group]
 
     table: list[dict] = []
     for li, lam in enumerate(grid):

@@ -139,6 +139,13 @@ class TestFit:
         assert "initial_sd must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_initial_sd_below_the_adaptation_floor_is_usage_error(self, tmp_path, train_csv, capsys):
+        # every step of sd 1e-300 rounds away, so every proposal is accepted and the chain never leaves 0
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--initial-sd", "1e-300", "--out", out]) == 2
+        assert "initial_sd must be at least 1e-08, the floor of the adapted sd, got 1e-300" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("chains", [1, -3])
     def test_rhat_chains_below_two_is_usage_error(self, tmp_path, train_csv, capsys, chains):
         # the count includes the final chain, so 1 would add no chain and give no R-hat

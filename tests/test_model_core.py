@@ -21,6 +21,7 @@ from tailbayes.model_core import (
     TailoringConfig,
     TargetThreshold,
     UtilitySpec,
+    _loss_views,
     _signed_design,
     _softplus,
     _weighted_loss,
@@ -371,6 +372,17 @@ class TestLikelihoodKernel:
             assert logpost(self.BETAS).tolist() == [-np.inf] * 3
             assert math.isfinite(logpost(np.zeros(3)))
 
+    def test_zero_weight_on_an_overflowing_row_is_silent(self):
+        # 0 * inf is NaN in the batched sum, which sends the row to the fallback, never to a warning
+        weights = np.stack([self.WEIGHTS, np.where(np.arange(4) == 0, 0.0, self.WEIGHTS)])
+        logpost = make_log_posterior(self.DATA, weights, self.PRIOR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = logpost(self.BETAS[[1, 1]])
+        expected = self.softplus_value(self.BETAS[1]) + log_prior(self.BETAS[1], self.PRIOR)
+        np.testing.assert_allclose(values[0], expected, rtol=1e-14)
+        assert math.isfinite(values[1]) and values[1] > values[0]
+
     def test_batch_rows_cycle_through_weight_rows(self):
         """With C weight rows, row r of an (m * C, d) batch is under weight row r mod C."""
         weights = np.stack([self.WEIGHTS, self.WEIGHTS[::-1]])
@@ -402,12 +414,10 @@ def test_weighted_loss_batch_row_equals_row_alone(case):
     """Row r of a batch, under weight row r mod C, is the row evaluated alone; an overflowing row is its softplus sum."""
     data, w, b = case
     xs = _signed_design(data)
-    batch = np.empty(len(b))
-    with np.errstate(over="ignore"):
-        _weighted_loss(b, xs, w, np.empty((len(b), data.n)), batch)
+    with np.errstate(over="ignore", invalid="ignore"):  # as every caller runs it: a zero weight times inf is NaN
+        batch = _weighted_loss(b, xs[None], _loss_views(xs[None], [w], len(b)))
         for r, row in enumerate(b):
-            alone = np.empty(1)
-            _weighted_loss(row[None], xs, w[[r % len(w)]], np.empty((1, data.n)), alone)
+            alone = _weighted_loss(row[None], xs[None], _loss_views(xs[None], [w[[r % len(w)]]], 1))
             np.testing.assert_array_max_ulp(batch[r], alone[0], maxulp=4)
             sz = row @ xs
             if sz.max() >= 710.0:  # exp(710) overflows: the row took the overflow-free fallback

@@ -8,6 +8,7 @@ import pytest
 from tailbayes.errors import ConfigError, SamplerError
 from tailbayes.model_core import Dataset, GaussianPrior, make_log_posterior
 from tailbayes.sampler import (
+    SD_MIN,
     ChainBatch,
     PosteriorSamples,
     SamplerConfig,
@@ -151,6 +152,10 @@ class TestRunMh:
         for sd in (math.inf, math.nan):  # a step of inf * normal is inf or nan: no chain could run
             with pytest.raises(ConfigError, match="initial_sd must be finite"):
                 SamplerConfig(initial_sd=sd)
+        for sd in (1e-300, 0.999 * SD_MIN):  # below the floor adaptation clamps to: a chain that never leaves its start
+            with pytest.raises(ConfigError, match="initial_sd must be at least 1e-08"):
+                SamplerConfig(initial_sd=sd)
+        assert SamplerConfig(initial_sd=SD_MIN).initial_sd == SD_MIN
 
 
 class TestBatchedChains:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tailbayes.tuning as tuning
 from tailbayes.errors import ConfigError, DataError, SamplerError
@@ -114,6 +115,23 @@ class TestCvPlan:
         b = make_cv_plan(y, seed=5)
         assert np.array_equal(a.fold_ids, b.fold_ids)
 
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(st.integers(2, 8).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.booleans(), min_size=k, max_size=120), st.integers(0, 2**32 - 1))))
+    def test_folds_balance_each_class_within_one(self, case):
+        """Each fold holds its share of each class within one, so fold (and training) sizes differ by at most 2."""
+        k, outcomes, seed = case
+        y = np.array(outcomes, dtype=float)
+        plan = make_cv_plan(y, k=k, seed=seed)
+        for label in (0.0, 1.0):
+            share = np.count_nonzero(y == label) / k
+            for fold in range(k):
+                assert abs(np.count_nonzero(y[plan.fold_indices(fold)] == label) - share) < 1.0
+        sizes = [len(plan.fold_indices(fold)) for fold in range(k)]
+        train_sizes = [len(plan.train_indices(fold)) for fold in range(k)]
+        assert max(sizes) - min(sizes) <= 2
+        assert max(train_sizes) - min(train_sizes) <= 2  # the most padding a stacked fold gets
+
 
 class TestStage1:
     def test_single_class_design_rejected(self):
@@ -174,14 +192,16 @@ class TestCvSelectLambda:
     @staticmethod
     def fail_folds(monkeypatch, seeds):
         """Make every chain of each fold whose sampler seed is in ``seeds`` fail."""
-        real_fit_chains = tuning.fit_chains
+        real_fit_folds = tuning.fit_folds
 
-        def flaky(data, weights, prior, config):
-            if config.rng_seed in seeds:
-                return ChainBatch(tuple(SamplerError("injected failure") for _ in weights))
-            return real_fit_chains(data, weights, prior, config)
+        def flaky(datasets, weights, prior, config, fold_seeds):
+            batches = real_fit_folds(datasets, weights, prior, config, fold_seeds)
+            return [
+                ChainBatch(tuple(SamplerError("injected failure") for _ in w)) if seed in seeds else batch
+                for batch, w, seed in zip(batches, weights, fold_seeds)
+            ]
 
-        monkeypatch.setattr(tuning, "fit_chains", flaky)
+        monkeypatch.setattr(tuning, "fit_folds", flaky)
 
     def test_single_fold_failure_tolerated(self, monkeypatch):
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
@@ -231,15 +251,16 @@ class TestCvSelectLambda:
         t = TargetThreshold(0.3)
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0, 50.0), seed=1)
         batches = {}
-        real_fit_chains = tuning.fit_chains
+        real_fit_folds = tuning.fit_folds
 
-        def recording(data, weights, prior, config):
-            batches[config.rng_seed] = real_fit_chains(data, weights, prior, config)
-            return batches[config.rng_seed]
+        def recording(datasets, weights, prior, config, seeds):
+            result = real_fit_folds(datasets, weights, prior, config, seeds)
+            batches.update(zip(seeds, result))
+            return result
 
-        monkeypatch.setattr(tuning, "fit_chains", recording)
+        monkeypatch.setattr(tuning, "fit_folds", recording)
         _, table = cv_select_lambda(train, pi_u, t, plan, FASTER)
-        monkeypatch.undo()  # fit_tailored runs through fit_chains too
+        monkeypatch.undo()
         prior = GaussianPrior.vague(train.n_coefficients)
         assert len(batches) == plan.k
         assert all(len(batch.chains) == len(plan.lambda_grid) for batch in batches.values())
@@ -258,6 +279,55 @@ class TestCvSelectLambda:
         assert not np.array_equal(batches[FASTER.rng_seed + 1].chains[0].draws,
                                   batches[FASTER.rng_seed + 1].chains[2].draws)
         assert len(table) == len(plan.lambda_grid) * plan.k
+
+
+class TestFitFolds:
+    @pytest.mark.parametrize(
+        "prior, thin",
+        [(None, 1), (GaussianPrior(np.array([0.5, -1.0, 0.25]), np.array([2.0, 5.0, 0.5])), 3)],
+        ids=["vague", "centred-thin-3"],
+    )
+    def test_stacked_folds_equal_their_own_batches(self, prior, thin):
+        """Folds of unequal size with F-ordered weights, stacked, give each fold's fit_chains batch bit for bit."""
+        train, _ = generate_sim1(Sim1Config(n=163, q=1.0, seed=9))
+        pi_u = np.random.default_rng(5).uniform(0.1, 0.9, size=train.n)
+        grid = (0.0, 2.0, 10.0, 50.0)
+        plan = make_cv_plan(train.outcomes, k=4, lambda_grid=grid, seed=3)
+        prior = prior or GaussianPrior.vague(train.n_coefficients)
+        weights = np.stack([compute_weights(TailoringConfig(TargetThreshold(0.3), lam, pi_u)) for lam in grid])
+        trains = [plan.train_indices(fold) for fold in range(plan.k)]
+        assert len({len(tr) for tr in trains}) > 1  # unequal folds: the stack pads
+        fold_weights = [weights[:, tr] for tr in trains]
+        assert not any(w.flags.c_contiguous for w in fold_weights)  # as cv_select_lambda passes them
+        config = replace(FASTER, thin=thin)
+        seeds = [fold_seed(config.rng_seed, fold) for fold in range(plan.k)]
+        stacked = tuning.fit_folds([train.subset(tr) for tr in trains], fold_weights, prior, config, seeds)
+        assert len(stacked) == plan.k
+        for tr, w, seed, batch in zip(trains, fold_weights, seeds, stacked):
+            alone = tuning.fit_chains(train.subset(tr), w, prior, replace(config, rng_seed=seed))
+            assert len(batch.chains) == len(grid)
+            for chain, own in zip(batch.chains, alone.chains):
+                assert np.array_equal(chain.draws, own.draws)
+                assert np.array_equal(chain.log_posterior_trace, own.log_posterior_trace)
+                assert np.array_equal(chain.accepted, own.accepted)
+                assert np.array_equal(chain.proposal_sd_trace, own.proposal_sd_trace)
+                assert chain.n_nonfinite_proposals == own.n_nonfinite_proposals
+                assert chain.rng_seed == own.rng_seed == seed
+                # chain-major storage: each chain's arrays are contiguous views of one run's arrays
+                assert chain.draws.flags.c_contiguous and chain.draws.base is stacked[0].chains[0].draws.base
+
+    def test_failures_stay_in_their_cells(self):
+        """A non-finite start fails only its own (lam, fold) chain of the stack."""
+        train, _ = generate_sim1(Sim1Config(n=90, q=1.0, seed=4))
+        trains = [np.arange(0, 60), np.arange(25, 90)]
+        fold_weights = [np.ones((3, len(tr))) for tr in trains]
+        fold_weights[1][2, 0] = np.inf  # inf * log(2) at the start point: that chain's start is non-finite
+        stacked = tuning.fit_folds(
+            [train.subset(tr) for tr in trains], fold_weights, GaussianPrior.vague(3), FASTER, [5, 6]
+        )
+        failed = [[isinstance(c, SamplerError) for c in batch.chains] for batch in stacked]
+        assert failed == [[False, False, False], [False, False, True]]
+        assert "initial point" in str(stacked[1].chains[2])
 
 
 class TestMapJobs:
@@ -304,6 +374,27 @@ class TestMapJobs:
         )
         assert pool_sizes == [3]
         assert pooled == serial
+
+    def test_cv_result_does_not_depend_on_jobs(self, pool_sizes, monkeypatch):
+        """jobs = J splits the K = 5 folds into min(J, K) contiguous groups; lambda* and the table never change."""
+        train, _ = generate_sim1(Sim1Config(n=130, q=1.0, seed=6))
+        pi_u = np.random.default_rng(3).uniform(0.1, 0.9, size=train.n)
+        plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0, 50.0), seed=1)
+        groups = []
+        real_map_jobs = tuning.map_jobs
+
+        def recording(fn, payloads, jobs):
+            groups.append([[seed for *_, seed in payload[0]] for payload in payloads])
+            return real_map_jobs(fn, payloads, jobs)
+
+        monkeypatch.setattr(tuning, "map_jobs", recording)
+        results = {
+            jobs: cv_select_lambda(train, pi_u, TargetThreshold(0.3), plan, FASTER, jobs=jobs) for jobs in (1, 2, 3, 64)
+        }
+        assert all(result == results[1] for result in results.values())
+        seeds = [fold_seed(FASTER.rng_seed, fold) for fold in range(5)]
+        assert groups == [[seeds], [seeds[:3], seeds[3:]], [seeds[:2], seeds[2:4], seeds[4:]], [[s] for s in seeds]]
+        assert pool_sizes == [2, 3, 5]
 
 
 class TestFitPipeline:

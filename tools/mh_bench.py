@@ -2,13 +2,18 @@
 
     python tools/mh_bench.py --src path/to/parent/src --src path/to/change/src [--pairs 15]
 
-runs ``tailbayes.tuning.fit_chains`` in two cases, the CV batch and the
-single chain:
+runs three cases:
 
-- ``C=8``: eight lambda chains as one batch, n = 640, 3000 iterations
-  (1200 burn-in), as one CV fold of ``reproduce`` runs them;
-- ``C=1``: one prefetched chain, n = 200, 8000 iterations (3000 burn-in),
-  as stage 1 and the final fit of ``reproduce`` run it.
+- ``C=8``: ``tailbayes.tuning.fit_chains`` with eight lambda chains as
+  one batch, n = 640, 3000 iterations (1200 burn-in), the size of one CV
+  fold of ``reproduce``;
+- ``C=1``: ``fit_chains`` with one prefetched chain, n = 200, 8000
+  iterations (3000 burn-in), as stage 1 and the final fit of
+  ``reproduce`` run it;
+- ``CV``: ``tailbayes.tuning.cv_select_lambda`` over K = 5 folds and the
+  8-value default grid, n = 880, 3000 iterations (1200 burn-in), in
+  process: the 40 CV chains of one ``reproduce`` repetition, plus their
+  predictions and Net Benefit.
 
 Both trees are imported into one process, each under its own copy of the
 ``tailbayes`` modules, and run the same inputs.  After one untimed run
@@ -18,11 +23,12 @@ a shared host's speed cancels within it.  A run is timed in CPU time
 (``time.process_time``), which other processes disturb less than wall
 time.  The script prints, per case, each tree's median and quartiles in
 microseconds per iteration, the median over pairs of the second tree's
-time as a ratio of the first's, and per tree one sha256 over every
-chain's draws, ``log_posterior_trace``, ``accepted`` flags, proposal-sd
-trace and non-finite count.  Equal hashes mean the two trees sample bit
-for bit the same chains.  Outside the test suite: the times depend on
-the host.
+time as a ratio of the first's, and per tree one sha256: for ``C=8`` and
+``C=1`` over every chain's draws, ``log_posterior_trace``, ``accepted``
+flags, proposal-sd trace and non-finite count; for ``CV`` over lambda*
+and the bits of every cell's Net Benefit.  Equal hashes mean the two
+trees give bit for bit the same results.  Outside the test suite: the
+times depend on the host.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import numpy as np
 CASES = {
     "C=8": {"chains": 8, "n": 640, "iterations": 3000, "burn_in": 1200},
     "C=1": {"chains": 1, "n": 200, "iterations": 8000, "burn_in": 3000},
+    "CV": {"chains": 8, "n": 880, "iterations": 3000, "burn_in": 1200, "folds": 5},
 }
 
 
@@ -64,19 +71,22 @@ def make_inputs(tree: dict, case: dict) -> tuple:
     x = rng.standard_normal((n, 2))
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x @ [1.0, -0.5] - 0.4)))).astype(float)
     pi_u = 1.0 / (1.0 + np.exp(-(x @ [0.8, -0.4] - 0.3)))
+    core, sampler, tuning = tree["model_core"], tree["sampler"], tree["tuning"]
+    config = sampler.SamplerConfig(n_iterations=case["iterations"], burn_in=case["burn_in"], initial_sd=0.15, rng_seed=31)
+    if "folds" in case:
+        plan = tuning.make_cv_plan(y, k=case["folds"], lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=31)
+        return (core.Dataset.from_raw(x, y), pi_u, core.TargetThreshold(0.3), plan, config)
     lams = [0.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0][: case["chains"]]
-    core, sampler = tree["model_core"], tree["sampler"]
-    return (
-        core.Dataset.from_raw(x, y),
-        np.exp(-np.outer(lams, (pi_u - 0.3) ** 2)),
-        core.GaussianPrior.vague(3),
-        sampler.SamplerConfig(n_iterations=case["iterations"], burn_in=case["burn_in"], initial_sd=0.15, rng_seed=31),
-    )
+    return (core.Dataset.from_raw(x, y), np.exp(-np.outer(lams, (pi_u - 0.3) ** 2)), core.GaussianPrior.vague(3), config)
 
 
-def digest(batch) -> str:
+def digest(result) -> str:
     h = hashlib.sha256()
-    for chain in batch.chains:
+    if isinstance(result, tuple):  # cv_select_lambda: (lambda*, table)
+        lam, table = result
+        h.update(np.array([lam] + [np.nan if row["nb"] is None else row["nb"] for row in table]).tobytes())
+        return h.hexdigest()
+    for chain in result.chains:
         for part in (chain.draws, chain.log_posterior_trace, chain.accepted, chain.proposal_sd_trace):
             h.update(np.ascontiguousarray(part).tobytes())
         h.update(str(chain.n_nonfinite_proposals).encode())
@@ -84,9 +94,10 @@ def digest(batch) -> str:
 
 
 def timed_run(tree: dict, inputs: tuple, iterations: int) -> tuple[float, str]:
+    run = tree["tuning"].cv_select_lambda if len(inputs) == 5 else tree["tuning"].fit_chains
     start = time.process_time()
-    batch = tree["tuning"].fit_chains(*inputs)
-    return (time.process_time() - start) / iterations * 1e6, digest(batch)
+    result = run(*inputs)
+    return (time.process_time() - start) / iterations * 1e6, digest(result)
 
 
 def main(argv: list[str] | None = None) -> int:
