@@ -42,7 +42,7 @@ from .sampler import (
     run_mh,
     summarize,
 )
-from .predict import positive_mask, predictive_mean_sd
+from .predict import positive_mask, predictive_mean, predictive_mean_sd
 from .evaluation import (
     CalibrationCurve,
     MiscalibrationSpec,

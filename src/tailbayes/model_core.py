@@ -11,6 +11,7 @@ safe to call concurrently, except the callable that
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -337,23 +338,28 @@ def _signed_design(data: Dataset) -> np.ndarray:
     return np.ascontiguousarray(data.covariates.T * (1.0 - 2.0 * data.outcomes))
 
 
-def _loss_views(xs: np.ndarray, ws: list, k: int) -> tuple:
-    """The buffers :func:`_weighted_loss` fills for a (k, d) ``b``, with each group's views of them.
+def _loss_views(xs: np.ndarray, ws: np.ndarray, sizes: list, k: int) -> tuple:
+    """The buffers :func:`_weighted_loss` fills for a (k, d) ``b``, with the views it reduces.
 
-    Returns the shape (G, k / G, d) of ``b`` as stacked groups, the
-    (G, k / G, n_max) product buffer, the k losses, and per group g the
-    view of its own n_g buffer columns, ``ws[g]``, and the view of its
-    losses, both shaped (m, C, ...) when each weight row has m rows.
+    ``xs`` is the (G, d, n_max) design stack, ``ws`` the C-ordered
+    (G, C, n_max) weight stack and ``sizes[g]`` group g's column count
+    n_g.  Returns the shape (G, k / G, d) of ``b`` as stacked groups, the
+    (G, k / G, n_max) product buffer, the k losses, one (products,
+    weights, losses) triple per run of consecutive groups of equal n_g,
+    shaped (groups, m, C, n_g) and (groups, 1, C, n_g) when each weight
+    row has m rows of ``b``, and ``ws`` and ``sizes`` for the fallback.
     """
-    rows = k // len(ws)
-    buffer, loss = np.empty((len(ws), rows, xs.shape[2])), np.empty(k)
-    groups = []
-    for g, w in enumerate(ws):
-        e, part = buffer[g, :, : w.shape[1]], loss[g * rows : (g + 1) * rows]
-        if len(w) > 1 and rows > len(w):  # m rows of b per weight row
-            e, part = e.reshape(-1, *w.shape), part.reshape(-1, len(w))
-        groups.append((e, w, part))
-    return (len(ws), rows, xs.shape[1]), buffer, loss, groups
+    n_groups, n_rows, n_max = ws.shape
+    rows = k // n_groups
+    buffer, loss = np.empty((n_groups, rows, n_max)), np.empty(k)
+    products, weights = buffer.reshape(n_groups, -1, n_rows, n_max), ws[:, None]
+    losses = loss.reshape(n_groups, -1, n_rows)
+    runs, g = [], 0
+    for n, run in itertools.groupby(sizes):
+        h = g + len(list(run))
+        runs.append((products[g:h, ..., :n], weights[g:h, ..., :n], losses[g:h]))
+        g = h
+    return (n_groups, rows, xs.shape[1]), buffer, loss, runs, ws, sizes
 
 
 def _weighted_loss(b: np.ndarray, xs: np.ndarray, views: tuple) -> np.ndarray:
@@ -361,32 +367,34 @@ def _weighted_loss(b: np.ndarray, xs: np.ndarray, views: tuple) -> np.ndarray:
 
     ``xs`` stacks G signed designs from :func:`_signed_design` as a
     (G, d, n_max) array, each zero-padded to ``n_max`` columns, and
-    ``views`` comes from :func:`_loss_views` for the group weights ``ws``,
-    ``ws[g]`` being group g's (C, n_g) matrix.  The (k, d) ``b`` holds G
-    equal groups of rows in order; row r of group g is under ``ws[g]`` row
-    r mod C.  A datapoint contributes y z - log(1 + e^z) = -log(1 + e^(s z))
-    to the log-likelihood, so the stack is one ``matmul``, ``exp`` and
-    ``log1p`` in the product buffer, then one ``vecdot`` per group over
-    its own n_g columns: padding columns are computed, never summed.  A
-    row whose sum is non-finite (exp overflowed at some s z above about
-    709) is recomputed alone through the overflow-free :func:`_softplus`.
+    ``views`` comes from :func:`_loss_views`.  The (k, d) ``b`` holds G
+    equal groups of rows in order; row r of group g is under row r mod C
+    of group g's weights.  A datapoint contributes
+    y z - log(1 + e^z) = -log(1 + e^(s z)) to the log-likelihood, so the
+    stack is one ``matmul``, ``exp`` and ``log1p`` in the product buffer,
+    then one ``vecdot`` per run of consecutive groups of equal n_g over
+    their own n_g columns, on C-ordered weights: padding columns are
+    computed, never summed, so a row's value is the one its group gives
+    alone, whatever the other groups' sizes.  A row whose sum is
+    non-finite (exp overflowed at some s z above about 709) is
+    recomputed alone through the overflow-free :func:`_softplus`.
     Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
     an overflow gives inf, and a zero weight times inf NaN, which the
     fallback or the caller's finite check handles.  Outputs are passed by
     position, which numpy parses faster than ``out=``.  Returns the loss
     vector of ``views``, which the next call overwrites.
     """
-    shape, buffer, loss, groups = views
+    shape, buffer, loss, runs, ws, sizes = views
     e = np.matmul(b.reshape(shape), xs, buffer)
     np.exp(e, e)
     np.log1p(e, e)
-    for group_e, w, part in groups:
-        np.vecdot(group_e, w, part)
+    for products, weights, losses in runs:
+        np.vecdot(products, weights, losses)
     if not math.isfinite(sum(loss.tolist())):  # for a few rows, cheaper than np.add.reduce
         for r in np.flatnonzero(~np.isfinite(loss)):
             g = r // shape[1]
-            w = groups[g][1]
-            loss[r] = np.vecdot(w[r % len(w)], _softplus(b[r] @ xs[g, :, : w.shape[1]]))
+            n = sizes[g]
+            loss[r] = np.vecdot(ws[g, r % ws.shape[1], :n], _softplus(b[r] @ xs[g, :, :n]))
     return loss
 
 
@@ -409,7 +417,7 @@ def tailored_log_likelihood(data: Dataset, beta, weights) -> float:
     b = _check_beta(beta, data.n_coefficients)
     xs = _signed_design(data)[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = -float(_weighted_loss(b[None], xs, _loss_views(xs, [w[None]], 1))[0])
+        value = -float(_weighted_loss(b[None], xs, _loss_views(xs, w[None, None], [data.n], 1))[0])
     if not math.isfinite(value):
         raise DataError("log-likelihood is non-finite; inputs out of numeric range")
     return value
@@ -456,8 +464,10 @@ def make_log_posterior(data: Dataset, weights, prior: GaussianPrior):
     ``B @ xs`` with the outcome signs folded into ``xs``
     (:func:`_weighted_loss`).  That product may round a row differently
     for different batch shapes, so a row's value can depend on the
-    shape of its batch in the last bits.  The callable reuses its
-    buffers, so it must not run in two threads at once.
+    shape of its batch in the last bits.  The weights are copied once,
+    C-ordered, so a value does not depend on their memory layout.  The
+    callable reuses its buffers, so it must not run in two threads at
+    once.
 
     The callable's ``_fill_rows(b, out)`` attribute writes the values of
     the rows of a (k, d) float64 array into the float64 vector ``out``
@@ -474,9 +484,11 @@ def _stacked_log_posterior(datasets, weights, prior: GaussianPrior):
 
     Every ``weights[g]`` has the same number C of rows.  The callable
     maps G equal groups of rows, in order, to their values, group g under
-    pair g.  A group keeps its weights' memory layout and sums only its
-    own n_g columns, so its values are those of its own callable whenever
-    the stacked ``matmul`` rounds as the group's own does.
+    pair g.  The weights are copied once into one C-ordered, zero-padded
+    (G, C, n_max) stack, and a group sums only its own n_g columns, so
+    its values are those of its own callable whenever the stacked
+    ``matmul`` rounds as the group's own does, whatever its weights'
+    memory layout.
     """
     ws = []
     for data, w in zip(datasets, weights):
@@ -491,13 +503,18 @@ def _stacked_log_posterior(datasets, weights, prior: GaussianPrior):
     mu, sd = prior.means, prior.sds
     if any(data.n_coefficients != mu.size for data in datasets):
         raise DataError("prior dimension does not match the design matrix")
-    xs = np.zeros((len(ws), mu.size, max(data.n for data in datasets)))  # zero padding columns
-    for g, data in enumerate(datasets):
+    sizes = [data.n for data in datasets]
+    xs = np.zeros((len(ws), mu.size, max(sizes)))  # zero padding columns
+    w_stack = np.zeros((len(ws), len(ws[0]), max(sizes)))
+    for g, (data, w) in enumerate(zip(datasets, ws)):
         xs[g, :, : data.n] = _signed_design(data)
-    log_norm = -float(np.sum(np.log(sd)) + 0.5 * mu.size * math.log(2.0 * math.pi))
+        w_stack[g, :, : data.n] = w
+    # numpy takes 0-d array operands faster than Python floats, with the same bits
+    log_norm = np.array(-float(np.sum(np.log(sd)) + 0.5 * mu.size * math.log(2.0 * math.pi)))
+    half = np.array(0.5)
     # b - 0.0 is b, and dividing by equal sds is dividing by one of them: the same bits, fewer numpy calls
     centre = mu if mu.any() else None
-    scale = float(sd[0]) if np.all(sd == sd[0]) else sd
+    scale = np.array(sd[0]) if np.all(sd == sd[0]) else sd
     cache = {}  # rows of b -> (loss views, z, half_sq); the sampler uses one to four row counts
 
     def fill_rows(b: np.ndarray, out: np.ndarray) -> None:
@@ -505,11 +522,11 @@ def _stacked_log_posterior(datasets, weights, prior: GaussianPrior):
         if views is None:
             if len(cache) >= 8:
                 cache.clear()
-            views = cache[len(b)] = _loss_views(xs, ws, len(b)), np.empty(b.shape), np.empty(len(b))
+            views = cache[len(b)] = _loss_views(xs, w_stack, sizes, len(b)), np.empty(b.shape), np.empty(len(b))
         loss_views, z, half_sq = views
         loss = _weighted_loss(b, xs, loss_views)
         np.divide(b if centre is None else b - centre, scale, z)
-        np.multiply(np.vecdot(z, z, half_sq), 0.5, half_sq)
+        np.multiply(np.vecdot(z, z, half_sq), half, half_sq)
         np.add(loss, half_sq, out)
         np.subtract(log_norm, out, out)
 

@@ -8,13 +8,21 @@ from .errors import DataError
 from .model_core import TargetThreshold
 from .sampler import PosteriorSamples
 
-__all__ = ["predictive_mean_sd", "positive_mask"]
+__all__ = ["predictive_mean", "predictive_mean_sd", "positive_mask"]
 
 # Byte budget of one row chunk's rows x draws probability matrix.  The
 # two buffers hold rows x runs, a data-dependent share of it, so a small
 # budget keeps peak memory nearly the same whatever the chain's
 # acceptance; chunks of 1-2 MiB also stay in cache.
 CHUNK_BYTES = 2 * 2**20
+
+
+def predictive_mean(covariates: np.ndarray, samples: PosteriorSamples) -> np.ndarray:
+    """Posterior predictive mean for each row: :func:`predictive_mean_sd` without its sd pass.
+
+    The means are bit for bit those of :func:`predictive_mean_sd`.
+    """
+    return _predict(covariates, samples, False)[0]
 
 
 def predictive_mean_sd(covariates: np.ndarray, samples: PosteriorSamples) -> tuple[np.ndarray, np.ndarray]:
@@ -44,6 +52,11 @@ def predictive_mean_sd(covariates: np.ndarray, samples: PosteriorSamples) -> tup
     the covariates and the draws: it does not depend on the chunk size or
     on the number of BLAS threads.
     """
+    return _predict(covariates, samples, True)
+
+
+def _predict(covariates, samples: PosteriorSamples, with_sd: bool) -> tuple:
+    """The chunk loop of :func:`predictive_mean_sd`: the means, and the sds or None."""
     x = np.asarray(covariates, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != samples.dim:
         raise DataError(f"covariates must be a 2-D matrix of {samples.dim} columns, got shape {x.shape}")
@@ -57,7 +70,7 @@ def predictive_mean_sd(covariates: np.ndarray, samples: PosteriorSamples) -> tup
     probs = np.empty((min(chunk_rows, x.shape[0]), run_start.size))
     work = np.empty_like(probs)
     means = np.empty(x.shape[0])
-    sds = np.empty(x.shape[0])
+    sds = np.empty(x.shape[0]) if with_sd else None
     for lo in range(0, x.shape[0], chunk_rows):
         xc = x[lo : lo + chunk_rows]
         p, w = probs[: xc.shape[0]], work[: xc.shape[0]]
@@ -72,11 +85,12 @@ def predictive_mean_sd(covariates: np.ndarray, samples: PosteriorSamples) -> tup
             p += 1.0
             np.reciprocal(p, out=p)
             mean = np.multiply(p, run_len, out=w).sum(axis=1) / samples.n_draws
-            np.subtract(p, mean[:, None], out=w)
-            np.square(w, out=w)
-            w *= run_len
-        means[lo : lo + chunk_rows] = mean
-        sds[lo : lo + chunk_rows] = np.sqrt(w.sum(axis=1) / samples.n_draws)
+            means[lo : lo + chunk_rows] = mean
+            if with_sd:
+                np.subtract(p, mean[:, None], out=w)
+                np.square(w, out=w)
+                w *= run_len
+                sds[lo : lo + chunk_rows] = np.sqrt(w.sum(axis=1) / samples.n_draws)
     return means, sds
 
 

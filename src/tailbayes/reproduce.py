@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .evaluation import net_benefit, paired_delta
 from .model_core import TargetThreshold
-from .predict import predictive_mean_sd
+from .predict import predictive_mean
 from .sampler import SamplerConfig
 from .simulation import STUDY_PARAMETER, optimal_nb, study
 from .tuning import DEFAULT_LAMBDA_GRID, fit_pipeline, fit_standard, map_jobs
@@ -90,8 +90,8 @@ def _rep_worker(payload: tuple) -> dict:
     )
     baseline = fit_standard(train, replace(FINAL_SAMPLER, rng_seed=fit_seed))
 
-    tailored_probs = predictive_mean_sd(test.covariates, model.samples)[0]
-    standard_probs = predictive_mean_sd(test.covariates, baseline)[0]
+    tailored_probs = predictive_mean(test.covariates, model.samples)
+    standard_probs = predictive_mean(test.covariates, baseline)
 
     row = dict(cell)
     row.update(

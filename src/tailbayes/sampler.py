@@ -44,6 +44,7 @@ SD_MIN = 1e-8
 SD_MAX = 1e3
 MCSE_BATCHES = 50
 PREFETCH = 4  # iterations a single chain proposes per log-posterior call
+RAW_TO_UNIT = 2.0**-53  # scales the top 53 of 64 random bits to a uniform in [0, 1)
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,10 @@ def run_mh(
     The chains of a batch share the random stream seeded by
     ``config.rng_seed``: each iteration draws one ``standard_normal(d)``
     and one ``random()`` for all of them, and only each chain's adapted
-    proposal sd and its accept test differ.  So chain c is the chain a
+    proposal sd and its accept test differ.  The uniform is read as the
+    stream's next 64 raw bits u, as (u >> 11) * 2^-53, which is bit for
+    bit ``Generator.random()`` on the PCG64 stream ``default_rng`` makes,
+    at about half the cost per call.  So chain c is the chain a
     single run with the same config gives on chain c's log-posterior, as
     long as both evaluations return the same values
     (:func:`~tailbayes.model_core.make_log_posterior` may differ between
@@ -180,8 +184,9 @@ def run_mh(
     rejections would, and evaluates them in one call (m = 4).  The chain
     takes the iterations up to and including the first accept and
     proposes the rest again from the new state; a block never spans an
-    adaptation step.  So the chain, and the random stream it uses, are
-    those of one proposal per call.  Batches of C >= 2 chains, and the
+    adaptation step.  Its accept tests run on Python floats.  So the
+    chain, and the random stream it uses, are those of one proposal per
+    call.  Batches of C >= 2 chains, and the
     ``dim = d`` path, evaluate one iteration per call (m = 1).  The
     stream is drawn ahead one adaptation batch (50 iterations) at a time.
     """
@@ -262,6 +267,8 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
     # row of its last accept up to t.
     normals = np.empty((n_groups, ADAPT_BATCH_SIZE, dim))
     uniforms = np.empty((n_groups, ADAPT_BATCH_SIZE))
+    # Bound methods and row views made once per run: each draw is one call.
+    streams = [(rng.standard_normal, rng.bit_generator.random_raw, list(group)) for rng, group in zip(rngs, normals)]
     steps = np.empty((ADAPT_BATCH_SIZE, n_groups, n_chains, dim))
     log_u = np.empty((ADAPT_BATCH_SIZE, n_groups, n_chains))
     held = np.empty((ADAPT_BATCH_SIZE + 1, total, dim))
@@ -278,13 +285,18 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
     block_rows = 0  # the batch size in rows that ``blocks`` was made for
     keep, next_keep = 0, burn_in + thin - 1  # the next retained iteration
     chain_index = np.arange(total)[:, None]
+    current = float(current_lp[0])  # a lone chain's current value; its batch's log-uniforms are ``log_uniforms``
 
     for first in range(0, n_iter, ADAPT_BATCH_SIZE):
         size = min(ADAPT_BATCH_SIZE, n_iter - first)
-        for rng, group_normals, group_uniforms in zip(rngs, normals, uniforms):
-            for r in range(size):
-                rng.standard_normal(out=group_normals[r])
-                group_uniforms[r] = math.log(rng.random())
+        for group_uniforms, (normal, raw, normal_rows) in zip(uniforms, streams):
+            bits = []
+            for row in normal_rows[:size]:
+                normal(out=row)
+                bits.append(raw())
+            # (u >> 11) * 2^-53 is bit for bit Generator.random() on PCG64's raw output
+            log_uniforms = [math.log((u >> 11) * RAW_TO_UNIT) for u in bits]
+            group_uniforms[:size] = log_uniforms
         rows = size * total
         if rows != block_rows:  # the block that starts at row a: its end b and views of rows a .. b - 1
             block_rows, blocks = rows, {}
@@ -295,6 +307,7 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
         np.multiply(group_sd, normals[:, :size, None].swapaxes(0, 1), steps[:size])
         log_u[:size] = uniforms[:, :size, None].swapaxes(0, 1)
         held[0], held_lp[0] = beta, current_lp
+        accepts[:rows] = False  # a lone chain records only its accepts
         a = 0
         while a < rows:
             # One block, every proposal made from the current state.
@@ -302,13 +315,15 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
             b, step, proposal, lp, block_log_u, accept = blocks[a]
             np.add(beta, step, proposal)
             fill_rows(proposal, lp)
-            np.less(block_log_u, lp - current_lp, accept)
-            if b - a > total:  # one chain's prefetched iterations: take those up to the first accept
-                k = int(accept.argmax())
-                if accept[k]:
-                    b = a + k + 1
-                    beta[0], current_lp[0] = proposal[k], lp[k]
+            if total == 1:  # a lone chain: take its iterations up to the first accept, in Python floats
+                for k, value in enumerate(lp.tolist()):
+                    if log_uniforms[a + k] < value - current:
+                        accept[k] = True
+                        b = a + k + 1
+                        beta[0], current_lp[0], current = proposal[k], value, value
+                        break
             else:
+                np.less(block_log_u, lp - current_lp, accept)
                 np.copyto(beta, proposal, where=accept[:, None])
                 np.copyto(current_lp, lp, where=accept)
             a = b

@@ -36,7 +36,7 @@ from .model_core import (
     make_log_posterior,
 )
 from .evaluation import net_benefit
-from .predict import predictive_mean_sd
+from .predict import predictive_mean
 from .sampler import ChainBatch, PosteriorSamples, SamplerConfig, _run_batches, gelman_rubin, run_mh
 
 __all__ = [
@@ -282,7 +282,7 @@ def _cv_folds(payload: tuple) -> list[list[tuple[float, str | None]]]:
 def _cv_score(samples, test: Dataset, threshold: TargetThreshold) -> tuple[float, str | None]:
     if isinstance(samples, SamplerError):
         return float("nan"), str(samples)
-    means, _ = predictive_mean_sd(test.covariates, samples)
+    means = predictive_mean(test.covariates, samples)
     return net_benefit(means, test.outcomes, threshold).net_benefit, None
 
 
@@ -424,7 +424,7 @@ def fit_pipeline(
         split = make_split(train.n, design_fraction=design_fraction, seed=split_seed)
         design = train.subset(split.design_idx)
         stage1 = stage1_pi_u(design, sampler_config, prior)
-        pi_u_dev = predictive_mean_sd(train.covariates[split.development_idx], stage1)[0]
+        pi_u_dev = predictive_mean(train.covariates[split.development_idx], stage1)
 
     development = train.subset(split.development_idx)
     n_boundary = int(np.count_nonzero((pi_u_dev == 0.0) | (pi_u_dev == 1.0)))

@@ -24,6 +24,7 @@ from tailbayes.model_core import (
     _loss_views,
     _signed_design,
     _softplus,
+    _stacked_log_posterior,
     _weighted_loss,
     compute_weights,
     effective_sample_size,
@@ -415,14 +416,51 @@ def test_weighted_loss_batch_row_equals_row_alone(case):
     data, w, b = case
     xs = _signed_design(data)
     with np.errstate(over="ignore", invalid="ignore"):  # as every caller runs it: a zero weight times inf is NaN
-        batch = _weighted_loss(b, xs[None], _loss_views(xs[None], [w], len(b)))
+        batch = _weighted_loss(b, xs[None], _loss_views(xs[None], w[None], [data.n], len(b)))
         for r, row in enumerate(b):
-            alone = _weighted_loss(row[None], xs[None], _loss_views(xs[None], [w[[r % len(w)]]], 1))
+            alone = _weighted_loss(row[None], xs[None], _loss_views(xs[None], w[None, [r % len(w)]], [data.n], 1))
             np.testing.assert_array_max_ulp(batch[r], alone[0], maxulp=4)
             sz = row @ xs
             if sz.max() >= 710.0:  # exp(710) overflows: the row took the overflow-free fallback
                 assert batch[r] == np.vecdot(w[r % len(w)], _softplus(sz))
     assert np.all(np.isfinite(batch))
+
+
+class TestWeightLayout:
+    """The weights are copied C-ordered once, so their memory layout never reaches a value."""
+
+    PRIOR = GaussianPrior(np.array([0.5, -1.0, 0.25]), np.array([2.0, 5.0, 0.5]))
+
+    def layouts(self, rng, c, n):
+        wide = rng.uniform(0.0, 2.0, size=(c, 2 * n))
+        w = wide[:, ::2]  # a sliced view, strides (16 n, 16)
+        return {"sliced": w, "C": np.ascontiguousarray(w), "F": np.asfortranarray(w)}
+
+    def test_every_layout_gives_the_same_bits(self):
+        rng = np.random.default_rng(17)
+        data, _ = random_dataset(rng, n=300)
+        other, _ = random_dataset(rng, n=333)  # a larger group pads this one by 33 columns in the stack
+        layouts = self.layouts(rng, 4, data.n)
+        other_w = self.layouts(rng, 4, other.n)["F"]
+        b = rng.standard_normal((2 * 4, 3))
+        values = {name: make_log_posterior(data, w, self.PRIOR)(b) for name, w in layouts.items()}
+        for name, w in layouts.items():
+            assert np.array_equal(values[name], values["C"]), name
+            stacked = _stacked_log_posterior((other, data), (other_w, w), self.PRIOR)
+            both = stacked(np.concatenate([b[::-1], b]))
+            assert np.array_equal(both[len(b) :], values["C"]), name
+            assert np.array_equal(both[: len(b)], make_log_posterior(other, other_w, self.PRIOR)(b[::-1])), name
+
+    def test_stacked_groups_of_any_sizes_equal_their_own_callables(self):
+        """Each run of equal-size groups sums its own columns: no group is summed over another's padding."""
+        rng = np.random.default_rng(23)
+        sets = [random_dataset(rng, n=n)[0] for n in (31, 33, 33, 64, 70, 31)]
+        weights = [rng.uniform(0.0, 2.0, size=(3, d.n)) for d in sets]
+        b = rng.standard_normal((len(sets) * 2 * 3, 3))
+        stacked = _stacked_log_posterior(sets, weights, self.PRIOR)(b)
+        for g, (d, w) in enumerate(zip(sets, weights)):
+            own = make_log_posterior(d, w, self.PRIOR)(b[g * 6 : (g + 1) * 6])
+            assert np.array_equal(stacked[g * 6 : (g + 1) * 6], own), g
 
 
 class TestGradient:

@@ -12,7 +12,7 @@ from scipy.special import expit, logit
 from tailbayes import predict
 from tailbayes.errors import DataError
 from tailbayes.model_core import TargetThreshold
-from tailbayes.predict import positive_mask, predictive_mean_sd
+from tailbayes.predict import positive_mask, predictive_mean, predictive_mean_sd
 from tailbayes.sampler import PosteriorSamples
 
 
@@ -148,6 +148,7 @@ class TestChunking:
             monkeypatch.setattr(predict, "CHUNK_BYTES", rows * row_bytes)
             means, sds = predictive_mean_sd(x, s)
             assert np.array_equal(means, whole[0]) and np.array_equal(sds, whole[1])
+            assert np.array_equal(predictive_mean(x, s), whole[0])  # the mean-only pass gives the same bits
 
         naive = expit(x @ draws.T)
         np.testing.assert_allclose(whole[0], naive.mean(axis=1), rtol=1e-14)

@@ -310,6 +310,53 @@ class TestBatchedChains:
         assert batch.acceptance_rate == 0.0 and batch.n_nonfinite_proposals == 0
 
 
+def reference_chain(logpost, dim, cfg):
+    """Textbook random-walk MH on the stream the sampler documents: per iteration one
+    ``standard_normal(dim)`` then ``math.log(random())``, adapting every 50 burn-in iterations."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    beta, sd = np.zeros(dim), cfg.initial_sd
+    current = logpost(beta)
+    draws, flags, batch_accepts = [], [], 0
+    for t in range(cfg.n_iterations):
+        proposal = beta + sd * rng.standard_normal(dim)
+        log_u = math.log(rng.random())
+        value = logpost(proposal)
+        accept = log_u < value - current
+        if accept:
+            beta, current = proposal, value
+        batch_accepts += accept
+        if (t + 1) % 50 == 0:
+            if t + 1 <= cfg.burn_in:
+                sd = adapt_proposal_sd(sd, batch_accepts / 50, (t + 1) // 50)
+            batch_accepts = 0
+        if t >= cfg.burn_in:
+            draws.append(beta)
+            flags.append(accept)
+    return np.array(draws), np.array(flags)
+
+
+class TestRandomStream:
+    """The uniforms are Generator.random() in stream order, read from raw bits by the sampler."""
+
+    SCALES = (0.5, 1.0, 3.0)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 12345, 987654321])
+    def test_chains_follow_the_documented_stream(self, seed):
+        cfg = SamplerConfig(n_iterations=400, burn_in=100, initial_sd=0.8, rng_seed=seed)
+        target = lambda scale: lambda b: float(-0.5 * (b @ b) / scale**2)  # noqa: E731
+        lone = run_mh(target(1.0), 2, cfg)
+        draws, flags = reference_chain(target(1.0), 2, cfg)
+        assert np.array_equal(lone.draws, draws) and np.array_equal(lone.accepted, flags)
+        assert 0 < flags.sum() < flags.size  # the accept tests read the uniforms
+        rerun = run_mh(target(1.0), 2, cfg)
+        assert np.array_equal(rerun.draws, lone.draws) and np.array_equal(rerun.accepted, lone.accepted)
+        scales = np.array(self.SCALES)
+        batch = run_mh(lambda b: -0.5 * np.vecdot(b, b) / scales**2, (3, 2), cfg)
+        for scale, chain in zip(self.SCALES, batch.chains):
+            draws, flags = reference_chain(target(scale), 2, cfg)
+            assert np.array_equal(chain.draws, draws) and np.array_equal(chain.accepted, flags)
+
+
 class TestAdaptProposalSd:
     def test_on_target_batch_leaves_sd_unchanged(self):
         assert adapt_proposal_sd(0.5, 0.24, batch_index=3) == 0.5

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tailbayes.tuning as tuning
 from tailbayes.errors import ConfigError, DataError, SamplerError
@@ -495,6 +495,23 @@ class TestFitPipeline:
         w = model.weights[order]
         assert np.all(np.diff(w) <= 1e-12)
         assert w[0] == model.weights.max()
+
+
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(n=st.integers(60, 160), data_seed=st.integers(0, 2**16), rng_seed=st.integers(0, 2**32 - 1))
+def test_grid_of_zero_is_a_standard_fit_on_the_development_rows(n, data_seed, rng_seed):
+    """The lam = {0} reduction identity, bit for bit, over small random datasets and seeds."""
+    train, _ = generate_sim1(Sim1Config(n=n, q=1.0, seed=data_seed))
+    config = SamplerConfig(n_iterations=400, burn_in=150, rng_seed=rng_seed)
+    try:
+        model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=config)
+    except DataError:  # a single-class design set: no stage 1, so nothing to compare
+        assume(False)
+    baseline = fit_standard(train.subset(model.split.development_idx), config)
+    assert np.array_equal(model.samples.draws, baseline.draws)
+    assert np.array_equal(model.samples.log_posterior_trace, baseline.log_posterior_trace)
+    assert np.array_equal(model.samples.accepted, baseline.accepted)
+    assert np.array_equal(model.samples.proposal_sd_trace, baseline.proposal_sd_trace)
 
 
 class TestLambdaSelectionSignal:

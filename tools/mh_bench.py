@@ -23,12 +23,15 @@ a shared host's speed cancels within it.  A run is timed in CPU time
 (``time.process_time``), which other processes disturb less than wall
 time.  The script prints, per case, each tree's median and quartiles in
 microseconds per iteration, the median over pairs of the second tree's
-time as a ratio of the first's, and per tree one sha256: for ``C=8`` and
-``C=1`` over every chain's draws, ``log_posterior_trace``, ``accepted``
-flags, proposal-sd trace and non-finite count; for ``CV`` over lambda*
-and the bits of every cell's Net Benefit.  Equal hashes mean the two
-trees give bit for bit the same results.  Outside the test suite: the
-times depend on the host.
+time as a ratio of the first's, and per tree its sha256 hashes: for
+``C=8`` and ``C=1`` a ``chains`` hash over every chain's draws,
+``accepted`` flags, proposal-sd trace and non-finite count, and an
+``lp`` hash over every chain's ``log_posterior_trace``; for ``CV`` a
+``cv`` hash over lambda* and the bits of every cell's Net Benefit.
+Equal hashes mean the two trees give bit for bit the same results, and
+equal ``chains`` with unequal ``lp`` hashes mean the same chains whose
+stored log-posterior values moved in the last bits.  Outside the test
+suite: the times depend on the host.
 """
 
 from __future__ import annotations
@@ -80,20 +83,22 @@ def make_inputs(tree: dict, case: dict) -> tuple:
     return (core.Dataset.from_raw(x, y), np.exp(-np.outer(lams, (pi_u - 0.3) ** 2)), core.GaussianPrior.vague(3), config)
 
 
-def digest(result) -> str:
-    h = hashlib.sha256()
+def digest(result) -> tuple:
+    """(name, sha256) pairs: ``cv`` for a cv_select_lambda result, else ``chains`` and ``lp``."""
     if isinstance(result, tuple):  # cv_select_lambda: (lambda*, table)
         lam, table = result
-        h.update(np.array([lam] + [np.nan if row["nb"] is None else row["nb"] for row in table]).tobytes())
-        return h.hexdigest()
+        values = np.array([lam] + [np.nan if row["nb"] is None else row["nb"] for row in table])
+        return (("cv", hashlib.sha256(values.tobytes()).hexdigest()),)
+    chains, lp = hashlib.sha256(), hashlib.sha256()
     for chain in result.chains:
-        for part in (chain.draws, chain.log_posterior_trace, chain.accepted, chain.proposal_sd_trace):
-            h.update(np.ascontiguousarray(part).tobytes())
-        h.update(str(chain.n_nonfinite_proposals).encode())
-    return h.hexdigest()
+        for part in (chain.draws, chain.accepted, chain.proposal_sd_trace):
+            chains.update(np.ascontiguousarray(part).tobytes())
+        chains.update(str(chain.n_nonfinite_proposals).encode())
+        lp.update(np.ascontiguousarray(chain.log_posterior_trace).tobytes())
+    return ("chains", chains.hexdigest()), ("lp", lp.hexdigest())
 
 
-def timed_run(tree: dict, inputs: tuple, iterations: int) -> tuple[float, str]:
+def timed_run(tree: dict, inputs: tuple, iterations: int) -> tuple[float, tuple]:
     run = tree["tuning"].cv_select_lambda if len(inputs) == 5 else tree["tuning"].fit_chains
     start = time.process_time()
     result = run(*inputs)
@@ -127,13 +132,18 @@ def main(argv: list[str] | None = None) -> int:
                 hashes[side].add(sha)
         for side in (0, 1):
             q1, q2, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
+            shas = " ".join(f"{key} {sha}" for run in sorted(hashes[side]) for key, sha in run)
             print(f"{name} {srcs[side]}: median {q2:.1f} us/iter (quartiles {q1:.1f}, {q3:.1f}; "
-                  f"{args.pairs} runs) sha256 {' '.join(sorted(hashes[side]))}")
+                  f"{args.pairs} runs) sha256 {shas}")
         ratio = statistics.median(b / a for a, b in zip(*times))
         wins = sum(b < a for a, b in zip(*times))
-        same = hashes[0] == hashes[1] and len(hashes[0]) == 1
-        print(f"{name} ratio {ratio:.3f} (median over pairs; second tree faster in {wins} of {args.pairs}); "
-              f"outputs {'identical' if same else 'DIFFER'}")
+        keys = [key for key, _ in next(iter(hashes[0]))]
+        seen = [{key: {dict(run)[key] for run in hashes[side]} for key in keys} for side in (0, 1)]
+        verdicts = ", ".join(
+            f"{key} {'identical' if len(seen[0][key]) == 1 and seen[0][key] == seen[1][key] else 'DIFFER'}"
+            for key in keys
+        )
+        print(f"{name} ratio {ratio:.3f} (median over pairs; second tree faster in {wins} of {args.pairs}); {verdicts}")
     return 0
 
 
