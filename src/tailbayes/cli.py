@@ -33,6 +33,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SAMPLER = 4
+# the CPUs this process may run on, which an affinity mask can make fewer than the machine's
+DEFAULT_JOBS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--cv-burn-in", type=int)
     fit.add_argument("--prior-sd", type=float, default=100.0)
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    fit.add_argument("--jobs", type=_jobs, default=DEFAULT_JOBS)
     fit.add_argument("--standardize", action="store_true", help="z-score covariates (recorded in the artifact)")
     fit.add_argument("--pi-u-file", help="external first-stage probabilities (skips the design split)")
     fit.add_argument("--rhat-chains", type=int, default=0, help="R-hat chains, final chain included: 0 or >= 2")
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--scale", type=float, default=1.0,
                      help="fraction of the full 20 repetitions per cell")
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    rep.add_argument("--jobs", type=_jobs, default=DEFAULT_JOBS)
     rep.add_argument("--lambda-grid", type=_csv_floats, default=DEFAULT_LAMBDA_GRID)
     rep.add_argument("--n-list", type=_csv_floats)
     rep.add_argument("--q-list", type=_csv_floats)
@@ -279,7 +281,7 @@ def cmd_fit(args) -> int:
         jobs=args.jobs,
     )
 
-    rhat = final_fit_rhat(train, model, args.rhat_chains) if args.rhat_chains else None
+    rhat = final_fit_rhat(train, model, args.rhat_chains, args.jobs) if args.rhat_chains else None
     save_fit(out, model, data_path=args.data, outcome_col=args.outcome_col, covariates=names,
              utilities=utilities, design_fraction=args.design_fraction, standardizer=standardizer,
              external_pi_u=args.pi_u_file, rhat_chains=args.rhat_chains, rhat=rhat)

@@ -75,11 +75,15 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty file, header row required")
+    names = [h.strip() for h in header]
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise DataError(f"{path}: column name {repeated!r} appears more than once in the header")
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
             raise DataError(f"{path}: row {i + 2} has {len(row)} fields, expected {width}")
-    return [h.strip() for h in header], rows
+    return names, rows
 
 
 def _parse_float_column(path, rows, col, name) -> np.ndarray:

@@ -11,7 +11,9 @@ The final, stage-1 and standard fits are single chains run through
 :func:`fit_chains`.  Each CV fold runs its lam chains as one batch,
 because they share the fold's seed and so its random stream, and the
 folds a worker takes run stacked as one batch of batches
-(:func:`fit_folds`).
+(:func:`fit_folds`).  Work that does not depend on other work runs side
+by side over :func:`map_jobs`: CV fold groups, stage 1 next to the final
+chain of a one-value grid, and the R-hat reruns.
 """
 
 from __future__ import annotations
@@ -178,7 +180,12 @@ def fit_tailored(
     sampler_config: SamplerConfig,
 ) -> PosteriorSamples:
     """One MH chain on the weighted-likelihood posterior: the C = 1 case of :func:`fit_chains`."""
-    (samples,) = fit_chains(data, np.reshape(weights, (1, -1)), prior, sampler_config).chains
+    return _only_chain(fit_chains(data, np.reshape(weights, (1, -1)), prior, sampler_config))
+
+
+def _only_chain(batch: ChainBatch) -> PosteriorSamples:
+    """The chain of a one-chain batch; its SamplerError is raised."""
+    (samples,) = batch.chains
     if isinstance(samples, SamplerError):
         raise samples
     return samples
@@ -265,10 +272,27 @@ def stage1_pi_u(
     Requires both outcome classes to be present; with an externally
     supplied probability source this step is skipped entirely.
     """
+    _require_both_classes(design)
+    return fit_standard(design, sampler_config, prior)
+
+
+def _require_both_classes(design: Dataset) -> None:
     n_pos = int(np.sum(design.outcomes))
     if n_pos == 0 or n_pos == design.n:
         raise DataError("design set contains a single outcome class")
-    return fit_standard(design, sampler_config, prior)
+
+
+def _lone_fit(payload: tuple):
+    """Stage 1 on ``data`` and its pi_u at ``predict_x``, or, without ``predict_x``, ``fit_chains`` on ``data``.
+
+    Top-level so pools can pickle it.  A failed ``fit_chains`` chain comes
+    back as a value, so the caller raises it where a serial fit would.
+    """
+    data, weights, prior, config, predict_x = payload
+    if predict_x is None:
+        return fit_chains(data, weights, prior, config)
+    stage1 = stage1_pi_u(data, config, prior)
+    return stage1, predictive_mean(predict_x, stage1)
 
 
 def _cv_folds(payload: tuple) -> list[list[tuple[float, str | None]]]:
@@ -311,6 +335,14 @@ def cv_select_lambda(
     pi_u_dev = np.asarray(pi_u_dev, dtype=np.float64).ravel()
     if pi_u_dev.shape[0] != development.n:
         raise DataError("pi_u values do not align with the development rows")
+    # each class spreads over the folds one row at a time, so the larger one must fill every fold
+    class_rows = np.bincount(development.outcomes.astype(np.intp), minlength=2)
+    if class_rows.max() < cv_plan.k:
+        raise DataError(
+            f"cannot make {cv_plan.k} non-empty CV folds from {development.n} development rows: "
+            f"the outcome classes have {class_rows[0]} and {class_rows[1]} rows, and the larger "
+            f"needs at least {cv_plan.k}"
+        )
     if prior is None:
         prior = GaussianPrior.vague(development.n_coefficients)
 
@@ -406,27 +438,39 @@ def fit_pipeline(
     The same seed also draws the split and the CV fold assignment.
     When ``external_pi_u`` provides per-row probabilities for the whole
     training set, no design split is made and stage 1 is skipped.
+
+    ``jobs`` bounds the worker processes (:func:`map_jobs`).  CV fold
+    groups run side by side (:func:`cv_select_lambda`), and with stage 1
+    and a one-value grid, whose lam* = 0 weights every row 1 whatever
+    pi_u is, stage 1 runs beside the final chain.  Every chain runs on
+    the same inputs and seed either way, so the result does not depend
+    on ``jobs``.
     """
     if cv_sampler_config is None:
         cv_sampler_config = sampler_config
     if prior is None:
         prior = GaussianPrior.vague(train.n_coefficients)
     split_seed = sampler_config.rng_seed
+    lambda_grid = tuple(lambda_grid)
 
+    final = []
     if external_pi_u is not None:
         external_pi_u = np.asarray(external_pi_u, dtype=np.float64).ravel()
         if external_pi_u.shape[0] != train.n:
             raise DataError("external pi_u must supply one probability per training row")
         split = make_split(train.n, design_fraction=0.0, seed=split_seed)
+        development = train.subset(split.development_idx)
         stage1 = None
         pi_u_dev = external_pi_u[split.development_idx]
     else:
         split = make_split(train.n, design_fraction=design_fraction, seed=split_seed)
-        design = train.subset(split.design_idx)
-        stage1 = stage1_pi_u(design, sampler_config, prior)
-        pi_u_dev = predictive_mean(train.covariates[split.development_idx], stage1)
+        development, design = train.subset(split.development_idx), train.subset(split.design_idx)
+        tasks = [(design, None, prior, sampler_config, development.covariates)]
+        if lambda_grid == (0.0,):  # the final chain's weights are all 1, so it need not wait for pi_u
+            _require_both_classes(design)  # a worker's final chain would run to its end before the error
+            tasks.append((development, np.ones((1, development.n)), prior, sampler_config, None))
+        (stage1, pi_u_dev), *final = map_jobs(_lone_fit, tasks, jobs)
 
-    development = train.subset(split.development_idx)
     n_boundary = int(np.count_nonzero((pi_u_dev == 0.0) | (pi_u_dev == 1.0)))
     if n_boundary:
         logger.warning("%d first-stage probabilities sit exactly at 0 or 1", n_boundary)
@@ -454,7 +498,7 @@ def fit_pipeline(
             ess_t,
             100 * ESS_WARNING_FRACTION,
         )
-    samples = fit_tailored(development, weights, prior, sampler_config)
+    samples = _only_chain(final[0]) if final else fit_tailored(development, weights, prior, sampler_config)
     return FittedTailoredModel(
         lambda_star=lambda_star,
         threshold=threshold,
@@ -473,14 +517,19 @@ def fit_pipeline(
     )
 
 
-def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int) -> np.ndarray:
-    """Gelman-Rubin R-hat per coefficient of the final chain plus ``n_chains - 1`` on :func:`rhat_seeds`."""
+def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int, jobs: int) -> np.ndarray:
+    """Gelman-Rubin R-hat per coefficient of the final chain plus ``n_chains - 1`` on :func:`rhat_seeds`.
+
+    The reruns run side by side over at most ``jobs`` worker processes
+    (:func:`map_jobs`); the first failed one, in seed order, is raised.
+    """
     dev = train.subset(model.split.development_idx)
-    chains = [model.samples.draws] + [
-        fit_tailored(dev, model.weights, model.prior, replace(model.sampler_config, rng_seed=seed)).draws
+    tasks = [
+        (dev, model.weights[None], model.prior, replace(model.sampler_config, rng_seed=seed), None)
         for seed in rhat_seeds(model.sampler_config.rng_seed, n_chains)
     ]
-    return gelman_rubin(chains)
+    reruns = [_only_chain(batch).draws for batch in map_jobs(_lone_fit, tasks, jobs)]
+    return gelman_rubin([model.samples.draws] + reruns)
 
 
 def ess_grid(

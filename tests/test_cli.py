@@ -1,4 +1,8 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,52 @@ class TestFit:
         assert (m1 / "manifest.json").read_bytes() == (m2 / "manifest.json").read_bytes()
         assert (m1 / "draws.csv").read_bytes() == (m2 / "draws.csv").read_bytes()
         assert (m1 / "weights.csv").read_bytes() == (m2 / "weights.csv").read_bytes()
+
+    def test_zero_grid_artifact_does_not_depend_on_jobs(self, tmp_path, train_csv):
+        # --jobs 2 runs stage 1 beside the final chain
+        m1, m2 = (fit_artifact(tmp_path, train_csv, f"m{jobs}", extra=["--lambda-grid", "0", "--jobs", jobs])
+                  for jobs in (1, 2))
+        files = sorted(p.name for p in m1.iterdir())
+        assert files == sorted(p.name for p in m2.iterdir()) and "draws.csv" in files
+        for name in files:
+            assert (m1 / name).read_bytes() == (m2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_single_class_design_is_data_error_at_any_jobs(self, tmp_path, capsys, jobs):
+        data = tmp_path / "ones.csv"
+        data.write_text("x1,y\n" + "".join(f"{i / 10},1\n" for i in range(40)), encoding="utf-8")
+        out = tmp_path / "m"
+        assert run(["fit", data, "--t", 0.3, "--lambda-grid", "0", "--jobs", jobs, "--out", out, *FIT_SPEED]) == 3
+        assert capsys.readouterr().err == "data error: design set contains a single outcome class\n"
+        assert not out.exists()
+
+    def test_repeated_covariate_name_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "twice.csv"
+        data.write_text("x1,x1,y\n" + "".join(f"{i},{-i},{i % 2}\n" for i in range(40)), encoding="utf-8")
+        out = tmp_path / "m"
+        assert run(["fit", data, "--t", 0.3, "--lambda-grid", "0", "--out", out, *FIT_SPEED]) == 3
+        assert f"{data}: column name 'x1' appears more than once in the header" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_more_folds_than_a_class_has_rows_is_data_error(self, tmp_path, train_csv, capsys):
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0,5", "--k-folds", 200, "--jobs", 1,
+                    "--out", out, *FIT_SPEED]) == 3
+        assert "cannot make 200 non-empty CV folds from 240 development rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_jobs_default_is_the_cpus_the_process_may_use(self):
+        # pinned to one CPU, fit and reproduce default to one worker whatever the machine has
+        code = (
+            "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); from tailbayes import cli; "
+            "parser = cli.build_parser(); "
+            "print(parser.parse_args(['fit', 'd.csv', '--out', 'm']).jobs, "
+            "parser.parse_args(['reproduce', '--figure', 'sim3-fig6', '--out', 'r']).jobs)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["1", "1"]
 
     def test_utilities_derive_threshold(self, tmp_path, train_csv):
         out = tmp_path / "m_util"

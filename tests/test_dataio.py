@@ -54,6 +54,14 @@ class TestReadDataset:
         with pytest.raises(DataError):
             dataio.read_dataset_csv(path)
 
+    def test_repeated_column_name_rejected(self, tmp_path):
+        # a covariate read by name would otherwise always find the first of the two columns
+        path = write(tmp_path, "d.csv", "x1,x1,y\n1,2,1\n3,4,0\n")
+        with pytest.raises(DataError, match="column name 'x1' appears more than once"):
+            dataio.read_dataset_csv(path)
+        with pytest.raises(DataError, match="column name 'x1' appears more than once"):
+            dataio.read_covariates_csv(path, ["x1", "x1"])
+
     def test_custom_outcome_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "x1,died\n0.5,1\n")
         x, y, names, _ = dataio.read_dataset_csv(path, outcome_col="died")

@@ -164,6 +164,21 @@ class TestWeights:
         cfg = TailoringConfig(TargetThreshold(0.3), 0.0, rng.uniform(size=50))
         assert np.all(compute_weights(cfg) == 1.0)
 
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(
+        t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        pi_u=arrays(np.float64, st.integers(0, 20), elements=st.floats(0.0, 1.0)),
+        distance=st.one_of(
+            st.just(DistanceFunction.squared()),
+            st.builds(DistanceFunction.epsilon_insensitive, st.floats(min_value=0.0)),
+        ),
+    )
+    def test_lambda_zero_is_exactly_one_everywhere(self, t, pi_u, distance):
+        """The pipeline's final chain of a {0} grid takes weights of ones before pi_u exists."""
+        pi_u = np.concatenate([pi_u, [0.0, 1.0, t]])
+        cfg = TailoringConfig(TargetThreshold(t), 0.0, pi_u, distance)
+        assert np.all(compute_weights(cfg) == 1.0)
+
     def test_zero_distance_gives_one(self):
         for lam in (0.5, 10.0, 400.0):
             cfg = TailoringConfig(TargetThreshold(0.15), lam, np.array([0.15]))

@@ -23,6 +23,7 @@ from tailbayes.simulation import Sim1Config, Sim3Config, generate_sim1, generate
 from tailbayes.tuning import (
     cv_select_lambda,
     ess_grid,
+    final_fit_rhat,
     fit_pipeline,
     fit_standard,
     fit_tailored,
@@ -281,6 +282,16 @@ class TestCvSelectLambda:
         assert len(table) == len(plan.lambda_grid) * plan.k
 
 
+    def test_empty_fold_rejected_before_any_chain(self, monkeypatch):
+        # 9 rows, 4 of them positive: the plan exists, but folds 5 to 8 of its k = 9 hold no row
+        development = Dataset.from_raw(np.random.default_rng(2).standard_normal((9, 1)), np.arange(9) % 2)
+        plan = make_cv_plan(development.outcomes, k=9, lambda_grid=(0.0, 5.0), seed=1)
+        monkeypatch.setattr(tuning, "map_jobs", None)  # no chain may run
+        message = "cannot make 9 non-empty CV folds from 9 development rows: the outcome classes have 5 and 4 rows"
+        with pytest.raises(DataError, match=message):
+            cv_select_lambda(development, np.full(9, 0.4), TargetThreshold(0.3), plan, FASTER)
+
+
 class TestFitFolds:
     @pytest.mark.parametrize(
         "prior, thin",
@@ -407,6 +418,45 @@ class TestFitPipeline:
         assert np.array_equal(model.samples.draws, baseline.draws)
         assert np.all(model.weights == 1.0)
         assert model.ess_t == development.n
+
+    def test_one_value_grid_runs_stage1_beside_the_final_chain(self, monkeypatch):
+        """jobs = 2 runs stage 1 and the final chain in two workers; every output is the jobs = 1 one, bit for bit."""
+        train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=8))
+        task_counts = []
+        real_map_jobs = tuning.map_jobs
+
+        def recording(fn, payloads, jobs):
+            task_counts.append(len(payloads))
+            return real_map_jobs(fn, payloads, jobs)
+
+        monkeypatch.setattr(tuning, "map_jobs", recording)
+        serial, pooled = (
+            fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER, jobs=jobs)
+            for jobs in (1, 2)
+        )
+        assert task_counts == [2, 2]
+        for a, b in ((serial.stage1, pooled.stage1), (serial.samples, pooled.samples)):
+            assert np.array_equal(a.draws, b.draws)
+            assert np.array_equal(a.log_posterior_trace, b.log_posterior_trace)
+            assert np.array_equal(a.accepted, b.accepted)
+            assert np.array_equal(a.proposal_sd_trace, b.proposal_sd_trace)
+        assert np.array_equal(serial.pi_u_development, pooled.pi_u_development)
+        assert np.array_equal(serial.weights, pooled.weights)
+        assert np.all(pooled.weights == 1.0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_single_class_design_is_the_same_error_at_any_jobs(self, jobs, monkeypatch):
+        data = Dataset.from_raw(np.random.default_rng(0).standard_normal((60, 2)), np.ones(60))
+        monkeypatch.setattr(tuning, "map_jobs", None)  # raised before any chain runs, the final one included
+        with pytest.raises(DataError, match="design set contains a single outcome class"):
+            fit_pipeline(data, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER, jobs=jobs)
+
+    def test_rhat_reruns_do_not_depend_on_jobs(self):
+        train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=9))
+        model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER)
+        serial = final_fit_rhat(train, model, 3, jobs=1)
+        assert serial.shape == (3,)
+        assert np.array_equal(final_fit_rhat(train, model, 3, jobs=2), serial)
 
     def test_deterministic_rerun(self):
         train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=2))
