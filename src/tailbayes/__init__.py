@@ -12,7 +12,6 @@ recorded seeds.
 from .errors import (
     ConfigError,
     DataError,
-    RecalibrationError,
     SamplerError,
     TailbayesError,
 )
@@ -45,14 +44,11 @@ from .sampler import (
 from .predict import positive_mask, predictive_mean, predictive_mean_sd
 from .evaluation import (
     CalibrationCurve,
-    MiscalibrationSpec,
     NetBenefitReport,
     PairedDelta,
     calibration_curve,
-    logistic_recalibrate,
     net_benefit,
     paired_delta,
-    perturb_calibration,
 )
 from .tuning import (
     DEFAULT_LAMBDA_GRID,

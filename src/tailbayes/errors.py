@@ -16,6 +16,3 @@ class DataError(TailbayesError, ValueError):
 class SamplerError(TailbayesError, RuntimeError):
     """MCMC failure, e.g. non-finite log-posterior at the start point."""
 
-
-class RecalibrationError(TailbayesError, RuntimeError):
-    """Logistic recalibration failed (separation or no convergence)."""

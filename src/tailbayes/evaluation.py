@@ -1,4 +1,4 @@
-"""Net Benefit, paired model comparison, calibration, and recalibration.
+"""Net Benefit, paired model comparison, and binned calibration.
 
 Net Benefit at threshold t counts true positives net of false positives
 weighted by the odds of t, per sample:  NB = TP/n - FP/n * t/(1-t).
@@ -12,30 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, RecalibrationError
-from .model_core import TargetThreshold, expit, logit
+from .errors import ConfigError, DataError
+from .model_core import TargetThreshold
 from .predict import positive_mask
 
 __all__ = [
     "NetBenefitReport",
     "PairedDelta",
     "CalibrationCurve",
-    "MiscalibrationSpec",
-    "RecalibrationResult",
     "net_benefit",
     "paired_delta",
     "calibration_curve",
-    "logistic_recalibrate",
-    "logit_affine",
-    "perturb_calibration",
 ]
-
-MISCALIBRATION_KINDS = ("overestimation", "underestimation", "overfitting", "underfitting")
-MISCALIBRATION_DEGREES = ("mild", "severe")
-_SHIFT_DELTA = {"mild": 0.5, "severe": 1.5}
-_OVERFIT_SLOPE = {"mild": 1.5, "severe": 3.0}
-RECALIBRATION_MAX_ITERATIONS = 100
-RECALIBRATION_GRAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,28 +63,6 @@ class CalibrationCurve:
     @property
     def occupied(self) -> np.ndarray:
         return self.counts > 0
-
-
-@dataclass(frozen=True)
-class MiscalibrationSpec:
-    kind: str
-    degree: str
-
-    def __post_init__(self):
-        if self.kind not in MISCALIBRATION_KINDS:
-            raise ConfigError(f"kind must be one of {MISCALIBRATION_KINDS}, got {self.kind!r}")
-        if self.degree not in MISCALIBRATION_DEGREES:
-            raise ConfigError(f"degree must be one of {MISCALIBRATION_DEGREES}, got {self.degree!r}")
-
-
-@dataclass(frozen=True)
-class RecalibrationResult:
-    intercept: float
-    slope: float
-    se_intercept: float
-    se_slope: float
-    probabilities: np.ndarray
-    n_iterations: int
 
 
 def _check_pred_outcome(predictions, outcomes):
@@ -164,85 +130,3 @@ def calibration_curve(predictions, outcomes, n_bins: int = 10) -> CalibrationCur
         observed_fraction=obs_frac,
         counts=counts,
     )
-
-
-def logistic_recalibrate(raw_probabilities, outcomes) -> RecalibrationResult:
-    """Fit logit(p') = a + b logit(p) by Newton-Raphson maximum likelihood.
-
-    Raises RecalibrationError on separation (coefficients running away)
-    or failure to reach the gradient tolerance ``RECALIBRATION_GRAD_TOL``
-    within ``RECALIBRATION_MAX_ITERATIONS`` Newton steps.
-    """
-    p, y = _check_pred_outcome(raw_probabilities, outcomes)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise DataError("raw probabilities must lie strictly in (0, 1)")
-    z = logit(p)
-    design = np.column_stack([np.ones_like(z), z])
-    theta = np.array([0.0, 1.0])
-    for iteration in range(1, RECALIBRATION_MAX_ITERATIONS + 1):
-        fitted = expit(design @ theta)
-        grad = design.T @ (y - fitted)
-        weights = fitted * (1.0 - fitted)
-        hessian = design.T @ (design * weights[:, None])
-        if np.max(np.abs(grad)) < RECALIBRATION_GRAD_TOL:
-            try:
-                cov = np.linalg.inv(hessian)
-            except np.linalg.LinAlgError as exc:
-                raise RecalibrationError("singular information matrix at the optimum") from exc
-            se = np.sqrt(np.diag(cov))
-            return RecalibrationResult(
-                intercept=float(theta[0]),
-                slope=float(theta[1]),
-                se_intercept=float(se[0]),
-                se_slope=float(se[1]),
-                probabilities=fitted,
-                n_iterations=iteration,
-            )
-        try:
-            step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError as exc:
-            raise RecalibrationError(
-                "singular Newton system; outcomes may be separated"
-            ) from exc
-        theta = theta + step
-        # a logit shift or slope beyond 15 only arises under (quasi-)separation,
-        # where the likelihood saturates before the gradient test can fire
-        if np.max(np.abs(theta)) > 15.0:
-            raise RecalibrationError(
-                "recalibration coefficients diverged; outcomes appear separated"
-            )
-    raise RecalibrationError(f"no convergence after {RECALIBRATION_MAX_ITERATIONS} Newton iterations")
-
-
-def logit_affine(probabilities, shift: float = 0.0, slope: float = 1.0) -> np.ndarray:
-    """Map each probability through z -> pivot + slope (z - pivot) + shift in logit space.
-
-    The pivot is the logit of the mean probability, so a pure slope
-    change crosses the identity at the average risk.
-    """
-    p = np.asarray(probabilities, dtype=np.float64).ravel()
-    if p.size == 0:
-        raise DataError("empty probabilities")
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise DataError("probabilities must lie strictly in (0, 1)")
-    z = logit(p)
-    pivot = logit(float(p.mean()))
-    return expit(pivot + slope * (z - pivot) + shift)
-
-
-def perturb_calibration(probabilities, spec: MiscalibrationSpec) -> np.ndarray:
-    """Apply a logit-affine miscalibration of the requested kind and degree.
-
-    Over/underestimation shift every logit by +-delta (mild 0.5, severe
-    1.5).  Over/underfitting rescale logits by gamma (overfitting 1.5 or
-    3, underfitting the reciprocals) about the logit of the mean
-    probability, so the curve pivots at the average risk.
-    """
-    if spec.kind == "overestimation":
-        return logit_affine(probabilities, shift=_SHIFT_DELTA[spec.degree])
-    if spec.kind == "underestimation":
-        return logit_affine(probabilities, shift=-_SHIFT_DELTA[spec.degree])
-    gamma = _OVERFIT_SLOPE[spec.degree]
-    if spec.kind == "underfitting":
-        gamma = 1.0 / gamma
-    return logit_affine(probabilities, slope=gamma)

@@ -29,7 +29,6 @@ __all__ = [
     "target_threshold",
     "threshold_band_for_benefit",
     "expit",
-    "logit",
     "linear_predictor",
     "compute_weights",
     "tailored_log_likelihood",
@@ -294,22 +293,6 @@ def expit(z):
     """
     with np.errstate(over="ignore", under="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
-
-
-def logit(p):
-    """The inverse of :func:`expit`, log(p / (1 - p)), elementwise.
-
-    On [0.3, 0.65] it is log1p(2p - 1) - log1p(1 - 2p) instead, since
-    2p - 1 is exact there while 1 - p can round: near p = 0.5, where the
-    logit is near 0, log(p / (1 - p)) can be off by half its value.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        return np.where(
-            (p >= 0.3) & (p <= 0.65),
-            np.log1p(2.0 * p - 1.0) - np.log1p(1.0 - 2.0 * p),
-            np.log(p / (1.0 - p)),
-        )
 
 
 def linear_predictor(data: Dataset, beta) -> np.ndarray:

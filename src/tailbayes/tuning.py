@@ -328,9 +328,10 @@ def cv_select_lambda(
     at most ``jobs`` contiguous groups (3 + 2 folds for jobs = 2 and
     K = 5), one per worker process, and each group's folds run stacked
     (:func:`fit_folds`); the result does not depend on ``jobs``.  Ties
-    break toward the smallest lam.  A sampler failure invalidates its cell; a lam stays eligible only if at least K - 1 of
-    its folds succeeded (the average then runs over the successes, and
-    the failure is logged).
+    break toward the smallest lam.  A sampler failure invalidates its
+    cell; a lam stays eligible only if at least K - 1 of its folds
+    succeeded (the average then runs over the successes, and the failure
+    is logged).
     """
     pi_u_dev = np.asarray(pi_u_dev, dtype=np.float64).ravel()
     if pi_u_dev.shape[0] != development.n:
@@ -453,18 +454,22 @@ def fit_pipeline(
     split_seed = sampler_config.rng_seed
     lambda_grid = tuple(lambda_grid)
 
-    final = []
     if external_pi_u is not None:
         external_pi_u = np.asarray(external_pi_u, dtype=np.float64).ravel()
         if external_pi_u.shape[0] != train.n:
             raise DataError("external pi_u must supply one probability per training row")
-        split = make_split(train.n, design_fraction=0.0, seed=split_seed)
-        development = train.subset(split.development_idx)
+        design_fraction = 0.0
+    split = make_split(train.n, design_fraction=design_fraction, seed=split_seed)
+    development = train.subset(split.development_idx)
+    # the fold plan is checked before any chain runs, though a one-value grid never uses its folds
+    cv_plan = make_cv_plan(development.outcomes, k_folds, lambda_grid, seed=split_seed)
+
+    final = []
+    if external_pi_u is not None:
         stage1 = None
         pi_u_dev = external_pi_u[split.development_idx]
     else:
-        split = make_split(train.n, design_fraction=design_fraction, seed=split_seed)
-        development, design = train.subset(split.development_idx), train.subset(split.design_idx)
+        design = train.subset(split.design_idx)
         tasks = [(design, None, prior, sampler_config, development.covariates)]
         if lambda_grid == (0.0,):  # the final chain's weights are all 1, so it need not wait for pi_u
             _require_both_classes(design)  # a worker's final chain would run to its end before the error
@@ -475,7 +480,6 @@ def fit_pipeline(
     if n_boundary:
         logger.warning("%d first-stage probabilities sit exactly at 0 or 1", n_boundary)
 
-    cv_plan = make_cv_plan(development.outcomes, k_folds, lambda_grid, seed=split_seed)
     if len(cv_plan.lambda_grid) == 1:
         lambda_star, cv_table = cv_plan.lambda_grid[0], []
     else:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from tailbayes import cli, dataio
+from tailbayes import cli, dataio, tuning
 from tailbayes.cli import main
 
 FIT_SPEED = ["--iterations", "1500", "--burn-in", "600", "--cv-iterations", "800", "--cv-burn-in", "300"]
@@ -96,6 +96,16 @@ class TestFit:
         assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0,5", "--k-folds", 200, "--jobs", 1,
                     "--out", out, *FIT_SPEED]) == 3
         assert "cannot make 200 non-empty CV folds from 240 development rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_more_folds_than_development_rows_fails_before_any_chain(self, tmp_path, train_csv, capsys,
+                                                                     monkeypatch):
+        # a one-value grid never makes a fold, but its fold plan is checked before stage 1 and the final chain
+        monkeypatch.setattr(tuning, "fit_chains", _no_chain)
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--k-folds", 1000, "--jobs", 1,
+                    "--out", out, *FIT_SPEED]) == 3
+        assert "data error: cannot make 1000 folds from 240 rows" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
@@ -520,6 +530,10 @@ class TestReproduceAndEssGrid:
 
 def _no_fit(*args, **kwargs):
     raise AssertionError("a usage error must be raised before any fit")
+
+
+def _no_chain(*args, **kwargs):
+    raise AssertionError("the error must be raised before any chain runs")
 
 
 @pytest.mark.parametrize("command", ["fit", "ess-grid"])

@@ -2,18 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
-from tailbayes.errors import ConfigError, DataError, RecalibrationError
-from tailbayes.evaluation import (
-    MiscalibrationSpec,
-    calibration_curve,
-    logistic_recalibrate,
-    logit_affine,
-    net_benefit,
-    paired_delta,
-    perturb_calibration,
-)
+from tailbayes.errors import ConfigError, DataError
+from tailbayes.evaluation import calibration_curve, net_benefit, paired_delta
 
 
 def confusion_vectors(tp, fp, fn, tn, t):
@@ -147,88 +138,3 @@ class TestCalibrationCurve:
         with pytest.raises(DataError):
             calibration_curve([1.5], [1], n_bins=2)
 
-
-class TestLogisticRecalibration:
-    def test_already_calibrated_recovers_identity(self):
-        rng = np.random.default_rng(10)
-        raw = expit(rng.normal(0.0, 1.5, 4000))
-        y = (rng.uniform(size=4000) < raw).astype(float)
-        res = logistic_recalibrate(raw, y)
-        assert abs(res.intercept) <= 3 * res.se_intercept
-        assert abs(res.slope - 1.0) <= 3 * res.se_slope
-
-    def test_recovers_doubled_slope(self):
-        rng = np.random.default_rng(11)
-        z = rng.normal(0.0, 1.5, 4000)
-        y = (rng.uniform(size=4000) < expit(2.0 * z)).astype(float)
-        res = logistic_recalibrate(expit(z), y)
-        assert abs(res.slope - 2.0) <= 3 * res.se_slope
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(12)
-        z = rng.normal(0.0, 1.2, 3000)
-        y = (rng.uniform(size=3000) < expit(0.5 + 1.7 * z)).astype(float)
-        first = logistic_recalibrate(expit(z), y)
-        second = logistic_recalibrate(first.probabilities, y)
-        assert abs(second.intercept) <= 3 * second.se_intercept
-        assert abs(second.slope - 1.0) <= 3 * second.se_slope
-
-    def test_constant_outcomes_raise_separation(self):
-        rng = np.random.default_rng(13)
-        raw = expit(rng.normal(size=60))
-        with pytest.raises(RecalibrationError):
-            logistic_recalibrate(raw, np.ones(60))
-        with pytest.raises(RecalibrationError):
-            logistic_recalibrate(raw, np.zeros(60))
-
-    def test_boundary_probabilities_rejected(self):
-        with pytest.raises(DataError):
-            logistic_recalibrate([0.0, 0.5], [0, 1])
-
-
-class TestPerturbCalibration:
-    grid = np.linspace(0.05, 0.95, 19)
-
-    def test_identity_transform(self):
-        np.testing.assert_allclose(logit_affine(self.grid), self.grid, atol=1e-12)
-        np.testing.assert_allclose(
-            logit_affine(self.grid, shift=0.0, slope=1.0), self.grid, atol=1e-12
-        )
-
-    def test_overestimation_raises_everything(self):
-        for degree in ("mild", "severe"):
-            out = perturb_calibration(self.grid, MiscalibrationSpec("overestimation", degree))
-            assert np.all(out > self.grid)
-            assert np.all((out > 0.0) & (out < 1.0))
-
-    def test_underestimation_lowers_everything(self):
-        out = perturb_calibration(self.grid, MiscalibrationSpec("underestimation", "mild"))
-        assert np.all(out < self.grid)
-
-    def test_severe_exceeds_mild(self):
-        mild = perturb_calibration(self.grid, MiscalibrationSpec("overestimation", "mild"))
-        severe = perturb_calibration(self.grid, MiscalibrationSpec("overestimation", "severe"))
-        assert np.all(severe > mild)
-
-    def test_overfitting_crosses_at_pivot(self):
-        """Probabilities below the mean drop, above it rise."""
-        out = perturb_calibration(self.grid, MiscalibrationSpec("overfitting", "mild"))
-        pivot = self.grid.mean()
-        assert np.all(out[self.grid < pivot] < self.grid[self.grid < pivot])
-        assert np.all(out[self.grid > pivot] > self.grid[self.grid > pivot])
-
-    def test_underfitting_compresses_toward_pivot(self):
-        out = perturb_calibration(self.grid, MiscalibrationSpec("underfitting", "severe"))
-        pivot = self.grid.mean()
-        assert np.all(out[self.grid < pivot] > self.grid[self.grid < pivot])
-        assert np.all(out[self.grid > pivot] < self.grid[self.grid > pivot])
-
-    def test_boundary_probabilities_rejected(self):
-        with pytest.raises(DataError):
-            perturb_calibration([0.0, 0.5], MiscalibrationSpec("overestimation", "mild"))
-
-    def test_enumerations_validated(self):
-        with pytest.raises(ConfigError):
-            MiscalibrationSpec("sideways", "mild")
-        with pytest.raises(ConfigError):
-            MiscalibrationSpec("overfitting", "extreme")

@@ -33,7 +33,6 @@ from tailbayes.model_core import (
     log_posterior_gradient,
     log_posterior_unnormalized,
     log_prior,
-    logit,
     make_log_posterior,
     tailored_log_likelihood,
     target_threshold,
@@ -546,12 +545,6 @@ class TestLogistic:
     def test_expit_matches_scipy(self):
         z = np.linspace(-800.0, 800.0, 200_001)
         np.testing.assert_allclose(expit(z), scipy.special.expit(z), rtol=1e-15)
-
-    def test_logit_matches_scipy(self):
-        # one ulp either side of 0.5, log(p / (1 - p)) is off by half the logit's value
-        near_half = [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]
-        p = np.concatenate([np.linspace(0.0, 1.0, 200_001)[1:-1], near_half])
-        np.testing.assert_allclose(logit(p), scipy.special.logit(p), rtol=1e-15)
 
     def test_expit_saturates_exactly_and_silently(self):
         with warnings.catch_warnings(), np.errstate(all="raise"):
