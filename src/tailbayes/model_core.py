@@ -441,7 +441,9 @@ def effective_sample_size(weights) -> float:
 def make_log_posterior(data: Dataset, weights, prior: GaussianPrior):
     """Bind data, weights and prior into a callable beta -> log-posterior.
 
-    With one weight per row the callable maps a (d,) vector to a float.
+    With one weight per row the callable maps a (d,) vector to a float
+    and an (m, d) array to its m row values, the form
+    :func:`~tailbayes.sampler.run_mh` takes.
     With a (C, n) weight matrix it maps an (m * C, d) array to m * C
     values, row r under weight row r mod C, through one BLAS product
     ``B @ xs`` with the outcome signs folded into ``xs``

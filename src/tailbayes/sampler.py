@@ -5,19 +5,18 @@ N(beta, sd^2 I).  The proposal scale adapts in batches during burn-in
 toward a target acceptance rate (0.24) and is frozen afterwards
 so the retained chain is a valid Markov chain.
 
-:func:`run_mh` can advance C chains that share one seed as a single
-batch: one (C, d) state, one log-posterior call per iteration, and one
-random stream whose draws every chain uses.  A single chain is the
-C = 1 case of that loop, and it evaluates up to four iterations per
-call: the proposals a run of rejections would make, prefetched.  The
-same loop stacks G such batches, each on its own seed's stream, behind
-one log-posterior call per iteration (:func:`_run_batches`, which the
-CV folds use); a lone batch is G = 1.
+:func:`run_mh` runs one chain, and it evaluates up to four iterations
+per log-posterior call: the proposals a run of rejections would make,
+prefetched.  The same loop (:func:`_run_chains`) also advances G groups
+of C chains, the CV folds' lam chains, behind one log-posterior call per
+iteration: group g draws from its own seed's stream, and the C chains
+of a group share it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -28,7 +27,6 @@ from .errors import ConfigError, SamplerError
 __all__ = [
     "SamplerConfig",
     "PosteriorSamples",
-    "ChainBatch",
     "HpdSummary",
     "run_mh",
     "adapt_proposal_sd",
@@ -101,28 +99,6 @@ class PosteriorSamples:
 
 
 @dataclass(frozen=True)
-class ChainBatch:
-    """The C chains of one batched :func:`run_mh` call, in order.
-
-    ``chains[c]`` is chain c's :class:`PosteriorSamples`, or the
-    SamplerError that failed it because its start point was non-finite
-    or it accepted no proposal after burn-in.
-    The properties summarise the chains that ran.
-    """
-
-    chains: tuple
-
-    @property
-    def acceptance_rate(self) -> float:
-        rates = [c.acceptance_rate for c in self.chains if isinstance(c, PosteriorSamples)]
-        return sum(rates) / len(rates) if rates else 0.0
-
-    @property
-    def n_nonfinite_proposals(self) -> int:
-        return sum(c.n_nonfinite_proposals for c in self.chains if isinstance(c, PosteriorSamples))
-
-
-@dataclass(frozen=True)
 class HpdSummary:
     """Per-coefficient posterior location and highest-density intervals."""
 
@@ -147,74 +123,43 @@ def adapt_proposal_sd(
 
 
 def run_mh(
-    log_posterior: Callable[[np.ndarray], float],
-    dim: int | tuple[int, int],
+    log_posterior: Callable[[np.ndarray], np.ndarray],
+    dim: int,
     config: SamplerConfig,
-) -> PosteriorSamples | ChainBatch:
-    """Sample from an unnormalised log-posterior over R^d.
+) -> PosteriorSamples:
+    """Sample one chain from an unnormalised log-posterior over R^d.
 
-    With ``dim = d`` this runs one chain: ``log_posterior`` maps a (d,)
-    vector to a float, the result is a :class:`PosteriorSamples`, and a
+    ``log_posterior`` maps an (m, d) array to its m row values, as the
+    callable of :func:`~tailbayes.model_core.make_log_posterior` does.  A
     non-finite value at the start point, or a chain that accepts no
-    proposal after burn-in, raises SamplerError.  With
-    ``dim = (C, d)`` it runs C chains as one batch: ``log_posterior`` maps
-    an (m * C, d) array to m * C values, row r a proposal for chain
-    r mod C, and the result is a :class:`ChainBatch`.  A batched chain
-    whose start point is non-finite, or that accepts no proposal after
-    burn-in, gets a SamplerError in its slot and the other chains run on.
-
-    The chains of a batch share the random stream seeded by
-    ``config.rng_seed``: each iteration draws one ``standard_normal(d)``
-    and one ``random()`` for all of them, and only each chain's adapted
-    proposal sd and its accept test differ.  The uniform is read as the
-    stream's next 64 raw bits u, as (u >> 11) * 2^-53, which is bit for
-    bit ``Generator.random()`` on the PCG64 stream ``default_rng`` makes,
-    at about half the cost per call.  So chain c is the chain a
-    single run with the same config gives on chain c's log-posterior, as
-    long as both evaluations return the same values
-    (:func:`~tailbayes.model_core.make_log_posterior` may differ between
-    batch shapes in the last bits).  Proposals with a non-finite
-    log-posterior are rejected (and counted).  A run enters
+    proposal after burn-in, raises SamplerError.  Proposals with a
+    non-finite log-posterior are rejected (and counted).  A run enters
     ``np.errstate(over="ignore", invalid="ignore")`` once, so an
     overflowing step or log-posterior term, in ``log_posterior`` too,
-    rejects its proposal without a RuntimeWarning.
+    rejects its proposal without a RuntimeWarning.  A run whose retained
+    draws, log-posterior trace and accept flags would not fit in physical
+    memory raises ConfigError before the first log-posterior call.
 
-    A batch of C = 1 prefetches: it makes the proposals of its next
+    Each iteration draws one ``standard_normal(d)`` and one uniform from
+    the stream seeded by ``config.rng_seed``.  The uniform is read as the
+    stream's next 64 raw bits u, as (u >> 11) * 2^-53, which is bit for
+    bit ``Generator.random()`` on the PCG64 stream ``default_rng`` makes,
+    at about half the cost per call.  The stream is drawn ahead one
+    adaptation batch (50 iterations) at a time.
+
+    The chain prefetches: it makes the proposals of its next
     ``PREFETCH`` iterations from the current state, as a run of
-    rejections would, and evaluates them in one call (m = 4).  The chain
-    takes the iterations up to and including the first accept and
-    proposes the rest again from the new state; a block never spans an
-    adaptation step.  Its accept tests run on Python floats.  So the
-    chain, and the random stream it uses, are those of one proposal per
-    call.  Batches of C >= 2 chains, and the
-    ``dim = d`` path, evaluate one iteration per call (m = 1).  The
-    stream is drawn ahead one adaptation batch (50 iterations) at a time.
+    rejections would, and evaluates them in one call (m = 4).  It takes
+    the iterations up to and including the first accept and proposes the
+    rest again from the new state; a block never spans an adaptation
+    step.  Its accept tests run on Python floats.  So the chain, and the
+    random stream it uses, are those of one proposal per call, as long as
+    a row's value does not depend on the block it is evaluated in.
     """
-    if isinstance(dim, tuple):
-        n_chains, dim = dim
-        (batch,) = _run_batches(log_posterior, [config.rng_seed], n_chains, dim, config)
-        return batch
-    (chain,) = _run_chains(lambda b: log_posterior(b[0]), [config.rng_seed], 1, dim, config, 1)
+    (chain,) = _run_chains(log_posterior, [config.rng_seed], 1, dim, config)
     if isinstance(chain, SamplerError):
         raise chain
     return chain
-
-
-def _run_batches(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, config: SamplerConfig) -> list:
-    """One :class:`ChainBatch` of ``n_chains`` chains per seed, all advanced in one loop.
-
-    ``log_posterior`` maps G = ``len(seeds)`` equal groups of rows, in
-    seed order, to their values, as
-    :func:`~tailbayes.model_core._stacked_log_posterior` does; batch g is
-    the batch :func:`run_mh` gives for ``dim = (n_chains, dim)`` on group
-    g's log-posterior with ``config`` seeded by ``seeds[g]``, as long as
-    both evaluations return the same values.  Each group draws from its
-    own stream, so groups share nothing but the loop and the
-    log-posterior call.  Only a single chain (G = 1, C = 1) prefetches.
-    """
-    block = PREFETCH if len(seeds) * n_chains == 1 else 1
-    chains = _run_chains(log_posterior, seeds, n_chains, dim, config, block)
-    return [ChainBatch(tuple(chains[g * n_chains : (g + 1) * n_chains])) for g in range(len(seeds))]
 
 
 def _plain_fill(log_posterior):
@@ -228,9 +173,21 @@ def _plain_fill(log_posterior):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # once per run: a non-finite proposal is rejected and counted
-def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, config: SamplerConfig, block: int) -> list:
-    # G = len(seeds) groups of n_chains chains; group g draws from the stream
-    # seeded by seeds[g], and chain j is chain j % n_chains of group j // n_chains.
+def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, config: SamplerConfig) -> list:
+    """The chains of G = ``len(seeds)`` groups of ``n_chains`` chains, advanced in one loop, in group order.
+
+    ``log_posterior`` maps G * ``n_chains`` rows per iteration to their
+    values, row j a proposal for chain j: chain j % ``n_chains`` of group
+    j // ``n_chains``, as :func:`~tailbayes.model_core._stacked_log_posterior`
+    orders them.  Group g draws from the stream seeded by ``seeds[g]``
+    and its chains share that stream, so each chain is the chain
+    :func:`run_mh` gives on its own log-posterior with that seed, as long
+    as both evaluations return the same values.  A lone chain (G = C = 1)
+    prefetches ``PREFETCH`` proposals per call; more chains evaluate one
+    iteration per call.  A chain whose start point is non-finite, or that
+    accepts no proposal after burn-in, gets a SamplerError in its place
+    and the other chains run on.
+    """
     # fill_rows(b, out) writes the log-posterior of each row of b into out, in place.
     # make_log_posterior's callables carry one that never returns +inf; any other
     # callable, whatever other attributes it carries, is adapted.
@@ -246,6 +203,15 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
     )
     if start.shape[0] != dim:
         raise ConfigError(f"initial_beta has length {start.shape[0]}, expected {dim}")
+    n_iter, burn_in, thin = config.n_iterations, config.burn_in, config.thin
+    n_retained = (n_iter - burn_in) // thin
+    needed = total * n_retained * (dim * 8 + 8 + 1)  # float64 draws and trace, bool flags
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > physical:
+        raise ConfigError(
+            f"the retained draws, log-posterior trace and accept flags of {n_retained} draws per chain need "
+            f"{needed} bytes, more than the {physical} bytes of physical memory"
+        )
     beta = np.tile(start, (total, 1))
     current_lp = np.empty(total)
     fill_rows(beta, current_lp)
@@ -254,8 +220,6 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
         return [_start_failure() for _ in range(total)]
     current_lp[~alive] = np.nan  # a NaN current value fails every accept test below
 
-    n_iter, burn_in, thin = config.n_iterations, config.burn_in, config.thin
-    n_retained = (n_iter - burn_in) // thin
     # Chain-major, so each chain's draws, trace and flags are contiguous views.
     draws = np.empty((total, n_retained, dim))
     lp_trace = np.empty((total, n_retained))
@@ -281,7 +245,7 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
     sd = np.full(total, float(config.initial_sd))
     group_sd = sd.reshape(n_groups, n_chains, 1)
     sd_steps, sd_trace = [], []
-    span = block * total
+    span = (PREFETCH if total == 1 else 1) * total  # rows per log-posterior call
     block_rows = 0  # the batch size in rows that ``blocks`` was made for
     keep, next_keep = 0, burn_in + thin - 1  # the next retained iteration
     chain_index = np.arange(total)[:, None]

@@ -7,10 +7,11 @@ Net Benefit, then receives the final fit).  With lam = 0 every weight
 is 1 and the pipeline reduces exactly to standard Bayesian logistic
 regression.
 
-The final, stage-1 and standard fits are single chains run through
-:func:`fit_chains`.  Each CV fold runs its lam chains as one batch,
-because they share the fold's seed and so its random stream, and the
-folds a worker takes run stacked as one batch of batches
+The final, stage-1 and standard fits are single chains, each one
+:func:`~tailbayes.sampler.run_mh` run (:func:`fit_tailored`).  Each CV
+fold's lam chains share the fold's seed and so its random stream, and
+the folds a worker takes run stacked in one sampler loop, with one
+log-posterior call per iteration for all their chains
 (:func:`fit_folds`).  Work that does not depend on other work runs side
 by side over :func:`map_jobs`: CV fold groups, stage 1 next to the final
 chain of a one-value grid, and the R-hat reruns.
@@ -39,7 +40,7 @@ from .model_core import (
 )
 from .evaluation import net_benefit
 from .predict import predictive_mean
-from .sampler import ChainBatch, PosteriorSamples, SamplerConfig, _run_batches, gelman_rubin, run_mh
+from .sampler import PosteriorSamples, SamplerConfig, _run_chains, gelman_rubin, run_mh
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
@@ -50,7 +51,6 @@ __all__ = [
     "make_split",
     "make_cv_plan",
     "fit_tailored",
-    "fit_chains",
     "fit_folds",
     "fit_standard",
     "fold_seed",
@@ -179,31 +179,8 @@ def fit_tailored(
     prior: GaussianPrior,
     sampler_config: SamplerConfig,
 ) -> PosteriorSamples:
-    """One MH chain on the weighted-likelihood posterior: the C = 1 case of :func:`fit_chains`."""
-    return _only_chain(fit_chains(data, np.reshape(weights, (1, -1)), prior, sampler_config))
-
-
-def _only_chain(batch: ChainBatch) -> PosteriorSamples:
-    """The chain of a one-chain batch; its SamplerError is raised."""
-    (samples,) = batch.chains
-    if isinstance(samples, SamplerError):
-        raise samples
-    return samples
-
-
-def fit_chains(
-    data: Dataset,
-    weights: np.ndarray,
-    prior: GaussianPrior,
-    sampler_config: SamplerConfig,
-) -> ChainBatch:
-    """One MH chain per row of the (C, n) ``weights`` matrix, run as one batch.
-
-    The chains share ``sampler_config`` and so its random stream (see
-    :func:`~tailbayes.sampler.run_mh`).
-    """
-    logpost = make_log_posterior(data, weights, prior)
-    return run_mh(logpost, (len(weights), data.n_coefficients), sampler_config)
+    """One MH chain on the weighted-likelihood posterior; a chain that fails raises its SamplerError."""
+    return run_mh(make_log_posterior(data, weights, prior), data.n_coefficients, sampler_config)
 
 
 def fit_folds(
@@ -212,19 +189,22 @@ def fit_folds(
     prior: GaussianPrior,
     sampler_config: SamplerConfig,
     seeds: list[int],
-) -> list[ChainBatch]:
-    """``fit_chains(datasets[g], weights[g], prior, sampler_config)`` seeded by ``seeds[g]``, for every g, stacked.
+) -> list[list]:
+    """The chains of every row of every (C, n_g) ``weights[g]`` on ``datasets[g]``, seeded by ``seeds[g]``, stacked.
 
-    Every (C, n_g) ``weights[g]`` has the same C.  The G batches advance in
-    one sampler loop, each on its own random stream, with one
-    log-posterior call per iteration for all of them.  Each batch is bit
-    for bit the one :func:`fit_chains` gives, except for C = 1 with
-    G >= 2: a lone chain prefetches four proposals per call and a stacked
-    one evaluates one, so its ``log_posterior_trace`` can differ in the
-    last bits.
+    Every ``weights[g]`` has the same C.  The G folds advance in one
+    sampler loop, each on its own random stream shared by its C chains,
+    with one log-posterior call per iteration for all of them.  Fold g's
+    list holds, in weight-row order, each chain's
+    :class:`~tailbayes.sampler.PosteriorSamples`, or the SamplerError that
+    failed it; a chain is bit for bit the :func:`fit_tailored` chain of
+    its weight row under ``seeds[g]``, as long as both evaluations
+    return the same values (see :func:`~tailbayes.sampler.run_mh`).
     """
     logpost = _stacked_log_posterior(datasets, weights, prior)
-    return _run_batches(logpost, seeds, len(weights[0]), datasets[0].n_coefficients, sampler_config)
+    n_chains = len(weights[0])
+    chains = _run_chains(logpost, seeds, n_chains, datasets[0].n_coefficients, sampler_config)
+    return [chains[g * n_chains : (g + 1) * n_chains] for g in range(len(seeds))]
 
 
 def fit_standard(
@@ -282,25 +262,47 @@ def _require_both_classes(design: Dataset) -> None:
         raise DataError("design set contains a single outcome class")
 
 
-def _lone_fit(payload: tuple):
-    """Stage 1 on ``data`` and its pi_u at ``predict_x``, or, without ``predict_x``, ``fit_chains`` on ``data``.
+def _require_full_folds(development: Dataset, cv_plan: CvPlan) -> None:
+    # each class spreads over the folds one row at a time, so the larger one must fill every fold
+    class_rows = np.bincount(development.outcomes.astype(np.intp), minlength=2)
+    if class_rows.max() < cv_plan.k:
+        raise DataError(
+            f"cannot make {cv_plan.k} non-empty CV folds from {development.n} development rows: "
+            f"the outcome classes have {class_rows[0]} and {class_rows[1]} rows, and the larger "
+            f"needs at least {cv_plan.k}"
+        )
 
-    Top-level so pools can pickle it.  A failed ``fit_chains`` chain comes
-    back as a value, so the caller raises it where a serial fit would.
+
+def _lone_fit(payload: tuple):
+    """Stage 1 on ``data`` and its pi_u at ``predict_x``, or, without ``predict_x``, ``fit_tailored`` on ``data``.
+
+    Top-level so pools can pickle it.  A failed ``fit_tailored`` chain
+    comes back as its SamplerError, so the caller raises it where a
+    serial fit would (:func:`_raise_failed`).
     """
     data, weights, prior, config, predict_x = payload
     if predict_x is None:
-        return fit_chains(data, weights, prior, config)
+        try:
+            return fit_tailored(data, weights, prior, config)
+        except SamplerError as error:
+            return error
     stage1 = stage1_pi_u(data, config, prior)
     return stage1, predictive_mean(predict_x, stage1)
+
+
+def _raise_failed(chain):
+    """``chain``, a :func:`_lone_fit` result, unless it is a SamplerError, which is raised."""
+    if isinstance(chain, SamplerError):
+        raise chain
+    return chain
 
 
 def _cv_folds(payload: tuple) -> list[list[tuple[float, str | None]]]:
     """(Net Benefit, error) of each lam chain of each fold of one group; top-level so pools can pickle it."""
     folds, threshold, prior, config = payload
     trains, weights, tests, seeds = zip(*folds)
-    batches = fit_folds(trains, weights, prior, config, seeds)
-    return [[_cv_score(samples, test, threshold) for samples in batch.chains] for batch, test in zip(batches, tests)]
+    fits = fit_folds(trains, weights, prior, config, seeds)
+    return [[_cv_score(samples, test, threshold) for samples in chains] for chains, test in zip(fits, tests)]
 
 
 def _cv_score(samples, test: Dataset, threshold: TargetThreshold) -> tuple[float, str | None]:
@@ -323,10 +325,10 @@ def cv_select_lambda(
     """Choose lam maximising the fold-average Net Benefit at the threshold.
 
     Fold fits share one sampler configuration with per-fold seeds
-    (:func:`fold_seed`).  A fold's lam chains share its seed, so they run
-    as one batch on one random stream.  ``jobs`` splits the folds into
-    at most ``jobs`` contiguous groups (3 + 2 folds for jobs = 2 and
-    K = 5), one per worker process, and each group's folds run stacked
+    (:func:`fold_seed`).  A fold's lam chains share its seed and so one
+    random stream.  ``jobs`` splits the folds into at most ``jobs``
+    contiguous groups (3 + 2 folds for jobs = 2 and K = 5), one per
+    worker process, and each group's folds run stacked
     (:func:`fit_folds`); the result does not depend on ``jobs``.  Ties
     break toward the smallest lam.  A sampler failure invalidates its
     cell; a lam stays eligible only if at least K - 1 of its folds
@@ -336,14 +338,7 @@ def cv_select_lambda(
     pi_u_dev = np.asarray(pi_u_dev, dtype=np.float64).ravel()
     if pi_u_dev.shape[0] != development.n:
         raise DataError("pi_u values do not align with the development rows")
-    # each class spreads over the folds one row at a time, so the larger one must fill every fold
-    class_rows = np.bincount(development.outcomes.astype(np.intp), minlength=2)
-    if class_rows.max() < cv_plan.k:
-        raise DataError(
-            f"cannot make {cv_plan.k} non-empty CV folds from {development.n} development rows: "
-            f"the outcome classes have {class_rows[0]} and {class_rows[1]} rows, and the larger "
-            f"needs at least {cv_plan.k}"
-        )
+    _require_full_folds(development, cv_plan)
     if prior is None:
         prior = GaussianPrior.vague(development.n_coefficients)
 
@@ -357,8 +352,7 @@ def cv_select_lambda(
         tr = cv_plan.train_indices(fold)
         test = development.subset(cv_plan.fold_indices(fold))
         folds.append((development.subset(tr), weights[:, tr], test, seed))
-    # a one-lam grid runs each fold alone: a single chain prefetches (run_mh), a stacked one cannot
-    groups = np.array_split(np.arange(cv_plan.k), min(jobs, cv_plan.k) if len(grid) > 1 else cv_plan.k)
+    groups = np.array_split(np.arange(cv_plan.k), min(jobs, cv_plan.k))
     payloads = [([folds[f] for f in group], threshold, prior, sampler_config) for group in groups]
     scores = [fold for group in map_jobs(_cv_folds, payloads, jobs) for fold in group]
 
@@ -463,6 +457,8 @@ def fit_pipeline(
     development = train.subset(split.development_idx)
     # the fold plan is checked before any chain runs, though a one-value grid never uses its folds
     cv_plan = make_cv_plan(development.outcomes, k_folds, lambda_grid, seed=split_seed)
+    if len(cv_plan.lambda_grid) > 1:
+        _require_full_folds(development, cv_plan)
 
     final = []
     if external_pi_u is not None:
@@ -473,7 +469,7 @@ def fit_pipeline(
         tasks = [(design, None, prior, sampler_config, development.covariates)]
         if lambda_grid == (0.0,):  # the final chain's weights are all 1, so it need not wait for pi_u
             _require_both_classes(design)  # a worker's final chain would run to its end before the error
-            tasks.append((development, np.ones((1, development.n)), prior, sampler_config, None))
+            tasks.append((development, np.ones(development.n), prior, sampler_config, None))
         (stage1, pi_u_dev), *final = map_jobs(_lone_fit, tasks, jobs)
 
     n_boundary = int(np.count_nonzero((pi_u_dev == 0.0) | (pi_u_dev == 1.0)))
@@ -502,7 +498,7 @@ def fit_pipeline(
             ess_t,
             100 * ESS_WARNING_FRACTION,
         )
-    samples = _only_chain(final[0]) if final else fit_tailored(development, weights, prior, sampler_config)
+    samples = _raise_failed(final[0]) if final else fit_tailored(development, weights, prior, sampler_config)
     return FittedTailoredModel(
         lambda_star=lambda_star,
         threshold=threshold,
@@ -529,10 +525,10 @@ def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int, jo
     """
     dev = train.subset(model.split.development_idx)
     tasks = [
-        (dev, model.weights[None], model.prior, replace(model.sampler_config, rng_seed=seed), None)
+        (dev, model.weights, model.prior, replace(model.sampler_config, rng_seed=seed), None)
         for seed in rhat_seeds(model.sampler_config.rng_seed, n_chains)
     ]
-    reruns = [_only_chain(batch).draws for batch in map_jobs(_lone_fit, tasks, jobs)]
+    reruns = [_raise_failed(chain).draws for chain in map_jobs(_lone_fit, tasks, jobs)]
     return gelman_rubin([model.samples.draws] + reruns)
 
 

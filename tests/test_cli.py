@@ -101,7 +101,7 @@ class TestFit:
     def test_more_folds_than_development_rows_fails_before_any_chain(self, tmp_path, train_csv, capsys,
                                                                      monkeypatch):
         # a one-value grid never makes a fold, but its fold plan is checked before stage 1 and the final chain
-        monkeypatch.setattr(tuning, "fit_chains", _no_chain)
+        monkeypatch.setattr(tuning, "run_mh", _no_chain)
         out = tmp_path / "m"
         assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--k-folds", 1000, "--jobs", 1,
                     "--out", out, *FIT_SPEED]) == 3
@@ -152,6 +152,14 @@ class TestFit:
         assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0,5", "--jobs", 1,
                     "--out", out, *chain]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_draw_store_beyond_physical_memory_is_usage_error(self, tmp_path, train_csv, capsys):
+        # 10^15 retained draws of 3 coefficients: the check runs before the draw store is allocated
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--jobs", 1,
+                    "--iterations", 10**15, "--burn-in", 0, "--out", out]) == 2
+        assert "need 33000000000000000 bytes, more than the" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_records_configuration(self, tmp_path, train_csv):

@@ -9,8 +9,8 @@ from tailbayes.errors import ConfigError, SamplerError
 from tailbayes.model_core import Dataset, GaussianPrior, make_log_posterior
 from tailbayes.sampler import (
     SD_MIN,
-    ChainBatch,
     PosteriorSamples,
+    _run_chains,
     SamplerConfig,
     adapt_proposal_sd,
     gelman_rubin,
@@ -21,15 +21,15 @@ from tailbayes.sampler import (
 )
 
 
-def standard_normal_logpost(beta):
-    return float(-0.5 * beta @ beta)
+def standard_normal_logpost(b):
+    return -0.5 * np.vecdot(b, b)
 
 
-def gamma_logpost(beta):
-    v = beta[0]
-    if v <= 0.0:
-        return -math.inf
-    return 2.0 * math.log(v) - v
+def gamma_logpost(b):
+    """Gamma(3, 1) in the first coordinate: 2 log v - v on v > 0, -inf elsewhere."""
+    v = b[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(v > 0.0, 2.0 * np.log(v) - v, -np.inf)
 
 
 class TestRunMh:
@@ -43,7 +43,7 @@ class TestRunMh:
 
     def test_gaussian_target_moments(self):
         cfg = SamplerConfig(n_iterations=50_000, burn_in=5_000, rng_seed=11)
-        s = run_mh(lambda b: float(-0.5 * b[0] ** 2), 1, cfg)
+        s = run_mh(lambda b: -0.5 * b[:, 0] ** 2, 1, cfg)
         assert abs(s.draws.mean()) < 0.05
         assert abs(s.draws.std() - 1.0) < 0.05
 
@@ -93,7 +93,7 @@ class TestRunMh:
         # finite only at the start point, so no proposal is ever accepted
         cfg = SamplerConfig(n_iterations=300, burn_in=100, rng_seed=1)
         with pytest.raises(SamplerError, match="no proposal was accepted after burn-in"):
-            run_mh(lambda b: 0.0 if not np.any(b) else -np.inf, 2, cfg)
+            run_mh(lambda b: np.where(np.any(b, axis=1), -np.inf, 0.0), 2, cfg)
 
     def test_nonfinite_proposals_rejected_not_fatal(self):
         cfg = SamplerConfig(
@@ -134,6 +134,13 @@ class TestRunMh:
         tv = 0.5 * np.abs(hist / hist.sum() - pmf).sum()
         assert tv <= 0.05
 
+    def test_draw_store_beyond_physical_memory_is_config_error(self):
+        calls = []
+        cfg = SamplerConfig(n_iterations=10**15, burn_in=0, rng_seed=1)
+        with pytest.raises(ConfigError, match=r"need 17000000000000000 bytes, more than the \d+ bytes of physical memory"):
+            run_mh(lambda b: calls.append(len(b)) or standard_normal_logpost(b), 1, cfg)
+        assert calls == []  # raised before the start point is evaluated
+
     def test_initial_beta_length_checked(self):
         cfg = SamplerConfig(n_iterations=100, burn_in=10, initial_beta=np.array([1.0]))
         with pytest.raises(ConfigError):
@@ -159,22 +166,26 @@ class TestRunMh:
 
 
 class TestBatchedChains:
-    """C chains in one run_mh call share one random stream and nothing else."""
+    """C chains in one sampler loop share one random stream and nothing else."""
 
     SCALES = np.array([0.5, 1.0, 3.0])
     CFG = SamplerConfig(n_iterations=3000, burn_in=1000, thin=2, rng_seed=21)
 
     @staticmethod
     def single(scale):
-        return lambda b: float(-0.5 * (b @ b) / scale**2)
+        return lambda b: -0.5 * np.vecdot(b, b) / scale**2
 
     def batch(self, offsets=0.0):
         return lambda b: -0.5 * np.vecdot(b, b) / self.SCALES**2 + offsets
 
+    def run(self, logpost, n_chains, dim=2, cfg=None):
+        cfg = cfg or self.CFG
+        return _run_chains(logpost, [cfg.rng_seed], n_chains, dim, cfg)
+
     def test_each_chain_equals_its_single_run(self):
-        batch = run_mh(self.batch(), (3, 2), self.CFG)
-        assert isinstance(batch, ChainBatch) and len(batch.chains) == 3
-        for scale, chain in zip(self.SCALES, batch.chains):
+        chains = self.run(self.batch(), 3)
+        assert len(chains) == 3
+        for scale, chain in zip(self.SCALES, chains):
             alone = run_mh(self.single(scale), 2, self.CFG)
             assert np.array_equal(chain.draws, alone.draws)
             assert np.array_equal(chain.log_posterior_trace, alone.log_posterior_trace)
@@ -184,17 +195,15 @@ class TestBatchedChains:
             assert chain.final_proposal_sd == alone.final_proposal_sd
             assert chain.rng_seed == alone.rng_seed == self.CFG.rng_seed
         # the chains differ: each adapts its own proposal sd to its own target
-        assert len({chain.final_proposal_sd for chain in batch.chains}) == 3
+        assert len({chain.final_proposal_sd for chain in chains}) == 3
 
     def test_nonfinite_start_fails_only_its_chain(self):
-        batch = run_mh(self.batch(np.array([0.0, np.nan, 0.0])), (3, 2), self.CFG)
-        failed = batch.chains[1]
+        chains = self.run(self.batch(np.array([0.0, np.nan, 0.0])), 3)
+        failed = chains[1]
         assert isinstance(failed, SamplerError) and "initial point" in str(failed)
         for c in (0, 2):
             alone = run_mh(self.single(self.SCALES[c]), 2, self.CFG)
-            assert np.array_equal(batch.chains[c].draws, alone.draws)
-        rates = [batch.chains[c].acceptance_rate for c in (0, 2)]
-        assert batch.acceptance_rate == sum(rates) / 2
+            assert np.array_equal(chains[c].draws, alone.draws)
 
     def test_chain_that_never_moves_fails_only_its_chain(self):
         def logpost(b):  # chain 1 is finite only at its start point
@@ -203,23 +212,22 @@ class TestBatchedChains:
                 values[1] = -np.inf
             return values
 
-        batch = run_mh(logpost, (3, 2), self.CFG)
-        failed = batch.chains[1]
+        chains = self.run(logpost, 3)
+        failed = chains[1]
         assert isinstance(failed, SamplerError) and "no proposal was accepted" in str(failed)
         for c in (0, 2):
-            assert np.array_equal(batch.chains[c].draws, run_mh(self.single(self.SCALES[c]), 2, self.CFG).draws)
+            assert np.array_equal(chains[c].draws, run_mh(self.single(self.SCALES[c]), 2, self.CFG).draws)
 
     def test_nonfinite_proposals_counted_per_chain(self):
         def batch_logpost(b):  # chain 0: a standard normal; chain 1: a Gamma(3, 1) on (0, inf)
-            return np.array([standard_normal_logpost(b[0]), gamma_logpost(b[1])])
+            return np.concatenate([standard_normal_logpost(b[:1]), gamma_logpost(b[1:])])
 
         cfg = SamplerConfig(n_iterations=4000, burn_in=1000, initial_beta=np.array([1.0]), rng_seed=4)
-        batch = run_mh(batch_logpost, (2, 1), cfg)
+        chains = self.run(batch_logpost, 2, dim=1, cfg=cfg)
         alone = run_mh(gamma_logpost, 1, cfg)
-        assert batch.chains[0].n_nonfinite_proposals == 0
-        assert batch.chains[1].n_nonfinite_proposals == alone.n_nonfinite_proposals > 0
-        assert np.array_equal(batch.chains[1].draws, alone.draws)
-        assert batch.n_nonfinite_proposals == alone.n_nonfinite_proposals
+        assert chains[0].n_nonfinite_proposals == 0
+        assert chains[1].n_nonfinite_proposals == alone.n_nonfinite_proposals > 0
+        assert np.array_equal(chains[1].draws, alone.draws)
 
     @pytest.mark.parametrize(
         "logpost, cfg",
@@ -230,25 +238,31 @@ class TestBatchedChains:
         ids=["normal-thin-3", "gamma-nonfinite"],
     )
     def test_prefetching_single_chain_changes_no_draw(self, logpost, cfg):
-        """A C = 1 batch evaluates several iterations per call yet runs the chain of the dim = d path."""
-        batch_sizes = []
+        """A lone chain evaluates several iterations per call yet runs the chain of one proposal per call."""
 
-        def rows(b):  # row by row, so a row's value does not depend on its batch
-            batch_sizes.append(len(b))
-            return np.array([logpost(row) for row in b])
+        def rows(sizes):  # row by row, so a row's value does not depend on its batch
+            def evaluate(b):
+                sizes.append(len(b))
+                return np.array([logpost(row[None])[0] for row in b])
+
+            return evaluate
 
         dim = cfg.initial_beta.size if cfg.initial_beta is not None else 2
-        (prefetched,) = run_mh(rows, (1, dim), cfg).chains
-        alone = run_mh(logpost, dim, cfg)
-        assert max(batch_sizes) == 4 and len(batch_sizes) < cfg.n_iterations
-        assert np.array_equal(prefetched.draws, alone.draws)
-        assert np.array_equal(prefetched.accepted, alone.accepted)
-        assert np.array_equal(prefetched.log_posterior_trace, alone.log_posterior_trace)
-        assert np.array_equal(prefetched.proposal_sd_trace, alone.proposal_sd_trace)
-        assert prefetched.acceptance_rate == alone.acceptance_rate
-        assert prefetched.n_nonfinite_proposals == alone.n_nonfinite_proposals
+        lone_sizes, stack_sizes = [], []
+        prefetched = run_mh(rows(lone_sizes), dim, cfg)
+        # two groups of one chain on one seed: the reference, one proposal per group and call
+        reference, twin = _run_chains(rows(stack_sizes), [cfg.rng_seed] * 2, 1, dim, cfg)
+        assert max(lone_sizes) == 4 and len(lone_sizes) < cfg.n_iterations
+        assert set(stack_sizes) == {2} and len(stack_sizes) == cfg.n_iterations + 1
+        for alone in (reference, twin):
+            assert np.array_equal(prefetched.draws, alone.draws)
+            assert np.array_equal(prefetched.accepted, alone.accepted)
+            assert np.array_equal(prefetched.log_posterior_trace, alone.log_posterior_trace)
+            assert np.array_equal(prefetched.proposal_sd_trace, alone.proposal_sd_trace)
+            assert prefetched.acceptance_rate == alone.acceptance_rate
+            assert prefetched.n_nonfinite_proposals == alone.n_nonfinite_proposals
         if logpost is gamma_logpost:
-            assert alone.n_nonfinite_proposals > 0
+            assert reference.n_nonfinite_proposals > 0
 
     @pytest.mark.parametrize(
         "n_chains, prior, thin",
@@ -270,10 +284,10 @@ class TestBatchedChains:
 
         plain.rows = data.n  # an integer attribute, as perfbench sets, is not an entry point
         cfg = SamplerConfig(n_iterations=1500, burn_in=500, thin=thin, initial_sd=0.3, rng_seed=5)
-        fast = run_mh(logpost, (n_chains, 3), cfg)
-        generic = run_mh(plain, (n_chains, 3), cfg)
+        fast = self.run(logpost, n_chains, dim=3, cfg=cfg)
+        generic = self.run(plain, n_chains, dim=3, cfg=cfg)
         assert callable(logpost._fill_rows) and calls
-        for a, b in zip(fast.chains, generic.chains):
+        for a, b in zip(fast, generic):
             assert np.array_equal(a.draws, b.draws)
             assert np.array_equal(a.log_posterior_trace, b.log_posterior_trace)
             assert np.array_equal(a.accepted, b.accepted)
@@ -288,8 +302,8 @@ class TestBatchedChains:
         cfg = SamplerConfig(n_iterations=300, burn_in=250, initial_sd=initial_sd, rng_seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = run_mh(logpost, (2, 3), cfg)
-        assert all(isinstance(c, SamplerError) and "never moved" in str(c) for c in batch.chains)
+            chains = self.run(logpost, 2, dim=3, cfg=cfg)
+        assert all(isinstance(c, SamplerError) and "never moved" in str(c) for c in chains)
 
     def test_memory_bounded_by_the_returned_arrays(self):
         """No array as long as the run: the peak stays near the bytes of the retained chain."""
@@ -297,7 +311,7 @@ class TestBatchedChains:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            (chain,) = run_mh(lambda b: -0.5 * np.vecdot(b, b), (1, 4), cfg).chains
+            chain = run_mh(lambda b: -0.5 * np.vecdot(b, b), 4, cfg)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -305,9 +319,8 @@ class TestBatchedChains:
         assert peak <= 1.5 * sum(a.nbytes for a in arrays) + 2**20
 
     def test_every_start_nonfinite_fails_every_chain(self):
-        batch = run_mh(lambda b: np.full(b.shape[0], np.nan), (2, 2), self.CFG)
-        assert all(isinstance(chain, SamplerError) for chain in batch.chains)
-        assert batch.acceptance_rate == 0.0 and batch.n_nonfinite_proposals == 0
+        chains = self.run(lambda b: np.full(b.shape[0], np.nan), 2)
+        assert all(isinstance(chain, SamplerError) for chain in chains)
 
 
 def reference_chain(logpost, dim, cfg):
@@ -315,12 +328,12 @@ def reference_chain(logpost, dim, cfg):
     ``standard_normal(dim)`` then ``math.log(random())``, adapting every 50 burn-in iterations."""
     rng = np.random.default_rng(cfg.rng_seed)
     beta, sd = np.zeros(dim), cfg.initial_sd
-    current = logpost(beta)
+    current = float(logpost(beta[None])[0])
     draws, flags, batch_accepts = [], [], 0
     for t in range(cfg.n_iterations):
         proposal = beta + sd * rng.standard_normal(dim)
         log_u = math.log(rng.random())
-        value = logpost(proposal)
+        value = float(logpost(proposal[None])[0])
         accept = log_u < value - current
         if accept:
             beta, current = proposal, value
@@ -343,7 +356,7 @@ class TestRandomStream:
     @pytest.mark.parametrize("seed", [0, 5, 2**63 + 12345, 987654321])
     def test_chains_follow_the_documented_stream(self, seed):
         cfg = SamplerConfig(n_iterations=400, burn_in=100, initial_sd=0.8, rng_seed=seed)
-        target = lambda scale: lambda b: float(-0.5 * (b @ b) / scale**2)  # noqa: E731
+        target = lambda scale: lambda b: -0.5 * np.vecdot(b, b) / scale**2  # noqa: E731
         lone = run_mh(target(1.0), 2, cfg)
         draws, flags = reference_chain(target(1.0), 2, cfg)
         assert np.array_equal(lone.draws, draws) and np.array_equal(lone.accepted, flags)
@@ -351,8 +364,8 @@ class TestRandomStream:
         rerun = run_mh(target(1.0), 2, cfg)
         assert np.array_equal(rerun.draws, lone.draws) and np.array_equal(rerun.accepted, lone.accepted)
         scales = np.array(self.SCALES)
-        batch = run_mh(lambda b: -0.5 * np.vecdot(b, b) / scales**2, (3, 2), cfg)
-        for scale, chain in zip(self.SCALES, batch.chains):
+        chains = _run_chains(lambda b: -0.5 * np.vecdot(b, b) / scales**2, [seed], 3, 2, cfg)
+        for scale, chain in zip(self.SCALES, chains):
             draws, flags = reference_chain(target(scale), 2, cfg)
             assert np.array_equal(chain.draws, draws) and np.array_equal(chain.accepted, flags)
 

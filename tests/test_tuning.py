@@ -18,7 +18,7 @@ from tailbayes.model_core import (
     make_log_posterior,
 )
 from tailbayes.predict import predictive_mean_sd
-from tailbayes.sampler import ChainBatch, PosteriorSamples, SamplerConfig, run_mh
+from tailbayes.sampler import PosteriorSamples, SamplerConfig, run_mh
 from tailbayes.simulation import Sim1Config, Sim3Config, generate_sim1, generate_sim3
 from tailbayes.tuning import (
     cv_select_lambda,
@@ -196,10 +196,10 @@ class TestCvSelectLambda:
         real_fit_folds = tuning.fit_folds
 
         def flaky(datasets, weights, prior, config, fold_seeds):
-            batches = real_fit_folds(datasets, weights, prior, config, fold_seeds)
+            fits = real_fit_folds(datasets, weights, prior, config, fold_seeds)
             return [
-                ChainBatch(tuple(SamplerError("injected failure") for _ in w)) if seed in seeds else batch
-                for batch, w, seed in zip(batches, weights, fold_seeds)
+                [SamplerError("injected failure") for _ in w] if seed in seeds else chains
+                for chains, w, seed in zip(fits, weights, fold_seeds)
             ]
 
         monkeypatch.setattr(tuning, "fit_folds", flaky)
@@ -246,7 +246,7 @@ class TestCvSelectLambda:
         assert lam in (0.0, 50.0)
 
     def test_batched_chains_equal_single_fits(self, monkeypatch):
-        """Each fold's lam chains run as one batch, yet each equals its own fit_tailored run."""
+        """Each fold's lam chains run in one sampler loop, yet each equals its own fit_tailored run."""
         train, _ = generate_sim1(Sim1Config(n=150, q=1.0, seed=8))
         pi_u = np.random.default_rng(0).uniform(0.1, 0.9, size=train.n)
         t = TargetThreshold(0.3)
@@ -264,11 +264,11 @@ class TestCvSelectLambda:
         monkeypatch.undo()
         prior = GaussianPrior.vague(train.n_coefficients)
         assert len(batches) == plan.k
-        assert all(len(batch.chains) == len(plan.lambda_grid) for batch in batches.values())
+        assert all(len(chains) == len(plan.lambda_grid) for chains in batches.values())
         for fold in range(plan.k):
             seed = fold_seed(FASTER.rng_seed, fold)
             tr = plan.train_indices(fold)
-            for lam, chain in zip(plan.lambda_grid, batches[seed].chains):
+            for lam, chain in zip(plan.lambda_grid, batches[seed]):
                 weights = compute_weights(TailoringConfig(t, lam, pi_u, DistanceFunction()))
                 alone = fit_tailored(train.subset(tr), weights[tr], prior, replace(FASTER, rng_seed=seed))
                 assert isinstance(chain, PosteriorSamples)
@@ -277,10 +277,15 @@ class TestCvSelectLambda:
                 assert chain.final_proposal_sd == alone.final_proposal_sd
                 assert chain.n_nonfinite_proposals == alone.n_nonfinite_proposals
         # the lam chains of a fold sample different posteriors
-        assert not np.array_equal(batches[FASTER.rng_seed + 1].chains[0].draws,
-                                  batches[FASTER.rng_seed + 1].chains[2].draws)
+        assert not np.array_equal(batches[FASTER.rng_seed + 1][0].draws, batches[FASTER.rng_seed + 1][2].draws)
         assert len(table) == len(plan.lambda_grid) * plan.k
 
+    def test_empty_fold_rejected_before_stage_one(self, monkeypatch):
+        # 240 development rows, so at most 240 folds: k = 200 leaves folds empty, though make_cv_plan accepts it
+        train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=7))
+        monkeypatch.setattr(tuning, "run_mh", None)  # no chain may run, stage 1's included
+        with pytest.raises(DataError, match="cannot make 200 non-empty CV folds from 240 development rows"):
+            fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), k_folds=200, sampler_config=FASTER)
 
     def test_empty_fold_rejected_before_any_chain(self, monkeypatch):
         # 9 rows, 4 of them positive: the plan exists, but folds 5 to 8 of its k = 9 hold no row
@@ -299,7 +304,7 @@ class TestFitFolds:
         ids=["vague", "centred-thin-3"],
     )
     def test_stacked_folds_equal_their_own_batches(self, prior, thin):
-        """Folds of unequal size with F-ordered weights, stacked, give each fold's fit_chains batch bit for bit."""
+        """Folds of unequal size with F-ordered weights, stacked, give each fold's own chains bit for bit."""
         train, _ = generate_sim1(Sim1Config(n=163, q=1.0, seed=9))
         pi_u = np.random.default_rng(5).uniform(0.1, 0.9, size=train.n)
         grid = (0.0, 2.0, 10.0, 50.0)
@@ -314,10 +319,10 @@ class TestFitFolds:
         seeds = [fold_seed(config.rng_seed, fold) for fold in range(plan.k)]
         stacked = tuning.fit_folds([train.subset(tr) for tr in trains], fold_weights, prior, config, seeds)
         assert len(stacked) == plan.k
-        for tr, w, seed, batch in zip(trains, fold_weights, seeds, stacked):
-            alone = tuning.fit_chains(train.subset(tr), w, prior, replace(config, rng_seed=seed))
-            assert len(batch.chains) == len(grid)
-            for chain, own in zip(batch.chains, alone.chains):
+        for tr, w, seed, chains in zip(trains, fold_weights, seeds, stacked):
+            (alone,) = tuning.fit_folds([train.subset(tr)], [w], prior, config, [seed])
+            assert len(chains) == len(grid)
+            for chain, own in zip(chains, alone):
                 assert np.array_equal(chain.draws, own.draws)
                 assert np.array_equal(chain.log_posterior_trace, own.log_posterior_trace)
                 assert np.array_equal(chain.accepted, own.accepted)
@@ -325,7 +330,7 @@ class TestFitFolds:
                 assert chain.n_nonfinite_proposals == own.n_nonfinite_proposals
                 assert chain.rng_seed == own.rng_seed == seed
                 # chain-major storage: each chain's arrays are contiguous views of one run's arrays
-                assert chain.draws.flags.c_contiguous and chain.draws.base is stacked[0].chains[0].draws.base
+                assert chain.draws.flags.c_contiguous and chain.draws.base is stacked[0][0].draws.base
 
     def test_failures_stay_in_their_cells(self):
         """A non-finite start fails only its own (lam, fold) chain of the stack."""
@@ -336,9 +341,9 @@ class TestFitFolds:
         stacked = tuning.fit_folds(
             [train.subset(tr) for tr in trains], fold_weights, GaussianPrior.vague(3), FASTER, [5, 6]
         )
-        failed = [[isinstance(c, SamplerError) for c in batch.chains] for batch in stacked]
+        failed = [[isinstance(c, SamplerError) for c in chains] for chains in stacked]
         assert failed == [[False, False, False], [False, False, True]]
-        assert "initial point" in str(stacked[1].chains[2])
+        assert "initial point" in str(stacked[1][2])
 
 
 class TestMapJobs:
@@ -486,6 +491,9 @@ class TestFitPipeline:
             FAST,
         )
         assert np.array_equal(refit.draws, model.samples.draws)
+        assert np.array_equal(refit.log_posterior_trace, model.samples.log_posterior_trace)
+        assert np.array_equal(refit.accepted, model.samples.accepted)
+        assert np.array_equal(refit.proposal_sd_trace, model.samples.proposal_sd_trace)
 
     def test_no_leakage_index_bookkeeping(self):
         train, _ = generate_sim1(Sim1Config(n=250, q=1.0, seed=4))

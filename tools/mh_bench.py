@@ -4,11 +4,11 @@
 
 runs three cases:
 
-- ``C=8``: ``tailbayes.tuning.fit_chains`` with eight lambda chains as
-  one batch, n = 640, 3000 iterations (1200 burn-in), the size of one CV
+- ``C=8``: ``tailbayes.tuning.fit_folds`` on one fold with eight lambda
+  chains, n = 640, 3000 iterations (1200 burn-in), the size of one CV
   fold of ``reproduce``;
-- ``C=1``: ``fit_chains`` with one prefetched chain, n = 200, 8000
-  iterations (3000 burn-in), as stage 1 and the final fit of
+- ``C=1``: ``fit_folds`` on one fold with one prefetched chain, n = 200,
+  8000 iterations (3000 burn-in), as stage 1 and the final fit of
   ``reproduce`` run it;
 - ``CV``: ``tailbayes.tuning.cv_select_lambda`` over K = 5 folds and the
   8-value default grid, n = 880, 3000 iterations (1200 burn-in), in
@@ -80,7 +80,8 @@ def make_inputs(tree: dict, case: dict) -> tuple:
         plan = tuning.make_cv_plan(y, k=case["folds"], lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=31)
         return (core.Dataset.from_raw(x, y), pi_u, core.TargetThreshold(0.3), plan, config)
     lams = [0.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0][: case["chains"]]
-    return (core.Dataset.from_raw(x, y), np.exp(-np.outer(lams, (pi_u - 0.3) ** 2)), core.GaussianPrior.vague(3), config)
+    weights = np.exp(-np.outer(lams, (pi_u - 0.3) ** 2))
+    return ([core.Dataset.from_raw(x, y)], [weights], core.GaussianPrior.vague(3), config, [config.rng_seed])
 
 
 def digest(result) -> tuple:
@@ -89,8 +90,9 @@ def digest(result) -> tuple:
         lam, table = result
         values = np.array([lam] + [np.nan if row["nb"] is None else row["nb"] for row in table])
         return (("cv", hashlib.sha256(values.tobytes()).hexdigest()),)
+    (fold,) = result
     chains, lp = hashlib.sha256(), hashlib.sha256()
-    for chain in result.chains:
+    for chain in getattr(fold, "chains", fold):  # a tree whose fit_folds returns ChainBatch objects
         for part in (chain.draws, chain.accepted, chain.proposal_sd_trace):
             chains.update(np.ascontiguousarray(part).tobytes())
         chains.update(str(chain.n_nonfinite_proposals).encode())
@@ -99,7 +101,7 @@ def digest(result) -> tuple:
 
 
 def timed_run(tree: dict, inputs: tuple, iterations: int) -> tuple[float, tuple]:
-    run = tree["tuning"].cv_select_lambda if len(inputs) == 5 else tree["tuning"].fit_chains
+    run = tree["tuning"].fit_folds if isinstance(inputs[0], list) else tree["tuning"].cv_select_lambda
     start = time.process_time()
     result = run(*inputs)
     return (time.process_time() - start) / iterations * 1e6, digest(result)
