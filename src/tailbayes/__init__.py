@@ -24,7 +24,6 @@ from .model_core import (
     UtilitySpec,
     compute_weights,
     effective_sample_size,
-    linear_predictor,
     log_posterior_gradient,
     log_posterior_unnormalized,
     log_prior,

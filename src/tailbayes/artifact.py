@@ -56,6 +56,7 @@ def save_fit(
         "k_folds": model.cv_plan.k,
         "design_fraction": design_fraction,
         "distance": {"kind": model.distance.kind, "epsilon": model.distance.epsilon},
+        "prior": {"means": model.prior.means.tolist(), "sds": model.prior.sds.tolist()},
         "standardize": standardizer.to_dict() if standardizer else None,
         "external_pi_u": str(external_pi_u) if external_pi_u else None,
         "sampler": dict(_sampler_block(model.sampler_config), target_acceptance=TARGET_ACCEPTANCE),

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: fit, predict, evaluate, simulate, reproduce, ess-grid.
-Every run that produces outputs also writes a manifest capturing the
-full configuration and all seeds, so outputs are reproducible from the
-manifest alone.  Exit codes: 0 success, 2 usage or configuration
+``fit``, ``simulate`` and ``reproduce`` also write a manifest capturing
+the full configuration and all seeds, so their outputs are reproducible
+from the manifest alone.  Exit codes: 0 success, 2 usage or configuration
 error, 3 data error, 4 sampler failure, 1 anything else.
 """
 
@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SAMPLER = 4
+MAX_THRESHOLDS = 10_000  # a lo:hi:step range of more values is a usage error
 # the CPUs this process may run on, which an affinity mask can make fewer than the machine's
 DEFAULT_JOBS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -55,14 +56,20 @@ def _jobs(text: str) -> int:
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
-    """Parse '0.1,0.2,...' or 'lo:hi:step' (inclusive endpoints)."""
+    """Parse '0.1,0.2,...' or 'lo:hi:step' (inclusive endpoints, at most ``MAX_THRESHOLDS`` values)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("range form is lo:hi:step")
-        lo, hi, step = (float(p) for p in parts)
+        try:
+            lo, hi, step = (float(p) for p in parts)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a lo:hi:step range of floats: {text!r}")
         if step <= 0 or hi < lo:
             raise argparse.ArgumentTypeError("need lo <= hi and step > 0")
+        count = (hi + step / 2 - lo) / step  # np.arange's length is its ceiling; NaN if a bound is not finite
+        if not 0 < count <= MAX_THRESHOLDS:
+            raise argparse.ArgumentTypeError(f"{text!r} does not give from 1 to {MAX_THRESHOLDS} thresholds")
         return tuple(np.round(np.arange(lo, hi + step / 2, step), 12))
     values = _csv_floats(text)
     if not values:
@@ -404,10 +411,7 @@ def cmd_reproduce(args) -> int:
 
     raw = result["raw"]
     cell_keys = result["cell_keys"]
-    raw_header = cell_keys + ["rep", "lambda_star", "nb_tb", "nb_sb", "delta"]
-    if args.figure == "sim3-fig6":
-        raw_header.append("nb_optimal")
-    dataio.write_rows(out / "nb_raw.csv", raw_header, [[row[k] for k in raw_header] for row in raw])
+    dataio.write_rows(out / "nb_raw.csv", list(raw[0]), [list(row.values()) for row in raw])
 
     aggregated = result["aggregated"]
     groups = [k for k in cell_keys if k != "t"]

@@ -28,7 +28,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetBenefitReport:
-    t: TargetThreshold
     tp_count: int
     fp_count: int
     n: int
@@ -37,15 +36,10 @@ class NetBenefitReport:
 
 @dataclass(frozen=True)
 class PairedDelta:
-    """Per-split Net Benefit differences with the paired standard error."""
+    """The mean per-split Net Benefit difference with its paired standard error."""
 
-    deltas: np.ndarray
     mean_delta: float
     se_delta: float
-
-    @property
-    def m(self) -> int:
-        return self.deltas.shape[0]
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,7 @@ def net_benefit(predictions, outcomes, t: TargetThreshold | float) -> NetBenefit
     fp = int(np.count_nonzero(positive & (y == 0.0)))
     n = p.shape[0]
     nb = tp / n - fp / n * (t.t / (1.0 - t.t))
-    return NetBenefitReport(t=t, tp_count=tp, fp_count=fp, n=n, net_benefit=nb)
+    return NetBenefitReport(tp_count=tp, fp_count=fp, n=n, net_benefit=nb)
 
 
 def paired_delta(nb_a, nb_b) -> PairedDelta:
@@ -106,7 +100,7 @@ def paired_delta(nb_a, nb_b) -> PairedDelta:
     d = a - b
     mean = float(d.mean())
     se = math.sqrt(float(np.sum((d - mean) ** 2)) / (m * (m - 1)))
-    return PairedDelta(deltas=d, mean_delta=mean, se_delta=se)
+    return PairedDelta(mean_delta=mean, se_delta=se)
 
 
 def calibration_curve(predictions, outcomes, n_bins: int = 10) -> CalibrationCurve:

@@ -29,7 +29,6 @@ __all__ = [
     "target_threshold",
     "threshold_band_for_benefit",
     "expit",
-    "linear_predictor",
     "compute_weights",
     "tailored_log_likelihood",
     "log_prior",
@@ -206,10 +205,6 @@ class TailoringConfig:
             raise ConfigError("pi_u values must lie in [0, 1]")
         object.__setattr__(self, "pi_u", _readonly(p))
 
-    @property
-    def n(self) -> int:
-        return self.pi_u.shape[0]
-
 
 @dataclass(frozen=True)
 class GaussianPrior:
@@ -293,12 +288,6 @@ def expit(z):
     """
     with np.errstate(over="ignore", under="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
-
-
-def linear_predictor(data: Dataset, beta) -> np.ndarray:
-    """Row-wise x_i . beta over the design matrix."""
-    b = _check_beta(beta, data.n_coefficients)
-    return data.covariates @ b
 
 
 def compute_weights(config: TailoringConfig) -> np.ndarray:

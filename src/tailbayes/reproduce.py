@@ -50,6 +50,9 @@ _SIM3_GRID = {
 
 def _cells(figure: str, overrides: dict) -> list[dict]:
     base = {"sim1-fig2": _SIM1_GRID, "sim2-fig4": _SIM2_GRID, "sim3-fig6": _SIM3_GRID}[figure]
+    unknown = sorted(set(overrides) - set(base))
+    if unknown:
+        raise ConfigError(f"{figure} varies only {list(base)}, so it takes no override of {unknown}")
     grid = {key: tuple(overrides.get(key) or vals) for key, vals in base.items()}
     for key, vals in grid.items():
         if len(set(vals)) < len(vals):
@@ -74,8 +77,8 @@ def _sim_configs(figure: str, cell: dict, train_seed: int, test_seed: int) -> tu
 
 def _rep_worker(payload: tuple) -> dict:
     figure, cell, rep, base_seed, lambda_grid = payload
-    seeds = np.random.SeedSequence([int(base_seed), _cell_key(cell), rep]).generate_state(4)
-    train_seed, test_seed, fit_seed, _ = (int(s) for s in seeds)
+    seeds = np.random.SeedSequence([int(base_seed), _cell_key(cell), rep]).generate_state(3)
+    train_seed, test_seed, fit_seed = (int(s) for s in seeds)
     t = TargetThreshold(cell["t"])
     generate, train_config, test_config = _sim_configs(figure, cell, train_seed, test_seed)
     train = generate(train_config)[0]
@@ -95,7 +98,6 @@ def _rep_worker(payload: tuple) -> dict:
 
     row = dict(cell)
     row.update(
-        figure=figure,
         rep=rep,
         lambda_star=model.lambda_star,
         nb_tb=net_benefit(tailored_probs, test.outcomes, t).net_benefit,

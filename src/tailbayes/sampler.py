@@ -162,6 +162,18 @@ def run_mh(
     return chain
 
 
+def _check_draw_store(n_chains: int, dim: int, config: SamplerConfig) -> None:
+    """ConfigError unless ``n_chains`` chains' retained draws, trace and accept flags fit in physical memory."""
+    n_retained = (config.n_iterations - config.burn_in) // config.thin
+    needed = n_chains * n_retained * (dim * 8 + 8 + 1)  # float64 draws and trace, bool flags
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > physical:
+        raise ConfigError(
+            f"the retained draws, log-posterior trace and accept flags of {n_retained} draws per chain need "
+            f"{needed} bytes, more than the {physical} bytes of physical memory"
+        )
+
+
 def _plain_fill(log_posterior):
     """The ``_fill_rows`` entry of a plain log-posterior callable (see :func:`_run_chains`)."""
 
@@ -203,15 +215,9 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
     )
     if start.shape[0] != dim:
         raise ConfigError(f"initial_beta has length {start.shape[0]}, expected {dim}")
+    _check_draw_store(total, dim, config)
     n_iter, burn_in, thin = config.n_iterations, config.burn_in, config.thin
     n_retained = (n_iter - burn_in) // thin
-    needed = total * n_retained * (dim * 8 + 8 + 1)  # float64 draws and trace, bool flags
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if needed > physical:
-        raise ConfigError(
-            f"the retained draws, log-posterior trace and accept flags of {n_retained} draws per chain need "
-            f"{needed} bytes, more than the {physical} bytes of physical memory"
-        )
     beta = np.tile(start, (total, 1))
     current_lp = np.empty(total)
     fill_rows(beta, current_lp)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -40,7 +41,7 @@ from .model_core import (
 )
 from .evaluation import net_benefit
 from .predict import predictive_mean
-from .sampler import PosteriorSamples, SamplerConfig, _run_chains, gelman_rubin, run_mh
+from .sampler import PosteriorSamples, SamplerConfig, _check_draw_store, _run_chains, gelman_rubin, run_mh
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
@@ -79,7 +80,6 @@ class SplitPlan:
 
     design_idx: np.ndarray
     development_idx: np.ndarray
-    design_fraction: float
     seed: int
 
     def digest(self) -> str:
@@ -113,7 +113,6 @@ def make_split(
     return SplitPlan(
         design_idx=np.sort(perm[:n_design]),
         development_idx=np.sort(perm[n_design:]),
-        design_fraction=design_fraction,
         seed=int(seed),
     )
 
@@ -122,15 +121,14 @@ def make_split(
 class CvPlan:
     """Stratified fold assignment plus the lam candidate grid.
 
-    The grid must be ascending and start at 0 so the standard model is
-    always a candidate.  Folds are balanced so each fold's positive
-    count is within one of its proportional share.
+    The grid must be finite, ascending and start at 0 so the standard
+    model is always a candidate.  Folds are balanced so each fold's
+    positive count is within one of its proportional share.
     """
 
     k: int
     lambda_grid: tuple[float, ...]
     fold_ids: np.ndarray
-    seed: int
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.lambda_grid)
@@ -138,10 +136,10 @@ class CvPlan:
             raise ConfigError("lambda grid must be non-empty")
         if grid[0] != 0.0:
             raise ConfigError("lambda grid must start at 0")
+        if not all(math.isfinite(v) for v in grid):
+            raise ConfigError(f"lambda values must be finite, got {list(grid)}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("lambda grid must be strictly ascending")
-        if any(v < 0.0 for v in grid):
-            raise ConfigError("lambda values must be >= 0")
         object.__setattr__(self, "lambda_grid", grid)
 
     def fold_indices(self, fold: int) -> np.ndarray:
@@ -170,7 +168,7 @@ def make_cv_plan(
         rng.shuffle(idx)
         for fold, chunk in enumerate(np.array_split(idx, k)):
             fold_ids[chunk] = fold
-    return CvPlan(k=k, lambda_grid=tuple(lambda_grid), fold_ids=fold_ids, seed=int(seed))
+    return CvPlan(k=k, lambda_grid=tuple(lambda_grid), fold_ids=fold_ids)
 
 
 def fit_tailored(
@@ -232,8 +230,10 @@ def map_jobs(fn, payloads: list, jobs: int) -> list:
     """``[fn(p) for p in payloads]``, over at most ``jobs`` worker processes.
 
     The pool gets one worker per payload at most, and a single worker runs
-    in-process.  Results keep the payload order.  ``fn`` must be a top-level
-    function so the pool can pickle it; callers pass it at call time.
+    in-process.  Results keep the payload order, and the first call in
+    payload order that raises is raised here, as in the serial loop.
+    ``fn`` must be a top-level function so the pool can pickle it; callers
+    pass it at call time.
     """
     workers = min(jobs, len(payloads))
     if workers <= 1:
@@ -273,28 +273,22 @@ def _require_full_folds(development: Dataset, cv_plan: CvPlan) -> None:
         )
 
 
+def _fold_groups(k: int, jobs: int) -> list[np.ndarray]:
+    """The K folds in at most ``jobs`` contiguous groups, one per worker (3 + 2 folds for jobs = 2 and K = 5)."""
+    return np.array_split(np.arange(k), min(jobs, k))
+
+
 def _lone_fit(payload: tuple):
     """Stage 1 on ``data`` and its pi_u at ``predict_x``, or, without ``predict_x``, ``fit_tailored`` on ``data``.
 
-    Top-level so pools can pickle it.  A failed ``fit_tailored`` chain
-    comes back as its SamplerError, so the caller raises it where a
-    serial fit would (:func:`_raise_failed`).
+    Top-level so pools can pickle it.  A failed chain raises, and
+    :func:`map_jobs` raises the first failure in payload order.
     """
     data, weights, prior, config, predict_x = payload
     if predict_x is None:
-        try:
-            return fit_tailored(data, weights, prior, config)
-        except SamplerError as error:
-            return error
+        return fit_tailored(data, weights, prior, config)
     stage1 = stage1_pi_u(data, config, prior)
     return stage1, predictive_mean(predict_x, stage1)
-
-
-def _raise_failed(chain):
-    """``chain``, a :func:`_lone_fit` result, unless it is a SamplerError, which is raised."""
-    if isinstance(chain, SamplerError):
-        raise chain
-    return chain
 
 
 def _cv_folds(payload: tuple) -> list[list[tuple[float, str | None]]]:
@@ -327,13 +321,12 @@ def cv_select_lambda(
     Fold fits share one sampler configuration with per-fold seeds
     (:func:`fold_seed`).  A fold's lam chains share its seed and so one
     random stream.  ``jobs`` splits the folds into at most ``jobs``
-    contiguous groups (3 + 2 folds for jobs = 2 and K = 5), one per
-    worker process, and each group's folds run stacked
-    (:func:`fit_folds`); the result does not depend on ``jobs``.  Ties
-    break toward the smallest lam.  A sampler failure invalidates its
-    cell; a lam stays eligible only if at least K - 1 of its folds
-    succeeded (the average then runs over the successes, and the failure
-    is logged).
+    contiguous groups (:func:`_fold_groups`), one per worker process,
+    and each group's folds run stacked (:func:`fit_folds`); the result
+    does not depend on ``jobs``.  Ties break toward the smallest lam.  A
+    sampler failure invalidates its cell; a lam stays eligible only if at
+    least K - 1 of its folds succeeded (the average then runs over the
+    successes, and the failure is logged).
     """
     pi_u_dev = np.asarray(pi_u_dev, dtype=np.float64).ravel()
     if pi_u_dev.shape[0] != development.n:
@@ -352,7 +345,7 @@ def cv_select_lambda(
         tr = cv_plan.train_indices(fold)
         test = development.subset(cv_plan.fold_indices(fold))
         folds.append((development.subset(tr), weights[:, tr], test, seed))
-    groups = np.array_split(np.arange(cv_plan.k), min(jobs, cv_plan.k))
+    groups = _fold_groups(cv_plan.k, jobs)
     payloads = [([folds[f] for f in group], threshold, prior, sampler_config) for group in groups]
     scores = [fold for group in map_jobs(_cv_folds, payloads, jobs) for fold in group]
 
@@ -457,8 +450,12 @@ def fit_pipeline(
     development = train.subset(split.development_idx)
     # the fold plan is checked before any chain runs, though a one-value grid never uses its folds
     cv_plan = make_cv_plan(development.outcomes, k_folds, lambda_grid, seed=split_seed)
+    # the draws of a lone chain and of the largest fold group's stacked CV chains must fit in memory
+    _check_draw_store(1, train.n_coefficients, sampler_config)
     if len(cv_plan.lambda_grid) > 1:
         _require_full_folds(development, cv_plan)
+        largest = max(len(group) for group in _fold_groups(cv_plan.k, jobs))
+        _check_draw_store(largest * len(cv_plan.lambda_grid), train.n_coefficients, cv_sampler_config)
 
     final = []
     if external_pi_u is not None:
@@ -498,7 +495,7 @@ def fit_pipeline(
             ess_t,
             100 * ESS_WARNING_FRACTION,
         )
-    samples = _raise_failed(final[0]) if final else fit_tailored(development, weights, prior, sampler_config)
+    samples = final[0] if final else fit_tailored(development, weights, prior, sampler_config)
     return FittedTailoredModel(
         lambda_star=lambda_star,
         threshold=threshold,
@@ -528,7 +525,7 @@ def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int, jo
         (dev, model.weights, model.prior, replace(model.sampler_config, rng_seed=seed), None)
         for seed in rhat_seeds(model.sampler_config.rng_seed, n_chains)
     ]
-    reruns = [_raise_failed(chain).draws for chain in map_jobs(_lone_fit, tasks, jobs)]
+    reruns = [chain.draws for chain in map_jobs(_lone_fit, tasks, jobs)]
     return gelman_rubin([model.samples.draws] + reruns)
 
 

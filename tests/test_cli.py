@@ -1,15 +1,20 @@
+import argparse
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
-from tailbayes import cli, dataio, tuning
+from tailbayes import cli, dataio, reproduce, tuning
 from tailbayes.cli import main
+from tailbayes.errors import SamplerError
 
 FIT_SPEED = ["--iterations", "1500", "--burn-in", "600", "--cv-iterations", "800", "--cv-burn-in", "300"]
 
@@ -161,6 +166,54 @@ class TestFit:
                     "--iterations", 10**15, "--burn-in", 0, "--out", out]) == 2
         assert "need 33000000000000000 bytes, more than the" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs, needed", [(1, 330000000000000000), (2, 198000000000000000)])
+    def test_cv_draw_store_beyond_physical_memory_fails_before_any_chain(self, tmp_path, train_csv, capsys,
+                                                                         monkeypatch, jobs, needed):
+        # the largest fold group stacks 5 (jobs 1) or 3 (jobs 2) folds of 2 lambda chains, 10^15 draws each
+        monkeypatch.setattr(tuning, "run_mh", _no_chain)
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0,5", "--jobs", jobs, "--iterations", 1500,
+                    "--burn-in", 600, "--cv-iterations", 10**15, "--cv-burn-in", 0, "--out", out]) == 2
+        assert f"need {needed} bytes, more than the" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0,inf", "0,nan"])
+    def test_non_finite_lambda_is_usage_error_before_any_chain(self, tmp_path, train_csv, capsys, monkeypatch,
+                                                               grid):
+        monkeypatch.setattr(tuning, "run_mh", _no_chain)
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", grid, "--jobs", 1, "--out", out,
+                    *FIT_SPEED]) == 2
+        assert "error: lambda values must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_final_chain_of_one_value_grid_is_reported_alike_at_any_jobs(self, tmp_path, train_csv,
+                                                                                 capsys, monkeypatch):
+        # jobs 2 runs the final chain in a worker beside stage 1; its failure must read as the serial one
+        real = tuning.fit_tailored
+
+        def fail_on_development(data, weights, prior, config):
+            if data.n == 240:  # the development rows; stage 1 fits the 60 design rows
+                raise SamplerError(f"the chain of seed {config.rng_seed} on {data.n} rows failed")
+            return real(data, weights, prior, config)
+
+        monkeypatch.setattr(tuning, "fit_tailored", fail_on_development)
+        errors = []
+        for jobs in (1, 2):
+            out = tmp_path / f"m{jobs}"
+            assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--seed", 5, "--jobs", jobs,
+                        "--out", out, *FIT_SPEED]) == 4
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors == ["sampler error: the chain of seed 5 on 240 rows failed\n"] * 2
+
+    def test_manifest_records_the_prior(self, tmp_path, train_csv):
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--prior-sd", 2.5, "--jobs", 1,
+                    "--out", out, *FIT_SPEED]) == 0
+        manifest = dataio.read_manifest(out / "manifest.json")
+        assert manifest["prior"] == {"means": [0.0, 0.0, 0.0], "sds": [2.5, 2.5, 2.5]}
 
     def test_manifest_records_configuration(self, tmp_path, train_csv):
         out = fit_artifact(tmp_path, train_csv)
@@ -467,6 +520,16 @@ class TestEvaluate:
         assert run(["evaluate", "--scored-a", a, "--model-a", tmp_path,
                     "--thresholds", "0.5", "--out", tmp_path / "y"]) == 2
 
+    @pytest.mark.parametrize("thresholds", ["0.1:0.9:1e-15", "0.1:inf:0.1", "0.1:0.9:nan", "0:1.0001:1e-4"])
+    def test_threshold_range_beyond_the_cap_is_usage_error(self, tmp_path, capsys, thresholds):
+        # 0.1:0.9:1e-15 would ask np.arange for 8e14 values (5.68 PiB)
+        a = self._scored(tmp_path, "a.csv", [0.5], [1])
+        with pytest.raises(SystemExit) as exc:
+            run(["evaluate", "--scored-a", a, "--thresholds", thresholds, "--out", tmp_path / "x"])
+        assert exc.value.code == 2
+        assert f"{thresholds!r} does not give from 1 to 10000 thresholds" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_empty_threshold_list_is_usage_error(self, tmp_path):
         a = self._scored(tmp_path, "a.csv", [0.5], [1])
         with pytest.raises(SystemExit) as exc:
@@ -520,6 +583,16 @@ class TestReproduceAndEssGrid:
             run(["reproduce", "--figure", "sim3-fig6", "--jobs", -4, "--out", out])
         assert exc.value.code == 2
         assert "--jobs: must be at least 1, got -4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_override_the_figure_does_not_vary_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # sim3 has no q: the override would be ignored and the default 54-cell grid run
+        monkeypatch.setattr(reproduce, "_rep_worker", _no_fit)
+        out = tmp_path / "rep"
+        assert run(["reproduce", "--figure", "sim3-fig6", "--scale", 0.1, "--jobs", 1, "--q-list", "0.5",
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sim3-fig6 varies only ['n', 'psi', 't'], so it takes no override of ['q']\n"
         assert not out.exists()
 
     def test_ess_grid_from_file(self, tmp_path):
@@ -679,3 +752,55 @@ def _read_csv(path):
         reader = csv.reader(fh)
         header = next(reader)
         return header, [row for row in reader if row]
+
+
+# derandomized: every run tries the same examples, so the suite stays deterministic
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
+
+
+@PROPERTY
+@given(lo=st.floats(0.0, 0.99), width=st.floats(0.0, 0.99), step=st.floats(1e-4, 0.5))
+def test_threshold_range_is_ascending_from_lo_to_hi(lo, width, step):
+    hi = lo + width
+    values = cli._thresholds(f"{lo}:{hi}:{step}")
+    assert len(values) == math.ceil((hi + step / 2 - lo) / step) <= cli.MAX_THRESHOLDS
+    assert values[0] == pytest.approx(lo, abs=1e-12)
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert abs(values[-1] - hi) <= step / 2 + 1e-12
+
+
+@PROPERTY
+@given(
+    lo=st.floats(-1.0, 1.0),
+    hi=st.floats(-1.0, 1.0),
+    step=st.floats(-1.0, 1.0),
+    form=st.sampled_from(["{lo}:{hi}:{step}", "{lo}:{hi}", "{lo}:{hi}:{step}:{step}", "{lo}:x:{step}"]),
+)
+def test_malformed_threshold_range_raises(lo, hi, step, form):
+    assume(not (form == "{lo}:{hi}:{step}" and step > 0 and 0 < (hi + step / 2 - lo) / step <= cli.MAX_THRESHOLDS))
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._thresholds(form.format(lo=lo, hi=hi, step=step))
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 10**6),
+    explicit=st.none() | st.integers(0, 10**6),
+    standardize=st.booleans(),
+    upper=st.booleans(),
+    padding=st.lists(st.sampled_from(["", "   ", "# seed = 1", "  # standardize = true"]), max_size=3),
+)
+def test_config_file_flags_yield_to_explicit_ones(seed, explicit, standardize, upper, padding):
+    value = str(standardize).upper() if upper else str(standardize).lower()
+    lines = [*padding, f"seed = {seed}", *padding, f"standardize={value}", *padding]
+    argv = ["fit", "d.csv", "--out", "m", *([] if explicit is None else ["--seed", str(explicit)])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv[2:2] = ["--config", str(path)]
+        flags = cli._apply_config_file(argv)
+    # comments and blank lines add nothing, true adds the bare flag and false none, all ahead of argv's flags
+    assert flags == argv[:1] + ["--seed", str(seed)] + ["--standardize"] * standardize + argv[1:]
+    args = cli.build_parser().parse_args(flags)
+    assert args.seed == (seed if explicit is None else explicit)
+    assert args.standardize is standardize

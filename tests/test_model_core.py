@@ -29,7 +29,6 @@ from tailbayes.model_core import (
     compute_weights,
     effective_sample_size,
     expit,
-    linear_predictor,
     log_posterior_gradient,
     log_posterior_unnormalized,
     log_prior,
@@ -131,30 +130,6 @@ class TestThresholdBand:
             threshold_band_for_benefit(0.0, 0.03, 0.05)
         with pytest.raises(ConfigError):
             threshold_band_for_benefit(0.1, 0.05, 0.2)  # upper maps past 1
-
-
-class TestLinearPredictor:
-    def test_zero_beta(self):
-        rng = np.random.default_rng(0)
-        data, _ = random_dataset(rng)
-        assert np.all(linear_predictor(data, np.zeros(3)) == 0.0)
-
-    def test_single_row_arithmetic(self):
-        data = Dataset(outcomes=[1], covariates=[[1.0, 1.0, 1.0]])
-        assert linear_predictor(data, [0.0, 2.0, 3.0])[0] == 5.0
-
-    def test_sim3_generator_logits(self):
-        """Rows through beta = (0, 2, 3) match the contamination study's logits."""
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((20, 2))
-        data = Dataset.from_raw(x, np.zeros(20))
-        z = linear_predictor(data, [0.0, 2.0, 3.0])
-        np.testing.assert_allclose(z, 2.0 * x[:, 0] + 3.0 * x[:, 1], rtol=1e-14)
-
-    def test_dimension_mismatch(self):
-        data = Dataset.from_raw([[1.0], [2.0]], [0, 1])
-        with pytest.raises(DataError):
-            linear_predictor(data, [1.0, 2.0, 3.0])
 
 
 class TestWeights:

@@ -9,8 +9,8 @@ OVERRIDES = {"n": (200,), "psi": (0.1,)}
 
 def _stub_rep_worker(payload):
     """A cheap deterministic stand-in for one repetition: delta is t + 0.01 * rep^2."""
-    figure, cell, rep, _seed, _grid = payload
-    row = dict(cell, figure=figure, rep=rep, lambda_star=0.0,
+    _figure, cell, rep, _seed, _grid = payload
+    row = dict(cell, rep=rep, lambda_star=0.0,
                nb_tb=0.1 + cell["t"] + 0.01 * rep**2, nb_sb=0.1)
     row["delta"] = row["nb_tb"] - row["nb_sb"]
     row["nb_optimal"] = 0.2
@@ -48,6 +48,10 @@ def test_repeated_override_value_is_config_error(monkeypatch):
         ("sim3-fig6", {"n": (200,), "psi": (0.1, 0.6), "t": (0.3,)}),
         ("sim1-fig2", {"n": (200,), "q": (0.5, -1.0), "t": (0.3,)}),
         ("sim2-fig4", {"n": (200, 0), "prevalence": (0.3,), "t": (0.3,)}),
+        # a key the figure does not vary, which its grid would otherwise ignore
+        ("sim3-fig6", {"q": (0.5,), "t": (0.3,)}),
+        ("sim1-fig2", {"psi": (0.1,), "t": (0.3,)}),
+        ("sim2-fig4", {"q": (0.5,), "t": (0.3,)}),
     ],
 )
 def test_bad_override_value_fails_before_any_fit(monkeypatch, figure, overrides):

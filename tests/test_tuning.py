@@ -287,6 +287,15 @@ class TestCvSelectLambda:
         with pytest.raises(DataError, match="cannot make 200 non-empty CV folds from 240 development rows"):
             fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), k_folds=200, sampler_config=FASTER)
 
+    def test_final_draw_store_beyond_physical_memory_fails_before_cv(self, monkeypatch):
+        # external pi_u skips stage 1, so CV would otherwise run to its end before the final chain
+        train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=7))
+        monkeypatch.setattr(tuning, "run_mh", None)
+        monkeypatch.setattr(tuning, "fit_folds", None)  # no chain may run
+        with pytest.raises(ConfigError, match="need 33000000000000000 bytes, more than the"):
+            fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), external_pi_u=np.full(train.n, 0.4),
+                         sampler_config=SamplerConfig(n_iterations=10**15, burn_in=0), cv_sampler_config=FASTER)
+
     def test_empty_fold_rejected_before_any_chain(self, monkeypatch):
         # 9 rows, 4 of them positive: the plan exists, but folds 5 to 8 of its k = 9 hold no row
         development = Dataset.from_raw(np.random.default_rng(2).standard_normal((9, 1)), np.arange(9) % 2)
@@ -462,6 +471,22 @@ class TestFitPipeline:
         serial = final_fit_rhat(train, model, 3, jobs=1)
         assert serial.shape == (3,)
         assert np.array_equal(final_fit_rhat(train, model, 3, jobs=2), serial)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failed_rhat_rerun_in_seed_order_is_raised(self, jobs, monkeypatch):
+        train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=9))
+        model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER)
+        seeds = tuning.rhat_seeds(FASTER.rng_seed, 4)
+        real = tuning.fit_tailored
+
+        def fail_after_the_first(data, weights, prior, config):
+            if config.rng_seed in seeds[1:]:  # the second and third reruns fail, the first succeeds
+                raise SamplerError(f"rerun of seed {config.rng_seed} failed")
+            return real(data, weights, prior, config)
+
+        monkeypatch.setattr(tuning, "fit_tailored", fail_after_the_first)
+        with pytest.raises(SamplerError, match=f"^rerun of seed {seeds[1]} failed$"):
+            final_fit_rhat(train, model, 4, jobs=jobs)
 
     def test_deterministic_rerun(self):
         train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=2))
