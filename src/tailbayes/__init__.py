@@ -19,7 +19,6 @@ from .model_core import (
     Dataset,
     DistanceFunction,
     GaussianPrior,
-    TailoringConfig,
     TargetThreshold,
     UtilitySpec,
     compute_weights,

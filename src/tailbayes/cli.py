@@ -230,9 +230,7 @@ def _out_file(*paths) -> None:
 
 
 def _distance_from_args(args) -> DistanceFunction:
-    if args.distance == "squared":
-        return DistanceFunction.squared()
-    return DistanceFunction.epsilon_insensitive(args.epsilon)
+    return DistanceFunction(args.distance.replace("-", "_"), args.epsilon)
 
 
 def _resolve_threshold(args) -> tuple[TargetThreshold, UtilitySpec | None]:

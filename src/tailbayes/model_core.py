@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "UtilitySpec",
     "TargetThreshold",
     "DistanceFunction",
-    "TailoringConfig",
     "GaussianPrior",
     "target_threshold",
     "threshold_band_for_benefit",
@@ -187,26 +186,6 @@ class DistanceFunction:
 
 
 @dataclass(frozen=True)
-class TailoringConfig:
-    """Everything needed to turn first-stage probabilities into weights."""
-
-    threshold: TargetThreshold
-    lam: float
-    pi_u: np.ndarray
-    distance: DistanceFunction = field(default_factory=DistanceFunction.squared)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        p = np.asarray(self.pi_u, dtype=np.float64).ravel()
-        if p.size == 0:
-            raise ConfigError("pi_u must be non-empty")
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise ConfigError("pi_u values must lie in [0, 1]")
-        object.__setattr__(self, "pi_u", _readonly(p))
-
-
-@dataclass(frozen=True)
 class GaussianPrior:
     """Independent normal prior on each coefficient."""
 
@@ -290,14 +269,26 @@ def expit(z):
         return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 
 
-def compute_weights(config: TailoringConfig) -> np.ndarray:
-    """Per-datapoint weights exp(-lam * h(pi_u_i, t)).
+def compute_weights(
+    pi_u, threshold: TargetThreshold, lambdas, distance: DistanceFunction = DistanceFunction()
+) -> np.ndarray:
+    """Per-datapoint weights exp(-lam * h(pi_u_i, t)), one row of the (len(lambdas), n) result per lam.
 
     Weights are 1 at zero distance or lam = 0 and decay exponentially
     with distance from the threshold; they are never floored to zero.
+    Every lam must be finite and >= 0, and ``pi_u`` non-empty with every
+    value in [0, 1].
     """
-    h = config.distance(config.pi_u, config.threshold.t)
-    return np.exp(-config.lam * h)
+    lam = np.asarray(lambdas, dtype=np.float64).ravel()
+    for value in lam.tolist():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"lam must be finite and >= 0, got {value}")
+    p = np.asarray(pi_u, dtype=np.float64).ravel()
+    if p.size == 0:
+        raise ConfigError("pi_u must be non-empty")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ConfigError("pi_u values must lie in [0, 1]")
+    return np.exp(-lam[:, None] * distance(p, threshold.t))
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

@@ -152,5 +152,4 @@ def reproduce_figure(
         if figure == "sim3-fig6":
             agg["mean_nb_optimal"] = float(np.mean([r["nb_optimal"] for r in rows]))
         aggregated.append(agg)
-    return {"figure": figure, "repetitions": reps, "cell_keys": list(cells[0]),
-            "raw": raw, "aggregated": aggregated}
+    return {"repetitions": reps, "cell_keys": list(cells[0]), "raw": raw, "aggregated": aggregated}

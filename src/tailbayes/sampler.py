@@ -16,13 +16,12 @@ of a group share it.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SamplerError
+from .errors import ConfigError, SamplerError, require_memory
 
 __all__ = [
     "SamplerConfig",
@@ -166,12 +165,7 @@ def _check_draw_store(n_chains: int, dim: int, config: SamplerConfig) -> None:
     """ConfigError unless ``n_chains`` chains' retained draws, trace and accept flags fit in physical memory."""
     n_retained = (config.n_iterations - config.burn_in) // config.thin
     needed = n_chains * n_retained * (dim * 8 + 8 + 1)  # float64 draws and trace, bool flags
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if needed > physical:
-        raise ConfigError(
-            f"the retained draws, log-posterior trace and accept flags of {n_retained} draws per chain need "
-            f"{needed} bytes, more than the {physical} bytes of physical memory"
-        )
+    require_memory(needed, f"the retained draws, log-posterior trace and accept flags of {n_retained} draws per chain")
 
 
 def _plain_fill(log_posterior):

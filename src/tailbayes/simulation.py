@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_memory
 from .evaluation import NetBenefitReport, net_benefit
 from .model_core import Dataset, TargetThreshold, expit
 
@@ -56,6 +56,16 @@ SIM3_CONTAMINANT_MEAN = 1.5
 SIM3_CONTAMINANT_SD = 0.5
 
 
+def _check_n(n: int) -> None:
+    """ConfigError unless n >= 1 and a study's (n, 3) float64 design matrix, 24 n bytes, fits in physical memory.
+
+    This is a floor: the generators and a fit need several such arrays.
+    """
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    require_memory(24 * n, f"the {n} rows of a study's (n, 3) float64 design matrix")
+
+
 @dataclass(frozen=True)
 class Sim1Config:
     """Uniform-covariate study; q controls class balance (q=1 gives prevalence 0.5)."""
@@ -65,8 +75,7 @@ class Sim1Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
+        _check_n(self.n)
         if not (self.q > 0.0):
             raise ConfigError("q must be positive")
 
@@ -80,8 +89,7 @@ class Sim2Config:
     prevalence: float = 0.5
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
+        _check_n(self.n)
         if not (0.0 < self.prevalence < 1.0):
             raise ConfigError("prevalence must lie in (0, 1)")
 
@@ -100,8 +108,7 @@ class Sim3Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
+        _check_n(self.n)
         if not (0.0 <= self.contamination < 0.5):
             raise ConfigError("contamination fraction must lie in [0, 0.5)")
 

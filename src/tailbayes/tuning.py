@@ -32,7 +32,6 @@ from .model_core import (
     Dataset,
     DistanceFunction,
     GaussianPrior,
-    TailoringConfig,
     TargetThreshold,
     _stacked_log_posterior,
     compute_weights,
@@ -336,9 +335,7 @@ def cv_select_lambda(
         prior = GaussianPrior.vague(development.n_coefficients)
 
     grid = cv_plan.lambda_grid
-    weights = np.stack(
-        [compute_weights(TailoringConfig(threshold, lam, pi_u_dev, distance)) for lam in grid]
-    )
+    weights = compute_weights(pi_u_dev, threshold, grid, distance)
     seeds = [fold_seed(sampler_config.rng_seed, fold) for fold in range(cv_plan.k)]
     folds = []
     for fold, seed in enumerate(seeds):
@@ -487,7 +484,7 @@ def fit_pipeline(
             jobs=jobs,
         )
 
-    weights = compute_weights(TailoringConfig(threshold, lambda_star, pi_u_dev, distance))
+    weights = compute_weights(pi_u_dev, threshold, [lambda_star], distance)[0]
     ess_t = effective_sample_size(weights)
     if ess_t / development.n < ESS_WARNING_FRACTION:
         logger.warning(
@@ -536,17 +533,15 @@ def ess_grid(
     distance: DistanceFunction = DistanceFunction(),
 ) -> list[dict]:
     """Effective sample size per lam candidate, computable before any fit."""
-    pi_u = np.asarray(pi_u, dtype=np.float64).ravel()
     rows = []
-    for lam in lambda_grid:
-        w = compute_weights(TailoringConfig(threshold, float(lam), pi_u, distance))
+    for lam, w in zip(lambda_grid, compute_weights(pi_u, threshold, lambda_grid, distance)):
         ess = effective_sample_size(w)
         rows.append(
             {
                 "lambda": float(lam),
                 "ess": ess,
-                "ess_fraction": ess / pi_u.shape[0],
-                "low_ess": ess / pi_u.shape[0] < ESS_WARNING_FRACTION,
+                "ess_fraction": ess / w.size,
+                "low_ess": ess / w.size < ESS_WARNING_FRACTION,
             }
         )
     return rows

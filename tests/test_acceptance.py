@@ -14,7 +14,6 @@ import tailbayes as tb
 from tailbayes.evaluation import net_benefit
 from tailbayes.model_core import (
     GaussianPrior,
-    TailoringConfig,
     TargetThreshold,
     UtilitySpec,
     compute_weights,
@@ -198,10 +197,8 @@ def test_criterion_07_weight_and_ess_properties():
     t = TargetThreshold(0.25)
     sample = rng.uniform(size=500)
     previous = None
-    for lam in DEFAULT_LAMBDA_GRID:
-        ess = effective_sample_size(
-            compute_weights(TailoringConfig(t, lam, sample))
-        )
+    for lam, w in zip(DEFAULT_LAMBDA_GRID, compute_weights(sample, t, DEFAULT_LAMBDA_GRID)):
+        ess = effective_sample_size(w)
         fraction = ess / sample.size
         if lam == 0.0:
             assert fraction == 1.0

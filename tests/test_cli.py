@@ -61,6 +61,12 @@ class TestSimulate:
             run(["simulate", "--study", "sim2", "--n", 50, "--seed", 9, "--out", out])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_n_beyond_physical_memory_is_usage_error_without_outputs(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--study", "sim1", "--n", 10**13, "--out", out]) == 2
+        assert "design matrix need 240000000000000 bytes, more than the" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFit:
     def test_byte_identical_manifests(self, tmp_path, train_csv):
@@ -595,6 +601,14 @@ class TestReproduceAndEssGrid:
         assert err == "error: sim3-fig6 varies only ['n', 'psi', 't'], so it takes no override of ['q']\n"
         assert not out.exists()
 
+    def test_n_beyond_physical_memory_is_usage_error_before_any_repetition(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(reproduce, "_rep_worker", _no_fit)
+        out = tmp_path / "rep"
+        assert run(["reproduce", "--figure", "sim3-fig6", "--scale", 0.1, "--jobs", 1, "--n-list", "1e12",
+                    "--psi-list", "0.1", "--t-list", "0.3", "--out", out]) == 2
+        assert "design matrix need 24000000000000 bytes, more than the" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ess_grid_from_file(self, tmp_path):
         pi = tmp_path / "pi.csv"
         pi.write_text("pi_u\n0.1\n0.4\n0.8\n", encoding="utf-8")
@@ -630,6 +644,22 @@ def test_nan_epsilon_is_usage_error_before_any_fit(tmp_path, train_csv, capsys, 
     assert run([*args, "--distance", "epsilon-insensitive", "--epsilon", "nan", "--out", out]) == 2
     assert "epsilon must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "ess-grid"])
+def test_epsilon_with_squared_distance_is_usage_error_before_any_fit(tmp_path, train_csv, capsys, monkeypatch,
+                                                                      command):
+    monkeypatch.setattr(cli, "fit_pipeline", _no_fit)
+    pi = tmp_path / "pi.csv"
+    pi.write_text("pi_u\n0.1\n0.4\n", encoding="utf-8")
+    args = {"fit": ["fit", train_csv, "--t", 0.3, "--jobs", 1, *FIT_SPEED],
+            "ess-grid": ["ess-grid", "--pi-u-file", pi, "--t", 0.3]}[command]
+    out = tmp_path / "out"
+    assert run([*args, "--distance", "squared", "--epsilon", 0.5, "--out", out]) == 2
+    assert "squared distance takes no epsilon parameter" in capsys.readouterr().err
+    assert not out.exists()
+    if command == "ess-grid":  # an epsilon of 0 is the squared distance's own
+        assert run([*args, "--distance", "squared", "--epsilon", 0, "--out", out]) == 0
 
 
 @pytest.mark.parametrize("command", ["fit", "fit-under-file", "evaluate", "reproduce"])

@@ -18,7 +18,6 @@ from tailbayes.model_core import (
     Dataset,
     DistanceFunction,
     GaussianPrior,
-    TailoringConfig,
     TargetThreshold,
     UtilitySpec,
     _loss_views,
@@ -135,8 +134,7 @@ class TestThresholdBand:
 class TestWeights:
     def test_lambda_zero_gives_ones(self):
         rng = np.random.default_rng(1)
-        cfg = TailoringConfig(TargetThreshold(0.3), 0.0, rng.uniform(size=50))
-        assert np.all(compute_weights(cfg) == 1.0)
+        assert np.all(compute_weights(rng.uniform(size=50), TargetThreshold(0.3), [0.0]) == 1.0)
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(
@@ -150,57 +148,91 @@ class TestWeights:
     def test_lambda_zero_is_exactly_one_everywhere(self, t, pi_u, distance):
         """The pipeline's final chain of a {0} grid takes weights of ones before pi_u exists."""
         pi_u = np.concatenate([pi_u, [0.0, 1.0, t]])
-        cfg = TailoringConfig(TargetThreshold(t), 0.0, pi_u, distance)
-        assert np.all(compute_weights(cfg) == 1.0)
+        assert np.all(compute_weights(pi_u, TargetThreshold(t), [0.0], distance) == 1.0)
 
     def test_zero_distance_gives_one(self):
-        for lam in (0.5, 10.0, 400.0):
-            cfg = TailoringConfig(TargetThreshold(0.15), lam, np.array([0.15]))
-            assert compute_weights(cfg)[0] == 1.0
+        assert np.all(compute_weights(np.array([0.15]), TargetThreshold(0.15), [0.5, 10.0, 400.0]) == 1.0)
 
     def test_frozen_scalar_value(self):
         """exp(-10 * (0.5 - 0.15)^2) = exp(-1.225), high-precision oracle."""
-        cfg = TailoringConfig(TargetThreshold(0.15), 10.0, np.array([0.5]))
         np.testing.assert_allclose(
-            compute_weights(cfg)[0], 0.293757700323532814, rtol=1e-15
+            compute_weights(np.array([0.5]), TargetThreshold(0.15), [10.0])[0, 0], 0.293757700323532814, rtol=1e-15
         )
 
     def test_epsilon_insensitive_plateau(self):
         dist = DistanceFunction.epsilon_insensitive(0.1)
-        cfg = TailoringConfig(
-            TargetThreshold(0.3), 25.0, np.array([0.21, 0.25, 0.3, 0.35, 0.39]), dist
-        )
-        assert np.all(compute_weights(cfg) == 1.0)
+        pi_u = np.array([0.21, 0.25, 0.3, 0.35, 0.39])
+        assert np.all(compute_weights(pi_u, TargetThreshold(0.3), [25.0], dist) == 1.0)
 
     def test_epsilon_insensitive_decay_outside(self):
         dist = DistanceFunction.epsilon_insensitive(0.1)
-        cfg = TailoringConfig(TargetThreshold(0.3), 5.0, np.array([0.45]), dist)
-        np.testing.assert_allclose(compute_weights(cfg)[0], math.exp(-5.0 * 0.05))
+        np.testing.assert_allclose(
+            compute_weights(np.array([0.45]), TargetThreshold(0.3), [5.0], dist)[0, 0], math.exp(-5.0 * 0.05)
+        )
 
     def test_bounds_and_monotonicity(self):
         rng = np.random.default_rng(5)
         t = TargetThreshold(0.27)
         pi = rng.uniform(size=200)
         for lam_low, lam_high in [(0.0, 1.0), (2.0, 8.0), (10.0, 300.0)]:
-            w_low = compute_weights(TailoringConfig(t, lam_low, pi))
-            w_high = compute_weights(TailoringConfig(t, lam_high, pi))
+            w_low, w_high = compute_weights(pi, t, [lam_low, lam_high])
             assert np.all((w_low > 0.0) & (w_low <= 1.0))
             assert np.all(w_high <= w_low)
         # non-increasing in distance for fixed lam
         order = np.argsort(np.abs(pi - t.t))
-        w = compute_weights(TailoringConfig(t, 12.0, pi))[order]
+        w = compute_weights(pi, t, [12.0])[0, order]
         assert np.all(np.diff(w) <= 0.0)
 
     def test_pi_u_range_enforced(self):
         with pytest.raises(ConfigError):
-            TailoringConfig(TargetThreshold(0.3), 1.0, np.array([1.2]))
+            compute_weights(np.array([1.2]), TargetThreshold(0.3), [1.0])
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(
+        t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        pi_u=arrays(np.float64, st.integers(1, 30), elements=st.floats(0.0, 1.0)),
+        lambdas=st.lists(st.floats(0.0, 1e4), max_size=6),
+        distance=st.one_of(
+            st.just(DistanceFunction.squared()),
+            st.builds(DistanceFunction.epsilon_insensitive, st.floats(0.0, 1.0)),
+        ),
+    )
+    def test_each_row_is_the_rule_at_its_own_lambda(self, t, pi_u, lambdas, distance):
+        weights = compute_weights(pi_u, TargetThreshold(t), lambdas, distance)
+        assert weights.shape == (len(lambdas), pi_u.size)
+        for lam, row in zip(lambdas, weights):
+            assert np.array_equal(row, np.exp(-lam * distance(pi_u, t)))
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(
+        lambdas=st.lists(st.floats(0.0, 1e4), max_size=4),
+        pi_u=arrays(np.float64, st.integers(0, 6), elements=st.floats(0.0, 1.0)),
+        bad=st.one_of(
+            st.tuples(st.just("lambda"), st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf]))
+            | st.tuples(st.just("pi_u"), st.floats(min_value=1.0, exclude_min=True) | st.floats(max_value=-1e-300)
+                        | st.just(math.nan)),
+            st.just(("empty", None)),
+        ),
+        at=st.integers(0, 6),
+    )
+    def test_bad_lambda_or_pi_u_anywhere_raises(self, lambdas, pi_u, bad, at):
+        kind, value = bad
+        if kind == "lambda":
+            lambdas.insert(at, value)
+        elif kind == "pi_u":
+            pi_u = np.insert(pi_u, min(at, pi_u.size), value)
+        else:
+            pi_u = pi_u[:0]
+        message = {"lambda": "lam must be finite and >= 0", "pi_u": r"pi_u values must lie in \[0, 1\]",
+                   "empty": "pi_u must be non-empty"}[kind]
+        with pytest.raises(ConfigError, match=message):
+            compute_weights(pi_u, TargetThreshold(0.3), lambdas)
 
     def test_boundary_pi_u_flagged(self, caplog):
-        cfg = TailoringConfig(
-            TargetThreshold(0.3), 1.0, np.array([0.0, 0.5, 1.0]),
-            DistanceFunction.epsilon_insensitive(0.05),
+        weights = compute_weights(
+            np.array([0.0, 0.5, 1.0]), TargetThreshold(0.3), [1.0], DistanceFunction.epsilon_insensitive(0.05)
         )
-        assert np.all(np.isfinite(compute_weights(cfg)))
+        assert np.all(np.isfinite(weights))
         # the pipeline accepts boundary values and says how many it saw
         data, _ = random_dataset(np.random.default_rng(5), n=40)
         pi_u = np.concatenate([[0.0, 1.0, 0.0], np.linspace(0.1, 0.9, 37)])
@@ -485,8 +517,7 @@ class TestEffectiveSampleSize:
 
     def test_large_lambda_limit(self):
         pi = np.array([0.1, 0.6, 0.9])
-        cfg = TailoringConfig(TargetThreshold(0.3), 1e6, pi)
-        assert effective_sample_size(compute_weights(cfg)) < 1e-9
+        assert effective_sample_size(compute_weights(pi, TargetThreshold(0.3), [1e6])) < 1e-9
 
     def test_additivity(self):
         rng = np.random.default_rng(11)

@@ -74,6 +74,14 @@ class TestSim1:
             Sim1Config(n=10, q=0.0)
 
 
+@pytest.mark.parametrize("config", [Sim1Config, Sim2Config, Sim3Config])
+def test_n_whose_design_matrix_exceeds_physical_memory_is_config_error(config):
+    message = (r"the 10000000000000 rows of a study's \(n, 3\) float64 design matrix need 240000000000000 bytes, "
+               "more than the [0-9]+ bytes of physical memory")
+    with pytest.raises(ConfigError, match=message):
+        config(n=10**13)
+
+
 class TestSim2:
     def test_oracle_against_scipy_densities(self):
         """Bayes-rule oracle vs independent scipy normal pdfs, 100x100 grid."""

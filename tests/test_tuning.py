@@ -12,7 +12,6 @@ from tailbayes.model_core import (
     Dataset,
     DistanceFunction,
     GaussianPrior,
-    TailoringConfig,
     TargetThreshold,
     compute_weights,
     make_log_posterior,
@@ -231,9 +230,10 @@ class TestCvSelectLambda:
         pi_u = np.random.default_rng(2).uniform(0.1, 0.9, size=train.n)
         real_compute_weights = tuning.compute_weights
 
-        def poisoned(config):
-            w = real_compute_weights(config)
-            return np.full_like(w, np.inf) if config.lam == 5.0 else w
+        def poisoned(pi_u, threshold, lambdas, distance):
+            w = real_compute_weights(pi_u, threshold, lambdas, distance)
+            w[list(lambdas).index(5.0)] = np.inf
+            return w
 
         monkeypatch.setattr(tuning, "compute_weights", poisoned)
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0, 50.0), seed=1)
@@ -269,7 +269,7 @@ class TestCvSelectLambda:
             seed = fold_seed(FASTER.rng_seed, fold)
             tr = plan.train_indices(fold)
             for lam, chain in zip(plan.lambda_grid, batches[seed]):
-                weights = compute_weights(TailoringConfig(t, lam, pi_u, DistanceFunction()))
+                (weights,) = compute_weights(pi_u, t, [lam], DistanceFunction())
                 alone = fit_tailored(train.subset(tr), weights[tr], prior, replace(FASTER, rng_seed=seed))
                 assert isinstance(chain, PosteriorSamples)
                 assert np.array_equal(chain.draws, alone.draws)
@@ -319,7 +319,7 @@ class TestFitFolds:
         grid = (0.0, 2.0, 10.0, 50.0)
         plan = make_cv_plan(train.outcomes, k=4, lambda_grid=grid, seed=3)
         prior = prior or GaussianPrior.vague(train.n_coefficients)
-        weights = np.stack([compute_weights(TailoringConfig(TargetThreshold(0.3), lam, pi_u)) for lam in grid])
+        weights = compute_weights(pi_u, TargetThreshold(0.3), grid)
         trains = [plan.train_indices(fold) for fold in range(plan.k)]
         assert len({len(tr) for tr in trains}) > 1  # unequal folds: the stack pads
         fold_weights = [weights[:, tr] for tr in trains]
@@ -507,9 +507,7 @@ class TestFitPipeline:
             cv_sampler_config=FASTER,
         )
         development = train.subset(model.split.development_idx)
-        weights = compute_weights(
-            TailoringConfig(model.threshold, model.lambda_star, model.pi_u_development, model.distance)
-        )
+        (weights,) = compute_weights(model.pi_u_development, model.threshold, [model.lambda_star], model.distance)
         refit = run_mh(
             make_log_posterior(development, weights, model.prior),
             development.n_coefficients,

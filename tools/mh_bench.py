@@ -92,7 +92,7 @@ def digest(result) -> tuple:
         return (("cv", hashlib.sha256(values.tobytes()).hexdigest()),)
     (fold,) = result
     chains, lp = hashlib.sha256(), hashlib.sha256()
-    for chain in getattr(fold, "chains", fold):  # a tree whose fit_folds returns ChainBatch objects
+    for chain in fold:
         for part in (chain.draws, chain.accepted, chain.proposal_sd_trace):
             chains.update(np.ascontiguousarray(part).tobytes())
         chains.update(str(chain.n_nonfinite_proposals).encode())

@@ -97,6 +97,14 @@ RUNS = [
     ("fit_nan_epsilon", ["fit", "train.csv", "--t", "0.3", "--distance", "epsilon-insensitive",
                          "--epsilon", "nan", "--lambda-grid", "0,10", "--jobs", "1", "--seed", "13",
                          "--out", "fit_nan_epsilon", *FAST]),
+    # an epsilon the squared distance does not take, and an n whose design matrix exceeds physical memory
+    ("ess_grid_squared_epsilon", ["ess-grid", "--pi-u-file", "pi_u.csv", "--t", "0.3", "--distance", "squared",
+                                  "--epsilon", "0.5", "--out", "ess_grid_squared_epsilon"]),
+    ("fit_squared_epsilon", ["fit", "train.csv", "--t", "0.3", "--distance", "squared", "--epsilon", "0.5",
+                             "--out", "fit_squared_epsilon", *FAST]),
+    ("simulate_huge_n", ["simulate", "--study", "sim1", "--n", "10000000000000", "--out", "simulate_huge_n.csv"]),
+    ("reproduce_huge_n", [*REPRODUCE, "--n-list", "1e12", "--t-list", "0.3", "--jobs", "1",
+                          "--out", "reproduce_huge_n"]),
     # a directory as the config file, and an existing file (train.csv, hashed below) as --out
     ("fit_config_dir", ["fit", "train.csv", "--config", "fit_zero", "--out", "fit_config_dir"]),
     ("fit_out_file", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--seed", "12",
