@@ -32,19 +32,14 @@ from .model_core import (
     threshold_band_for_benefit,
 )
 from .sampler import (
-    HpdSummary,
     PosteriorSamples,
     SamplerConfig,
-    hpd_interval,
     run_mh,
-    summarize,
 )
 from .predict import positive_mask, predictive_mean, predictive_mean_sd
 from .evaluation import (
-    CalibrationCurve,
     NetBenefitReport,
     PairedDelta,
-    calibration_curve,
     net_benefit,
     paired_delta,
 )
@@ -68,7 +63,6 @@ from .simulation import (
     generate_sim1,
     generate_sim2,
     generate_sim3,
-    optimal_boundary,
     optimal_nb,
 )
 

@@ -25,7 +25,7 @@ from .evaluation import net_benefit, paired_delta
 from .model_core import Dataset, DistanceFunction, GaussianPrior, TargetThreshold, UtilitySpec, target_threshold
 from .predict import positive_mask
 from .reproduce import FIGURES, reproduce_figure
-from .sampler import SamplerConfig
+from .sampler import SamplerConfig, _check_draw_store
 from .simulation import STUDY_PARAMETER, study
 from .tuning import DEFAULT_LAMBDA_GRID, ess_grid, final_fit_rhat, fit_pipeline
 
@@ -265,6 +265,8 @@ def cmd_fit(args) -> int:
         initial_sd=args.initial_sd,
         rng_seed=args.seed,
     )
+    # final_fit_rhat holds the final chain's and its reruns' draws at once
+    _check_draw_store(args.rhat_chains, train.n_coefficients, sampler_config)
     cv_config = replace(
         sampler_config,
         n_iterations=args.cv_iterations if args.cv_iterations is not None else args.iterations,

@@ -1,4 +1,4 @@
-"""Net Benefit, paired model comparison, and binned calibration.
+"""Net Benefit and paired model comparison.
 
 Net Benefit at threshold t counts true positives net of false positives
 weighted by the odds of t, per sample:  NB = TP/n - FP/n * t/(1-t).
@@ -12,17 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .model_core import TargetThreshold
 from .predict import positive_mask
 
 __all__ = [
     "NetBenefitReport",
     "PairedDelta",
-    "CalibrationCurve",
     "net_benefit",
     "paired_delta",
-    "calibration_curve",
 ]
 
 
@@ -40,23 +38,6 @@ class PairedDelta:
 
     mean_delta: float
     se_delta: float
-
-
-@dataclass(frozen=True)
-class CalibrationCurve:
-    """Equal-width binned agreement between predicted and observed rates.
-
-    Empty bins carry count 0 and NaN for both per-bin means.
-    """
-
-    bin_edges: np.ndarray
-    mean_predicted: np.ndarray
-    observed_fraction: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def occupied(self) -> np.ndarray:
-        return self.counts > 0
 
 
 def _check_pred_outcome(predictions, outcomes):
@@ -80,7 +61,7 @@ def net_benefit(predictions, outcomes, t: TargetThreshold | float) -> NetBenefit
     tp = int(np.count_nonzero(positive & (y == 1.0)))
     fp = int(np.count_nonzero(positive & (y == 0.0)))
     n = p.shape[0]
-    nb = tp / n - fp / n * (t.t / (1.0 - t.t))
+    nb = tp / n - fp / n * t.odds
     return NetBenefitReport(tp_count=tp, fp_count=fp, n=n, net_benefit=nb)
 
 
@@ -101,26 +82,3 @@ def paired_delta(nb_a, nb_b) -> PairedDelta:
     mean = float(d.mean())
     se = math.sqrt(float(np.sum((d - mean) ** 2)) / (m * (m - 1)))
     return PairedDelta(mean_delta=mean, se_delta=se)
-
-
-def calibration_curve(predictions, outcomes, n_bins: int = 10) -> CalibrationCurve:
-    """Observed event fraction vs mean prediction over equal-width bins on [0, 1]."""
-    if n_bins < 2:
-        raise ConfigError("n_bins must be >= 2")
-    p, y = _check_pred_outcome(predictions, outcomes)
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise DataError("predictions must lie in [0, 1]")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    idx = np.minimum(np.digitize(p, edges[1:-1], right=False), n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    sum_p = np.bincount(idx, weights=p, minlength=n_bins)
-    sum_y = np.bincount(idx, weights=y, minlength=n_bins)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_pred = np.where(counts > 0, sum_p / counts, np.nan)
-        obs_frac = np.where(counts > 0, sum_y / counts, np.nan)
-    return CalibrationCurve(
-        bin_edges=edges,
-        mean_predicted=mean_pred,
-        observed_fraction=obs_frac,
-        counts=counts,
-    )

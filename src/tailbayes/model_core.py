@@ -170,14 +170,6 @@ class DistanceFunction:
         if self.kind == "squared" and self.epsilon != 0.0:
             raise ConfigError("squared distance takes no epsilon parameter")
 
-    @classmethod
-    def squared(cls) -> "DistanceFunction":
-        return cls("squared")
-
-    @classmethod
-    def epsilon_insensitive(cls, epsilon: float) -> "DistanceFunction":
-        return cls("epsilon_insensitive", epsilon)
-
     def __call__(self, pi_u, t: float) -> np.ndarray:
         p = np.asarray(pi_u, dtype=np.float64)
         if self.kind == "squared":

@@ -26,11 +26,8 @@ from .errors import ConfigError, SamplerError, require_memory
 __all__ = [
     "SamplerConfig",
     "PosteriorSamples",
-    "HpdSummary",
     "run_mh",
     "adapt_proposal_sd",
-    "hpd_interval",
-    "summarize",
     "mc_standard_error",
     "gelman_rubin",
 ]
@@ -97,15 +94,6 @@ class PosteriorSamples:
         return self.draws.shape[1]
 
 
-@dataclass(frozen=True)
-class HpdSummary:
-    """Per-coefficient posterior location and highest-density intervals."""
-
-    means: np.ndarray
-    medians: np.ndarray
-    intervals: dict[float, np.ndarray]  # mass -> (dim, 2) array of [lo, hi]
-
-
 def adapt_proposal_sd(
     current_sd: float,
     batch_acceptance: float,
@@ -131,11 +119,11 @@ def run_mh(
     ``log_posterior`` maps an (m, d) array to its m row values, as the
     callable of :func:`~tailbayes.model_core.make_log_posterior` does.  A
     non-finite value at the start point, or a chain that accepts no
-    proposal after burn-in, raises SamplerError.  Proposals with a
-    non-finite log-posterior are rejected (and counted).  A run enters
-    ``np.errstate(over="ignore", invalid="ignore")`` once, so an
-    overflowing step or log-posterior term, in ``log_posterior`` too,
-    rejects its proposal without a RuntimeWarning.  A run whose retained
+    proposal or every proposal after burn-in, raises SamplerError.
+    Proposals with a non-finite log-posterior are rejected (and counted).
+    A run enters ``np.errstate(over="ignore", invalid="ignore")`` once,
+    so an overflowing step or log-posterior term, in ``log_posterior``
+    too, rejects its proposal without a RuntimeWarning.  A run whose retained
     draws, log-posterior trace and accept flags would not fit in physical
     memory raises ConfigError before the first log-posterior call.
 
@@ -165,7 +153,7 @@ def _check_draw_store(n_chains: int, dim: int, config: SamplerConfig) -> None:
     """ConfigError unless ``n_chains`` chains' retained draws, trace and accept flags fit in physical memory."""
     n_retained = (config.n_iterations - config.burn_in) // config.thin
     needed = n_chains * n_retained * (dim * 8 + 8 + 1)  # float64 draws and trace, bool flags
-    require_memory(needed, f"the retained draws, log-posterior trace and accept flags of {n_retained} draws per chain")
+    require_memory(needed, f"the retained draws, log-posterior traces and accept flags of {n_chains} chains of {n_retained} draws")
 
 
 def _plain_fill(log_posterior):
@@ -191,8 +179,8 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
     as both evaluations return the same values.  A lone chain (G = C = 1)
     prefetches ``PREFETCH`` proposals per call; more chains evaluate one
     iteration per call.  A chain whose start point is non-finite, or that
-    accepts no proposal after burn-in, gets a SamplerError in its place
-    and the other chains run on.
+    accepts no proposal or every proposal after burn-in, gets a
+    SamplerError in its place and the other chains run on.
     """
     # fill_rows(b, out) writes the log-posterior of each row of b into out, in place.
     # make_log_posterior's callables carry one that never returns +inf; any other
@@ -319,6 +307,9 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
         if not post_accepts[c]:
             chains.append(SamplerError("the chain never moved: no proposal was accepted after burn-in"))
             continue
+        if post_accepts[c] == n_iter - burn_in:  # steps too small to change the log-posterior, or a flat target
+            chains.append(SamplerError("the chain never rejected: every proposal was accepted after burn-in"))
+            continue
         chains.append(
             PosteriorSamples(
                 draws=draws[c],
@@ -336,43 +327,6 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
 
 def _start_failure() -> SamplerError:
     return SamplerError("log-posterior is non-finite at the initial point")
-
-
-def hpd_interval(draws: np.ndarray, mass: float) -> tuple[float, float]:
-    """Shortest contiguous window of sorted draws holding ceil(mass * S) of them."""
-    if not (0.0 < mass < 1.0):
-        raise ConfigError("mass must lie in (0, 1)")
-    x = np.sort(np.asarray(draws, dtype=np.float64).ravel())
-    s = x.shape[0]
-    k = math.ceil(mass * s)
-    if k < 1 or s < 1:
-        raise ConfigError("not enough draws for an HPD interval")
-    if k >= s:
-        return float(x[0]), float(x[-1])
-    widths = x[k - 1 :] - x[: s - k + 1]
-    i = int(np.argmin(widths))
-    return float(x[i]), float(x[i + k - 1])
-
-
-def summarize(
-    samples: PosteriorSamples, masses: Sequence[float] | float = (0.90, 0.95)
-) -> HpdSummary:
-    """Posterior mean, median and HPD intervals for each coefficient."""
-    if isinstance(masses, (int, float)):
-        masses = (float(masses),)
-    if samples.n_draws < 100:
-        raise ConfigError(
-            f"need at least 100 retained draws to summarise, got {samples.n_draws}"
-        )
-    means = samples.draws.mean(axis=0)
-    medians = np.median(samples.draws, axis=0)
-    intervals = {}
-    for mass in masses:
-        bounds = np.empty((samples.dim, 2))
-        for j in range(samples.dim):
-            bounds[j] = hpd_interval(samples.draws[:, j], mass)
-        intervals[float(mass)] = bounds
-    return HpdSummary(means=means, medians=medians, intervals=intervals)
 
 
 def mc_standard_error(draws: np.ndarray) -> float:

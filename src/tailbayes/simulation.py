@@ -40,9 +40,7 @@ __all__ = [
     "sim2_oracle_probability",
     "sim1_boundary_slope",
     "fitted_boundary_slope",
-    "optimal_boundary",
     "optimal_nb",
-    "boundary_points",
 ]
 
 # Study 2's class-conditional Gaussians (diagonal variances) and study 3's
@@ -218,23 +216,6 @@ def fitted_boundary_slope(beta) -> float:
     return -beta[1] / beta[2]
 
 
-def optimal_boundary(
-    prob_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    t: TargetThreshold | float,
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Classifier that treats exactly when the true odds exceed the threshold odds.
-
-    Equivalent to pi(x) > t; note the strict inequality, matching the
-    expected-utility argument rather than the model-facing >= rule.
-    """
-    tt = t.t if isinstance(t, TargetThreshold) else float(t)
-
-    def classifier(x1, x2) -> np.ndarray:
-        return np.asarray(prob_fn(x1, x2)) > tt
-
-    return classifier
-
-
 def optimal_nb(oracle_probs, outcomes, t: TargetThreshold | float) -> NetBenefitReport:
     """Net Benefit of classifying on the true probabilities (pi > t).
 
@@ -244,29 +225,3 @@ def optimal_nb(oracle_probs, outcomes, t: TargetThreshold | float) -> NetBenefit
     tt = t if isinstance(t, TargetThreshold) else TargetThreshold(float(t))
     treat = np.asarray(oracle_probs, dtype=np.float64).ravel() > tt.t
     return net_benefit(treat.astype(np.float64), outcomes, tt)
-
-
-def boundary_points(
-    prob_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    t: float,
-    x1_range: tuple[float, float],
-    x2_range: tuple[float, float],
-    grid: int = 200,
-) -> np.ndarray:
-    """Level-set crossings of prob_fn(x1, x2) = t, scanned column by column.
-
-    For each x1 grid value, every sign change of pi - t along x2 is
-    located by linear interpolation.  Returns an (m, 2) array of
-    crossing points; curves with several branches yield several points
-    per column.
-    """
-    x1s = np.linspace(*x1_range, grid)
-    x2s = np.linspace(*x2_range, grid)
-    points = []
-    for x1 in x1s:
-        vals = np.asarray(prob_fn(np.full_like(x2s, x1), x2s)) - t
-        sign_change = np.where(np.diff(np.signbit(vals)))[0]
-        for j in sign_change:
-            frac = vals[j] / (vals[j] - vals[j + 1])
-            points.append((x1, x2s[j] + frac * (x2s[j + 1] - x2s[j])))
-    return np.array(points, dtype=np.float64).reshape(-1, 2)

@@ -260,6 +260,16 @@ class TestFit:
         assert err.startswith("sampler error: the chain never moved") and "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("initial_sd", ["1e-8", "1e-6"])
+    def test_chain_that_never_rejects_is_sampler_error(self, tmp_path, train_csv, capsys, initial_sd):
+        # steps too small to lower the log-posterior: every proposal is accepted and the chain stays near 0
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--iterations", 600, "--burn-in", 200,
+                    "--seed", 3, "--jobs", 1, "--initial-sd", initial_sd, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("sampler error: the chain never rejected: every proposal was accepted after burn-in")
+        assert not out.exists()
+
     def test_non_finite_initial_sd_is_usage_error(self, tmp_path, train_csv, capsys):
         out = tmp_path / "m"
         assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--initial-sd", "inf", "--out", out]) == 2
@@ -280,6 +290,17 @@ class TestFit:
         assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--jobs", 1,
                     "--rhat-chains", chains, "--out", out, *FIT_SPEED]) == 2
         assert "--rhat-chains" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rhat_chains_beyond_physical_memory_is_usage_error_before_any_fit(self, tmp_path, train_csv, capsys,
+                                                                              monkeypatch):
+        # 10^15 chains of 900 draws of 3 coefficients would be held at once after the fit: refused before it
+        monkeypatch.setattr(cli, "fit_pipeline", _no_chain)
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--jobs", 1,
+                    "--rhat-chains", 10**15, "--out", out, *FIT_SPEED]) == 2
+        err = capsys.readouterr().err
+        assert f"of {10**15} chains of 900 draws need {10**15 * 900 * 33} bytes, more than the" in err
         assert not out.exists()
 
     def test_jobs_below_one_is_usage_error(self, tmp_path, train_csv, capsys):

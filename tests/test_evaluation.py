@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from tailbayes.errors import ConfigError, DataError
-from tailbayes.evaluation import calibration_curve, net_benefit, paired_delta
+from tailbayes.evaluation import net_benefit, paired_delta
 
 
 def confusion_vectors(tp, fp, fn, tn, t):
@@ -98,43 +96,3 @@ class TestPairedDelta:
     def test_needs_two_splits(self):
         with pytest.raises(DataError):
             paired_delta([0.1], [0.2])
-
-
-class TestCalibrationCurve:
-    def test_bins_partition_and_counts_sum(self):
-        rng = np.random.default_rng(3)
-        p = rng.uniform(size=500)
-        y = (rng.uniform(size=500) < p).astype(float)
-        curve = calibration_curve(p, y, n_bins=7)
-        assert curve.counts.sum() == 500
-        assert curve.bin_edges[0] == 0.0 and curve.bin_edges[-1] == 1.0
-
-    def test_single_occupied_bin(self):
-        curve = calibration_curve(np.full(10, 0.5), np.ones(10), n_bins=10)
-        occupied = np.flatnonzero(curve.occupied)
-        assert occupied.size == 1
-        assert curve.observed_fraction[occupied[0]] == 1.0
-        assert np.isnan(curve.observed_fraction[0])
-
-    def test_two_bin_example(self):
-        curve = calibration_curve([0.1, 0.9], [0, 1], n_bins=2)
-        np.testing.assert_allclose(curve.mean_predicted, [0.1, 0.9])
-        np.testing.assert_allclose(curve.observed_fraction, [0.0, 1.0])
-        assert curve.counts.tolist() == [1, 1]
-
-    def test_calibrated_synthetic_within_binomial_error(self):
-        """Bernoulli(p) outcomes stay within 3 binomial SEs of p per bin."""
-        rng = np.random.default_rng(4)
-        p = rng.uniform(size=20_000)
-        y = (rng.uniform(size=20_000) < p).astype(float)
-        curve = calibration_curve(p, y, n_bins=10)
-        for j in np.flatnonzero(curve.counts >= 50):
-            se = math.sqrt(curve.mean_predicted[j] * (1 - curve.mean_predicted[j]) / curve.counts[j])
-            assert abs(curve.observed_fraction[j] - curve.mean_predicted[j]) <= 3 * se
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            calibration_curve([0.5], [1], n_bins=1)
-        with pytest.raises(DataError):
-            calibration_curve([1.5], [1], n_bins=2)
-

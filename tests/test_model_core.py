@@ -141,8 +141,8 @@ class TestWeights:
         t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         pi_u=arrays(np.float64, st.integers(0, 20), elements=st.floats(0.0, 1.0)),
         distance=st.one_of(
-            st.just(DistanceFunction.squared()),
-            st.builds(DistanceFunction.epsilon_insensitive, st.floats(min_value=0.0)),
+            st.just(DistanceFunction()),
+            st.builds(DistanceFunction, st.just("epsilon_insensitive"), st.floats(min_value=0.0)),
         ),
     )
     def test_lambda_zero_is_exactly_one_everywhere(self, t, pi_u, distance):
@@ -160,12 +160,12 @@ class TestWeights:
         )
 
     def test_epsilon_insensitive_plateau(self):
-        dist = DistanceFunction.epsilon_insensitive(0.1)
+        dist = DistanceFunction("epsilon_insensitive", 0.1)
         pi_u = np.array([0.21, 0.25, 0.3, 0.35, 0.39])
         assert np.all(compute_weights(pi_u, TargetThreshold(0.3), [25.0], dist) == 1.0)
 
     def test_epsilon_insensitive_decay_outside(self):
-        dist = DistanceFunction.epsilon_insensitive(0.1)
+        dist = DistanceFunction("epsilon_insensitive", 0.1)
         np.testing.assert_allclose(
             compute_weights(np.array([0.45]), TargetThreshold(0.3), [5.0], dist)[0, 0], math.exp(-5.0 * 0.05)
         )
@@ -193,8 +193,8 @@ class TestWeights:
         pi_u=arrays(np.float64, st.integers(1, 30), elements=st.floats(0.0, 1.0)),
         lambdas=st.lists(st.floats(0.0, 1e4), max_size=6),
         distance=st.one_of(
-            st.just(DistanceFunction.squared()),
-            st.builds(DistanceFunction.epsilon_insensitive, st.floats(0.0, 1.0)),
+            st.just(DistanceFunction()),
+            st.builds(DistanceFunction, st.just("epsilon_insensitive"), st.floats(0.0, 1.0)),
         ),
     )
     def test_each_row_is_the_rule_at_its_own_lambda(self, t, pi_u, lambdas, distance):
@@ -230,7 +230,7 @@ class TestWeights:
 
     def test_boundary_pi_u_flagged(self, caplog):
         weights = compute_weights(
-            np.array([0.0, 0.5, 1.0]), TargetThreshold(0.3), [1.0], DistanceFunction.epsilon_insensitive(0.05)
+            np.array([0.0, 0.5, 1.0]), TargetThreshold(0.3), [1.0], DistanceFunction("epsilon_insensitive", 0.05)
         )
         assert np.all(np.isfinite(weights))
         # the pipeline accepts boundary values and says how many it saw
@@ -535,15 +535,15 @@ class TestDistanceFunction:
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ConfigError):
-            DistanceFunction.epsilon_insensitive(-0.1)
+            DistanceFunction("epsilon_insensitive", -0.1)
 
     def test_nan_epsilon_rejected(self):
         # nan < 0 is False, so the check must be written as not (epsilon >= 0)
         with pytest.raises(ConfigError, match="epsilon must be >= 0"):
-            DistanceFunction.epsilon_insensitive(math.nan)
+            DistanceFunction("epsilon_insensitive", math.nan)
 
     def test_epsilon_zero_is_absolute_distance(self):
-        dist = DistanceFunction.epsilon_insensitive(0.0)
+        dist = DistanceFunction("epsilon_insensitive", 0.0)
         np.testing.assert_allclose(dist(np.array([0.2, 0.8]), 0.5), [0.3, 0.3])
 
 

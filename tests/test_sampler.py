@@ -9,15 +9,12 @@ from tailbayes.errors import ConfigError, SamplerError
 from tailbayes.model_core import Dataset, GaussianPrior, make_log_posterior
 from tailbayes.sampler import (
     SD_MIN,
-    PosteriorSamples,
     _run_chains,
     SamplerConfig,
     adapt_proposal_sd,
     gelman_rubin,
-    hpd_interval,
     mc_standard_error,
     run_mh,
-    summarize,
 )
 
 
@@ -94,6 +91,12 @@ class TestRunMh:
         cfg = SamplerConfig(n_iterations=300, burn_in=100, rng_seed=1)
         with pytest.raises(SamplerError, match="no proposal was accepted after burn-in"):
             run_mh(lambda b: np.where(np.any(b, axis=1), -np.inf, 0.0), 2, cfg)
+
+    def test_chain_that_never_rejects_raises(self):
+        # a flat target accepts every proposal: the chain is a random walk, not a posterior sample
+        cfg = SamplerConfig(n_iterations=300, burn_in=100, rng_seed=1)
+        with pytest.raises(SamplerError, match="every proposal was accepted after burn-in"):
+            run_mh(lambda b: np.zeros(b.shape[0]), 2, cfg)
 
     def test_nonfinite_proposals_rejected_not_fatal(self):
         cfg = SamplerConfig(
@@ -215,6 +218,18 @@ class TestBatchedChains:
         chains = self.run(logpost, 3)
         failed = chains[1]
         assert isinstance(failed, SamplerError) and "no proposal was accepted" in str(failed)
+        for c in (0, 2):
+            assert np.array_equal(chains[c].draws, run_mh(self.single(self.SCALES[c]), 2, self.CFG).draws)
+
+    def test_chain_that_never_rejects_fails_only_its_chain(self):
+        def logpost(b):  # chain 1's target is flat, so it accepts every proposal
+            values = self.batch()(b)
+            values[1] = 0.0
+            return values
+
+        chains = self.run(logpost, 3)
+        failed = chains[1]
+        assert isinstance(failed, SamplerError) and "every proposal was accepted" in str(failed)
         for c in (0, 2):
             assert np.array_equal(chains[c].draws, run_mh(self.single(self.SCALES[c]), 2, self.CFG).draws)
 
@@ -394,87 +409,6 @@ class TestAdaptProposalSd:
         cfg = SamplerConfig(n_iterations=30_000, burn_in=10_000, rng_seed=21, initial_sd=25.0)
         s = run_mh(standard_normal_logpost, 2, cfg)
         assert 0.15 <= s.acceptance_rate <= 0.35
-
-
-class TestHpd:
-    def test_identical_draws(self):
-        draws = np.full(500, 3.25)
-        lo, hi = hpd_interval(draws, 0.9)
-        assert (lo, hi) == (3.25, 3.25)
-
-    def test_sorted_1_to_100_mass_090(self):
-        """Brute force over all 90-draw windows agrees and width is 89."""
-        draws = np.arange(1.0, 101.0)
-        lo, hi = hpd_interval(draws, 0.9)
-        k = math.ceil(0.9 * 100)
-        widths = [(draws[i + k - 1] - draws[i], i) for i in range(100 - k + 1)]
-        best_w, best_i = min(widths)
-        assert hi - lo == best_w == 89.0
-        assert lo == draws[best_i]
-
-    def test_brute_force_random_draws(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            draws = rng.standard_normal(rng.integers(100, 400))
-            mass = rng.uniform(0.5, 0.99)
-            lo, hi = hpd_interval(draws, mass)
-            srt = np.sort(draws)
-            k = math.ceil(mass * srt.size)
-            widths = srt[k - 1 :] - srt[: srt.size - k + 1]
-            assert math.isclose(hi - lo, widths.min(), rel_tol=1e-12)
-
-    def test_symmetric_target_roughly_symmetric(self):
-        rng = np.random.default_rng(8)
-        draws = rng.standard_normal(20_000)
-        lo, hi = hpd_interval(draws, 0.9)
-        med = np.median(draws)
-        assert abs((hi - med) - (med - lo)) < 0.1
-
-
-class TestSummarize:
-    def _samples(self, draws):
-        return PosteriorSamples(
-            draws=draws,
-            acceptance_rate=0.25,
-            final_proposal_sd=0.1,
-            rng_seed=0,
-            log_posterior_trace=np.zeros(draws.shape[0]),
-        )
-
-    def test_constant_chain(self):
-        s = self._samples(np.full((200, 2), 1.5))
-        summary = summarize(s)
-        assert np.all(summary.means == 1.5)
-        assert np.all(summary.medians == 1.5)
-        for bounds in summary.intervals.values():
-            assert np.all(bounds == 1.5)
-
-    def test_nesting_of_default_masses(self):
-        rng = np.random.default_rng(3)
-        s = self._samples(rng.standard_normal((5000, 3)))
-        summary = summarize(s)
-        inner, outer = summary.intervals[0.90], summary.intervals[0.95]
-        assert np.all(inner[:, 0] >= outer[:, 0])
-        assert np.all(inner[:, 1] <= outer[:, 1])
-
-    def test_intervals_bracket_the_median(self):
-        rng = np.random.default_rng(6)
-        s = self._samples(rng.gamma(3.0, 1.0, size=(4000, 2)))
-        summary = summarize(s)
-        for bounds in summary.intervals.values():
-            assert np.all(bounds[:, 0] <= summary.medians)
-            assert np.all(summary.medians <= bounds[:, 1])
-
-    def test_insufficient_samples(self):
-        s = self._samples(np.zeros((99, 1)))
-        with pytest.raises(ConfigError):
-            summarize(s)
-
-    def test_single_mass_argument(self):
-        rng = np.random.default_rng(4)
-        s = self._samples(rng.standard_normal((500, 1)))
-        summary = summarize(s, 0.5)
-        assert set(summary.intervals) == {0.5}
 
 
 class TestDiagnostics:

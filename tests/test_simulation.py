@@ -6,7 +6,8 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from tailbayes.errors import ConfigError
-from tailbayes.evaluation import calibration_curve, net_benefit
+from conftest import calibration_curve
+from tailbayes.evaluation import net_benefit
 from tailbayes.model_core import GaussianPrior
 from tailbayes.predict import predictive_mean_sd
 from tailbayes.sampler import SamplerConfig
@@ -14,12 +15,10 @@ from tailbayes.simulation import (
     Sim1Config,
     Sim2Config,
     Sim3Config,
-    boundary_points,
     fitted_boundary_slope,
     generate_sim1,
     generate_sim2,
     generate_sim3,
-    optimal_boundary,
     optimal_nb,
     sim1_boundary_slope,
     sim1_oracle_probability,
@@ -164,55 +163,38 @@ class TestSim3:
 
 class TestBoundaries:
     def test_sim1_analytic_slope_matches_level_set(self):
+        x1 = np.linspace(0.02, 0.98, 50)
         for t, q in [(0.3, 1.0), (0.5, 1.0), (0.3, 0.5), (0.7, 2.0)]:
-            pts = boundary_points(
-                lambda a, b: sim1_oracle_probability(a, b, q),
-                t,
-                (0.02, 0.98),
-                (0.0, 1.0),
-                grid=400,
-            )
-            assert pts.shape[0] > 20
-            slope = np.polyfit(pts[:, 0], pts[:, 1], 1)[0]
-            np.testing.assert_allclose(slope, sim1_boundary_slope(q, t), rtol=5e-3)
-            # straight line: residuals of the linear fit are tiny
-            fit = np.poly1d(np.polyfit(pts[:, 0], pts[:, 1], 1))
-            rms = np.sqrt(np.mean((fit(pts[:, 0]) - pts[:, 1]) ** 2))
-            assert rms < 1e-3
+            slope = sim1_boundary_slope(q, t)
+            np.testing.assert_allclose(sim1_oracle_probability(x1, slope * x1, q), t, rtol=1e-12)
+            # the oracle rises in x2, so the line splits treat (above) from no-treat (below)
+            assert np.all(sim1_oracle_probability(x1, slope * x1 + 0.01, q) > t)
+            assert np.all(sim1_oracle_probability(x1, slope * x1 - 0.01, q) < t)
 
     def test_sim1_boundaries_not_parallel(self):
-        assert sim1_boundary_slope(1.0, 0.1) != sim1_boundary_slope(1.0, 0.9)
-        pts_low = boundary_points(
-            lambda a, b: sim1_oracle_probability(a, b, 1.0), 0.1, (0.02, 0.98), (0.0, 1.0)
-        )
-        pts_high = boundary_points(
-            lambda a, b: sim1_oracle_probability(a, b, 1.0), 0.9, (0.02, 0.98), (0.0, 1.0)
-        )
-        slope_low = np.polyfit(pts_low[:, 0], pts_low[:, 1], 1)[0]
-        slope_high = np.polyfit(pts_high[:, 0], pts_high[:, 1], 1)[0]
-        assert abs(slope_high - slope_low) > 1.0
+        x1 = np.linspace(0.02, 0.98, 50)
+        low, high = sim1_boundary_slope(1.0, 0.1), sim1_boundary_slope(1.0, 0.9)
+        assert high - low > 1.0
+        np.testing.assert_allclose(sim1_oracle_probability(x1, low * x1, 1.0), 0.1, rtol=1e-12)
+        np.testing.assert_allclose(sim1_oracle_probability(x1, high * x1, 1.0), 0.9, rtol=1e-12)
 
     def test_sim2_level_set_is_not_a_line(self):
+        """Off x2 = x1 and x2 = 4 - x1 the oracle is not 0.5, and its side changes across each line."""
         cfg = Sim2Config(n=10, seed=0)
-        pts = boundary_points(
-            lambda a, b: sim2_oracle_probability(a, b, cfg), 0.5, (-2.0, 3.5), (-3.0, 3.5)
-        )
-        fit = np.poly1d(np.polyfit(pts[:, 0], pts[:, 1], 1))
-        rms = np.sqrt(np.mean((fit(pts[:, 0]) - pts[:, 1]) ** 2))
-        assert rms > 0.1
+        rng = np.random.default_rng(12)
+        x1, x2 = rng.uniform(-3.0, 6.0, size=(2, 2000))
+        off = (np.abs(x2 - x1) > 0.05) & (np.abs(x1 + x2 - 4.0) > 0.05)
+        pi = sim2_oracle_probability(x1[off], x2[off], cfg)
+        # log-odds are -(x1 - x2)(x1 + x2 - 4) / 4 at prevalence 0.5
+        side = -np.sign((x1[off] - x2[off]) * (x1[off] + x2[off] - 4.0))
+        assert np.all(np.sign(pi - 0.5) == side)
+        assert {-1.0, 1.0} <= set(side)
 
     def test_half_threshold_level_set(self):
         cfg = Sim2Config(n=10, seed=0)
-        # window below the second branch x2 = 4 - x1, so only the diagonal shows
-        pts = boundary_points(
-            lambda a, b: sim2_oracle_probability(a, b, cfg), 0.5, (-1.0, 0.4), (-3.0, 3.5)
-        )
-        np.testing.assert_allclose(pts[:, 1], pts[:, 0], atol=0.02)
-
-    def test_optimal_boundary_is_strict_odds_rule(self):
-        classifier = optimal_boundary(lambda a, b: np.asarray(a), 0.5)
-        x1 = np.array([0.4, 0.5, 0.6])
-        assert classifier(x1, x1).tolist() == [False, False, True]
+        x1 = np.linspace(-3.0, 6.0, 91)
+        np.testing.assert_allclose(sim2_oracle_probability(x1, x1, cfg), 0.5, atol=1e-12)
+        np.testing.assert_allclose(sim2_oracle_probability(x1, 4.0 - x1, cfg), 0.5, atol=1e-12)
 
     def test_fitted_boundary_slope(self):
         assert fitted_boundary_slope([0.0, -2.0, 4.0]) == 0.5

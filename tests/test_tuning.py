@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tailbayes.tuning as tuning
+from conftest import calibration_curve
 from tailbayes.errors import ConfigError, DataError, SamplerError
-from tailbayes.evaluation import calibration_curve
 from tailbayes.model_core import (
     Dataset,
     DistanceFunction,

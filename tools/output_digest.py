@@ -125,11 +125,11 @@ RUNS = [
     # a prior so narrow that every proposal's log-posterior is -inf: the chain never moves
     ("fit_prior_sd_tiny", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--iterations", "600",
                            "--burn-in", "200", "--prior-sd", "1e-300", "--out", "fit_prior_sd_tiny"]),
-    # proposal sds that are not finite or below the adaptation floor (usage errors), and one whose
-    # first steps overflow to inf
+    # proposal sds that are not finite or below the adaptation floor (usage errors), one whose
+    # first steps overflow to inf, and one so small that the chain accepts every proposal
     *[(f"fit_initial_sd_{name}", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--iterations", "600",
                                   "--burn-in", "200", "--initial-sd", sd, "--out", f"fit_initial_sd_{name}"])
-      for name, sd in (("inf", "inf"), ("1e308", "1e308"), ("tiny", "1e-300"))],
+      for name, sd in (("inf", "inf"), ("1e308", "1e308"), ("tiny", "1e-300"), ("small", "1e-8"))],
 ]
 
 
