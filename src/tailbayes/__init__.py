@@ -25,9 +25,7 @@ from .model_core import (
     effective_sample_size,
     log_posterior_gradient,
     log_posterior_unnormalized,
-    log_prior,
     make_log_posterior,
-    tailored_log_likelihood,
     target_threshold,
     threshold_band_for_benefit,
 )

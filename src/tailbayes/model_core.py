@@ -4,9 +4,13 @@ The model downweights each datapoint's log-likelihood contribution by
 ``w_i = exp(-lam * h(pi_u_i, t))`` where ``t`` is the decision threshold
 implied by the misclassification utilities, ``pi_u_i`` is a first-stage
 probability estimate for row ``i`` and ``h`` is a distance function.
-Everything in this module is a pure function of immutable inputs and is
-safe to call concurrently, except the callable that
-:func:`make_log_posterior` returns, which reuses its buffers.
+The tailored log-posterior log p(beta) + sum_i w_i l_i(beta) is written
+once, in the callable that :func:`make_log_posterior` returns;
+:func:`log_posterior_unnormalized` evaluates one coefficient vector
+through it, and :func:`log_posterior_gradient` is its independent
+analytic gradient.  Everything in this module is a pure function of
+immutable inputs and is safe to call concurrently, except that callable,
+which reuses its buffers.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ __all__ = [
     "threshold_band_for_benefit",
     "expit",
     "compute_weights",
-    "tailored_log_likelihood",
-    "log_prior",
     "log_posterior_unnormalized",
     "log_posterior_gradient",
     "effective_sample_size",
@@ -293,66 +295,6 @@ def _signed_design(data: Dataset) -> np.ndarray:
     return np.ascontiguousarray(data.covariates.T * (1.0 - 2.0 * data.outcomes))
 
 
-def _loss_views(xs: np.ndarray, ws: np.ndarray, sizes: list, k: int) -> tuple:
-    """The buffers :func:`_weighted_loss` fills for a (k, d) ``b``, with the views it reduces.
-
-    ``xs`` is the (G, d, n_max) design stack, ``ws`` the C-ordered
-    (G, C, n_max) weight stack and ``sizes[g]`` group g's column count
-    n_g.  Returns the shape (G, k / G, d) of ``b`` as stacked groups, the
-    (G, k / G, n_max) product buffer, the k losses, one (products,
-    weights, losses) triple per run of consecutive groups of equal n_g,
-    shaped (groups, m, C, n_g) and (groups, 1, C, n_g) when each weight
-    row has m rows of ``b``, and ``ws`` and ``sizes`` for the fallback.
-    """
-    n_groups, n_rows, n_max = ws.shape
-    rows = k // n_groups
-    buffer, loss = np.empty((n_groups, rows, n_max)), np.empty(k)
-    products, weights = buffer.reshape(n_groups, -1, n_rows, n_max), ws[:, None]
-    losses = loss.reshape(n_groups, -1, n_rows)
-    runs, g = [], 0
-    for n, run in itertools.groupby(sizes):
-        h = g + len(list(run))
-        runs.append((products[g:h, ..., :n], weights[g:h, ..., :n], losses[g:h]))
-        g = h
-    return (n_groups, rows, xs.shape[1]), buffer, loss, runs, ws, sizes
-
-
-def _weighted_loss(b: np.ndarray, xs: np.ndarray, views: tuple) -> np.ndarray:
-    """The losses sum_i w_i log(1 + e^(s_i z_i)), the negated weighted log-likelihood, of the ``b`` rows.
-
-    ``xs`` stacks G signed designs from :func:`_signed_design` as a
-    (G, d, n_max) array, each zero-padded to ``n_max`` columns, and
-    ``views`` comes from :func:`_loss_views`.  The (k, d) ``b`` holds G
-    equal groups of rows in order; row r of group g is under row r mod C
-    of group g's weights.  A datapoint contributes
-    y z - log(1 + e^z) = -log(1 + e^(s z)) to the log-likelihood, so the
-    stack is one ``matmul``, ``exp`` and ``log1p`` in the product buffer,
-    then one ``vecdot`` per run of consecutive groups of equal n_g over
-    their own n_g columns, on C-ordered weights: padding columns are
-    computed, never summed, so a row's value is the one its group gives
-    alone, whatever the other groups' sizes.  A row whose sum is
-    non-finite (exp overflowed at some s z above about 709) is
-    recomputed alone through the overflow-free :func:`_softplus`.
-    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
-    an overflow gives inf, and a zero weight times inf NaN, which the
-    fallback or the caller's finite check handles.  Outputs are passed by
-    position, which numpy parses faster than ``out=``.  Returns the loss
-    vector of ``views``, which the next call overwrites.
-    """
-    shape, buffer, loss, runs, ws, sizes = views
-    e = np.matmul(b.reshape(shape), xs, buffer)
-    np.exp(e, e)
-    np.log1p(e, e)
-    for products, weights, losses in runs:
-        np.vecdot(products, weights, losses)
-    if not math.isfinite(sum(loss.tolist())):  # for a few rows, cheaper than np.add.reduce
-        for r in np.flatnonzero(~np.isfinite(loss)):
-            g = r // shape[1]
-            n = sizes[g]
-            loss[r] = np.vecdot(ws[g, r % ws.shape[1], :n], _softplus(b[r] @ xs[g, :, :n]))
-    return loss
-
-
 def _check_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64).ravel()
     if w.shape[0] != n:
@@ -360,38 +302,23 @@ def _check_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def tailored_log_likelihood(data: Dataset, beta, weights) -> float:
-    """Weighted logistic log-likelihood sum_i w_i * l_i(beta).
-
-    Computed by the kernel of :func:`make_log_posterior`
-    (:func:`_weighted_loss`), whose overflow-free fallback keeps it
-    finite for any finite linear predictor.  With all weights 1 this is
-    exactly the standard logistic log-likelihood.
-    """
-    w = _check_weights(weights, data.n)
-    b = _check_beta(beta, data.n_coefficients)
-    xs = _signed_design(data)[None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = -float(_weighted_loss(b[None], xs, _loss_views(xs, w[None, None], [data.n], 1))[0])
-    if not math.isfinite(value):
-        raise DataError("log-likelihood is non-finite; inputs out of numeric range")
-    return value
-
-
-def log_prior(beta, prior: GaussianPrior) -> float:
-    """Sum of normal log-densities, normalisation constants included."""
-    b = _check_beta(beta, prior.dim)
-    z = (b - prior.means) / prior.sds
-    return float(-0.5 * (z @ z) - np.sum(np.log(prior.sds)) - 0.5 * b.size * math.log(2.0 * math.pi))
-
-
 def log_posterior_unnormalized(data: Dataset, beta, weights, prior: GaussianPrior) -> float:
-    """Tailored log-likelihood plus log-prior (normalising constant dropped).
+    """The tailored log-posterior of one coefficient vector: sum_i w_i l_i(beta) plus the Gaussian log-prior.
 
-    Algebraically identical to the standard-likelihood posterior with a
-    data-dependent prior p(beta) / prod_i L_i^(1 - w_i).
+    Evaluated by the callable of :func:`make_log_posterior`, the one
+    implementation of the formula, whose overflow-free fallback keeps the
+    likelihood term finite for any finite linear predictor.  The prior's
+    normalising constant is included, the posterior's is dropped.  With
+    all weights 1 this is the standard Bayesian logistic log-posterior;
+    in general it equals that posterior under the data-dependent prior
+    p(beta) / prod_i L_i^(1 - w_i).  Raises DataError when the value is
+    not finite.
     """
-    return tailored_log_likelihood(data, beta, weights) + log_prior(beta, prior)
+    b = _check_beta(beta, data.n_coefficients)
+    value = make_log_posterior(data, _check_weights(weights, data.n), prior)(b)
+    if not math.isfinite(value):
+        raise DataError("log-posterior is non-finite; inputs out of numeric range")
+    return value
 
 
 def log_posterior_gradient(data: Dataset, beta, weights, prior: GaussianPrior) -> np.ndarray:
@@ -411,20 +338,21 @@ def effective_sample_size(weights) -> float:
 
 
 def make_log_posterior(data: Dataset, weights, prior: GaussianPrior):
-    """Bind data, weights and prior into a callable beta -> log-posterior.
+    """Bind data, weights and prior into a callable beta -> tailored log-posterior.
 
-    With one weight per row the callable maps a (d,) vector to a float
+    The callable is the package's one implementation of
+    log p(beta) + sum_i w_i l_i(beta), the prior's normalising constant
+    included.  With one weight per row it maps a (d,) vector to a float
     and an (m, d) array to its m row values, the form
     :func:`~tailbayes.sampler.run_mh` takes.
     With a (C, n) weight matrix it maps an (m * C, d) array to m * C
     values, row r under weight row r mod C, through one BLAS product
-    ``B @ xs`` with the outcome signs folded into ``xs``
-    (:func:`_weighted_loss`).  That product may round a row differently
-    for different batch shapes, so a row's value can depend on the
-    shape of its batch in the last bits.  The weights are copied once,
-    C-ordered, so a value does not depend on their memory layout.  The
-    callable reuses its buffers, so it must not run in two threads at
-    once.
+    ``B @ xs`` with the outcome signs folded into ``xs``.  That product
+    may round a row differently for different batch shapes, so a row's
+    value can depend on the shape of its batch in the last bits.  The
+    weights are copied once, C-ordered, so a value does not depend on
+    their memory layout.  The callable reuses its buffers, so it must
+    not run in two threads at once.
 
     The callable's ``_fill_rows(b, out)`` attribute writes the values of
     the rows of a (k, d) float64 array into the float64 vector ``out``
@@ -441,11 +369,25 @@ def _stacked_log_posterior(datasets, weights, prior: GaussianPrior):
 
     Every ``weights[g]`` has the same number C of rows.  The callable
     maps G equal groups of rows, in order, to their values, group g under
-    pair g.  The weights are copied once into one C-ordered, zero-padded
-    (G, C, n_max) stack, and a group sums only its own n_g columns, so
-    its values are those of its own callable whenever the stacked
-    ``matmul`` rounds as the group's own does, whatever its weights'
-    memory layout.
+    pair g: row r of a group is under row r mod C of its weights.  The
+    weights are copied once into one C-ordered, zero-padded
+    (G, C, n_max) stack, and the signed designs of :func:`_signed_design`
+    into one zero-padded (G, d, n_max) stack ``xs``.
+
+    A datapoint contributes y z - log(1 + e^z) = -log(1 + e^(s z)) to the
+    log-likelihood, so the loss sum_i w_i log(1 + e^(s_i z_i)) of every
+    row is one ``matmul``, ``exp`` and ``log1p`` in a product buffer,
+    then one ``vecdot`` per run of consecutive groups of equal n_g over
+    their own n_g columns.  Padding columns are computed, never summed,
+    so a group's values are those of its own callable whenever the
+    stacked ``matmul`` rounds as the group's own does, whatever the
+    other groups' sizes and its weights' memory layout.  A row whose loss
+    is non-finite (exp overflowed at some s z above about 709) is
+    recomputed alone through the overflow-free :func:`_softplus`.  The
+    kernel runs under ``np.errstate(over="ignore", invalid="ignore")``:
+    an overflow gives inf, and a zero weight times inf NaN, which the
+    fallback or the caller's finite check handles.  Outputs are passed by
+    position, which numpy parses faster than ``out=``.
     """
     ws = []
     for data, w in zip(datasets, weights):
@@ -461,8 +403,9 @@ def _stacked_log_posterior(datasets, weights, prior: GaussianPrior):
     if any(data.n_coefficients != mu.size for data in datasets):
         raise DataError("prior dimension does not match the design matrix")
     sizes = [data.n for data in datasets]
-    xs = np.zeros((len(ws), mu.size, max(sizes)))  # zero padding columns
-    w_stack = np.zeros((len(ws), len(ws[0]), max(sizes)))
+    n_groups, n_rows, n_max = len(ws), len(ws[0]), max(sizes)
+    xs = np.zeros((n_groups, mu.size, n_max))  # zero padding columns
+    w_stack = np.zeros((n_groups, n_rows, n_max))
     for g, (data, w) in enumerate(zip(datasets, ws)):
         xs[g, :, : data.n] = _signed_design(data)
         w_stack[g, :, : data.n] = w
@@ -472,16 +415,32 @@ def _stacked_log_posterior(datasets, weights, prior: GaussianPrior):
     # b - 0.0 is b, and dividing by equal sds is dividing by one of them: the same bits, fewer numpy calls
     centre = mu if mu.any() else None
     scale = np.array(sd[0]) if np.all(sd == sd[0]) else sd
-    cache = {}  # rows of b -> (loss views, z, half_sq); the sampler uses one to four row counts
+    spans, g = [], 0  # (first group, end group, n_g) of each run of consecutive groups of equal n_g
+    for n, run in itertools.groupby(sizes):
+        spans.append((g, g + len(list(run)), n))
+        g = spans[-1][1]
+    cache = {}  # rows of b -> its buffers and views; the sampler uses one to four row counts
 
     def fill_rows(b: np.ndarray, out: np.ndarray) -> None:
-        views = cache.get(len(b))
-        if views is None:
+        k = len(b)
+        views = cache.get(k)
+        if views is None:  # the product buffer, the losses, and the (products, weights, losses) of each run
             if len(cache) >= 8:
                 cache.clear()
-            views = cache[len(b)] = _loss_views(xs, w_stack, sizes, len(b)), np.empty(b.shape), np.empty(len(b))
-        loss_views, z, half_sq = views
-        loss = _weighted_loss(b, xs, loss_views)
+            product, loss = np.empty((n_groups, k // n_groups, n_max)), np.empty(k)
+            products, losses = product.reshape(n_groups, -1, n_rows, n_max), loss.reshape(n_groups, -1, n_rows)
+            runs = [(products[g:h, ..., :n], w_stack[g:h, None, :, :n], losses[g:h]) for g, h, n in spans]
+            views = cache[k] = (n_groups, k // n_groups, mu.size), product, loss, runs, np.empty(b.shape), np.empty(k)
+        shape, product, loss, runs, z, half_sq = views
+        e = np.matmul(b.reshape(shape), xs, product)
+        np.exp(e, e)
+        np.log1p(e, e)
+        for products, w, losses in runs:
+            np.vecdot(products, w, losses)
+        if not math.isfinite(sum(loss.tolist())):  # for a few rows, cheaper than np.add.reduce
+            for r in np.flatnonzero(~np.isfinite(loss)):
+                g = r // shape[1]
+                loss[r] = np.vecdot(w_stack[g, r % n_rows, : sizes[g]], _softplus(b[r] @ xs[g, :, : sizes[g]]))
         np.divide(b if centre is None else b - centre, scale, z)
         np.multiply(np.vecdot(z, z, half_sq), half, half_sq)
         np.add(loss, half_sq, out)

@@ -48,7 +48,6 @@ class SamplerConfig:
     thin: int = 1
     initial_sd: float = 0.1
     rng_seed: int = 0
-    initial_beta: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_iterations < 1:
@@ -117,9 +116,9 @@ def run_mh(
     """Sample one chain from an unnormalised log-posterior over R^d.
 
     ``log_posterior`` maps an (m, d) array to its m row values, as the
-    callable of :func:`~tailbayes.model_core.make_log_posterior` does.  A
-    non-finite value at the start point, or a chain that accepts no
-    proposal or every proposal after burn-in, raises SamplerError.
+    callable of :func:`~tailbayes.model_core.make_log_posterior` does.  The
+    chain starts at the origin.  A non-finite value there, or a chain that
+    accepts no proposal or every proposal after burn-in, raises SamplerError.
     Proposals with a non-finite log-posterior are rejected (and counted).
     A run enters ``np.errstate(over="ignore", invalid="ignore")`` once,
     so an overflowing step or log-posterior term, in ``log_posterior``
@@ -190,17 +189,10 @@ def _run_chains(log_posterior, seeds: Sequence[int], n_chains: int, dim: int, co
         fill_rows = _plain_fill(log_posterior)
     rngs = [np.random.default_rng(int(seed)) for seed in seeds]
     n_groups, total = len(seeds), len(seeds) * n_chains
-    start = (
-        np.zeros(dim)
-        if config.initial_beta is None
-        else np.array(config.initial_beta, dtype=np.float64).ravel()
-    )
-    if start.shape[0] != dim:
-        raise ConfigError(f"initial_beta has length {start.shape[0]}, expected {dim}")
     _check_draw_store(total, dim, config)
     n_iter, burn_in, thin = config.n_iterations, config.burn_in, config.thin
     n_retained = (n_iter - burn_in) // thin
-    beta = np.tile(start, (total, 1))
+    beta = np.zeros((total, dim))  # every chain starts at the origin
     current_lp = np.empty(total)
     fill_rows(beta, current_lp)
     alive = np.isfinite(current_lp)
@@ -340,15 +332,19 @@ def mc_standard_error(draws: np.ndarray) -> float:
 
 
 def gelman_rubin(chains: Sequence[np.ndarray]) -> np.ndarray:
-    """Potential scale reduction factor per coefficient across chains."""
-    if len(chains) < 2:
-        raise ConfigError("R-hat needs at least two chains")
-    arr = np.stack([np.asarray(c, dtype=np.float64) for c in chains])  # (m, s, dim)
-    m, s, _ = arr.shape
+    """Potential scale reduction factor per coefficient across chains of equal shape (s, d).
+
+    Each chain's mean and variance are taken on its own, so no (m, s, d)
+    copy of the chains is made.
+    """
+    arrays = [np.asarray(c, dtype=np.float64) for c in chains]
+    if len(arrays) < 2 or len({a.shape for a in arrays}) != 1:
+        raise ConfigError("R-hat needs at least two chains of equal shape")
+    s = arrays[0].shape[0]
     if s < 2:
         raise ConfigError("chains too short for R-hat")
-    chain_means = arr.mean(axis=1)
-    chain_vars = arr.var(axis=1, ddof=1)
+    chain_means = np.array([a.mean(axis=0) for a in arrays])
+    chain_vars = np.array([a.var(axis=0, ddof=1) for a in arrays])
     w = chain_vars.mean(axis=0)
     b = s * chain_means.var(axis=0, ddof=1)
     var_hat = (s - 1) / s * w + b / s

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,19 +21,15 @@ from tailbayes.model_core import (
     GaussianPrior,
     TargetThreshold,
     UtilitySpec,
-    _loss_views,
     _signed_design,
     _softplus,
     _stacked_log_posterior,
-    _weighted_loss,
     compute_weights,
     effective_sample_size,
     expit,
     log_posterior_gradient,
     log_posterior_unnormalized,
-    log_prior,
     make_log_posterior,
-    tailored_log_likelihood,
     target_threshold,
     threshold_band_for_benefit,
 )
@@ -46,6 +43,11 @@ def random_dataset(rng, n=30, d=2, beta_scale=1.0):
     z = beta[0] + x @ beta[1:]
     y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-z))).astype(float)
     return Dataset.from_raw(x, y), beta
+
+
+def gaussian_log_density(beta, prior):
+    """The prior's closed-form log-density at ``beta``, normalising constants included."""
+    return float(np.sum(scipy.stats.norm.logpdf(beta, loc=prior.means, scale=prior.sds)))
 
 
 class TestDataset:
@@ -245,63 +247,83 @@ class TestWeights:
 
 
 class TestTailoredLogLikelihood:
+    """The likelihood term of the one log-posterior: its value less the closed-form log-prior."""
+
     def test_unit_weights_reduce_to_standard(self):
         """Weights of exactly 1 reproduce the plain logistic log-likelihood."""
         rng = np.random.default_rng(2)
+        prior = GaussianPrior(np.array([0.5, -1.0, 0.25]), np.array([2.0, 5.0, 0.5]))
         for _ in range(20):
             data, beta = random_dataset(rng)
             z = data.covariates @ beta
             standard = float(
                 np.sum(data.outcomes * z - (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))))
             )
-            tailored = tailored_log_likelihood(data, beta, np.ones(data.n))
-            assert math.isclose(tailored, standard, rel_tol=1e-13, abs_tol=1e-13)
+            value = log_posterior_unnormalized(data, beta, np.ones(data.n), prior)
+            tailored = value - gaussian_log_density(beta, prior)
+            assert math.isclose(tailored, standard, rel_tol=1e-13, abs_tol=1e-12)
 
     def test_zero_weights_give_zero(self):
+        """With every weight 0 the value is the closed-form Gaussian log-density."""
         rng = np.random.default_rng(3)
-        data, beta = random_dataset(rng)
-        assert tailored_log_likelihood(data, beta, np.zeros(data.n)) == 0.0
+        prior = GaussianPrior(np.array([0.5, -1.0, 0.25]), np.array([2.0, 5.0, 0.5]))
+        for _ in range(20):
+            data, beta = random_dataset(rng, beta_scale=5.0)
+            value = log_posterior_unnormalized(data, beta, np.zeros(data.n), prior)
+            np.testing.assert_allclose(value, gaussian_log_density(beta, prior), rtol=1e-14)
 
     def test_scalar_oracle(self):
-        """One row, y=1, z=0, w=0.5 gives 0.5 * log(0.5)."""
+        """One row, y=1, z=0, w=0.5 gives 0.5 * log(0.5); a unit prior at its mean adds -log(2 pi)."""
         data = Dataset(outcomes=[1], covariates=[[1.0, -1.0]])
-        value = tailored_log_likelihood(data, [1.0, 1.0], [0.5])
-        np.testing.assert_allclose(value, -0.34657359027997264, rtol=1e-15)
+        prior = GaussianPrior([1.0, 1.0], [1.0, 1.0])
+        value = log_posterior_unnormalized(data, [1.0, 1.0], [0.5], prior)
+        np.testing.assert_allclose(value, -0.34657359027997265 - 1.8378770664093455, rtol=1e-15)
 
     def test_extreme_linear_predictor_stays_finite(self):
         # y=0 at z=+700 costs softplus(700) = 700; y=1 at z=+700 costs ~0
         data = Dataset(outcomes=[0, 1], covariates=[[1.0, 1.0], [1.0, 1.0]])
-        value = tailored_log_likelihood(data, [0.0, 700.0], [1.0, 1.0])
+        prior = GaussianPrior([0.0, 700.0], [1.0, 1.0])
+        value = log_posterior_unnormalized(data, [0.0, 700.0], [1.0, 1.0], prior)
         assert math.isfinite(value)
-        np.testing.assert_allclose(value, -700.0, rtol=1e-12)
+        np.testing.assert_allclose(value, -700.0 - math.log(2.0 * math.pi), rtol=1e-12)
 
     def test_length_mismatch(self):
         data = Dataset.from_raw([[1.0], [2.0]], [0, 1])
-        with pytest.raises(DataError):
-            tailored_log_likelihood(data, [0.0, 0.0], [1.0])
+        with pytest.raises(DataError, match="1 weights for 2 rows"):
+            log_posterior_unnormalized(data, [0.0, 0.0], [1.0], GaussianPrior.vague(2))
+        with pytest.raises(DataError, match="1 weights for 2 rows"):
+            make_log_posterior(data, [1.0], GaussianPrior.vague(2))
 
 
 class TestLogPrior:
+    """The prior term of the one log-posterior, read off at zero weights."""
+
     def test_mode_value(self):
+        data, _ = random_dataset(np.random.default_rng(1), d=1)
         mu = np.array([0.5, -1.0])
         sd = np.array([2.0, 3.0])
         prior = GaussianPrior(mu, sd)
         expected = -float(np.sum(np.log(sd * math.sqrt(2 * math.pi))))
-        np.testing.assert_allclose(log_prior(mu, prior), expected, rtol=1e-14)
+        np.testing.assert_allclose(log_posterior_unnormalized(data, mu, np.zeros(data.n), prior), expected, rtol=1e-14)
 
     def test_standard_normal_oracle(self):
-        prior = GaussianPrior([0.0], [1.0])
-        np.testing.assert_allclose(log_prior([0.0], prior), -0.9189385332046727, rtol=1e-15)
+        data = Dataset(outcomes=[1], covariates=[[1.0]])
+        value = log_posterior_unnormalized(data, [0.0], [0.0], GaussianPrior([0.0], [1.0]))
+        np.testing.assert_allclose(value, -0.9189385332046727, rtol=1e-15)
 
     def test_vague_prior_finite_everywhere(self):
+        data, _ = random_dataset(np.random.default_rng(2), d=3)
         prior = GaussianPrior.vague(4)
         assert np.all(prior.sds == 100.0)
         for beta in ([0, 0, 0, 0], [1e3, -1e3, 5e2, 0.1]):
-            assert math.isfinite(log_prior(beta, prior))
+            assert math.isfinite(log_posterior_unnormalized(data, beta, np.zeros(data.n), prior))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DataError):
-            log_prior([0.0, 1.0], GaussianPrior.vague(3))
+        data = Dataset.from_raw([[1.0], [2.0]], [0, 1])
+        with pytest.raises(DataError, match="prior dimension does not match"):
+            log_posterior_unnormalized(data, [0.0, 1.0], [1.0, 1.0], GaussianPrior.vague(3))
+        with pytest.raises(DataError, match="coefficient vector has length 3, expected 2"):
+            log_posterior_unnormalized(data, [0.0, 1.0, 2.0], [1.0, 1.0], GaussianPrior.vague(2))
 
     def test_invalid_sds(self):
         with pytest.raises(ConfigError):
@@ -310,12 +332,16 @@ class TestLogPrior:
 
 class TestLogPosterior:
     def test_unit_weights_standard_bayes(self):
+        """Unit weights give the standard posterior, against scipy's log-expit and normal log-density."""
         rng = np.random.default_rng(4)
-        data, beta = random_dataset(rng)
-        prior = GaussianPrior.vague(3)
-        lp = log_posterior_unnormalized(data, beta, np.ones(data.n), prior)
-        expected = tailored_log_likelihood(data, beta, np.ones(data.n)) + log_prior(beta, prior)
-        assert lp == expected
+        for _ in range(20):
+            data, beta = random_dataset(rng)
+            prior = GaussianPrior.vague(3, sd=rng.uniform(0.5, 100.0))
+            z = data.covariates @ beta
+            log_lik = np.sum(scipy.special.log_expit(np.where(data.outcomes == 1.0, z, -z)))
+            expected = log_lik + np.sum(scipy.stats.norm.logpdf(beta, scale=prior.sds))
+            lp = log_posterior_unnormalized(data, beta, np.ones(data.n), prior)
+            assert math.isclose(lp, expected, rel_tol=1e-13)
 
     def test_data_dependent_prior_factorization(self):
         """logpost(w) - logpost(1) = -sum (1 - w_i) l_i, to 1e-10."""
@@ -342,17 +368,27 @@ class TestLogPosterior:
         ]
         assert values[0] > values[1] > values[2]
 
-    def test_callable_matches_componentwise_form(self):
+    def test_equals_the_callable_exactly(self):
+        """The scalar entry is the callable of make_log_posterior: the same bits in 500 random cases."""
         rng = np.random.default_rng(9)
-        data, beta = random_dataset(rng)
-        prior = GaussianPrior.vague(3)
-        w = rng.uniform(size=data.n)
-        logpost = make_log_posterior(data, w, prior)
-        np.testing.assert_allclose(
-            logpost(beta),
-            log_posterior_unnormalized(data, beta, w, prior),
-            rtol=1e-12,
-        )
+        for _ in range(500):
+            n, d = int(rng.integers(1, 60)), int(rng.integers(1, 4))
+            data, _ = random_dataset(rng, n=n, d=d)
+            means = rng.normal(size=d + 1) * rng.integers(0, 2)  # zero means half the time
+            sds = rng.uniform(0.5, 20.0, size=d + 1) if rng.random() < 0.5 else np.full(d + 1, rng.uniform(0.5, 20.0))
+            prior = GaussianPrior(means, sds)
+            w = rng.uniform(size=n) * (rng.random(n) > 0.2)
+            beta = rng.standard_normal(d + 1) * rng.choice([1.0, 10.0, 400.0])  # 400 overflows exp for some rows
+            assert log_posterior_unnormalized(data, beta, w, prior) == make_log_posterior(data, w, prior)(beta)
+
+    def test_nonfinite_value_is_data_error(self):
+        # the prior term overflows: the value would be -inf
+        data, beta = random_dataset(np.random.default_rng(12))
+        prior = GaussianPrior.vague(3, sd=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="log-posterior is non-finite"):
+                log_posterior_unnormalized(data, beta, np.ones(data.n), prior)
 
 
 class TestLikelihoodKernel:
@@ -374,16 +410,17 @@ class TestLikelihoodKernel:
             warnings.simplefilter("error")
             values = logpost(self.BETAS)
             alone = [logpost(beta) for beta in self.BETAS]
-        expected = self.softplus_value(self.BETAS[1]) + log_prior(self.BETAS[1], self.PRIOR)
+        expected = self.softplus_value(self.BETAS[1]) + gaussian_log_density(self.BETAS[1], self.PRIOR)
         np.testing.assert_allclose(values[1], expected, rtol=1e-14)
         assert values[0] == alone[0] and values[2] == alone[2]
         np.testing.assert_allclose(alone[1], expected, rtol=1e-14)
 
-    def test_tailored_log_likelihood_falls_back_to_softplus(self):
+    def test_log_posterior_unnormalized_falls_back_to_softplus(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = tailored_log_likelihood(self.DATA, self.BETAS[1], self.WEIGHTS)
-        np.testing.assert_allclose(value, self.softplus_value(self.BETAS[1]), rtol=1e-14)
+            value = log_posterior_unnormalized(self.DATA, self.BETAS[1], self.WEIGHTS, self.PRIOR)
+        expected = self.softplus_value(self.BETAS[1]) + gaussian_log_density(self.BETAS[1], self.PRIOR)
+        np.testing.assert_allclose(value, expected, rtol=1e-14)
 
     def test_overflowing_prior_term_gives_minus_inf_silently(self):
         # (b - mu) / sd and its squared norm overflow: the value is -inf, with no RuntimeWarning
@@ -401,7 +438,7 @@ class TestLikelihoodKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = logpost(self.BETAS[[1, 1]])
-        expected = self.softplus_value(self.BETAS[1]) + log_prior(self.BETAS[1], self.PRIOR)
+        expected = self.softplus_value(self.BETAS[1]) + gaussian_log_density(self.BETAS[1], self.PRIOR)
         np.testing.assert_allclose(values[0], expected, rtol=1e-14)
         assert math.isfinite(values[1]) and values[1] > values[0]
 
@@ -433,17 +470,19 @@ def loss_batches(draw):
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(loss_batches())
 def test_weighted_loss_batch_row_equals_row_alone(case):
-    """Row r of a batch, under weight row r mod C, is the row evaluated alone; an overflowing row is its softplus sum."""
+    """Row r of a batch, under weight row r mod C, is the row evaluated alone; an overflowing row stays finite."""
     data, w, b = case
-    xs = _signed_design(data)
-    with np.errstate(over="ignore", invalid="ignore"):  # as every caller runs it: a zero weight times inf is NaN
-        batch = _weighted_loss(b, xs[None], _loss_views(xs[None], w[None], [data.n], len(b)))
+    prior = GaussianPrior.vague(b.shape[1], sd=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = make_log_posterior(data, w, prior)(b)
         for r, row in enumerate(b):
-            alone = _weighted_loss(row[None], xs[None], _loss_views(xs[None], w[None, [r % len(w)]], [data.n], 1))
-            np.testing.assert_array_max_ulp(batch[r], alone[0], maxulp=4)
-            sz = row @ xs
+            alone = make_log_posterior(data, w[r % len(w)], prior)(row)
+            np.testing.assert_array_max_ulp(batch[r], alone, maxulp=4)
+            sz = row @ _signed_design(data)
             if sz.max() >= 710.0:  # exp(710) overflows: the row took the overflow-free fallback
-                assert batch[r] == np.vecdot(w[r % len(w)], _softplus(sz))
+                expected = np.vecdot(w[r % len(w)], _softplus(sz)) - gaussian_log_density(row, prior)
+                np.testing.assert_allclose(-batch[r], expected, rtol=1e-14)
     assert np.all(np.isfinite(batch))
 
 

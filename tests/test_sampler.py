@@ -29,6 +29,11 @@ def gamma_logpost(b):
         return np.where(v > 0.0, 2.0 * np.log(v) - v, -np.inf)
 
 
+def gamma_from(start):
+    """:func:`gamma_logpost` moved left by ``start``: a chain at the origin starts inside the support, at v = start."""
+    return lambda b: gamma_logpost(b + start)
+
+
 class TestRunMh:
     def test_deterministic_given_seed(self):
         cfg = SamplerConfig(n_iterations=3000, burn_in=500, rng_seed=123)
@@ -99,13 +104,11 @@ class TestRunMh:
             run_mh(lambda b: np.zeros(b.shape[0]), 2, cfg)
 
     def test_nonfinite_proposals_rejected_not_fatal(self):
-        cfg = SamplerConfig(
-            n_iterations=5000, burn_in=1000, rng_seed=7, initial_beta=np.array([3.0])
-        )
-        s = run_mh(gamma_logpost, 1, cfg)
+        cfg = SamplerConfig(n_iterations=5000, burn_in=1000, rng_seed=7)
+        s = run_mh(gamma_from(3.0), 1, cfg)
         assert s.n_nonfinite_proposals > 0
         assert np.all(np.isfinite(s.draws))
-        assert np.all(s.draws > 0.0)
+        assert np.all(s.draws + 3.0 > 0.0)
 
     def test_rejections_repeat_previous_state_exactly(self):
         cfg = SamplerConfig(n_iterations=4000, burn_in=500, rng_seed=3)
@@ -125,15 +128,13 @@ class TestRunMh:
 
     def test_discretized_target_total_variation(self):
         """Long chain matches the grid-normalised target pmf within TV 0.05."""
-        cfg = SamplerConfig(
-            n_iterations=120_000, burn_in=20_000, rng_seed=5, initial_beta=np.array([3.0])
-        )
-        s = run_mh(gamma_logpost, 1, cfg)
+        cfg = SamplerConfig(n_iterations=120_000, burn_in=20_000, rng_seed=5)
+        s = run_mh(gamma_from(3.0), 1, cfg)
         edges = np.linspace(0.0, 14.0, 36)
         mids = 0.5 * (edges[:-1] + edges[1:])
         pmf = np.exp(2.0 * np.log(mids) - mids)
         pmf /= pmf.sum()
-        hist, _ = np.histogram(s.draws[:, 0], bins=edges)
+        hist, _ = np.histogram(s.draws[:, 0] + 3.0, bins=edges)
         tv = 0.5 * np.abs(hist / hist.sum() - pmf).sum()
         assert tv <= 0.05
 
@@ -143,11 +144,6 @@ class TestRunMh:
         with pytest.raises(ConfigError, match=r"need 17000000000000000 bytes, more than the \d+ bytes of physical memory"):
             run_mh(lambda b: calls.append(len(b)) or standard_normal_logpost(b), 1, cfg)
         assert calls == []  # raised before the start point is evaluated
-
-    def test_initial_beta_length_checked(self):
-        cfg = SamplerConfig(n_iterations=100, burn_in=10, initial_beta=np.array([1.0]))
-        with pytest.raises(ConfigError):
-            run_mh(standard_normal_logpost, 2, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -235,24 +231,24 @@ class TestBatchedChains:
 
     def test_nonfinite_proposals_counted_per_chain(self):
         def batch_logpost(b):  # chain 0: a standard normal; chain 1: a Gamma(3, 1) on (0, inf)
-            return np.concatenate([standard_normal_logpost(b[:1]), gamma_logpost(b[1:])])
+            return np.concatenate([standard_normal_logpost(b[:1]), gamma_from(1.0)(b[1:])])
 
-        cfg = SamplerConfig(n_iterations=4000, burn_in=1000, initial_beta=np.array([1.0]), rng_seed=4)
+        cfg = SamplerConfig(n_iterations=4000, burn_in=1000, rng_seed=4)
         chains = self.run(batch_logpost, 2, dim=1, cfg=cfg)
-        alone = run_mh(gamma_logpost, 1, cfg)
+        alone = run_mh(gamma_from(1.0), 1, cfg)
         assert chains[0].n_nonfinite_proposals == 0
         assert chains[1].n_nonfinite_proposals == alone.n_nonfinite_proposals > 0
         assert np.array_equal(chains[1].draws, alone.draws)
 
     @pytest.mark.parametrize(
-        "logpost, cfg",
+        "logpost, dim, cfg",
         [
-            (standard_normal_logpost, SamplerConfig(n_iterations=3000, burn_in=1030, thin=3, rng_seed=17)),
-            (gamma_logpost, SamplerConfig(n_iterations=4000, burn_in=975, initial_beta=np.array([1.0]), rng_seed=4)),
+            (standard_normal_logpost, 2, SamplerConfig(n_iterations=3000, burn_in=1030, thin=3, rng_seed=17)),
+            (gamma_from(1.0), 1, SamplerConfig(n_iterations=4000, burn_in=975, rng_seed=4)),
         ],
         ids=["normal-thin-3", "gamma-nonfinite"],
     )
-    def test_prefetching_single_chain_changes_no_draw(self, logpost, cfg):
+    def test_prefetching_single_chain_changes_no_draw(self, logpost, dim, cfg):
         """A lone chain evaluates several iterations per call yet runs the chain of one proposal per call."""
 
         def rows(sizes):  # row by row, so a row's value does not depend on its batch
@@ -262,7 +258,6 @@ class TestBatchedChains:
 
             return evaluate
 
-        dim = cfg.initial_beta.size if cfg.initial_beta is not None else 2
         lone_sizes, stack_sizes = [], []
         prefetched = run_mh(rows(lone_sizes), dim, cfg)
         # two groups of one chain on one seed: the reference, one proposal per group and call
@@ -276,7 +271,7 @@ class TestBatchedChains:
             assert np.array_equal(prefetched.proposal_sd_trace, alone.proposal_sd_trace)
             assert prefetched.acceptance_rate == alone.acceptance_rate
             assert prefetched.n_nonfinite_proposals == alone.n_nonfinite_proposals
-        if logpost is gamma_logpost:
+        if logpost is not standard_normal_logpost:
             assert reference.n_nonfinite_proposals > 0
 
     @pytest.mark.parametrize(
@@ -437,3 +432,5 @@ class TestDiagnostics:
     def test_gelman_rubin_needs_two_chains(self):
         with pytest.raises(ConfigError):
             gelman_rubin([np.zeros((100, 2))])
+        with pytest.raises(ConfigError):  # each chain is reduced on its own, so the shapes are checked
+            gelman_rubin([np.zeros((100, 2)), np.zeros((99, 2))])
