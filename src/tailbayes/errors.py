@@ -1,4 +1,4 @@
-"""Exception hierarchy, which the CLI maps onto distinct exit codes, and the one physical-memory check."""
+"""Exception hierarchy, which the CLI maps onto distinct exit codes, and the shared seed and memory checks."""
 
 import os
 
@@ -24,3 +24,9 @@ def require_memory(needed: int, what: str) -> None:
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if needed > physical:
         raise ConfigError(f"{what} need {needed} bytes, more than the {physical} bytes of physical memory")
+
+
+def require_seed(seed: int, name: str) -> None:
+    """ConfigError unless ``seed`` lies in [0, 2^64), the range of every seed the package takes."""
+    if not (0 <= int(seed) < 2**64):
+        raise ConfigError(f"{name} must fit in an unsigned 64-bit integer")

@@ -6,7 +6,9 @@ standard baseline, and scores both by Net Benefit on the clean test
 set.  Repetition counts scale with the ``scale`` factor (full scale is
 20 repetitions per cell).  Cells are independent, so they parallelise
 over a process pool; aggregation is deterministic regardless of
-completion order.
+completion order.  A repetition's seeds mix the base seed, the whole
+cell and the repetition index through ``SeedSequence``, so a cell's rows
+depend on neither the rest of its grid nor the number of workers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_seed
 from .evaluation import net_benefit, paired_delta
 from .model_core import TargetThreshold
 from .predict import predictive_mean
@@ -25,7 +27,6 @@ from .tuning import DEFAULT_LAMBDA_GRID, fit_pipeline, fit_standard, map_jobs
 
 __all__ = ["FIGURES", "FULL_SCALE_REPETITIONS", "reproduce_figure"]
 
-FIGURES = ("sim1-fig2", "sim2-fig4", "sim3-fig6")
 FULL_SCALE_REPETITIONS = 20
 TEST_SET_SIZE = 2000
 
@@ -35,21 +36,21 @@ TEST_SET_SIZE = 2000
 FINAL_SAMPLER = SamplerConfig(n_iterations=8000, burn_in=3000, initial_sd=0.15)
 CV_SAMPLER = SamplerConfig(n_iterations=3000, burn_in=1200, initial_sd=0.15)
 
-_SIM1_GRID = {"n": (500, 1000, 5000, 10000), "q": (0.1, 0.5, 1.0), "t": (0.1, 0.3, 0.5, 0.7, 0.9)}
-_SIM2_GRID = {
-    "n": (500, 1000, 5000, 10000),
-    "prevalence": (0.1, 0.3, 0.5),
-    "t": (0.1, 0.3, 0.5, 0.7, 0.9),
-}
-_SIM3_GRID = {
-    "n": (1000,),
-    "psi": (0.0, 0.05, 0.10, 0.15, 0.20, 0.30),
-    "t": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+_T_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+# figure id -> (study, default grid); the grid's keys are the cell's keys in order
+FIGURES = {
+    "sim1-fig2": ("sim1", {"n": (500, 1000, 5000, 10000), "q": (0.1, 0.5, 1.0), "t": _T_GRID}),
+    "sim2-fig4": ("sim2", {"n": (500, 1000, 5000, 10000), "prevalence": (0.1, 0.3, 0.5), "t": _T_GRID}),
+    "sim3-fig6": ("sim3", {
+        "n": (1000,),
+        "psi": (0.0, 0.05, 0.10, 0.15, 0.20, 0.30),
+        "t": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+    }),
 }
 
 
 def _cells(figure: str, overrides: dict) -> list[dict]:
-    base = {"sim1-fig2": _SIM1_GRID, "sim2-fig4": _SIM2_GRID, "sim3-fig6": _SIM3_GRID}[figure]
+    base = FIGURES[figure][1]
     unknown = sorted(set(overrides) - set(base))
     if unknown:
         raise ConfigError(f"{figure} varies only {list(base)}, so it takes no override of {unknown}")
@@ -68,7 +69,7 @@ def _cells(figure: str, overrides: dict) -> list[dict]:
 
 def _sim_configs(figure: str, cell: dict, train_seed: int, test_seed: int) -> tuple:
     """The cell's generator with its training and test configs; sim3's test set is uncontaminated."""
-    name = figure.split("-")[0]
+    name = FIGURES[figure][0]
     param = cell[STUDY_PARAMETER[name]]
     generate, train_config = study(name, cell["n"], train_seed, param)
     test_config = study(name, TEST_SET_SIZE, test_seed, 0.0 if name == "sim3" else param)[1]
@@ -77,7 +78,8 @@ def _sim_configs(figure: str, cell: dict, train_seed: int, test_seed: int) -> tu
 
 def _rep_worker(payload: tuple) -> dict:
     figure, cell, rep, base_seed, lambda_grid = payload
-    seeds = np.random.SeedSequence([int(base_seed), _cell_key(cell), rep]).generate_state(3)
+    text = ",".join(f"{k}={cell[k]!r}" for k in sorted(cell))
+    seeds = np.random.SeedSequence([int(base_seed), *text.encode(), rep]).generate_state(3)
     train_seed, test_seed, fit_seed = (int(s) for s in seeds)
     t = TargetThreshold(cell["t"])
     generate, train_config, test_config = _sim_configs(figure, cell, train_seed, test_seed)
@@ -109,12 +111,6 @@ def _rep_worker(payload: tuple) -> dict:
     return row
 
 
-def _cell_key(cell: dict) -> int:
-    # stable non-negative integer encoding of a cell for seed derivation
-    text = ",".join(f"{k}={cell[k]!r}" for k in sorted(cell))
-    return int.from_bytes(text.encode(), "big") % (2**31)
-
-
 def reproduce_figure(
     figure: str,
     scale: float = 1.0,
@@ -125,9 +121,10 @@ def reproduce_figure(
 ) -> dict:
     """Run one figure's grid and return its cell keys and its raw and aggregated result rows."""
     if figure not in FIGURES:
-        raise ConfigError(f"unknown figure id {figure!r}; choose from {FIGURES}")
+        raise ConfigError(f"unknown figure id {figure!r}; choose from {tuple(FIGURES)}")
     if not (0.0 < scale <= 1.0):
         raise ConfigError("scale must lie in (0, 1]")
+    require_seed(seed, "seed")
     reps = max(1, round(FULL_SCALE_REPETITIONS * scale))
     cells = _cells(figure, overrides or {})
     payloads = [(figure, cell, rep, seed, tuple(lambda_grid)) for cell in cells for rep in range(reps)]

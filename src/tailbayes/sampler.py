@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SamplerError, require_memory
+from .errors import ConfigError, SamplerError, require_memory, require_seed
 
 __all__ = [
     "SamplerConfig",
@@ -62,8 +62,7 @@ class SamplerConfig:
             raise ConfigError(f"initial_sd must be finite and positive, got {self.initial_sd}")
         if self.initial_sd < SD_MIN:  # every step would round away, so every proposal would be accepted
             raise ConfigError(f"initial_sd must be at least {SD_MIN}, the floor of the adapted sd, got {self.initial_sd}")
-        if not (0 <= int(self.rng_seed) < 2**64):
-            raise ConfigError("rng_seed must fit in an unsigned 64-bit integer")
+        require_seed(self.rng_seed, "rng_seed")
 
 
 @dataclass(frozen=True)

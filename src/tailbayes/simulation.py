@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, require_memory
+from .errors import ConfigError, require_memory, require_seed
 from .evaluation import NetBenefitReport, net_benefit
 from .model_core import Dataset, TargetThreshold, expit
 
@@ -74,6 +74,7 @@ class Sim1Config:
 
     def __post_init__(self):
         _check_n(self.n)
+        require_seed(self.seed, "seed")
         if not (self.q > 0.0):
             raise ConfigError("q must be positive")
 
@@ -88,6 +89,7 @@ class Sim2Config:
 
     def __post_init__(self):
         _check_n(self.n)
+        require_seed(self.seed, "seed")
         if not (0.0 < self.prevalence < 1.0):
             raise ConfigError("prevalence must lie in (0, 1)")
 
@@ -107,6 +109,7 @@ class Sim3Config:
 
     def __post_init__(self):
         _check_n(self.n)
+        require_seed(self.seed, "seed")
         if not (0.0 <= self.contamination < 0.5):
             raise ConfigError("contamination fraction must lie in [0, 0.5)")
 

@@ -216,13 +216,13 @@ def fit_standard(
 
 
 def fold_seed(base_seed: int, fold: int) -> int:
-    """Sampler seed of CV fold ``fold`` (0-based): the base seed plus fold + 1."""
-    return base_seed + fold + 1
+    """Sampler seed of CV fold ``fold`` (0-based): the base seed plus fold + 1, mod 2^64."""
+    return (base_seed + fold + 1) % 2**64
 
 
 def rhat_seeds(base_seed: int, n_chains: int) -> list[int]:
-    """Sampler seeds of the chains an R-hat check of ``n_chains`` adds to the final chain: base + 90 000 + i."""
-    return [base_seed + 90_000 + i for i in range(1, n_chains)]
+    """Seeds of the chains an R-hat check of ``n_chains`` adds to the final chain: base + 90 000 + i, mod 2^64."""
+    return [(base_seed + 90_000 + i) % 2**64 for i in range(1, n_chains)]
 
 
 def map_jobs(fn, payloads: list, jobs: int) -> list:

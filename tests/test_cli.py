@@ -67,6 +67,12 @@ class TestSimulate:
         assert "design matrix need 240000000000000 bytes, more than the" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_unsigned_64_bit_range_is_usage_error_without_outputs(self, tmp_path, capsys, seed):
+        assert run(["simulate", "--study", "sim1", "--n", 50, "--seed", seed, "--out", tmp_path / "sim.csv"]) == 2
+        assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFit:
     def test_byte_identical_manifests(self, tmp_path, train_csv):
@@ -108,6 +114,13 @@ class TestFit:
                     "--out", out, *FIT_SPEED]) == 3
         assert "cannot make 200 non-empty CV folds from 240 development rows" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_largest_seed_wraps_its_fold_and_rhat_seeds_below_2_to_the_64(self, tmp_path, train_csv):
+        out = fit_artifact(tmp_path, train_csv, extra=["--seed", 2**64 - 1, "--rhat-chains", 2])
+        seeds = dataio.read_manifest(out / "manifest.json")["seeds"]
+        assert seeds["cv_folds"] == [0, 1, 2, 3, 4] and seeds["rhat_chains"] == [90_000]
+        for value in seeds.values():
+            assert all(0 <= s < 2**64 for s in (value if isinstance(value, list) else [value]))
 
     def test_more_folds_than_development_rows_fails_before_any_chain(self, tmp_path, train_csv, capsys,
                                                                      monkeypatch):
@@ -603,6 +616,14 @@ class TestReproduceAndEssGrid:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_negative_seed_is_usage_error_before_any_repetition(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(reproduce, "_rep_worker", _no_fit)
+        out = tmp_path / "rep"
+        assert run(["reproduce", "--figure", "sim3-fig6", "--scale", 0.1, "--seed", -1, "--jobs", 1,
+                    "--n-list", "200", "--psi-list", "0.1", "--t-list", "0.3", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rep"

@@ -60,3 +60,72 @@ def test_bad_override_value_fails_before_any_fit(monkeypatch, figure, overrides)
     with pytest.raises(ConfigError):
         reproduce.reproduce_figure(figure, scale=0.1, overrides=overrides)
     assert calls == []
+
+
+class _Stop(Exception):
+    pass
+
+
+def _record_seeds(monkeypatch):
+    """Make ``_rep_worker`` record each repetition's configs and fit seed, then stop before any fit."""
+    seen = []
+    real_sim_configs = reproduce._sim_configs
+
+    def sim_configs(figure, cell, train_seed, test_seed):
+        configs = real_sim_configs(figure, cell, train_seed, test_seed)
+        seen.append({"cell": cell, "configs": configs})
+        return configs
+
+    def stop(train, t, *, sampler_config, **kwargs):
+        seen[-1]["fit_seed"] = sampler_config.rng_seed
+        raise _Stop
+
+    monkeypatch.setattr(reproduce, "_sim_configs", sim_configs)
+    monkeypatch.setattr(reproduce, "fit_pipeline", stop)
+    return seen
+
+
+def _first_repetition(figure, cell):
+    with pytest.raises(_Stop):
+        reproduce._rep_worker((figure, cell, 0, 0, (0.0, 10.0)))
+
+
+def test_every_default_cell_gets_its_own_seeds(monkeypatch):
+    cells = [(figure, cell) for figure in reproduce.FIGURES for cell in reproduce._cells(figure, {})]
+    assert len(cells) == 60 + 60 + 54
+    seen = _record_seeds(monkeypatch)
+    for figure, cell in cells:
+        _first_repetition(figure, cell)
+    triples = {(s["configs"][1].seed, s["configs"][2].seed, s["fit_seed"]) for s in seen}
+    assert len(triples) == len(cells)
+
+
+def test_sim3_cells_differing_only_in_psi_draw_different_test_sets(monkeypatch):
+    seen = _record_seeds(monkeypatch)
+    for psi in (0.0, 0.3):
+        _first_repetition("sim3-fig6", {"n": 1000, "psi": psi, "t": 0.3})
+    (generate, _, test_a), (_, _, test_b) = (s["configs"] for s in seen)
+    assert test_a.contamination == test_b.contamination == 0.0
+    assert not np.array_equal(generate(test_a)[0].covariates, generate(test_b)[0].covariates)
+
+
+def test_cell_rows_depend_on_neither_the_rest_of_the_grid_nor_jobs():
+    def rows(t_values, jobs):
+        result = reproduce.reproduce_figure("sim3-fig6", scale=0.1, seed=3, jobs=jobs, lambda_grid=(0.0, 10.0),
+                                            overrides=dict(OVERRIDES, t=t_values))
+        return [row for row in result["raw"] if row["t"] == 0.3]
+
+    alone = rows((0.3,), 1)
+    assert len(alone) == 2
+    assert rows((0.2, 0.3, 0.5), 1) == alone
+    assert rows((0.3,), 2) == alone
+    assert rows((0.5, 0.3), 2) == alone
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_unsigned_64_bit_range_fails_before_any_repetition(monkeypatch, seed):
+    calls = []
+    monkeypatch.setattr(reproduce, "_rep_worker", lambda payload: calls.append(payload))
+    with pytest.raises(ConfigError, match="seed must fit in an unsigned 64-bit integer"):
+        reproduce.reproduce_figure("sim3-fig6", scale=0.1, seed=seed, overrides=dict(OVERRIDES, t=(0.3,)))
+    assert calls == []

@@ -105,6 +105,14 @@ RUNS = [
     ("simulate_huge_n", ["simulate", "--study", "sim1", "--n", "10000000000000", "--out", "simulate_huge_n.csv"]),
     ("reproduce_huge_n", [*REPRODUCE, "--n-list", "1e12", "--t-list", "0.3", "--jobs", "1",
                           "--out", "reproduce_huge_n"]),
+    # seeds outside [0, 2^64) are usage errors; the largest seed's derived CV and R-hat seeds wrap below 2^64
+    ("simulate_negative_seed", ["simulate", "--study", "sim1", "--n", "50", "--seed", "-1",
+                                "--out", "simulate_negative_seed.csv"]),
+    ("reproduce_negative_seed", ["reproduce", "--figure", "sim3-fig6", "--scale", "0.1", "--seed", "-1",
+                                 "--lambda-grid", "0,10", "--psi-list", "0.1", "--n-list", "200", "--t-list", "0.3",
+                                 "--jobs", "1", "--out", "reproduce_negative_seed"]),
+    ("fit_max_seed_rhat", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0,5", "--rhat-chains", "2",
+                           "--jobs", "1", "--seed", str(2**64 - 1), "--out", "fit_max_seed_rhat", *FAST]),
     # a directory as the config file, and an existing file (train.csv, hashed below) as --out
     ("fit_config_dir", ["fit", "train.csv", "--config", "fit_zero", "--out", "fit_config_dir"]),
     ("fit_out_file", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--seed", "12",
