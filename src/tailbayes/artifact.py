@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__, dataio
 from .errors import DataError
 from .model_core import UtilitySpec
-from .predict import predictive_mean_sd
 from .sampler import TARGET_ACCEPTANCE, PosteriorSamples, SamplerConfig
 from .tuning import FittedTailoredModel, ess_grid, fold_seed, rhat_seeds
 
@@ -98,11 +97,11 @@ class LoadedFit:
     standardizer: dataio.Standardizer | None
     samples: PosteriorSamples
 
-    def predict(self, raw_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predictive mean and sd of each row of covariates in the file's units, without intercept."""
+    def design(self, raw_x: np.ndarray) -> np.ndarray:
+        """The design matrix of covariates in the file's units: z-scored as in the fit, intercept first."""
         if self.standardizer is not None:
             raw_x = self.standardizer.transform(raw_x)
-        return predictive_mean_sd(np.hstack([np.ones((raw_x.shape[0], 1)), raw_x]), self.samples)
+        return np.hstack([np.ones((raw_x.shape[0], 1)), raw_x])
 
 
 def load_fit(model_dir) -> LoadedFit:
@@ -137,6 +136,8 @@ def load_fit(model_dir) -> LoadedFit:
         if any(v <= 0.0 for v in standardize["sds"]):
             raise DataError(f"{path}: fit manifest field 'standardize.sds' must be positive")
     threshold = field("threshold", (int, float))
+    if not 0.0 < threshold < 1.0:  # NaN too
+        raise DataError(f"{path}: fit manifest field 'threshold' must lie strictly in (0, 1), got {threshold}")
     header, draws = dataio.read_draws_csv(path.parent / "draws.csv")
     expected = ["intercept"] + covariates
     if header != expected:

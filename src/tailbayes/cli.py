@@ -23,7 +23,7 @@ from .artifact import load_fit, save_fit
 from .errors import ConfigError, DataError, SamplerError, TailbayesError
 from .evaluation import net_benefit, paired_delta
 from .model_core import Dataset, DistanceFunction, GaussianPrior, TargetThreshold, UtilitySpec, target_threshold
-from .predict import positive_mask
+from .predict import positive_mask, predictive_mean, predictive_mean_sd
 from .reproduce import FIGURES, reproduce_figure
 from .sampler import SamplerConfig, _check_draw_store
 from .simulation import STUDY_PARAMETER, study
@@ -300,7 +300,7 @@ def cmd_predict(args) -> int:
     _out_file(args.out)
     fit = load_fit(args.model)
     raw_x, ids = dataio.read_covariates_csv(args.data, fit.covariates, fit.outcome_col)
-    means, sds = fit.predict(raw_x)
+    means, sds = predictive_mean_sd(fit.design(raw_x), fit.samples)
     labels = np.where(positive_mask(means, fit.threshold), "positive", "negative")
     dataio.write_rows(
         args.out,
@@ -331,7 +331,7 @@ def cmd_evaluate(args) -> int:
             if names != fit.covariates:
                 raise DataError(f"{path}: covariate columns {names} do not match the model schema "
                                 f"{fit.covariates}")
-            splits.append((fit.predict(raw_x)[0], y))
+            splits.append((predictive_mean(fit.design(raw_x), fit.samples), y))
         return splits
 
     source_b = args.model_b if model_mode else args.scored_b

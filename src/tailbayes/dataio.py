@@ -1,16 +1,22 @@
 """CSV and manifest I/O with strict schema validation.
 
-Input data files need a header row; the outcome column (default ``y``)
-must contain the literal strings 0 or 1.  Every other column except an
-optional ``id`` column is treated as a numeric covariate, in file
-order.  Outputs are UTF-8 CSV; manifests are JSON with sorted keys so
-identical runs produce byte-identical files.
+Every input CSV needs a header row of distinct names, at least one data
+row and as many fields in each row as in the header.  Readers pick their
+columns by name, and each column obeys one rule: covariates, draws and
+probabilities are finite numbers, probabilities (``prob``, ``pi_u``) lie
+in [0, 1], and outcomes, in data and scored files alike (default column
+``y``), are the literal strings 0 or 1.  A broken rule is a DataError
+naming the file, the column and the first bad row.  Every column of a
+data file except the outcome and an optional ``id`` column is a numeric
+covariate, in file order.  Outputs are UTF-8 CSV; manifests are JSON
+with sorted keys so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +41,7 @@ __all__ = [
 ]
 
 ID_COLUMN = "id"
+_OUTCOMES = {"0": 0.0, "1": 1.0}
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ class Standardizer:
         return cls(means=np.asarray(d["means"]), sds=np.asarray(d["sds"]))
 
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
+def _read_table(path) -> _Table:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -83,24 +90,64 @@ def _read_table(path) -> tuple[list[str], list[list[str]]]:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise DataError(f"{path}: row {i + 2} has {len(row)} fields, expected {width}")
-    return names, rows
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return _Table(path, names, rows)
 
 
-def _parse_float_column(path, rows, col, name) -> np.ndarray:
-    """One column of finite floats; anything else is a DataError naming its first bad row."""
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        try:
-            out[i] = float(row[col])
-        except ValueError:
-            out[i] = np.nan
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(
-            f"{path}: {rows[i][col]!r} in column {name!r}, row {i + 2} is not a finite number"
-        )
-    return out
+@dataclass(frozen=True)
+class _Table:
+    """A CSV file's header and data rows; each column method checks one rule on the named column."""
+
+    path: object
+    names: list[str]
+    rows: list[list[str]]
+
+    def cells(self, name: str) -> list[str]:
+        if name not in self.names:
+            raise DataError(f"{self.path}: column {name!r} not found")
+        j = self.names.index(name)
+        return [row[j] for row in self.rows]
+
+    def _reject(self, name: str, bad: np.ndarray, rule: str) -> None:
+        """DataError naming the first cell of the column flagged in ``bad``, if any."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"{self.path}: {self.cells(name)[i]!r} in column {name!r}, row {i + 2} {rule}")
+
+    def floats(self, name: str) -> np.ndarray:
+        values = np.fromiter(map(_float_or_nan, self.cells(name)), np.float64, len(self.rows))
+        self._reject(name, ~np.isfinite(values), "is not a finite number")
+        return values
+
+    def probabilities(self, name: str) -> np.ndarray:
+        values = self.floats(name)
+        self._reject(name, (values < 0.0) | (values > 1.0), "is not in [0, 1]")
+        return values
+
+    def outcomes(self, name: str) -> np.ndarray:
+        values = np.fromiter((_OUTCOMES.get(cell.strip(), math.nan) for cell in self.cells(name)), np.float64,
+                             len(self.rows))
+        self._reject(name, np.isnan(values), "is not the literal 0 or 1")
+        return values
+
+    def matrix(self, names: list[str]) -> np.ndarray:
+        return np.column_stack([self.floats(name) for name in names])
+
+    def covariates(self, outcome_col: str) -> list[str]:
+        """Every column but the outcome and ``id`` columns, in file order."""
+        return [name for name in self.names if name not in (outcome_col, ID_COLUMN)]
+
+    def ids(self) -> list[str]:
+        """The ``id`` column's values when present, else 1-based row numbers."""
+        return self.cells(ID_COLUMN) if ID_COLUMN in self.names else [str(i + 1) for i in range(len(self.rows))]
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def read_dataset_csv(path, outcome_col: str = "y"):
@@ -110,39 +157,12 @@ def read_dataset_csv(path, outcome_col: str = "y"):
     covariate names, row ids).  Ids come from an ``id`` column when
     present, else they are 1-based row numbers.
     """
-    header, rows = _read_table(path)
-    if outcome_col not in header:
-        raise DataError(f"{path}: outcome column {outcome_col!r} not found in header")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    y_col = header.index(outcome_col)
-    y = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        v = row[y_col].strip()
-        if v not in ("0", "1"):
-            raise DataError(
-                f"{path}: outcome must be the literal 0 or 1, got {v!r} in row {i + 2}"
-            )
-        y[i] = float(v)
-    cov_cols = [
-        (j, name)
-        for j, name in enumerate(header)
-        if j != y_col and name != ID_COLUMN
-    ]
-    if not cov_cols:
+    table = _read_table(path)
+    y = table.outcomes(outcome_col)
+    names = table.covariates(outcome_col)
+    if not names:
         raise DataError(f"{path}: no covariate columns")
-    x = np.column_stack(
-        [_parse_float_column(path, rows, j, name) for j, name in cov_cols]
-    )
-    names = [name for _, name in cov_cols]
-    return x, y, names, _row_ids(header, rows)
-
-
-def _row_ids(header: list[str], rows: list[list[str]]) -> list[str]:
-    """The ``id`` column's values when present, else 1-based row numbers."""
-    if ID_COLUMN in header:
-        return [row[header.index(ID_COLUMN)] for row in rows]
-    return [str(i + 1) for i in range(len(rows))]
+    return table.matrix(names), y, names, table.ids()
 
 
 def read_covariates_csv(path, covariate_names: list[str], outcome_col: str = "y"):
@@ -152,50 +172,26 @@ def read_covariates_csv(path, covariate_names: list[str], outcome_col: str = "y"
     and in order; permuted or renamed columns are a hard error.  The
     outcome column is optional and ignored if present.
     """
-    header, rows = _read_table(path)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    found = [name for name in header if name != outcome_col and name != ID_COLUMN]
+    table = _read_table(path)
+    found = table.covariates(outcome_col)
     if found != list(covariate_names):
-        raise DataError(
-            f"{path}: covariate columns {found} do not match the model schema "
-            f"{list(covariate_names)} (same names, same order required)"
-        )
-    cols = [header.index(name) for name in covariate_names]
-    x = np.column_stack(
-        [_parse_float_column(path, rows, j, header[j]) for j in cols]
-    )
-    return x, _row_ids(header, rows)
+        raise DataError(f"{path}: covariate columns {found} do not match the model schema "
+                        f"{list(covariate_names)} (same names, same order required)")
+    return table.matrix(found), table.ids()
 
 
 def read_pi_u_csv(path, expected_rows: int | None = None) -> np.ndarray:
     """Read externally supplied first-stage probabilities (column ``pi_u``)."""
-    header, rows = _read_table(path)
-    if "pi_u" not in header:
-        raise DataError(f"{path}: column 'pi_u' not found")
-    vals = _parse_float_column(path, rows, header.index("pi_u"), "pi_u")
-    if np.any((vals < 0.0) | (vals > 1.0)):
-        raise DataError(f"{path}: pi_u values must lie in [0, 1]")
+    vals = _read_table(path).probabilities("pi_u")
     if expected_rows is not None and vals.shape[0] != expected_rows:
-        raise DataError(
-            f"{path}: {vals.shape[0]} pi_u rows, expected {expected_rows}"
-        )
+        raise DataError(f"{path}: {vals.shape[0]} pi_u rows, expected {expected_rows}")
     return vals
 
 
 def read_scored_csv(path, prob_col: str = "prob", outcome_col: str = "y"):
     """Read a scored file: one probability and one 0/1 outcome per row."""
-    header, rows = _read_table(path)
-    for col in (prob_col, outcome_col):
-        if col not in header:
-            raise DataError(f"{path}: column {col!r} not found")
-    probs = _parse_float_column(path, rows, header.index(prob_col), prob_col)
-    y = _parse_float_column(path, rows, header.index(outcome_col), outcome_col)
-    if np.any((probs < 0.0) | (probs > 1.0)):
-        raise DataError(f"{path}: probabilities must lie in [0, 1]")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DataError(f"{path}: outcomes must be 0 or 1")
-    return probs, y
+    table = _read_table(path)
+    return table.probabilities(prob_col), table.outcomes(outcome_col)
 
 
 def write_rows(path, header: list[str], rows) -> None:
@@ -240,13 +236,8 @@ def write_draws_csv(path, coefficient_names: list[str], draws: np.ndarray) -> No
 
 
 def read_draws_csv(path) -> tuple[list[str], np.ndarray]:
-    header, rows = _read_table(path)
-    if not rows:
-        raise DataError(f"{path}: no draws")
-    draws = np.column_stack(
-        [_parse_float_column(path, rows, j, name) for j, name in enumerate(header)]
-    )
-    return header, draws
+    table = _read_table(path)
+    return table.names, table.matrix(table.names)
 
 
 def write_ess_table(path, rows: list[dict]) -> None:
@@ -273,20 +264,9 @@ def write_simulated_csv(path, data: Dataset, oracle=None, mask=None) -> None:
     _write_rows(path, header, rows)
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def write_manifest(path, manifest: dict) -> None:
-    text = json.dumps(_jsonable(manifest), indent=2, sort_keys=True)
+    """Sorted keys, two-space indents; numpy scalars and arrays are written as their Python values."""
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=lambda value: value.tolist())
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

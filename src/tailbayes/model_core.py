@@ -203,10 +203,6 @@ class GaussianPrior:
         """Zero-mean prior with a large common sd (default 100)."""
         return cls(np.zeros(dim), np.full(dim, float(sd)))
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[0]
-
 
 def target_threshold(spec: UtilitySpec) -> TargetThreshold:
     """Threshold t = H / (H + B) at which expected utilities break even.

@@ -45,6 +45,7 @@ from .sampler import PosteriorSamples, SamplerConfig, _check_draw_store, _run_ch
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "ESS_WARNING_FRACTION",
+    "ACCEPTANCE_WARNING_RANGE",
     "SplitPlan",
     "CvPlan",
     "FittedTailoredModel",
@@ -67,6 +68,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_LAMBDA_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
 ESS_WARNING_FRACTION = 0.10
+# random-walk MH mixes best near 0.234 acceptance (Roberts, Gelman & Gilks 1997); a final chain outside this is reported
+ACCEPTANCE_WARNING_RANGE = (0.15, 0.35)
 
 
 @dataclass(frozen=True)
@@ -493,6 +496,15 @@ def fit_pipeline(
             100 * ESS_WARNING_FRACTION,
         )
     samples = final[0] if final else fit_tailored(development, weights, prior, sampler_config)
+    low, high = ACCEPTANCE_WARNING_RANGE
+    if not low <= samples.acceptance_rate <= high:
+        logger.warning(
+            "final chain acceptance rate %.3f is outside [%.2f, %.2f] (final proposal sd %.3g)",
+            samples.acceptance_rate,
+            low,
+            high,
+            samples.final_proposal_sd,
+        )
     return FittedTailoredModel(
         lambda_star=lambda_star,
         threshold=threshold,

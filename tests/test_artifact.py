@@ -80,7 +80,8 @@ def test_save_then_load_round_trips_bit_for_bit(case):
 def test_loaded_predictions_equal_in_memory_predictions(case, seed):
     model, covariates, standardizer = case
     raw_x = np.random.default_rng(seed).normal(0.0, 3.0, size=(7, len(covariates)))
-    means, sds = save_and_load(model, covariates, standardizer).predict(raw_x)
+    fit = save_and_load(model, covariates, standardizer)
+    means, sds = predictive_mean_sd(fit.design(raw_x), fit.samples)
     x = raw_x if standardizer is None else standardizer.transform(raw_x)
     expected = predictive_mean_sd(np.hstack([np.ones((7, 1)), x]), model.samples)
     assert np.array_equal(bits(means), bits(expected[0])) and np.array_equal(bits(sds), bits(expected[1]))

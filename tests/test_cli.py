@@ -1,4 +1,5 @@
 import argparse
+import logging
 import math
 import os
 import shutil
@@ -283,6 +284,20 @@ class TestFit:
         assert err.startswith("sampler error: the chain never rejected: every proposal was accepted after burn-in")
         assert not out.exists()
 
+    def test_final_chain_acceptance_outside_the_window_is_logged(self, tmp_path, train_csv, caplog):
+        # burn-in cannot grow a proposal sd of 1e-4 to the posterior's scale, so nearly every proposal is accepted
+        data = tmp_path / "train7.csv"
+        assert run(["simulate", "--study", "sim1", "--n", 300, "--seed", 7, "--out", data]) == 0
+        with caplog.at_level(logging.WARNING, logger="tailbayes.tuning"):
+            assert run(["fit", data, "--t", 0.3, "--lambda-grid", "0", "--iterations", 600, "--burn-in", 200,
+                        "--seed", 3, "--initial-sd", "1e-4", "--jobs", 1, "--out", tmp_path / "m"]) == 0
+            assert caplog.messages == [
+                "final chain acceptance rate 0.985 is outside [0.15, 0.35] (final proposal sd 0.000728)"
+            ]
+            caplog.clear()
+            fit_artifact(tmp_path, train_csv)
+            assert caplog.messages == []
+
     def test_non_finite_initial_sd_is_usage_error(self, tmp_path, train_csv, capsys):
         out = tmp_path / "m"
         assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--initial-sd", "inf", "--out", out]) == 2
@@ -429,10 +444,12 @@ class TestPredict:
         [(lambda m: {"command": "fit"}, "data.covariates"),
          (lambda m: dict(m, chain={}), "chain.acceptance_rate"),
          (lambda m: dict(m, threshold="0.3"), "threshold"),
+         (lambda m: dict(m, threshold=1.5), "threshold"),
+         (lambda m: dict(m, threshold=math.nan), "threshold"),
          (lambda m: dict(m, standardize={"means": [0.0, 0.0]}), "standardize.sds"),
          (lambda m: dict(m, standardize={"means": [0.0], "sds": [1.0]}), "standardize.means"),
          (lambda m: dict(m, standardize={"means": [0.0, 0.0], "sds": [0.0, 1.0]}), "standardize.sds")],
-        ids=["only-command", "no-chain-fields", "string-threshold",
+        ids=["only-command", "no-chain-fields", "string-threshold", "threshold-1.5", "threshold-nan",
              "standardize-no-sds", "standardize-one-value", "standardize-zero-sd"],
     )
     def test_incomplete_fit_manifest_is_data_error(self, tmp_path, train_csv, capsys, command, edit, key):
@@ -814,6 +831,35 @@ def test_non_finite_input_number_is_data_error(tmp_path, train_csv, command):
         bad.write_text("pi_u\n0.2\nnan\n", encoding="utf-8")
         args = ["ess-grid", "--pi-u-file", bad, "--t", 0.3, "--out", out]
     assert run(args) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "fit --pi-u-file", "predict --data", "evaluate --scored-a",
+                                     "ess-grid --pi-u-file"])
+def test_header_only_input_is_data_error(tmp_path, train_csv, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x1,x2,y,prob,pi_u\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = {
+        "fit": lambda: ["fit", bad, "--t", 0.3],
+        "fit --pi-u-file": lambda: ["fit", train_csv, "--t", 0.3, "--pi-u-file", bad, "--jobs", 1, *FIT_SPEED],
+        "predict --data": lambda: ["predict", "--model", fit_artifact(tmp_path, train_csv), "--data", bad],
+        "evaluate --scored-a": lambda: ["evaluate", "--scored-a", bad, "--thresholds", 0.3],
+        "ess-grid --pi-u-file": lambda: ["ess-grid", "--pi-u-file", bad, "--t", 0.3],
+    }[command]()
+    capsys.readouterr()
+    assert run([*args, "--out", out]) == 3
+    assert capsys.readouterr().err == f"data error: {bad}: no data rows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("outcome", ["1.0", "1e0", "true"])
+def test_scored_outcome_that_is_not_the_literal_zero_or_one_is_data_error(tmp_path, capsys, outcome):
+    bad = tmp_path / "scored.csv"
+    bad.write_text(f"prob,y\n0.4,1\n0.7,{outcome}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["evaluate", "--scored-a", bad, "--thresholds", 0.3, "--out", out]) == 3
+    assert capsys.readouterr().err == f"data error: {bad}: '{outcome}' in column 'y', row 3 is not the literal 0 or 1\n"
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -123,6 +124,34 @@ class TestScoredAndPiU:
             dataio.read_scored_csv(write(tmp_path, "a.csv", "prob,y\n1.2,0\n"))
         with pytest.raises(DataError):
             dataio.read_scored_csv(write(tmp_path, "b.csv", "prob,y\n0.5,3\n"))
+
+    def test_header_only_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="p.csv: no data rows"):
+            dataio.read_pi_u_csv(write(tmp_path, "p.csv", "pi_u\n"))
+        with pytest.raises(DataError, match="s.csv: no data rows"):
+            dataio.read_scored_csv(write(tmp_path, "s.csv", "prob,y\n"))
+
+    @pytest.mark.parametrize("outcome", ["1.0", "1e0", "0.0", "2", ""])
+    def test_scored_outcome_must_be_literal_zero_or_one(self, tmp_path, outcome):
+        path = write(tmp_path, "s.csv", f"prob,y\n0.5,0\n0.5,{outcome}\n")
+        with pytest.raises(DataError, match=f"'{outcome}' in column 'y', row 3 is not the literal 0 or 1"):
+            dataio.read_scored_csv(path)
+
+    def test_each_rule_names_the_file_column_and_first_bad_row(self, tmp_path):
+        cases = [
+            (dataio.read_dataset_csv, "x1,y\n0.5,1\nabc,0\nxyz,1\n", "'abc' in column 'x1', row 3 is not a finite number"),
+            (dataio.read_dataset_csv, "x1,y\n0.5,1\n0.5,1.0\n", "'1.0' in column 'y', row 3 is not the literal 0 or 1"),
+            (dataio.read_dataset_csv, "x1,x2\n0.5,1\n", "column 'y' not found"),
+            (dataio.read_pi_u_csv, "pi_u\n0.5\n-0.25\n2\n", r"'-0.25' in column 'pi_u', row 3 is not in \[0, 1\]"),
+            (dataio.read_pi_u_csv, "p\n0.5\n", "column 'pi_u' not found"),
+            (dataio.read_scored_csv, "prob,y\n0.5,1\ninf,0\n", "'inf' in column 'prob', row 3 is not a finite number"),
+            (dataio.read_scored_csv, "prob\n0.5\n", "column 'y' not found"),
+            (dataio.read_draws_csv, "intercept,x1\n0.5,1\n0.5,nan\n", "'nan' in column 'x1', row 3 is not a finite number"),
+        ]
+        for read, text, message in cases:
+            path = write(tmp_path, "f.csv", text)
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}$"):
+                read(path)
 
     def test_pi_u_roundtrip_and_validation(self, tmp_path):
         path = write(tmp_path, "p.csv", "pi_u\n0.25\n0.75\n")

@@ -28,14 +28,16 @@ from pathlib import Path
 FAST = ["--iterations", "1500", "--burn-in", "600", "--cv-iterations", "800", "--cv-burn-in", "300"]
 REPRODUCE = ["reproduce", "--figure", "sim3-fig6", "--scale", "0.1", "--seed", "1",
              "--lambda-grid", "0,10", "--psi-list", "0.1"]
-MALFORMED_STANDARDIZE = {
-    "std_no_sds": {"means": [0.0, 0.0]},
-    "std_one_value": {"means": [0.0], "sds": [1.0]},
-    "std_zero_sd": {"means": [0.0, 0.0], "sds": [0.0, 1.0]},
+# manifest fields that each make a copy of the fit_std artifact malformed
+MALFORMED_MANIFEST = {
+    "std_no_sds": {"standardize": {"means": [0.0, 0.0]}},
+    "std_one_value": {"standardize": {"means": [0.0], "sds": [1.0]}},
+    "std_zero_sd": {"standardize": {"means": [0.0, 0.0], "sds": [0.0, 1.0]}},
+    "threshold_1_5": {"threshold": 1.5},
 }
 
 # (name, argv); a name starting with "copy:" instead copies the fit_std
-# artifact into a new directory whose manifest has a malformed standardize block.
+# artifact into a new directory whose manifest has the fields of MALFORMED_MANIFEST[name].
 RUNS = [
     ("sim1_oracle", ["simulate", "--study", "sim1", "--n", "300", "--seed", "3",
                      "--with-oracle", "--out", "sim1_oracle.csv"]),
@@ -122,9 +124,9 @@ RUNS = [
     ("simulate_out_missing_dir", ["simulate", "--study", "sim1", "--n", "50", "--seed", "3",
                                   "--out", "no_such_dir/sim.csv"]),
     ("ess_grid_out_dir", ["ess-grid", "--pi-u-file", "pi_u.csv", "--t", "0.3", "--out", "fit_zero"]),
-    *[(f"copy:{name}", []) for name in MALFORMED_STANDARDIZE],
+    *[(f"copy:{name}", []) for name in MALFORMED_MANIFEST],
     *[(f"predict_{name}", ["predict", "--model", name, "--data", "test_a.csv",
-                           "--out", f"predict_{name}.csv"]) for name in MALFORMED_STANDARDIZE],
+                           "--out", f"predict_{name}.csv"]) for name in MALFORMED_MANIFEST],
     # unreadable inputs: a directory as the data CSV, and a CSV holding a byte that is not UTF-8
     ("fit_data_dir", ["fit", "fit_zero", "--t", "0.3", "--out", "fit_data_dir"]),
     ("fit_not_utf8", ["fit", "not_utf8.csv", "--t", "0.3", "--out", "fit_not_utf8"]),
@@ -138,6 +140,11 @@ RUNS = [
     *[(f"fit_initial_sd_{name}", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--iterations", "600",
                                   "--burn-in", "200", "--initial-sd", sd, "--out", f"fit_initial_sd_{name}"])
       for name, sd in (("inf", "inf"), ("1e308", "1e308"), ("tiny", "1e-300"), ("small", "1e-8"))],
+    # a pi_u file with a header and no rows, and a scored file whose outcome is 1.0, not the literal 1
+    ("ess_grid_header_only", ["ess-grid", "--pi-u-file", "pi_u_header_only.csv", "--t", "0.3",
+                              "--out", "ess_grid_header_only.csv"]),
+    ("evaluate_scored_float_outcome", ["evaluate", "--scored-a", "scored_float_outcome.csv", "--thresholds", "0.3",
+                                       "--out", "evaluate_scored_float_outcome"]),
 ]
 
 
@@ -159,11 +166,11 @@ def write_not_utf8(path: Path) -> None:
     path.write_bytes(b"x1,x2,y\n0.25,0.5,1\n0.5,0.\xff,0\n")
 
 
-def copy_with_standardize(work: Path, name: str) -> None:
+def copy_with_malformed_manifest(work: Path, name: str) -> None:
     shutil.copytree(work / "fit_std", work / name)
     path = work / name / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    manifest["standardize"] = MALFORMED_STANDARDIZE[name]
+    manifest.update(MALFORMED_MANIFEST[name])
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -174,9 +181,11 @@ def run_all(src: Path, work: Path) -> None:
     write_pi_u(work / "pi_u.csv")
     write_saturated(work / "saturated.csv")
     write_not_utf8(work / "not_utf8.csv")
+    (work / "pi_u_header_only.csv").write_text("pi_u\n", encoding="utf-8")
+    (work / "scored_float_outcome.csv").write_text("prob,y\n0.25,0\n0.75,1.0\n", encoding="utf-8")
     for name, argv in RUNS:
         if name.startswith("copy:"):
-            copy_with_standardize(work, name[len("copy:"):])
+            copy_with_malformed_manifest(work, name[len("copy:"):])
             continue
         proc = subprocess.run(
             [sys.executable, "-m", "tailbayes.cli", *argv],
