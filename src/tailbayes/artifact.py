@@ -61,7 +61,7 @@ def save_fit(
         "sampler": dict(_sampler_block(model.sampler_config), target_acceptance=TARGET_ACCEPTANCE),
         "cv_sampler": _sampler_block(model.cv_sampler_config),
         # stage1 is the base seed even where external probabilities skip stage 1
-        "seeds": {"base": base, "split": split.seed, "stage1": base, "final_fit": base,
+        "seeds": {"base": base, "split": base, "stage1": base, "final_fit": base,
                   "cv_folds": [fold_seed(base, k) for k in range(model.cv_plan.k)],
                   "rhat_chains": rhat_seeds(base, rhat_chains)},
         "split": {"design_rows": split.design_idx.size, "development_rows": split.development_idx.size,

@@ -13,7 +13,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -267,11 +266,6 @@ def cmd_fit(args) -> int:
     )
     # final_fit_rhat holds the final chain's and its reruns' draws at once
     _check_draw_store(args.rhat_chains, train.n_coefficients, sampler_config)
-    cv_config = replace(
-        sampler_config,
-        n_iterations=args.cv_iterations if args.cv_iterations is not None else args.iterations,
-        burn_in=args.cv_burn_in if args.cv_burn_in is not None else args.burn_in,
-    )
     prior = GaussianPrior.vague(train.n_coefficients, sd=args.prior_sd)
 
     model = fit_pipeline(
@@ -282,7 +276,10 @@ def cmd_fit(args) -> int:
         design_fraction=args.design_fraction,
         distance=distance,
         sampler_config=sampler_config,
-        cv_sampler_config=cv_config,
+        cv_chain=(
+            args.cv_iterations if args.cv_iterations is not None else args.iterations,
+            args.cv_burn_in if args.cv_burn_in is not None else args.burn_in,
+        ),
         prior=prior,
         external_pi_u=external_pi_u,
         jobs=args.jobs,
@@ -327,10 +324,7 @@ def cmd_evaluate(args) -> int:
         fit = load_fit(source)
         splits = []
         for path in args.data:
-            raw_x, y, names, _ = dataio.read_dataset_csv(path, fit.outcome_col)
-            if names != fit.covariates:
-                raise DataError(f"{path}: covariate columns {names} do not match the model schema "
-                                f"{fit.covariates}")
+            raw_x, y = dataio.read_labelled_covariates_csv(path, fit.covariates, fit.outcome_col)
             splits.append((predictive_mean(fit.design(raw_x), fit.samples), y))
         return splits
 

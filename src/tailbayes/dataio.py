@@ -29,6 +29,7 @@ __all__ = [
     "Standardizer",
     "read_dataset_csv",
     "read_covariates_csv",
+    "read_labelled_covariates_csv",
     "read_pi_u_csv",
     "read_scored_csv",
     "read_draws_csv",
@@ -138,6 +139,14 @@ class _Table:
         """Every column but the outcome and ``id`` columns, in file order."""
         return [name for name in self.names if name not in (outcome_col, ID_COLUMN)]
 
+    def schema_matrix(self, covariate_names: list[str], outcome_col: str) -> np.ndarray:
+        """The covariate columns, which must be ``covariate_names`` exactly and in order."""
+        found = self.covariates(outcome_col)
+        if found != list(covariate_names):
+            raise DataError(f"{self.path}: covariate columns {found} do not match the model schema "
+                            f"{list(covariate_names)} (same names, same order required)")
+        return self.matrix(found)
+
     def ids(self) -> list[str]:
         """The ``id`` column's values when present, else 1-based row numbers."""
         return self.cells(ID_COLUMN) if ID_COLUMN in self.names else [str(i + 1) for i in range(len(self.rows))]
@@ -173,11 +182,13 @@ def read_covariates_csv(path, covariate_names: list[str], outcome_col: str = "y"
     outcome column is optional and ignored if present.
     """
     table = _read_table(path)
-    found = table.covariates(outcome_col)
-    if found != list(covariate_names):
-        raise DataError(f"{path}: covariate columns {found} do not match the model schema "
-                        f"{list(covariate_names)} (same names, same order required)")
-    return table.matrix(found), table.ids()
+    return table.schema_matrix(covariate_names, outcome_col), table.ids()
+
+
+def read_labelled_covariates_csv(path, covariate_names: list[str], outcome_col: str):
+    """Load covariates in the fitted schema, as :func:`read_covariates_csv` does, and the outcomes."""
+    table = _read_table(path)
+    return table.schema_matrix(covariate_names, outcome_col), table.outcomes(outcome_col)
 
 
 def read_pi_u_csv(path, expected_rows: int | None = None) -> np.ndarray:

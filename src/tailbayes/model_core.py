@@ -169,6 +169,8 @@ class DistanceFunction:
             raise ConfigError(f"unknown distance kind: {self.kind!r}")
         if not (self.epsilon >= 0.0):
             raise ConfigError("epsilon must be >= 0")
+        if not math.isfinite(self.epsilon):  # JSON, and so the fit manifest, has no infinity
+            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
         if self.kind == "squared" and self.epsilon != 0.0:
             raise ConfigError("squared distance takes no epsilon parameter")
 

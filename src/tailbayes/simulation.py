@@ -77,6 +77,8 @@ class Sim1Config:
         require_seed(self.seed, "seed")
         if not (self.q > 0.0):
             raise ConfigError("q must be positive")
+        if not math.isfinite(self.q):  # q x2 / (x1 + q x2) would be nan
+            raise ConfigError(f"q must be finite, got {self.q}")
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,6 @@ class SplitPlan:
 
     design_idx: np.ndarray
     development_idx: np.ndarray
-    seed: int
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -115,7 +114,6 @@ def make_split(
     return SplitPlan(
         design_idx=np.sort(perm[:n_design]),
         development_idx=np.sort(perm[n_design:]),
-        seed=int(seed),
     )
 
 
@@ -350,19 +348,19 @@ def cv_select_lambda(
     scores = [fold for group in map_jobs(_cv_folds, payloads, jobs) for fold in group]
 
     table: list[dict] = []
+    best_lam = None
+    best_nb = -np.inf
     for li, lam in enumerate(grid):
+        successes = []
         for fold, seed in enumerate(seeds):
             nb, error = scores[fold][li]
             table.append(
                 {"lambda": lam, "fold": fold + 1, "nb": None if error else nb, "seed": seed, "error": error}
             )
-            if error is not None:
+            if error is None:
+                successes.append(nb)
+            else:
                 logger.warning("CV cell lam=%s fold=%d failed: %s", lam, fold + 1, error)
-
-    best_lam = None
-    best_nb = -np.inf
-    for lam in grid:
-        successes = [row["nb"] for row in table if row["lambda"] == lam and row["error"] is None]
         if len(successes) < cv_plan.k - 1:
             logger.warning(
                 "lam=%s dropped: only %d of %d folds succeeded",
@@ -413,7 +411,7 @@ def fit_pipeline(
     design_fraction: float = 0.20,
     distance: DistanceFunction = DistanceFunction(),
     sampler_config: SamplerConfig = SamplerConfig(),
-    cv_sampler_config: SamplerConfig | None = None,
+    cv_chain: tuple[int, int] | None = None,
     prior: GaussianPrior | None = None,
     external_pi_u: np.ndarray | None = None,
     jobs: int = 1,
@@ -423,7 +421,9 @@ def fit_pipeline(
     The final model always fits on the entire development part at the
     chosen lam, using the sampler config's own seed, so a grid of {0}
     reproduces a standard fit on the development data bit for bit.
-    The same seed also draws the split and the CV fold assignment.
+    The same seed also draws the split and the CV fold assignment; the
+    CV chains (:func:`fold_seed`) differ from the final chain only in
+    ``cv_chain``, their (iterations, burn-in), by default the final chain's.
     When ``external_pi_u`` provides per-row probabilities for the whole
     training set, no design split is made and stage 1 is skipped.
 
@@ -434,28 +434,28 @@ def fit_pipeline(
     the same inputs and seed either way, so the result does not depend
     on ``jobs``.
     """
-    if cv_sampler_config is None:
-        cv_sampler_config = sampler_config
+    cv_config = sampler_config if cv_chain is None else replace(
+        sampler_config, n_iterations=cv_chain[0], burn_in=cv_chain[1]
+    )
     if prior is None:
         prior = GaussianPrior.vague(train.n_coefficients)
-    split_seed = sampler_config.rng_seed
-    lambda_grid = tuple(lambda_grid)
 
     if external_pi_u is not None:
         external_pi_u = np.asarray(external_pi_u, dtype=np.float64).ravel()
         if external_pi_u.shape[0] != train.n:
             raise DataError("external pi_u must supply one probability per training row")
         design_fraction = 0.0
-    split = make_split(train.n, design_fraction=design_fraction, seed=split_seed)
+    split = make_split(train.n, design_fraction=design_fraction, seed=sampler_config.rng_seed)
     development = train.subset(split.development_idx)
     # the fold plan is checked before any chain runs, though a one-value grid never uses its folds
-    cv_plan = make_cv_plan(development.outcomes, k_folds, lambda_grid, seed=split_seed)
+    cv_plan = make_cv_plan(development.outcomes, k_folds, lambda_grid, seed=sampler_config.rng_seed)
+    one_value = cv_plan.lambda_grid == (0.0,)  # a CvPlan grid starts at 0, so this is every one-value grid
     # the draws of a lone chain and of the largest fold group's stacked CV chains must fit in memory
     _check_draw_store(1, train.n_coefficients, sampler_config)
-    if len(cv_plan.lambda_grid) > 1:
+    if not one_value:
         _require_full_folds(development, cv_plan)
         largest = max(len(group) for group in _fold_groups(cv_plan.k, jobs))
-        _check_draw_store(largest * len(cv_plan.lambda_grid), train.n_coefficients, cv_sampler_config)
+        _check_draw_store(largest * len(cv_plan.lambda_grid), train.n_coefficients, cv_config)
 
     final = []
     if external_pi_u is not None:
@@ -464,7 +464,7 @@ def fit_pipeline(
     else:
         design = train.subset(split.design_idx)
         tasks = [(design, None, prior, sampler_config, development.covariates)]
-        if lambda_grid == (0.0,):  # the final chain's weights are all 1, so it need not wait for pi_u
+        if one_value:  # the final chain's weights are all 1, so it need not wait for pi_u
             _require_both_classes(design)  # a worker's final chain would run to its end before the error
             tasks.append((development, np.ones(development.n), prior, sampler_config, None))
         (stage1, pi_u_dev), *final = map_jobs(_lone_fit, tasks, jobs)
@@ -473,18 +473,11 @@ def fit_pipeline(
     if n_boundary:
         logger.warning("%d first-stage probabilities sit exactly at 0 or 1", n_boundary)
 
-    if len(cv_plan.lambda_grid) == 1:
-        lambda_star, cv_table = cv_plan.lambda_grid[0], []
+    if one_value:
+        lambda_star, cv_table = 0.0, []
     else:
         lambda_star, cv_table = cv_select_lambda(
-            development,
-            pi_u_dev,
-            threshold,
-            cv_plan,
-            cv_sampler_config,
-            prior,
-            distance,
-            jobs=jobs,
+            development, pi_u_dev, threshold, cv_plan, cv_config, prior, distance, jobs=jobs
         )
 
     weights = compute_weights(pi_u_dev, threshold, [lambda_star], distance)[0]
@@ -519,7 +512,7 @@ def fit_pipeline(
         stage1=stage1,
         prior=prior,
         sampler_config=sampler_config,
-        cv_sampler_config=cv_sampler_config,
+        cv_sampler_config=cv_config,
     )
 
 

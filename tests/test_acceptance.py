@@ -25,7 +25,7 @@ from tailbayes.model_core import (
     threshold_band_for_benefit,
 )
 from tailbayes.predict import predictive_mean_sd
-from tailbayes.reproduce import CV_SAMPLER, FINAL_SAMPLER, reproduce_figure
+from tailbayes.reproduce import CV_CHAIN, FINAL_SAMPLER, reproduce_figure
 from tailbayes.sampler import SamplerConfig, mc_standard_error, run_mh
 from tailbayes.simulation import (
     Sim1Config,
@@ -119,7 +119,7 @@ def test_criterion_04_sim1_boundary_geometry():
         train,
         TargetThreshold(0.3),
         sampler_config=replace(FINAL_SAMPLER, rng_seed=100),
-        cv_sampler_config=replace(CV_SAMPLER, rng_seed=100),
+        cv_chain=CV_CHAIN,
     )
     baseline = fit_standard(train, replace(FINAL_SAMPLER, rng_seed=100))
 

@@ -87,6 +87,22 @@ def test_loaded_predictions_equal_in_memory_predictions(case, seed):
     assert np.array_equal(bits(means), bits(expected[0])) and np.array_equal(bits(sds), bits(expected[1]))
 
 
+def test_manifest_seeds_are_the_seeds_the_fit_ran():
+    """The manifest's fold seeds are the cv_table's, and split, stage 1 and the final fit use the base seed."""
+    train, _ = simulation.generate_sim1(Sim1Config(n=300, seed=7))
+    model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), cv_chain=(400, 150),
+                         sampler_config=SamplerConfig(n_iterations=600, burn_in=200, rng_seed=5))
+    with tempfile.TemporaryDirectory() as out:
+        save_fit(Path(out), model, data_path="train.csv", outcome_col="y", covariates=["x1", "x2"],
+                 utilities=None, design_fraction=0.2, standardizer=None, external_pi_u=None,
+                 rhat_chains=0, rhat=None)
+        manifest = dataio.read_manifest(Path(out) / "manifest.json")
+    seeds = manifest["seeds"]
+    assert sorted({(row["fold"], row["seed"]) for row in model.cv_table}) == list(enumerate(seeds["cv_folds"], 1))
+    assert seeds["split"] == seeds["stage1"] == seeds["final_fit"] == seeds["base"] == 5
+    assert manifest["cv_sampler"] == {"n_iterations": 400, "burn_in": 150, "thin": 1, "initial_sd": 0.1}
+
+
 @PROPERTY
 @given(st.integers(1, 10**6), st.integers(0, 2**63), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_study_builds_the_direct_config(n, seed, u):

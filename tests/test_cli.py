@@ -62,6 +62,12 @@ class TestSimulate:
             run(["simulate", "--study", "sim2", "--n", 50, "--seed", 9, "--out", out])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_infinite_q_is_usage_error_without_outputs(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--study", "sim1", "--n", 5, "--q", "inf", "--with-oracle", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: q must be finite, got inf\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_n_beyond_physical_memory_is_usage_error_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         assert run(["simulate", "--study", "sim1", "--n", 10**13, "--out", out]) == 2
@@ -395,12 +401,7 @@ class TestPredict:
 
     def test_permuted_schema_rejected(self, tmp_path, train_csv):
         model = fit_artifact(tmp_path, train_csv)
-        permuted = tmp_path / "permuted.csv"
-        header, rows = _read_csv(train_csv)
-        order = [header.index("x2"), header.index("x1"), header.index("y")]
-        lines = [",".join(header[i] for i in order)]
-        lines += [",".join(row[i] for i in order) for row in rows]
-        permuted.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        permuted = _permuted_csv(tmp_path, train_csv)
         assert run(["predict", "--model", model, "--data", permuted, "--out", tmp_path / "p.csv"]) == 3
 
     @pytest.mark.parametrize(
@@ -571,6 +572,19 @@ class TestEvaluate:
         _, delta_rows = _read_csv(out / "delta_nb.csv")
         assert all(float(r[1]) == 0.0 for r in delta_rows)  # same artifact twice
 
+    def test_model_mode_permuted_schema_is_the_data_error_predict_raises(self, tmp_path, train_csv, capsys):
+        model = fit_artifact(tmp_path, train_csv)
+        permuted = _permuted_csv(tmp_path, train_csv)
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", permuted, "--out", tmp_path / "p.csv"]) == 3
+        predict_err = capsys.readouterr().err
+        out = tmp_path / "eval"
+        assert run(["evaluate", "--model-a", model, "--data", permuted, "--thresholds", "0.3", "--out", out]) == 3
+        assert capsys.readouterr().err == predict_err
+        assert predict_err.startswith(f"data error: {permuted}: covariate columns ['x2', 'x1'] do not match")
+        assert predict_err.endswith("(same names, same order required)\n")
+        assert not out.exists()
+
     def test_evaluate_requires_one_input_mode(self, tmp_path):
         a = self._scored(tmp_path, "a.csv", [0.5], [1])
         assert run(["evaluate", "--thresholds", "0.5", "--out", tmp_path / "x"]) == 2
@@ -668,6 +682,14 @@ class TestReproduceAndEssGrid:
         assert "design matrix need 24000000000000 bytes, more than the" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_q_is_usage_error_before_any_repetition(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(reproduce, "_rep_worker", _no_fit)
+        out = tmp_path / "rep"
+        assert run(["reproduce", "--figure", "sim1-fig2", "--scale", 0.05, "--jobs", 1, "--n-list", "200",
+                    "--q-list", "1,inf", "--t-list", "0.3", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: q must be finite, got inf\n"
+        assert not out.exists()
+
     def test_ess_grid_from_file(self, tmp_path):
         pi = tmp_path / "pi.csv"
         pi.write_text("pi_u\n0.1\n0.4\n0.8\n", encoding="utf-8")
@@ -702,6 +724,20 @@ def test_nan_epsilon_is_usage_error_before_any_fit(tmp_path, train_csv, capsys, 
         args = ["ess-grid", "--pi-u-file", pi, "--t", 0.3]
     assert run([*args, "--distance", "epsilon-insensitive", "--epsilon", "nan", "--out", out]) == 2
     assert "epsilon must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "ess-grid"])
+def test_infinite_epsilon_is_usage_error_before_any_fit(tmp_path, train_csv, capsys, monkeypatch, command):
+    # written to the fit manifest, an infinite epsilon would be Infinity, which is not JSON
+    monkeypatch.setattr(cli, "fit_pipeline", _no_fit)
+    pi = tmp_path / "pi.csv"
+    pi.write_text("pi_u\n0.1\n0.4\n", encoding="utf-8")
+    args = {"fit": ["fit", train_csv, "--t", 0.3, "--jobs", 1, *FIT_SPEED],
+            "ess-grid": ["ess-grid", "--pi-u-file", pi, "--t", 0.3]}[command]
+    out = tmp_path / "out"
+    assert run([*args, "--distance", "epsilon-insensitive", "--epsilon", "inf", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: epsilon must be finite, got inf\n"
     assert not out.exists()
 
 
@@ -861,6 +897,17 @@ def test_scored_outcome_that_is_not_the_literal_zero_or_one_is_data_error(tmp_pa
     assert run(["evaluate", "--scored-a", bad, "--thresholds", 0.3, "--out", out]) == 3
     assert capsys.readouterr().err == f"data error: {bad}: '{outcome}' in column 'y', row 3 is not the literal 0 or 1\n"
     assert not out.exists()
+
+
+def _permuted_csv(tmp_path, train_csv):
+    """``train_csv`` with its covariate columns swapped: x2, x1, y."""
+    permuted = tmp_path / "permuted.csv"
+    header, rows = _read_csv(train_csv)
+    order = [header.index("x2"), header.index("x1"), header.index("y")]
+    lines = [",".join(header[i] for i in order)]
+    lines += [",".join(row[i] for i in order) for row in rows]
+    permuted.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return permuted
 
 
 def _read_csv(path):

@@ -144,7 +144,8 @@ class TestWeights:
         pi_u=arrays(np.float64, st.integers(0, 20), elements=st.floats(0.0, 1.0)),
         distance=st.one_of(
             st.just(DistanceFunction()),
-            st.builds(DistanceFunction, st.just("epsilon_insensitive"), st.floats(min_value=0.0)),
+            st.builds(DistanceFunction, st.just("epsilon_insensitive"),
+                      st.floats(min_value=0.0, allow_infinity=False)),
         ),
     )
     def test_lambda_zero_is_exactly_one_everywhere(self, t, pi_u, distance):
@@ -580,6 +581,11 @@ class TestDistanceFunction:
         # nan < 0 is False, so the check must be written as not (epsilon >= 0)
         with pytest.raises(ConfigError, match="epsilon must be >= 0"):
             DistanceFunction("epsilon_insensitive", math.nan)
+
+    def test_infinite_epsilon_rejected(self):
+        # the fit manifest records epsilon, and JSON has no infinity
+        with pytest.raises(ConfigError, match="^epsilon must be finite, got inf$"):
+            DistanceFunction("epsilon_insensitive", math.inf)
 
     def test_epsilon_zero_is_absolute_distance(self):
         dist = DistanceFunction("epsilon_insensitive", 0.0)

@@ -72,6 +72,14 @@ class TestSim1:
         with pytest.raises(ConfigError):
             Sim1Config(n=10, q=0.0)
 
+    def test_infinite_q_is_config_error(self):
+        # the oracle q x2 / (x1 + q x2) is inf / inf = nan at q = inf
+        with pytest.raises(ConfigError, match="^q must be finite, got inf$"):
+            Sim1Config(n=10, q=math.inf)
+        for q in (-math.inf, math.nan):
+            with pytest.raises(ConfigError, match="^q must be positive$"):
+                Sim1Config(n=10, q=q)
+
 
 @pytest.mark.parametrize("config", [Sim1Config, Sim2Config, Sim3Config])
 def test_n_whose_design_matrix_exceeds_physical_memory_is_config_error(config):

@@ -34,6 +34,7 @@ from tailbayes.tuning import (
 
 FAST = SamplerConfig(n_iterations=2500, burn_in=1000, rng_seed=11)
 FASTER = SamplerConfig(n_iterations=1200, burn_in=500, rng_seed=11)
+FASTER_CHAIN = (FASTER.n_iterations, FASTER.burn_in)  # (iterations, burn-in) of CV chains beside a FAST final chain
 
 
 class TestMakeSplit:
@@ -294,7 +295,7 @@ class TestCvSelectLambda:
         monkeypatch.setattr(tuning, "fit_folds", None)  # no chain may run
         with pytest.raises(ConfigError, match="need 33000000000000000 bytes, more than the"):
             fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), external_pi_u=np.full(train.n, 0.4),
-                         sampler_config=SamplerConfig(n_iterations=10**15, burn_in=0), cv_sampler_config=FASTER)
+                         sampler_config=SamplerConfig(n_iterations=10**15, burn_in=0), cv_chain=FASTER_CHAIN)
 
     def test_empty_fold_rejected_before_any_chain(self, monkeypatch):
         # 9 rows, 4 of them positive: the plan exists, but folds 5 to 8 of its k = 9 hold no row
@@ -490,7 +491,7 @@ class TestFitPipeline:
 
     def test_deterministic_rerun(self):
         train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=2))
-        kwargs = dict(lambda_grid=(0.0, 5.0, 25.0), sampler_config=FAST, cv_sampler_config=FASTER)
+        kwargs = dict(lambda_grid=(0.0, 5.0, 25.0), sampler_config=FAST, cv_chain=FASTER_CHAIN)
         a = fit_pipeline(train, TargetThreshold(0.3), **kwargs)
         b = fit_pipeline(train, TargetThreshold(0.3), **kwargs)
         assert a.lambda_star == b.lambda_star
@@ -504,7 +505,7 @@ class TestFitPipeline:
             TargetThreshold(0.3),
             lambda_grid=(0.0, 5.0, 25.0),
             sampler_config=FAST,
-            cv_sampler_config=FASTER,
+            cv_chain=FASTER_CHAIN,
         )
         development = train.subset(model.split.development_idx)
         (weights,) = compute_weights(model.pi_u_development, model.threshold, [model.lambda_star], model.distance)
@@ -569,7 +570,7 @@ class TestFitPipeline:
             TargetThreshold(0.3),
             lambda_grid=(0.0, 25.0),
             sampler_config=FAST,
-            cv_sampler_config=FASTER,
+            cv_chain=FASTER_CHAIN,
         )
         dist = np.abs(model.pi_u_development - 0.3)
         order = np.argsort(dist)
@@ -601,7 +602,6 @@ class TestLambdaSelectionSignal:
         from dataclasses import replace
 
         fast = SamplerConfig(n_iterations=1500, burn_in=600)
-        faster = SamplerConfig(n_iterations=1000, burn_in=400)
         positive = 0
         for rep in range(20):
             train, _ = generate_sim1(Sim1Config(n=600, q=1.0, seed=3000 + rep))
@@ -610,7 +610,7 @@ class TestLambdaSelectionSignal:
                 TargetThreshold(0.3),
                 lambda_grid=(0.0, 5.0, 10.0, 25.0, 50.0),
                 sampler_config=replace(fast, rng_seed=rep),
-                cv_sampler_config=replace(faster, rng_seed=rep),
+                cv_chain=(1000, 400),
             )
             positive += model.lambda_star > 0.0
         assert positive > 10

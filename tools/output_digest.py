@@ -99,6 +99,18 @@ RUNS = [
     ("fit_nan_epsilon", ["fit", "train.csv", "--t", "0.3", "--distance", "epsilon-insensitive",
                          "--epsilon", "nan", "--lambda-grid", "0,10", "--jobs", "1", "--seed", "13",
                          "--out", "fit_nan_epsilon", *FAST]),
+    # non-finite values a usage error must stop: an epsilon that JSON cannot hold, and a q whose oracle is nan
+    ("ess_grid_epsilon_inf", ["ess-grid", "--pi-u-file", "pi_u.csv", "--t", "0.3",
+                              "--distance", "epsilon-insensitive", "--epsilon", "inf",
+                              "--out", "ess_grid_epsilon_inf"]),
+    ("fit_epsilon_inf", ["fit", "train.csv", "--t", "0.3", "--distance", "epsilon-insensitive",
+                         "--epsilon", "inf", "--lambda-grid", "0,10", "--jobs", "1", "--seed", "13",
+                         "--out", "fit_epsilon_inf", *FAST]),
+    ("simulate_q_inf", ["simulate", "--study", "sim1", "--n", "5", "--q", "inf", "--with-oracle",
+                        "--out", "simulate_q_inf.csv"]),
+    ("reproduce_q_inf", ["reproduce", "--figure", "sim1-fig2", "--scale", "0.05", "--seed", "1",
+                         "--lambda-grid", "0,10", "--n-list", "200", "--q-list", "inf", "--t-list", "0.3",
+                         "--jobs", "1", "--out", "reproduce_q_inf"]),
     # an epsilon the squared distance does not take, and an n whose design matrix exceeds physical memory
     ("ess_grid_squared_epsilon", ["ess-grid", "--pi-u-file", "pi_u.csv", "--t", "0.3", "--distance", "squared",
                                   "--epsilon", "0.5", "--out", "ess_grid_squared_epsilon"]),
