@@ -18,7 +18,7 @@ from . import __version__, dataio
 from .errors import DataError
 from .model_core import UtilitySpec
 from .sampler import TARGET_ACCEPTANCE, PosteriorSamples, SamplerConfig
-from .tuning import FittedTailoredModel, ess_grid, fold_seed, rhat_seeds
+from .tuning import FittedTailoredModel, ess_grid
 
 __all__ = ["LoadedFit", "save_fit", "load_fit"]
 
@@ -30,14 +30,13 @@ def _sampler_block(config: SamplerConfig) -> dict:
 def save_fit(
     out: Path, model: FittedTailoredModel, *, data_path, outcome_col: str, covariates: list[str],
     utilities: UtilitySpec | None, design_fraction: float, standardizer: dataio.Standardizer | None,
-    external_pi_u, rhat_chains: int, rhat: np.ndarray | None,
+    external_pi_u, rhat: tuple[np.ndarray, list[int]] | None,
 ) -> None:
     """Write the artifact of ``model`` into the directory ``out``, creating it.
 
-    The keywords are what the model does not hold: the training file, its
-    schema and settings as given (``design_fraction`` even where external
-    first-stage probabilities skip the split), and the R-hat of the final
-    chain with ``rhat_chains - 1`` reruns (:func:`~tailbayes.tuning.final_fit_rhat`).
+    The keywords are what the model does not hold: the training file, its schema and settings as given
+    (``design_fraction`` even where external first-stage probabilities skip the split), and the (R-hat,
+    rerun seeds) pair of :func:`~tailbayes.tuning.final_fit_rhat` or None.  ``seeds`` lists the chains that ran.
     """
     base = model.sampler_config.rng_seed
     split = model.split
@@ -59,11 +58,11 @@ def save_fit(
         "standardize": standardizer.to_dict() if standardizer else None,
         "external_pi_u": str(external_pi_u) if external_pi_u else None,
         "sampler": dict(_sampler_block(model.sampler_config), target_acceptance=TARGET_ACCEPTANCE),
-        "cv_sampler": _sampler_block(model.cv_sampler_config),
-        # stage1 is the base seed even where external probabilities skip stage 1
-        "seeds": {"base": base, "split": base, "stage1": base, "final_fit": base,
-                  "cv_folds": [fold_seed(base, k) for k in range(model.cv_plan.k)],
-                  "rhat_chains": rhat_seeds(base, rhat_chains)},
+        "cv_sampler": _sampler_block(model.cv_sampler_config) if model.cv_table else None,
+        "seeds": {"base": base, "split": base, "final_fit": model.samples.rng_seed,
+                  "stage1": None if model.stage1 is None else model.stage1.rng_seed,
+                  "cv_folds": list({row["fold"]: row["seed"] for row in model.cv_table}.values()),
+                  "rhat_chains": [] if rhat is None else rhat[1]},
         "split": {"design_rows": split.design_idx.size, "development_rows": split.development_idx.size,
                   "indices_sha256": split.digest()},
         "cv_table": model.cv_table,
@@ -74,7 +73,7 @@ def save_fit(
                   "final_proposal_sd": model.samples.final_proposal_sd,
                   "retained_draws": model.samples.n_draws,
                   "nonfinite_proposals": model.samples.n_nonfinite_proposals},
-        "rhat": None if rhat is None else rhat.tolist(),
+        "rhat": None if rhat is None else rhat[0].tolist(),
     }
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_manifest(out / "manifest.json", manifest)

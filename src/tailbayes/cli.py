@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio
-from .artifact import load_fit, save_fit
+from .artifact import _sampler_block, load_fit, save_fit
 from .errors import ConfigError, DataError, SamplerError, TailbayesError
 from .evaluation import net_benefit, paired_delta
 from .model_core import Dataset, DistanceFunction, GaussianPrior, TargetThreshold, UtilitySpec, target_threshold
 from .predict import positive_mask, predictive_mean, predictive_mean_sd
-from .reproduce import FIGURES, reproduce_figure
+from .reproduce import CV_CHAIN, FIGURES, FINAL_SAMPLER, reproduce_figure
 from .sampler import SamplerConfig, _check_draw_store
 from .simulation import STUDY_PARAMETER, study
 from .tuning import DEFAULT_LAMBDA_GRID, ess_grid, final_fit_rhat, fit_pipeline
@@ -288,7 +288,7 @@ def cmd_fit(args) -> int:
     rhat = final_fit_rhat(train, model, args.rhat_chains, args.jobs) if args.rhat_chains else None
     save_fit(out, model, data_path=args.data, outcome_col=args.outcome_col, covariates=names,
              utilities=utilities, design_fraction=args.design_fraction, standardizer=standardizer,
-             external_pi_u=args.pi_u_file, rhat_chains=args.rhat_chains, rhat=rhat)
+             external_pi_u=args.pi_u_file, rhat=rhat)
     print(f"fitted lambda*={model.lambda_star} ess={model.ess_t:.1f} -> {out}")
     return EXIT_OK
 
@@ -432,6 +432,8 @@ def cmd_reproduce(args) -> int:
         "seed": args.seed,
         "lambda_grid": list(args.lambda_grid),
         "overrides": {k: list(v) for k, v in overrides.items() if v},
+        "sampler": _sampler_block(FINAL_SAMPLER),
+        "cv_chain": list(CV_CHAIN),
     }
     dataio.write_manifest(out / "manifest.json", manifest)
     print(f"wrote {len(raw)} repetition rows -> {out}")

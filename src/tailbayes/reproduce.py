@@ -96,6 +96,9 @@ def _rep_worker(payload: tuple) -> dict:
     row = dict(cell)
     row.update(
         rep=rep,
+        train_seed=train_seed,
+        test_seed=test_seed,
+        fit_seed=fit_seed,
         lambda_star=model.lambda_star,
         nb_tb=net_benefit(tailored_probs, test.outcomes, t).net_benefit,
         nb_sb=net_benefit(standard_probs, test.outcomes, t).net_benefit,

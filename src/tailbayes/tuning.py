@@ -516,19 +516,19 @@ def fit_pipeline(
     )
 
 
-def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int, jobs: int) -> np.ndarray:
-    """Gelman-Rubin R-hat per coefficient of the final chain plus ``n_chains - 1`` on :func:`rhat_seeds`.
+def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int, jobs: int) -> tuple[np.ndarray, list[int]]:
+    """Gelman-Rubin R-hat per coefficient of the final chain plus ``n_chains - 1`` reruns, and the reruns' seeds.
 
-    The reruns run side by side over at most ``jobs`` worker processes
-    (:func:`map_jobs`); the first failed one, in seed order, is raised.
+    The reruns run on :func:`rhat_seeds`, side by side over at most ``jobs`` worker
+    processes (:func:`map_jobs`); the first failed one, in seed order, is raised.
     """
     dev = train.subset(model.split.development_idx)
     tasks = [
         (dev, model.weights, model.prior, replace(model.sampler_config, rng_seed=seed), None)
         for seed in rhat_seeds(model.sampler_config.rng_seed, n_chains)
     ]
-    reruns = [chain.draws for chain in map_jobs(_lone_fit, tasks, jobs)]
-    return gelman_rubin([model.samples.draws] + reruns)
+    reruns = map_jobs(_lone_fit, tasks, jobs)
+    return gelman_rubin([model.samples.draws] + [c.draws for c in reruns]), [c.rng_seed for c in reruns]
 
 
 def ess_grid(

@@ -6,10 +6,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tailbayes import dataio, simulation
+from tailbayes import dataio, simulation, tuning
 from tailbayes.artifact import load_fit, save_fit
 from tailbayes.model_core import TargetThreshold
 from tailbayes.predict import predictive_mean_sd
@@ -51,8 +52,7 @@ def artifacts(draw, bound=None):
 def save_and_load(model, covariates, standardizer):
     with tempfile.TemporaryDirectory() as out:
         save_fit(Path(out), model, data_path="train.csv", outcome_col="y", covariates=covariates,
-                 utilities=None, design_fraction=0.2, standardizer=standardizer, external_pi_u=None,
-                 rhat_chains=0, rhat=None)
+                 utilities=None, design_fraction=0.2, standardizer=standardizer, external_pi_u=None, rhat=None)
         return load_fit(out)
 
 
@@ -87,20 +87,41 @@ def test_loaded_predictions_equal_in_memory_predictions(case, seed):
     assert np.array_equal(bits(means), bits(expected[0])) and np.array_equal(bits(sds), bits(expected[1]))
 
 
-def test_manifest_seeds_are_the_seeds_the_fit_ran():
-    """The manifest's fold seeds are the cv_table's, and split, stage 1 and the final fit use the base seed."""
+@pytest.mark.parametrize(
+    "grid, external, rhat_chains",
+    [((0.0,), False, 0), ((0.0, 5.0), False, 0), ((0.0, 5.0), True, 0), ((0.0,), False, 3)],
+    ids=["zero-grid", "two-value-grid", "external-pi-u", "rhat-3-chains"],
+)
+def test_manifest_seeds_are_the_seeds_the_fit_ran(monkeypatch, grid, external, rhat_chains):
+    """The manifest's seeds are exactly those of the chains that ran, and cv_sampler is null iff no CV chain ran."""
     train, _ = simulation.generate_sim1(Sim1Config(n=300, seed=7))
-    model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), cv_chain=(400, 150),
+    ran = []
+    real_run_mh = tuning.run_mh
+
+    def recording_run_mh(log_posterior, dim, config):
+        ran.append(config.rng_seed)
+        return real_run_mh(log_posterior, dim, config)
+
+    monkeypatch.setattr(tuning, "run_mh", recording_run_mh)  # every lone chain; the stacked CV chains are in cv_table
+    pi_u = np.linspace(0.05, 0.95, train.n) if external else None
+    model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=grid, cv_chain=(400, 150), external_pi_u=pi_u,
                          sampler_config=SamplerConfig(n_iterations=600, burn_in=200, rng_seed=5))
+    rhat = tuning.final_fit_rhat(train, model, rhat_chains, jobs=1) if rhat_chains else None
     with tempfile.TemporaryDirectory() as out:
         save_fit(Path(out), model, data_path="train.csv", outcome_col="y", covariates=["x1", "x2"],
-                 utilities=None, design_fraction=0.2, standardizer=None, external_pi_u=None,
-                 rhat_chains=0, rhat=None)
+                 utilities=None, design_fraction=0.2, standardizer=None, external_pi_u="pi_u.csv" if external else None,
+                 rhat=rhat)
         manifest = dataio.read_manifest(Path(out) / "manifest.json")
     seeds = manifest["seeds"]
+    assert seeds["base"] == seeds["split"] == seeds["final_fit"] == 5
+    assert (seeds["stage1"] is None) == external
+    assert ran == ([] if external else [seeds["stage1"]]) + [seeds["final_fit"]] + seeds["rhat_chains"]
+    assert len(seeds["rhat_chains"]) == max(rhat_chains - 1, 0)
     assert sorted({(row["fold"], row["seed"]) for row in model.cv_table}) == list(enumerate(seeds["cv_folds"], 1))
-    assert seeds["split"] == seeds["stage1"] == seeds["final_fit"] == seeds["base"] == 5
-    assert manifest["cv_sampler"] == {"n_iterations": 400, "burn_in": 150, "thin": 1, "initial_sd": 0.1}
+    assert len(seeds["cv_folds"]) == (0 if grid == (0.0,) else 5)
+    assert (manifest["cv_sampler"] is None) == (manifest["cv_table"] == [])
+    if model.cv_table:
+        assert manifest["cv_sampler"] == {"n_iterations": 400, "burn_in": 150, "thin": 1, "initial_sd": 0.1}
 
 
 @PROPERTY

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
-from tailbayes import cli, dataio, reproduce, tuning
+from tailbayes import cli, dataio, reproduce, simulation, tuning
 from tailbayes.cli import main
 from tailbayes.errors import SamplerError
+from tailbayes.evaluation import net_benefit
+from tailbayes.model_core import TargetThreshold
+from tailbayes.predict import predictive_mean
 
 FIT_SPEED = ["--iterations", "1500", "--burn-in", "600", "--cv-iterations", "800", "--cv-burn-in", "300"]
 
@@ -623,7 +627,8 @@ class TestReproduceAndEssGrid:
                     "--t-list", "0.3", "--lambda-grid", "0,10", "--out", out])
         assert code == 0
         header, rows = _read_csv(out / "nb_raw.csv")
-        assert header == ["n", "psi", "t", "rep", "lambda_star", "nb_tb", "nb_sb", "delta", "nb_optimal"]
+        assert header == ["n", "psi", "t", "rep", "train_seed", "test_seed", "fit_seed",
+                          "lambda_star", "nb_tb", "nb_sb", "delta", "nb_optimal"]
         assert len(rows) == 2  # 10% of 20 repetitions
         header, delta = _read_csv(out / "delta_nb.csv")
         assert header == ["n", "psi", "threshold", "mean_delta", "se_delta"]
@@ -634,6 +639,26 @@ class TestReproduceAndEssGrid:
         assert len(summary) == 1
         manifest = dataio.read_manifest(out / "manifest.json")
         assert manifest["figure"] == "sim3-fig6" and manifest["repetitions"] == 2
+        assert manifest["sampler"] == {"n_iterations": 8000, "burn_in": 3000, "thin": 1, "initial_sd": 0.15}
+        assert manifest["cv_chain"] == [3000, 1200]
+
+    def test_raw_row_reruns_from_its_recorded_seeds_alone(self, tmp_path):
+        out = tmp_path / "rep"
+        assert run(["reproduce", "--figure", "sim3-fig6", "--scale", 0.05, "--seed", 2, "--jobs", 1,
+                    "--n-list", "200", "--psi-list", "0.1", "--t-list", "0.3", "--lambda-grid", "0,10",
+                    "--out", out]) == 0
+        header, rows = _read_csv(out / "nb_raw.csv")
+        row = dict(zip(header, rows[0]))
+        generate, train_config = simulation.study("sim3", 200, int(row["train_seed"]), 0.1)
+        test = generate(simulation.study("sim3", reproduce.TEST_SET_SIZE, int(row["test_seed"]), 0.0)[1])[0]
+        config = replace(reproduce.FINAL_SAMPLER, rng_seed=int(row["fit_seed"]))
+        train, t = generate(train_config)[0], TargetThreshold(0.3)
+        model = tuning.fit_pipeline(train, t, lambda_grid=(0.0, 10.0), sampler_config=config,
+                                    cv_chain=reproduce.CV_CHAIN)
+        baseline = tuning.fit_standard(train, config)
+        assert float(row["lambda_star"]) == model.lambda_star
+        for key, samples in (("nb_tb", model.samples), ("nb_sb", baseline)):
+            assert float(row[key]) == net_benefit(predictive_mean(test.covariates, samples), test.outcomes, t).net_benefit
 
     @pytest.mark.parametrize(
         "lists",

@@ -469,9 +469,10 @@ class TestFitPipeline:
     def test_rhat_reruns_do_not_depend_on_jobs(self):
         train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=9))
         model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER)
-        serial = final_fit_rhat(train, model, 3, jobs=1)
-        assert serial.shape == (3,)
-        assert np.array_equal(final_fit_rhat(train, model, 3, jobs=2), serial)
+        serial, serial_seeds = final_fit_rhat(train, model, 3, jobs=1)
+        assert serial.shape == (3,) and serial_seeds == tuning.rhat_seeds(FASTER.rng_seed, 3)
+        pooled, pooled_seeds = final_fit_rhat(train, model, 3, jobs=2)
+        assert np.array_equal(pooled, serial) and pooled_seeds == serial_seeds
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_failed_rhat_rerun_in_seed_order_is_raised(self, jobs, monkeypatch):

@@ -64,6 +64,10 @@ RUNS = [
                       "--distance", "epsilon-insensitive", "--epsilon", "0.05",
                       "--lambda-grid", "0,10", "--jobs", "1", "--seed", "13",
                       "--out", "fit_external", *FAST]),
+    # a one-value grid on external probabilities: no stage 1 and no CV chain ran, one R-hat rerun did
+    ("fit_zero_external_rhat", ["fit", "train.csv", "--t", "0.3", "--pi-u-file", "pi_u.csv", "--lambda-grid", "0",
+                                "--rhat-chains", "2", "--jobs", "1", "--seed", "15",
+                                "--out", "fit_zero_external_rhat", *FAST]),
     ("predict_std", ["predict", "--model", "fit_std", "--data", "test_a.csv",
                      "--out", "predict_std.csv"]),
     ("predict_zero", ["predict", "--model", "fit_zero", "--data", "test_a.csv",
