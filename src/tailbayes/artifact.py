@@ -1,8 +1,9 @@
 """The fit artifact, the directory ``fit`` writes and ``predict`` and ``evaluate`` score with.
 
 It holds ``manifest.json`` (configuration, seeds, chain diagnostics),
-``draws.csv``, ``weights.csv`` (first-stage probability and weight per
-development row) and ``ess_table.csv``.  Only this module knows these
+``draws.csv``, ``weights.csv`` (first-stage probability, empty for a
+one-value grid without stage 1, and weight per development row) and
+``ess_table.csv``.  Only this module knows these
 file names and the manifest's fields.
 """
 
@@ -18,7 +19,7 @@ from . import __version__, dataio
 from .errors import DataError
 from .model_core import UtilitySpec
 from .sampler import TARGET_ACCEPTANCE, PosteriorSamples, SamplerConfig
-from .tuning import FittedTailoredModel, ess_grid
+from .tuning import FittedTailoredModel, ess_grid, _ess_rows
 
 __all__ = ["LoadedFit", "save_fit", "load_fit"]
 
@@ -40,7 +41,10 @@ def save_fit(
     """
     base = model.sampler_config.rng_seed
     split = model.split
-    grid_rows = ess_grid(model.pi_u_development, model.threshold, model.cv_plan.lambda_grid, model.distance)
+    if model.pi_u_development is None:  # a one-value grid without stage 1: its one weight row is all 1
+        grid_rows = _ess_rows(model.cv_plan.lambda_grid, [model.weights])
+    else:
+        grid_rows = ess_grid(model.pi_u_development, model.threshold, model.cv_plan.lambda_grid, model.distance)
     manifest = {
         "tool": "tailbayes",
         "version": __version__,
@@ -78,10 +82,11 @@ def save_fit(
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_manifest(out / "manifest.json", manifest)
     dataio.write_draws_csv(out / "draws.csv", ["intercept"] + covariates, model.samples.draws)
+    pi_u = [None] * split.development_idx.size if model.pi_u_development is None else model.pi_u_development.tolist()
     dataio.write_rows(
         out / "weights.csv",
-        ["row", "pi_u", "weight"],
-        zip(split.development_idx.tolist(), model.pi_u_development.tolist(), model.weights.tolist()),
+        ["row", "pi_u", "weight"],  # a pi_u cell is empty where no stage 1 ran
+        zip(split.development_idx.tolist(), pi_u, model.weights.tolist()),
     )
     dataio.write_ess_table(out / "ess_table.csv", grid_rows)
 

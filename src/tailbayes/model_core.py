@@ -283,6 +283,19 @@ def compute_weights(
     return np.exp(-lam[:, None] * distance(p, threshold.t))
 
 
+# OpenBLAS's x86_64 ddot splits a vector longer than this across its threads, so the rounding of its sum would
+# depend on the thread count; every row sum of the log-likelihood runs in chunks of at most this many columns
+_DOT_COLUMNS = 10_000
+
+
+def _chunked_dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """``np.vecdot`` of two vectors summed in chunks of ``_DOT_COLUMNS`` columns, added in order."""
+    total = np.vecdot(a[:_DOT_COLUMNS], b[:_DOT_COLUMNS])
+    for start in range(_DOT_COLUMNS, a.shape[-1], _DOT_COLUMNS):
+        total = total + np.vecdot(a[start : start + _DOT_COLUMNS], b[start : start + _DOT_COLUMNS])
+    return total
+
+
 def _softplus(z: np.ndarray) -> np.ndarray:
     """log(1 + e^z) without overflow, via max(z, 0) + log1p(e^-|z|)."""
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
@@ -376,7 +389,9 @@ def _stacked_log_posterior(datasets, weights, prior: GaussianPrior):
     log-likelihood, so the loss sum_i w_i log(1 + e^(s_i z_i)) of every
     row is one ``matmul``, ``exp`` and ``log1p`` in a product buffer,
     then one ``vecdot`` per run of consecutive groups of equal n_g over
-    their own n_g columns.  Padding columns are computed, never summed,
+    their own n_g columns, in chunks of at most ``_DOT_COLUMNS`` columns
+    whose sums are added in order, so that no sum depends on the number
+    of BLAS threads.  Padding columns are computed, never summed,
     so a group's values are those of its own callable whenever the
     stacked ``matmul`` rounds as the group's own does, whatever the
     other groups' sizes and its weights' memory layout.  A row whose loss
@@ -422,23 +437,29 @@ def _stacked_log_posterior(datasets, weights, prior: GaussianPrior):
     def fill_rows(b: np.ndarray, out: np.ndarray) -> None:
         k = len(b)
         views = cache.get(k)
-        if views is None:  # the product buffer, the losses, and the (products, weights, losses) of each run
+        if views is None:  # the product buffer, the losses, and each run's (products, weights, losses, later chunks)
             if len(cache) >= 8:
                 cache.clear()
             product, loss = np.empty((n_groups, k // n_groups, n_max)), np.empty(k)
             products, losses = product.reshape(n_groups, -1, n_rows, n_max), loss.reshape(n_groups, -1, n_rows)
-            runs = [(products[g:h, ..., :n], w_stack[g:h, None, :, :n], losses[g:h]) for g, h, n in spans]
+            runs = []
+            for g, h, n in spans:  # a chunk after the first adds its (products, weights) sums from a buffer of its own
+                cols = [slice(a, min(a + _DOT_COLUMNS, n)) for a in range(0, n, _DOT_COLUMNS)]
+                chunks = [(products[g:h, ..., c], w_stack[g:h, None, :, c]) for c in cols]
+                runs.append((*chunks[0], losses[g:h], [(*c, np.empty(losses[g:h].shape)) for c in chunks[1:]]))
             views = cache[k] = (n_groups, k // n_groups, mu.size), product, loss, runs, np.empty(b.shape), np.empty(k)
         shape, product, loss, runs, z, half_sq = views
         e = np.matmul(b.reshape(shape), xs, product)
         np.exp(e, e)
         np.log1p(e, e)
-        for products, w, losses in runs:
+        for products, w, losses, tail in runs:
             np.vecdot(products, w, losses)
+            for products, w, part in tail:
+                np.add(losses, np.vecdot(products, w, part), losses)
         if not math.isfinite(sum(loss.tolist())):  # for a few rows, cheaper than np.add.reduce
             for r in np.flatnonzero(~np.isfinite(loss)):
                 g = r // shape[1]
-                loss[r] = np.vecdot(w_stack[g, r % n_rows, : sizes[g]], _softplus(b[r] @ xs[g, :, : sizes[g]]))
+                loss[r] = _chunked_dot(w_stack[g, r % n_rows, : sizes[g]], _softplus(b[r] @ xs[g, :, : sizes[g]]))
         np.divide(b if centre is None else b - centre, scale, z)
         np.multiply(np.vecdot(z, z, half_sq), half, half_sq)
         np.add(loss, half_sq, out)

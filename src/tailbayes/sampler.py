@@ -137,9 +137,14 @@ def run_mh(
     rejections would, and evaluates them in one call (m = 4).  It takes
     the iterations up to and including the first accept and proposes the
     rest again from the new state; a block never spans an adaptation
-    step.  Its accept tests run on Python floats.  So the chain, and the
-    random stream it uses, are those of one proposal per call, as long as
-    a row's value does not depend on the block it is evaluated in.
+    step.  Its accept tests run on Python floats.  The random stream is
+    that of one proposal per call.  With the callable of
+    :func:`~tailbayes.model_core.make_log_posterior`, a block of 2 to 4
+    rows gives each row the bits the 4-row block gives it, but a 1-row
+    block (where a batch leaves one iteration) rounds its BLAS product
+    differently in the last bits.  So the chain's values, and an accept
+    test whose log u falls in that gap, can differ from those of one
+    proposal per call; a rerun through ``run_mh`` repeats them bit for bit.
     """
     (chain,) = _run_chains(log_posterior, [config.rng_seed], 1, dim, config)
     if isinstance(chain, SamplerError):

@@ -8,13 +8,13 @@ is 1 and the pipeline reduces exactly to standard Bayesian logistic
 regression.
 
 The final, stage-1 and standard fits are single chains, each one
-:func:`~tailbayes.sampler.run_mh` run (:func:`fit_tailored`).  Each CV
-fold's lam chains share the fold's seed and so its random stream, and
-the folds a worker takes run stacked in one sampler loop, with one
-log-posterior call per iteration for all their chains
-(:func:`fit_folds`).  Work that does not depend on other work runs side
-by side over :func:`map_jobs`: CV fold groups, stage 1 next to the final
-chain of a one-value grid, and the R-hat reruns.
+:func:`~tailbayes.sampler.run_mh` run (:func:`fit_tailored`).  A
+one-value grid {0} weights every row 1 whatever the first-stage model
+says, so it runs no stage 1.  Each CV fold's lam chains share the fold's
+seed and so its random stream, and the folds a worker takes run stacked
+in one sampler loop, with one log-posterior call per iteration for all
+their chains (:func:`fit_folds`).  CV fold groups and the R-hat reruns
+run side by side over :func:`map_jobs`.
 """
 
 from __future__ import annotations
@@ -278,17 +278,9 @@ def _fold_groups(k: int, jobs: int) -> list[np.ndarray]:
     return np.array_split(np.arange(k), min(jobs, k))
 
 
-def _lone_fit(payload: tuple):
-    """Stage 1 on ``data`` and its pi_u at ``predict_x``, or, without ``predict_x``, ``fit_tailored`` on ``data``.
-
-    Top-level so pools can pickle it.  A failed chain raises, and
-    :func:`map_jobs` raises the first failure in payload order.
-    """
-    data, weights, prior, config, predict_x = payload
-    if predict_x is None:
-        return fit_tailored(data, weights, prior, config)
-    stage1 = stage1_pi_u(data, config, prior)
-    return stage1, predictive_mean(predict_x, stage1)
+def _lone_fit(payload: tuple) -> PosteriorSamples:
+    """``fit_tailored(*payload)``, top-level so pools can pickle it; :func:`map_jobs` raises the first failure."""
+    return fit_tailored(*payload)
 
 
 def _cv_folds(payload: tuple) -> list[list[tuple[float, str | None]]]:
@@ -391,7 +383,7 @@ class FittedTailoredModel:
     cv_table: list[dict]
     ess_t: float
     weights: np.ndarray
-    pi_u_development: np.ndarray
+    pi_u_development: np.ndarray | None
     stage1: PosteriorSamples | None
     prior: GaussianPrior
     sampler_config: SamplerConfig
@@ -425,14 +417,15 @@ def fit_pipeline(
     CV chains (:func:`fold_seed`) differ from the final chain only in
     ``cv_chain``, their (iterations, burn-in), by default the final chain's.
     When ``external_pi_u`` provides per-row probabilities for the whole
-    training set, no design split is made and stage 1 is skipped.
+    training set, no design split is made and stage 1 is skipped.  A
+    one-value grid, whose lam* = 0 weights every row 1 whatever pi_u is,
+    needs no stage 1 either: without ``external_pi_u`` it splits and checks
+    the design rows' classes, and its ``stage1`` and ``pi_u_development``
+    are None.
 
-    ``jobs`` bounds the worker processes (:func:`map_jobs`).  CV fold
-    groups run side by side (:func:`cv_select_lambda`), and with stage 1
-    and a one-value grid, whose lam* = 0 weights every row 1 whatever
-    pi_u is, stage 1 runs beside the final chain.  Every chain runs on
-    the same inputs and seed either way, so the result does not depend
-    on ``jobs``.
+    ``jobs`` bounds the worker processes of the CV fold groups
+    (:func:`cv_select_lambda`).  Every chain runs on the same inputs and
+    seed whatever ``jobs`` is, so the result does not depend on it.
     """
     cv_config = sampler_config if cv_chain is None else replace(
         sampler_config, n_iterations=cv_chain[0], burn_in=cv_chain[1]
@@ -457,19 +450,16 @@ def fit_pipeline(
         largest = max(len(group) for group in _fold_groups(cv_plan.k, jobs))
         _check_draw_store(largest * len(cv_plan.lambda_grid), train.n_coefficients, cv_config)
 
-    final = []
+    stage1 = pi_u_dev = None
     if external_pi_u is not None:
-        stage1 = None
         pi_u_dev = external_pi_u[split.development_idx]
+    elif one_value:  # lam* = 0 weights every row 1 whatever pi_u is, so stage 1 has nothing to give
+        _require_both_classes(train.subset(split.design_idx))
     else:
-        design = train.subset(split.design_idx)
-        tasks = [(design, None, prior, sampler_config, development.covariates)]
-        if one_value:  # the final chain's weights are all 1, so it need not wait for pi_u
-            _require_both_classes(design)  # a worker's final chain would run to its end before the error
-            tasks.append((development, np.ones(development.n), prior, sampler_config, None))
-        (stage1, pi_u_dev), *final = map_jobs(_lone_fit, tasks, jobs)
+        stage1 = stage1_pi_u(train.subset(split.design_idx), sampler_config, prior)
+        pi_u_dev = predictive_mean(development.covariates, stage1)
 
-    n_boundary = int(np.count_nonzero((pi_u_dev == 0.0) | (pi_u_dev == 1.0)))
+    n_boundary = 0 if pi_u_dev is None else int(np.count_nonzero((pi_u_dev == 0.0) | (pi_u_dev == 1.0)))
     if n_boundary:
         logger.warning("%d first-stage probabilities sit exactly at 0 or 1", n_boundary)
 
@@ -480,7 +470,10 @@ def fit_pipeline(
             development, pi_u_dev, threshold, cv_plan, cv_config, prior, distance, jobs=jobs
         )
 
-    weights = compute_weights(pi_u_dev, threshold, [lambda_star], distance)[0]
+    if pi_u_dev is None:
+        weights = np.ones(development.n)
+    else:
+        weights = compute_weights(pi_u_dev, threshold, [lambda_star], distance)[0]
     ess_t = effective_sample_size(weights)
     if ess_t / development.n < ESS_WARNING_FRACTION:
         logger.warning(
@@ -488,7 +481,7 @@ def fit_pipeline(
             ess_t,
             100 * ESS_WARNING_FRACTION,
         )
-    samples = final[0] if final else fit_tailored(development, weights, prior, sampler_config)
+    samples = fit_tailored(development, weights, prior, sampler_config)
     low, high = ACCEPTANCE_WARNING_RANGE
     if not low <= samples.acceptance_rate <= high:
         logger.warning(
@@ -524,7 +517,7 @@ def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int, jo
     """
     dev = train.subset(model.split.development_idx)
     tasks = [
-        (dev, model.weights, model.prior, replace(model.sampler_config, rng_seed=seed), None)
+        (dev, model.weights, model.prior, replace(model.sampler_config, rng_seed=seed))
         for seed in rhat_seeds(model.sampler_config.rng_seed, n_chains)
     ]
     reruns = map_jobs(_lone_fit, tasks, jobs)
@@ -538,8 +531,13 @@ def ess_grid(
     distance: DistanceFunction = DistanceFunction(),
 ) -> list[dict]:
     """Effective sample size per lam candidate, computable before any fit."""
+    return _ess_rows(lambda_grid, compute_weights(pi_u, threshold, lambda_grid, distance))
+
+
+def _ess_rows(lambda_grid, weights) -> list[dict]:
+    """The :func:`ess_grid` rows of the weight rows ``weights``, one per lam of ``lambda_grid``."""
     rows = []
-    for lam, w in zip(lambda_grid, compute_weights(pi_u, threshold, lambda_grid, distance)):
+    for lam, w in zip(lambda_grid, weights):
         ess = effective_sample_size(w)
         rows.append(
             {

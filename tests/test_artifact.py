@@ -114,8 +114,9 @@ def test_manifest_seeds_are_the_seeds_the_fit_ran(monkeypatch, grid, external, r
         manifest = dataio.read_manifest(Path(out) / "manifest.json")
     seeds = manifest["seeds"]
     assert seeds["base"] == seeds["split"] == seeds["final_fit"] == 5
-    assert (seeds["stage1"] is None) == external
-    assert ran == ([] if external else [seeds["stage1"]]) + [seeds["final_fit"]] + seeds["rhat_chains"]
+    stage1_ran = not external and grid != (0.0,)  # a {0} grid weights every row 1, so it needs no stage 1
+    assert (seeds["stage1"] is None) == (model.stage1 is None) == (not stage1_ran)
+    assert ran == ([seeds["stage1"]] if stage1_ran else []) + [seeds["final_fit"]] + seeds["rhat_chains"]
     assert len(seeds["rhat_chains"]) == max(rhat_chains - 1, 0)
     assert sorted({(row["fold"], row["seed"]) for row in model.cv_table}) == list(enumerate(seeds["cv_folds"], 1))
     assert len(seeds["cv_folds"]) == (0 if grid == (0.0,) else 5)

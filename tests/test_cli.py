@@ -94,7 +94,7 @@ class TestFit:
         assert (m1 / "weights.csv").read_bytes() == (m2 / "weights.csv").read_bytes()
 
     def test_zero_grid_artifact_does_not_depend_on_jobs(self, tmp_path, train_csv):
-        # --jobs 2 runs stage 1 beside the final chain
+        # a {0} grid runs one chain in process whatever --jobs is
         m1, m2 = (fit_artifact(tmp_path, train_csv, f"m{jobs}", extra=["--lambda-grid", "0", "--jobs", jobs])
                   for jobs in (1, 2))
         files = sorted(p.name for p in m1.iterdir())

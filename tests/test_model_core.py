@@ -524,6 +524,50 @@ class TestWeightLayout:
             assert np.array_equal(stacked[g * 6 : (g + 1) * 6], own), g
 
 
+class TestRoundingClasses:
+    """What the bit identity of prefetched and stacked chains rests on, pinned with the BLAS this numpy runs."""
+
+    PRIOR = GaussianPrior(np.array([0.5, -1.0, 0.25]), np.array([2.0, 5.0, 0.5]))
+
+    @pytest.mark.parametrize("n", [200, 640, 1000, 8000])
+    def test_blocks_of_two_to_four_rows_and_a_stack_of_eight_round_as_the_four_row_block(self, n):
+        """A prefetched chain evaluates blocks of up to 4 rows and CV stacks C = 8 chains; both give the 4-row bits.
+
+        A 1-row product rounds some elements of every row differently, and so may its value: nothing is said of it.
+        """
+        rng = np.random.default_rng(n)
+        data, _ = random_dataset(rng, n=n)
+        w = rng.uniform(0.0, 2.0, size=n)
+        b = rng.standard_normal((8, 3)) * 0.5
+        logpost = make_log_posterior(data, w, self.PRIOR)
+        blocks = np.concatenate([logpost(b[:4]), logpost(b[4:])])
+        for m in (2, 3, 4):
+            for start in range(8 - m + 1):
+                assert np.array_equal(logpost(b[start : start + m]), blocks[start : start + m]), (m, start)
+        assert np.array_equal(make_log_posterior(data, np.tile(w, (8, 1)), self.PRIOR)(b), blocks)
+
+    def test_a_chain_on_more_than_ten_thousand_rows_does_not_depend_on_the_blas_thread_count(self):
+        """OpenBLAS splits a ddot longer than 10 000 elements across threads; each row sum stays in shorter chunks."""
+        code = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from tailbayes.model_core import GaussianPrior, make_log_posterior\n"
+            "from tailbayes.sampler import SamplerConfig, run_mh\n"
+            "from tailbayes.simulation import Sim1Config, generate_sim1\n"
+            "data, _ = generate_sim1(Sim1Config(n=12_600, q=1.0, seed=3))\n"
+            "logpost = make_log_posterior(data, np.ones(data.n), GaussianPrior.vague(data.n_coefficients))\n"
+            "chain = run_mh(logpost, data.n_coefficients, SamplerConfig(n_iterations=4000, burn_in=1000, rng_seed=5))\n"
+            "print(hashlib.sha256(chain.draws.tobytes() + chain.log_posterior_trace.tobytes()).hexdigest())"
+        )
+        src = str(Path(tailbayes.__file__).resolve().parents[1])
+        hashes = [
+            subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=t),
+                           capture_output=True, text=True, check=True).stdout
+            for t in ("1", "2")
+        ]
+        assert len(hashes[0]) == 65 and hashes[0] == hashes[1]
+
+
 class TestGradient:
     def test_matches_central_differences(self):
         """Analytic gradient vs step-1e-5 central differences, 100 instances."""

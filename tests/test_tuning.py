@@ -434,30 +434,28 @@ class TestFitPipeline:
         assert np.all(model.weights == 1.0)
         assert model.ess_t == development.n
 
-    def test_one_value_grid_runs_stage1_beside_the_final_chain(self, monkeypatch):
-        """jobs = 2 runs stage 1 and the final chain in two workers; every output is the jobs = 1 one, bit for bit."""
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_value_grid_runs_only_the_final_chain(self, jobs, monkeypatch):
+        """A {0} grid runs no stage 1 and no pool: its one chain is the standard fit on the development rows."""
         train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=8))
-        task_counts = []
-        real_map_jobs = tuning.map_jobs
+        seeds = []
+        real_run_mh = tuning.run_mh
 
-        def recording(fn, payloads, jobs):
-            task_counts.append(len(payloads))
-            return real_map_jobs(fn, payloads, jobs)
+        def recording(log_posterior, dim, config):
+            seeds.append(config.rng_seed)
+            return real_run_mh(log_posterior, dim, config)
 
-        monkeypatch.setattr(tuning, "map_jobs", recording)
-        serial, pooled = (
-            fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER, jobs=jobs)
-            for jobs in (1, 2)
-        )
-        assert task_counts == [2, 2]
-        for a, b in ((serial.stage1, pooled.stage1), (serial.samples, pooled.samples)):
-            assert np.array_equal(a.draws, b.draws)
-            assert np.array_equal(a.log_posterior_trace, b.log_posterior_trace)
-            assert np.array_equal(a.accepted, b.accepted)
-            assert np.array_equal(a.proposal_sd_trace, b.proposal_sd_trace)
-        assert np.array_equal(serial.pi_u_development, pooled.pi_u_development)
-        assert np.array_equal(serial.weights, pooled.weights)
-        assert np.all(pooled.weights == 1.0)
+        monkeypatch.setattr(tuning, "run_mh", recording)
+        monkeypatch.setattr(tuning, "map_jobs", None)
+        model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER, jobs=jobs)
+        assert seeds == [FASTER.rng_seed]
+        baseline = fit_standard(train.subset(model.split.development_idx), FASTER)
+        assert np.array_equal(model.samples.draws, baseline.draws)
+        assert np.array_equal(model.samples.log_posterior_trace, baseline.log_posterior_trace)
+        assert np.array_equal(model.samples.accepted, baseline.accepted)
+        assert np.array_equal(model.samples.proposal_sd_trace, baseline.proposal_sd_trace)
+        assert model.stage1 is None and model.pi_u_development is None
+        assert np.all(model.weights == 1.0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_single_class_design_is_the_same_error_at_any_jobs(self, jobs, monkeypatch):
@@ -523,7 +521,7 @@ class TestFitPipeline:
     def test_no_leakage_index_bookkeeping(self):
         train, _ = generate_sim1(Sim1Config(n=250, q=1.0, seed=4))
         model = fit_pipeline(
-            train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER
+            train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), sampler_config=FASTER
         )
         design, dev = model.split.design_idx, model.split.development_idx
         assert np.intersect1d(design, dev).size == 0

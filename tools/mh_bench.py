@@ -13,7 +13,11 @@ runs three cases:
 - ``CV``: ``tailbayes.tuning.cv_select_lambda`` over K = 5 folds and the
   8-value default grid, n = 880, 3000 iterations (1200 burn-in), in
   process: the 40 CV chains of one ``reproduce`` repetition, plus their
-  predictions and Net Benefit.
+  predictions and Net Benefit;
+- ``CV1`` and ``CV2``: ``fit_folds`` on 5 and on 10 folds stacked in one
+  call, each fold with its own rows (n = 640) and seed and eight lambda
+  chains, 3000 iterations (1200 burn-in): the CV chains of one
+  ``reproduce`` repetition, and those of two repetitions run together.
 
 Both trees are imported into one process, each under its own copy of the
 ``tailbayes`` modules, and run the same inputs.  After one untimed run
@@ -50,6 +54,8 @@ CASES = {
     "C=8": {"chains": 8, "n": 640, "iterations": 3000, "burn_in": 1200},
     "C=1": {"chains": 1, "n": 200, "iterations": 8000, "burn_in": 3000},
     "CV": {"chains": 8, "n": 880, "iterations": 3000, "burn_in": 1200, "folds": 5},
+    "CV1": {"chains": 8, "n": 640, "iterations": 3000, "burn_in": 1200, "groups": 5},
+    "CV2": {"chains": 8, "n": 640, "iterations": 3000, "burn_in": 1200, "groups": 10},
 }
 
 
@@ -71,17 +77,21 @@ def load_tree(src: Path) -> dict:
 def make_inputs(tree: dict, case: dict) -> tuple:
     rng = np.random.default_rng(20211)
     n = case["n"]
-    x = rng.standard_normal((n, 2))
-    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x @ [1.0, -0.5] - 0.4)))).astype(float)
-    pi_u = 1.0 / (1.0 + np.exp(-(x @ [0.8, -0.4] - 0.3)))
     core, sampler, tuning = tree["model_core"], tree["sampler"], tree["tuning"]
     config = sampler.SamplerConfig(n_iterations=case["iterations"], burn_in=case["burn_in"], initial_sd=0.15, rng_seed=31)
+    rows = []  # (data, pi_u) of each group
+    for _ in range(case.get("groups", 1)):
+        x = rng.standard_normal((n, 2))
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x @ [1.0, -0.5] - 0.4)))).astype(float)
+        rows.append((core.Dataset.from_raw(x, y), 1.0 / (1.0 + np.exp(-(x @ [0.8, -0.4] - 0.3)))))
     if "folds" in case:
-        plan = tuning.make_cv_plan(y, k=case["folds"], lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=31)
-        return (core.Dataset.from_raw(x, y), pi_u, core.TargetThreshold(0.3), plan, config)
+        ((data, pi_u),) = rows
+        plan = tuning.make_cv_plan(data.outcomes, k=case["folds"], lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=31)
+        return (data, pi_u, core.TargetThreshold(0.3), plan, config)
     lams = [0.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0][: case["chains"]]
-    weights = np.exp(-np.outer(lams, (pi_u - 0.3) ** 2))
-    return ([core.Dataset.from_raw(x, y)], [weights], core.GaussianPrior.vague(3), config, [config.rng_seed])
+    weights = [np.exp(-np.outer(lams, (pi_u - 0.3) ** 2)) for _, pi_u in rows]
+    seeds = [config.rng_seed + g for g in range(len(rows))]
+    return ([data for data, _ in rows], weights, core.GaussianPrior.vague(3), config, seeds)
 
 
 def digest(result) -> tuple:
@@ -90,9 +100,8 @@ def digest(result) -> tuple:
         lam, table = result
         values = np.array([lam] + [np.nan if row["nb"] is None else row["nb"] for row in table])
         return (("cv", hashlib.sha256(values.tobytes()).hexdigest()),)
-    (fold,) = result
     chains, lp = hashlib.sha256(), hashlib.sha256()
-    for chain in fold:
+    for chain in (chain for fold in result for chain in fold):
         for part in (chain.draws, chain.accepted, chain.proposal_sd_trace):
             chains.update(np.ascontiguousarray(part).tobytes())
         chains.update(str(chain.n_nonfinite_proposals).encode())
