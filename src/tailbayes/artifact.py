@@ -19,7 +19,7 @@ from . import __version__, dataio
 from .errors import DataError
 from .model_core import UtilitySpec
 from .sampler import TARGET_ACCEPTANCE, PosteriorSamples, SamplerConfig
-from .tuning import FittedTailoredModel, ess_grid, _ess_rows
+from .tuning import FittedTailoredModel
 
 __all__ = ["LoadedFit", "save_fit", "load_fit"]
 
@@ -41,10 +41,6 @@ def save_fit(
     """
     base = model.sampler_config.rng_seed
     split = model.split
-    if model.pi_u_development is None:  # a one-value grid without stage 1: its one weight row is all 1
-        grid_rows = _ess_rows(model.cv_plan.lambda_grid, [model.weights])
-    else:
-        grid_rows = ess_grid(model.pi_u_development, model.threshold, model.cv_plan.lambda_grid, model.distance)
     manifest = {
         "tool": "tailbayes",
         "version": __version__,
@@ -72,7 +68,7 @@ def save_fit(
         "cv_table": model.cv_table,
         "ess_t": model.ess_t,
         "ess_fraction": model.ess_fraction,
-        "ess_grid": grid_rows,
+        "ess_grid": model.ess_grid,
         "chain": {"acceptance_rate": model.samples.acceptance_rate,
                   "final_proposal_sd": model.samples.final_proposal_sd,
                   "retained_draws": model.samples.n_draws,
@@ -88,7 +84,7 @@ def save_fit(
         ["row", "pi_u", "weight"],  # a pi_u cell is empty where no stage 1 ran
         zip(split.development_idx.tolist(), pi_u, model.weights.tolist()),
     )
-    dataio.write_ess_table(out / "ess_table.csv", grid_rows)
+    dataio.write_ess_table(out / "ess_table.csv", model.ess_grid)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -21,20 +20,19 @@ from . import __version__, dataio
 from .artifact import _sampler_block, load_fit, save_fit
 from .errors import ConfigError, DataError, SamplerError, TailbayesError
 from .evaluation import net_benefit, paired_delta
-from .model_core import Dataset, DistanceFunction, GaussianPrior, TargetThreshold, UtilitySpec, target_threshold
+from .model_core import (Dataset, DistanceFunction, GaussianPrior, TargetThreshold, UtilitySpec, compute_weights,
+                         target_threshold)
 from .predict import positive_mask, predictive_mean, predictive_mean_sd
 from .reproduce import CV_CHAIN, FIGURES, FINAL_SAMPLER, reproduce_figure
 from .sampler import SamplerConfig, _check_draw_store
 from .simulation import STUDY_PARAMETER, study
-from .tuning import DEFAULT_LAMBDA_GRID, ess_grid, final_fit_rhat, fit_pipeline
+from .tuning import DEFAULT_LAMBDA_GRID, USABLE_CPUS, ess_grid, final_fit_rhat, fit_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SAMPLER = 4
 MAX_THRESHOLDS = 10_000  # a lo:hi:step range of more values is a usage error
-# the CPUs this process may run on, which an affinity mask can make fewer than the machine's
-DEFAULT_JOBS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -113,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--cv-burn-in", type=int)
     fit.add_argument("--prior-sd", type=float, default=100.0)
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--jobs", type=_jobs, default=DEFAULT_JOBS)
+    fit.add_argument("--jobs", type=_jobs, default=USABLE_CPUS)
     fit.add_argument("--standardize", action="store_true", help="z-score covariates (recorded in the artifact)")
     fit.add_argument("--pi-u-file", help="external first-stage probabilities (skips the design split)")
     fit.add_argument("--rhat-chains", type=int, default=0, help="R-hat chains, final chain included: 0 or >= 2")
@@ -156,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--scale", type=float, default=1.0,
                      help="fraction of the full 20 repetitions per cell")
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--jobs", type=_jobs, default=DEFAULT_JOBS)
+    rep.add_argument("--jobs", type=_jobs, default=USABLE_CPUS)
     rep.add_argument("--lambda-grid", type=_csv_floats, default=DEFAULT_LAMBDA_GRID)
     rep.add_argument("--n-list", type=_csv_floats)
     rep.add_argument("--q-list", type=_csv_floats)
@@ -313,6 +311,11 @@ def cmd_evaluate(args) -> int:
     model_mode = args.model_a is not None
     if scored_mode == model_mode:
         raise ConfigError("supply either --scored-a files or --model-a with --data")
+    other_mode = {"--scored-b": args.scored_b} if model_mode else {"--model-b": args.model_b, "--data": args.data}
+    stray = [flag for flag, value in other_mode.items() if value is not None]
+    if stray:
+        mode = "--model-a" if model_mode else "--scored-a"
+        raise ConfigError(f"{' and '.join(stray)} cannot be used with {mode}")
     out = _out_dir(args.out)
     if model_mode and not args.data:
         raise ConfigError("--model-a needs at least one --data file")
@@ -443,7 +446,8 @@ def cmd_reproduce(args) -> int:
 def cmd_ess_grid(args) -> int:
     _out_file(args.out)
     pi_u = dataio.read_pi_u_csv(args.pi_u_file)
-    rows = ess_grid(pi_u, TargetThreshold(args.t), args.lambda_grid, _distance_from_args(args))
+    weights = compute_weights(pi_u, TargetThreshold(args.t), args.lambda_grid, _distance_from_args(args))
+    rows = ess_grid(args.lambda_grid, weights)
     dataio.write_ess_table(args.out, rows)
     print(f"wrote {len(rows)} rows -> {args.out}")
     return EXIT_OK

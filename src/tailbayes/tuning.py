@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -46,6 +47,7 @@ __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "ESS_WARNING_FRACTION",
     "ACCEPTANCE_WARNING_RANGE",
+    "USABLE_CPUS",
     "SplitPlan",
     "CvPlan",
     "FittedTailoredModel",
@@ -70,6 +72,8 @@ DEFAULT_LAMBDA_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
 ESS_WARNING_FRACTION = 0.10
 # random-walk MH mixes best near 0.234 acceptance (Roberts, Gelman & Gilks 1997); a final chain outside this is reported
 ACCEPTANCE_WARNING_RANGE = (0.15, 0.35)
+# the CPUs this process may run on, which an affinity mask can make fewer than the machine's; no pool is larger
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -229,13 +233,14 @@ def rhat_seeds(base_seed: int, n_chains: int) -> list[int]:
 def map_jobs(fn, payloads: list, jobs: int) -> list:
     """``[fn(p) for p in payloads]``, over at most ``jobs`` worker processes.
 
-    The pool gets one worker per payload at most, and a single worker runs
-    in-process.  Results keep the payload order, and the first call in
-    payload order that raises is raised here, as in the serial loop.
+    The pool gets one worker per payload at most and no more workers than
+    :data:`USABLE_CPUS`, and a single worker runs in-process.  Results
+    keep the payload order, and the first call in payload order that
+    raises is raised here, as in the serial loop.
     ``fn`` must be a top-level function so the pool can pickle it; callers
     pass it at call time.
     """
-    workers = min(jobs, len(payloads))
+    workers = min(jobs, len(payloads), USABLE_CPUS)
     if workers <= 1:
         return [fn(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -274,8 +279,8 @@ def _require_full_folds(development: Dataset, cv_plan: CvPlan) -> None:
 
 
 def _fold_groups(k: int, jobs: int) -> list[np.ndarray]:
-    """The K folds in at most ``jobs`` contiguous groups, one per worker (3 + 2 folds for jobs = 2 and K = 5)."""
-    return np.array_split(np.arange(k), min(jobs, k))
+    """The K folds in ``min(jobs, K, USABLE_CPUS)`` contiguous groups, one per worker (3 + 2 at jobs 2, K = 5)."""
+    return np.array_split(np.arange(k), min(jobs, k, USABLE_CPUS))
 
 
 def _lone_fit(payload: tuple) -> PosteriorSamples:
@@ -300,16 +305,17 @@ def _cv_score(samples, test: Dataset, threshold: TargetThreshold) -> tuple[float
 
 def cv_select_lambda(
     development: Dataset,
-    pi_u_dev: np.ndarray,
+    weights: np.ndarray,
     threshold: TargetThreshold,
     cv_plan: CvPlan,
     sampler_config: SamplerConfig,
     prior: GaussianPrior | None = None,
-    distance: DistanceFunction = DistanceFunction(),
     jobs: int = 1,
 ) -> tuple[float, list[dict]]:
     """Choose lam maximising the fold-average Net Benefit at the threshold.
 
+    ``weights`` holds one row per lam of the grid and one column per
+    development row, and a fold's chains take its training columns.
     Fold fits share one sampler configuration with per-fold seeds
     (:func:`fold_seed`).  A fold's lam chains share its seed and so one
     random stream.  ``jobs`` splits the folds into at most ``jobs``
@@ -320,15 +326,15 @@ def cv_select_lambda(
     least K - 1 of its folds succeeded (the average then runs over the
     successes, and the failure is logged).
     """
-    pi_u_dev = np.asarray(pi_u_dev, dtype=np.float64).ravel()
-    if pi_u_dev.shape[0] != development.n:
-        raise DataError("pi_u values do not align with the development rows")
+    grid = cv_plan.lambda_grid
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (len(grid), development.n):
+        raise DataError(f"weights need one row per lambda and one column per development row, "
+                        f"{(len(grid), development.n)}, not {weights.shape}")
     _require_full_folds(development, cv_plan)
     if prior is None:
         prior = GaussianPrior.vague(development.n_coefficients)
 
-    grid = cv_plan.lambda_grid
-    weights = compute_weights(pi_u_dev, threshold, grid, distance)
     seeds = [fold_seed(sampler_config.rng_seed, fold) for fold in range(cv_plan.k)]
     folds = []
     for fold, seed in enumerate(seeds):
@@ -382,6 +388,7 @@ class FittedTailoredModel:
     cv_plan: CvPlan
     cv_table: list[dict]
     ess_t: float
+    ess_grid: list[dict]
     weights: np.ndarray
     pi_u_development: np.ndarray | None
     stage1: PosteriorSamples | None
@@ -421,7 +428,9 @@ def fit_pipeline(
     one-value grid, whose lam* = 0 weights every row 1 whatever pi_u is,
     needs no stage 1 either: without ``external_pi_u`` it splits and checks
     the design rows' classes, and its ``stage1`` and ``pi_u_development``
-    are None.
+    are None.  Without ``external_pi_u`` the design fraction must be
+    positive.  The grid's weight matrix, made once, feeds CV, the final
+    chain (its lam* row) and ``ess_grid``.
 
     ``jobs`` bounds the worker processes of the CV fold groups
     (:func:`cv_select_lambda`).  Every chain runs on the same inputs and
@@ -438,6 +447,9 @@ def fit_pipeline(
         if external_pi_u.shape[0] != train.n:
             raise DataError("external pi_u must supply one probability per training row")
         design_fraction = 0.0
+    elif design_fraction == 0.0:
+        raise ConfigError("design fraction 0 leaves no design rows for the first-stage model: give a positive design "
+                          "fraction, or first-stage probabilities for every row (--pi-u-file, external_pi_u)")
     split = make_split(train.n, design_fraction=design_fraction, seed=sampler_config.rng_seed)
     development = train.subset(split.development_idx)
     # the fold plan is checked before any chain runs, though a one-value grid never uses its folds
@@ -463,25 +475,23 @@ def fit_pipeline(
     if n_boundary:
         logger.warning("%d first-stage probabilities sit exactly at 0 or 1", n_boundary)
 
+    grid = cv_plan.lambda_grid
+    # one weight row per lam; without pi_u the grid is {0}, whose one row is all 1
+    weights = np.ones((1, development.n)) if pi_u_dev is None else compute_weights(pi_u_dev, threshold, grid, distance)
     if one_value:
         lambda_star, cv_table = 0.0, []
     else:
-        lambda_star, cv_table = cv_select_lambda(
-            development, pi_u_dev, threshold, cv_plan, cv_config, prior, distance, jobs=jobs
-        )
+        lambda_star, cv_table = cv_select_lambda(development, weights, threshold, cv_plan, cv_config, prior, jobs=jobs)
 
-    if pi_u_dev is None:
-        weights = np.ones(development.n)
-    else:
-        weights = compute_weights(pi_u_dev, threshold, [lambda_star], distance)[0]
-    ess_t = effective_sample_size(weights)
+    final_weights = weights[grid.index(lambda_star)]
+    ess_t = effective_sample_size(final_weights)
     if ess_t / development.n < ESS_WARNING_FRACTION:
         logger.warning(
             "effective sample size %.1f is below %.0f%% of the development rows",
             ess_t,
             100 * ESS_WARNING_FRACTION,
         )
-    samples = fit_tailored(development, weights, prior, sampler_config)
+    samples = fit_tailored(development, final_weights, prior, sampler_config)
     low, high = ACCEPTANCE_WARNING_RANGE
     if not low <= samples.acceptance_rate <= high:
         logger.warning(
@@ -500,7 +510,8 @@ def fit_pipeline(
         cv_plan=cv_plan,
         cv_table=cv_table,
         ess_t=ess_t,
-        weights=weights,
+        ess_grid=ess_grid(grid, weights),
+        weights=final_weights,
         pi_u_development=pi_u_dev,
         stage1=stage1,
         prior=prior,
@@ -524,18 +535,8 @@ def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int, jo
     return gelman_rubin([model.samples.draws] + [c.draws for c in reruns]), [c.rng_seed for c in reruns]
 
 
-def ess_grid(
-    pi_u,
-    threshold: TargetThreshold,
-    lambda_grid=DEFAULT_LAMBDA_GRID,
-    distance: DistanceFunction = DistanceFunction(),
-) -> list[dict]:
-    """Effective sample size per lam candidate, computable before any fit."""
-    return _ess_rows(lambda_grid, compute_weights(pi_u, threshold, lambda_grid, distance))
-
-
-def _ess_rows(lambda_grid, weights) -> list[dict]:
-    """The :func:`ess_grid` rows of the weight rows ``weights``, one per lam of ``lambda_grid``."""
+def ess_grid(lambda_grid, weights) -> list[dict]:
+    """Effective sample size per lam of ``lambda_grid`` from its row of ``weights``, computable before any fit."""
     rows = []
     for lam, w in zip(lambda_grid, weights):
         ess = effective_sample_size(w)

@@ -111,6 +111,18 @@ class TestFit:
         assert capsys.readouterr().err == "data error: design set contains a single outcome class\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0", "0,1,2,5,10,25,50,100"], ids=["zero", "default"])
+    def test_design_fraction_zero_without_pi_u_file_is_usage_error(self, tmp_path, capsys, monkeypatch, train_csv, grid):
+        monkeypatch.setattr(tuning, "run_mh", None)  # raised before any chain runs
+        out = tmp_path / "m"
+        code = run(["fit", train_csv, "--t", 0.3, "--lambda-grid", grid, "--design-fraction", 0, "--out", out,
+                    *FIT_SPEED])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: design fraction 0 leaves no design rows")
+        assert "(--pi-u-file, external_pi_u)" in err
+        assert not out.exists()
+
     def test_repeated_covariate_name_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "twice.csv"
         data.write_text("x1,x1,y\n" + "".join(f"{i},{-i},{i % 2}\n" for i in range(40)), encoding="utf-8")
@@ -587,6 +599,28 @@ class TestEvaluate:
         assert capsys.readouterr().err == predict_err
         assert predict_err.startswith(f"data error: {permuted}: covariate columns ['x2', 'x1'] do not match")
         assert predict_err.endswith("(same names, same order required)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stray, named",
+        [(["--model-b", "/nonexistent"], "--model-b"), (["--data", "t.csv"], "--data"),
+         (["--model-b", "/nonexistent", "--data", "t.csv"], "--model-b and --data")],
+        ids=["model-b", "data", "both"],
+    )
+    def test_scored_mode_refuses_model_mode_flags(self, tmp_path, capsys, stray, named):
+        a = self._scored(tmp_path, "a.csv", [0.5], [1])
+        out = tmp_path / "x"
+        assert run(["evaluate", "--scored-a", a, "--scored-a", a, *stray, "--thresholds", "0.5", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {named} cannot be used with --scored-a\n"
+        assert not out.exists()
+
+    def test_model_mode_refuses_scored_b(self, tmp_path, capsys):
+        a = self._scored(tmp_path, "a.csv", [0.5], [1])
+        out = tmp_path / "x"
+        code = run(["evaluate", "--model-a", tmp_path / "no_model", "--data", a, "--scored-b", a,
+                    "--thresholds", "0.5", "--out", out])
+        assert code == 2  # before the missing artifact is read
+        assert capsys.readouterr().err == "error: --scored-b cannot be used with --model-a\n"
         assert not out.exists()
 
     def test_evaluate_requires_one_input_mode(self, tmp_path):

@@ -55,33 +55,6 @@ class TestRunMh:
             s = run_mh(standard_normal_logpost, 3, cfg)
             assert 0.15 <= s.acceptance_rate <= 0.35
 
-    def test_quadrature_oracle_match(self):
-        """Posterior means vs an independent 2-d trapezoid quadrature."""
-        rng = np.random.default_rng(42)
-        n = 50
-        x = rng.standard_normal(n)
-        z = 0.3 - 0.8 * x
-        y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-z))).astype(float)
-
-        grid = np.linspace(-10.0, 10.0, 401)
-        b0, b1 = np.meshgrid(grid, grid, indexing="ij")
-        zz = b0[..., None] + b1[..., None] * x
-        loglik = np.sum(y * zz - np.logaddexp(0.0, zz), axis=-1)
-        logp = loglik - 0.5 * ((b0 / 100.0) ** 2 + (b1 / 100.0) ** 2)
-        dens = np.exp(logp - logp.max())
-        norm = np.trapezoid(np.trapezoid(dens, grid, axis=1), grid)
-        quad_means = [
-            np.trapezoid(np.trapezoid(dens * b0, grid, axis=1), grid) / norm,
-            np.trapezoid(np.trapezoid(dens * b1, grid, axis=1), grid) / norm,
-        ]
-
-        data = Dataset.from_raw(x, y)
-        logpost = make_log_posterior(data, np.ones(n), GaussianPrior.vague(2))
-        s = run_mh(logpost, 2, SamplerConfig(n_iterations=60_000, burn_in=10_000, rng_seed=99))
-        for j in range(2):
-            se = mc_standard_error(s.draws[:, j])
-            assert abs(s.draws[:, j].mean() - quad_means[j]) <= 3.0 * se
-
     def test_retention_count_with_thinning(self):
         cfg = SamplerConfig(n_iterations=1050, burn_in=50, thin=3, rng_seed=5)
         s = run_mh(standard_normal_logpost, 1, cfg)

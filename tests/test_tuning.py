@@ -37,6 +37,11 @@ FASTER = SamplerConfig(n_iterations=1200, burn_in=500, rng_seed=11)
 FASTER_CHAIN = (FASTER.n_iterations, FASTER.burn_in)  # (iterations, burn-in) of CV chains beside a FAST final chain
 
 
+def grid_weights(pi_u, plan):
+    """The (L, n) weight matrix of ``plan``'s grid at t = 0.3, as fit_pipeline passes it to cv_select_lambda."""
+    return compute_weights(pi_u, TargetThreshold(0.3), plan.lambda_grid)
+
+
 class TestMakeSplit:
     def test_small_example_sizes(self):
         plan = make_split(10, design_fraction=0.2, seed=0)
@@ -167,7 +172,7 @@ class TestCvSelectLambda:
         t = TargetThreshold(0.3)
         pi_u = np.full(train.n, 0.3)
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0, 50.0), seed=1)
-        lam, table = cv_select_lambda(train, pi_u, t, plan, FASTER)
+        lam, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER)
         assert lam == 0.0
         by_lam = {}
         for row in table:
@@ -177,8 +182,10 @@ class TestCvSelectLambda:
     def test_misaligned_pi_u_rejected(self):
         train, _ = generate_sim1(Sim1Config(n=60, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0), seed=1)
-        with pytest.raises(DataError):
-            cv_select_lambda(train, np.full(10, 0.3), TargetThreshold(0.3), plan, FASTER)
+        with pytest.raises(DataError, match=r"development row, \(2, 60\), not \(2, 10\)$"):
+            cv_select_lambda(train, grid_weights(np.full(10, 0.3), plan), TargetThreshold(0.3), plan, FASTER)
+        with pytest.raises(DataError, match=r"development row, \(2, 60\), not \(1, 60\)$"):
+            cv_select_lambda(train, np.ones((1, train.n)), TargetThreshold(0.3), plan, FASTER)
 
     def test_process_pool_matches_serial(self):
         """Cells own their seeds, so parallel and serial runs agree exactly."""
@@ -186,8 +193,9 @@ class TestCvSelectLambda:
         rng = np.random.default_rng(0)
         pi_u = rng.uniform(0.1, 0.9, size=train.n)
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 10.0), seed=1)
-        serial = cv_select_lambda(train, pi_u, TargetThreshold(0.3), plan, FASTER, jobs=1)
-        parallel = cv_select_lambda(train, pi_u, TargetThreshold(0.3), plan, FASTER, jobs=2)
+        weights = grid_weights(pi_u, plan)
+        serial = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, jobs=1)
+        parallel = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, jobs=2)
         assert serial == parallel
 
     @staticmethod
@@ -208,9 +216,8 @@ class TestCvSelectLambda:
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
         self.fail_folds(monkeypatch, {FASTER.rng_seed + 1})  # fold 1 always fails
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
-        lam, table = cv_select_lambda(
-            train, np.full(train.n, 0.4), TargetThreshold(0.3), plan, FASTER
-        )
+        weights = grid_weights(np.full(train.n, 0.4), plan)
+        lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER)
         failures = [row for row in table if row["error"]]
         assert len(failures) == 2  # one per lam
         assert all(row["fold"] == 1 for row in failures)
@@ -221,25 +228,17 @@ class TestCvSelectLambda:
         self.fail_folds(monkeypatch, {FASTER.rng_seed + 1, FASTER.rng_seed + 2})
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
         with pytest.raises(SamplerError):
-            cv_select_lambda(
-                train, np.full(train.n, 0.4), TargetThreshold(0.3), plan, FASTER
-            )
+            cv_select_lambda(train, grid_weights(np.full(train.n, 0.4), plan), TargetThreshold(0.3), plan, FASTER)
 
-    def test_nonfinite_start_fails_only_its_cells(self, monkeypatch):
+    def test_nonfinite_start_fails_only_its_cells(self):
         """Infinite weights at lam = 5 make that chain's start point NaN in every fold."""
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
         pi_u = np.random.default_rng(2).uniform(0.1, 0.9, size=train.n)
-        real_compute_weights = tuning.compute_weights
-
-        def poisoned(pi_u, threshold, lambdas, distance):
-            w = real_compute_weights(pi_u, threshold, lambdas, distance)
-            w[list(lambdas).index(5.0)] = np.inf
-            return w
-
-        monkeypatch.setattr(tuning, "compute_weights", poisoned)
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0, 50.0), seed=1)
+        weights = grid_weights(pi_u, plan)
+        weights[plan.lambda_grid.index(5.0)] = np.inf
         with np.errstate(invalid="ignore"):
-            lam, table = cv_select_lambda(train, pi_u, TargetThreshold(0.3), plan, FASTER)
+            lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER)
         failed = {(row["lambda"], row["fold"]) for row in table if row["error"]}
         assert failed == {(5.0, 1), (5.0, 2), (5.0, 3)}
         assert all("initial point" in row["error"] for row in table if row["error"])
@@ -261,7 +260,7 @@ class TestCvSelectLambda:
             return result
 
         monkeypatch.setattr(tuning, "fit_folds", recording)
-        _, table = cv_select_lambda(train, pi_u, t, plan, FASTER)
+        _, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER)
         monkeypatch.undo()
         prior = GaussianPrior.vague(train.n_coefficients)
         assert len(batches) == plan.k
@@ -304,7 +303,7 @@ class TestCvSelectLambda:
         monkeypatch.setattr(tuning, "map_jobs", None)  # no chain may run
         message = "cannot make 9 non-empty CV folds from 9 development rows: the outcome classes have 5 and 4 rows"
         with pytest.raises(DataError, match=message):
-            cv_select_lambda(development, np.full(9, 0.4), TargetThreshold(0.3), plan, FASTER)
+            cv_select_lambda(development, grid_weights(np.full(9, 0.4), plan), TargetThreshold(0.3), plan, FASTER)
 
 
 class TestFitFolds:
@@ -378,6 +377,7 @@ class TestMapJobs:
     def pool_sizes(self, monkeypatch):
         self.RecordingPool.sizes = []
         monkeypatch.setattr(tuning, "ProcessPoolExecutor", self.RecordingPool)
+        monkeypatch.setattr(tuning, "USABLE_CPUS", 64)  # pool sizes below do not depend on the host
         return self.RecordingPool.sizes
 
     def test_pool_never_outnumbers_payloads(self, pool_sizes):
@@ -391,13 +391,24 @@ class TestMapJobs:
         assert tuning.map_jobs(abs, [], 8) == []
         assert pool_sizes == []
 
+    def test_pool_never_outnumbers_the_usable_cpus(self, pool_sizes, monkeypatch):
+        """jobs beyond the CPUs the process may use start no more workers, in map_jobs and in the CV fold groups."""
+        monkeypatch.setattr(tuning, "USABLE_CPUS", 2)
+        assert tuning.map_jobs(abs, list(range(-1000, 0)), 1000) == list(range(1000, 0, -1))
+        assert [len(group) for group in tuning._fold_groups(1000, 1000)] == [500, 500]
+        train, _ = generate_sim1(Sim1Config(n=130, q=1.0, seed=6))
+        plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
+        weights = grid_weights(np.full(train.n, 0.4), plan)
+        pooled = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, jobs=64)
+        assert pool_sizes == [2, 2]
+        assert pooled == cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER)
+
     def test_cv_pool_gets_one_worker_per_fold(self, pool_sizes):
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0), seed=1)
-        serial = cv_select_lambda(train, np.full(train.n, 0.4), TargetThreshold(0.3), plan, FASTER)
-        pooled = cv_select_lambda(
-            train, np.full(train.n, 0.4), TargetThreshold(0.3), plan, FASTER, jobs=64
-        )
+        weights = grid_weights(np.full(train.n, 0.4), plan)
+        serial = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER)
+        pooled = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, jobs=64)
         assert pool_sizes == [3]
         assert pooled == serial
 
@@ -415,7 +426,8 @@ class TestMapJobs:
 
         monkeypatch.setattr(tuning, "map_jobs", recording)
         results = {
-            jobs: cv_select_lambda(train, pi_u, TargetThreshold(0.3), plan, FASTER, jobs=jobs) for jobs in (1, 2, 3, 64)
+            jobs: cv_select_lambda(train, grid_weights(pi_u, plan), TargetThreshold(0.3), plan, FASTER, jobs=jobs)
+            for jobs in (1, 2, 3, 64)
         }
         assert all(result == results[1] for result in results.values())
         seeds = [fold_seed(FASTER.rng_seed, fold) for fold in range(5)]
@@ -433,6 +445,7 @@ class TestFitPipeline:
         assert np.array_equal(model.samples.draws, baseline.draws)
         assert np.all(model.weights == 1.0)
         assert model.ess_t == development.n
+        assert model.ess_grid == [{"lambda": 0.0, "ess": development.n, "ess_fraction": 1.0, "low_ess": False}]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_value_grid_runs_only_the_final_chain(self, jobs, monkeypatch):
@@ -617,20 +630,22 @@ class TestLambdaSelectionSignal:
 
 class TestEssGrid:
     def test_lambda_zero_row_is_exactly_one(self):
-        rows = ess_grid(np.array([0.2, 0.5, 0.9]), TargetThreshold(0.3), (0.0, 5.0))
+        rows = ess_grid((0.0, 5.0), compute_weights(np.array([0.2, 0.5, 0.9]), TargetThreshold(0.3), (0.0, 5.0)))
         assert rows[0]["ess_fraction"] == 1.0
         assert rows[0]["lambda"] == 0.0
 
     def test_strictly_decreasing_for_dispersed_pi_u(self):
         rng = np.random.default_rng(8)
         pi = rng.uniform(size=300)
-        rows = ess_grid(pi, TargetThreshold(0.25))
+        grid = tuning.DEFAULT_LAMBDA_GRID
+        rows = ess_grid(grid, compute_weights(pi, TargetThreshold(0.25), grid))
         fractions = [r["ess_fraction"] for r in rows]
         assert all(b < a for a, b in zip(fractions, fractions[1:]))
 
     def test_far_threshold_triggers_low_ess_flag(self):
         pi = np.random.default_rng(9).uniform(0.7, 0.9, size=100)
-        rows = ess_grid(pi, TargetThreshold(0.05), (0.0, 10.0, 200.0))
+        grid = (0.0, 10.0, 200.0)
+        rows = ess_grid(grid, compute_weights(pi, TargetThreshold(0.05), grid))
         assert rows[-1]["ess_fraction"] < 0.01
         assert rows[-1]["low_ess"]
         assert not rows[0]["low_ess"]

@@ -60,6 +60,9 @@ RUNS = [
     # more CV folds than the 240 development rows of train.csv: a data error raised before any chain runs
     ("fit_zero_many_folds", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--k-folds", "1000",
                              "--seed", "12", "--out", "fit_zero_many_folds", *FAST]),
+    # no design rows and no --pi-u-file: a usage error raised before any chain runs
+    ("fit_design_fraction_zero", ["fit", "train.csv", "--t", "0.3", "--design-fraction", "0", "--seed", "12",
+                                  "--out", "fit_design_fraction_zero", *FAST]),
     ("fit_external", ["fit", "train.csv", "--utilities", "9,0,0,1", "--pi-u-file", "pi_u.csv",
                       "--distance", "epsilon-insensitive", "--epsilon", "0.05",
                       "--lambda-grid", "0,10", "--jobs", "1", "--seed", "13",
