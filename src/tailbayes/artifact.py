@@ -53,7 +53,7 @@ def save_fit(
         "lambda_star": model.lambda_star,
         "k_folds": model.cv_plan.k,
         "design_fraction": design_fraction,
-        "distance": {"kind": model.distance.kind, "epsilon": model.distance.epsilon},
+        "distance": asdict(model.distance),
         "prior": {"means": model.prior.means.tolist(), "sds": model.prior.sds.tolist()},
         "standardize": standardizer.to_dict() if standardizer else None,
         "external_pi_u": str(external_pi_u) if external_pi_u else None,

@@ -17,16 +17,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio
-from .artifact import _sampler_block, load_fit, save_fit
+from .artifact import load_fit, save_fit
 from .errors import ConfigError, DataError, SamplerError, TailbayesError
 from .evaluation import net_benefit, paired_delta
-from .model_core import (Dataset, DistanceFunction, GaussianPrior, TargetThreshold, UtilitySpec, compute_weights,
-                         target_threshold)
+from .model_core import (VAGUE_PRIOR_SD, Dataset, DistanceFunction, GaussianPrior, TargetThreshold, UtilitySpec,
+                         compute_weights, target_threshold)
 from .predict import positive_mask, predictive_mean, predictive_mean_sd
-from .reproduce import CV_CHAIN, FIGURES, FINAL_SAMPLER, reproduce_figure
+from .reproduce import FIGURES, reproduce_figure
 from .sampler import SamplerConfig, _check_draw_store
-from .simulation import STUDY_PARAMETER, study
-from .tuning import DEFAULT_LAMBDA_GRID, USABLE_CPUS, ess_grid, final_fit_rhat, fit_pipeline
+from .simulation import STUDY_PARAMETER, Sim1Config, Sim2Config, Sim3Config, study
+from .tuning import (DEFAULT_DESIGN_FRACTION, DEFAULT_K_FOLDS, DEFAULT_LAMBDA_GRID, USABLE_CPUS, ess_grid,
+                     final_fit_rhat, fit_pipeline)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,6 +75,13 @@ def _thresholds(text: str) -> tuple[float, ...]:
     return values
 
 
+def _distance_flags(parser) -> None:
+    """``--distance`` and ``--epsilon``, defaulting to :class:`DistanceFunction`'s own defaults."""
+    parser.add_argument("--distance", choices=["squared", "epsilon-insensitive"],
+                        default=DistanceFunction.kind.replace("_", "-"))
+    parser.add_argument("--epsilon", type=float, default=DistanceFunction.epsilon)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tailbayes",
@@ -89,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("data", help="training data CSV (header row required)")
     fit.add_argument("--config", help="key=value file supplying flag defaults")
     fit.add_argument("--out", required=True, help="output directory for the model artifact")
-    fit.add_argument("--outcome-col", default="y")
+    fit.add_argument("--outcome-col", default=dataio.OUTCOME_COLUMN)
     group = fit.add_mutually_exclusive_group()
     group.add_argument("--t", type=float, help="target threshold in (0, 1)")
     group.add_argument(
@@ -99,18 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="four classification utilities from which the threshold is derived",
     )
     fit.add_argument("--lambda-grid", type=_csv_floats, default=DEFAULT_LAMBDA_GRID)
-    fit.add_argument("--k-folds", type=int, default=5)
-    fit.add_argument("--design-fraction", type=float, default=0.20)
-    fit.add_argument("--distance", choices=["squared", "epsilon-insensitive"], default="squared")
-    fit.add_argument("--epsilon", type=float, default=0.0)
-    fit.add_argument("--iterations", type=int, default=20_000)
-    fit.add_argument("--burn-in", type=int, default=5_000)
-    fit.add_argument("--thin", type=int, default=1)
-    fit.add_argument("--initial-sd", type=float, default=0.1)
+    fit.add_argument("--k-folds", type=int, default=DEFAULT_K_FOLDS)
+    fit.add_argument("--design-fraction", type=float, default=DEFAULT_DESIGN_FRACTION)
+    _distance_flags(fit)
+    fit.add_argument("--iterations", type=int, default=SamplerConfig.n_iterations)
+    fit.add_argument("--burn-in", type=int, default=SamplerConfig.burn_in)
+    fit.add_argument("--thin", type=int, default=SamplerConfig.thin)
+    fit.add_argument("--initial-sd", type=float, default=SamplerConfig.initial_sd)
     fit.add_argument("--cv-iterations", type=int, help="chain length for CV cells (default: same)")
     fit.add_argument("--cv-burn-in", type=int)
-    fit.add_argument("--prior-sd", type=float, default=100.0)
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--prior-sd", type=float, default=VAGUE_PRIOR_SD)
+    fit.add_argument("--seed", type=int, default=SamplerConfig.rng_seed)
     fit.add_argument("--jobs", type=_jobs, default=USABLE_CPUS)
     fit.add_argument("--standardize", action="store_true", help="z-score covariates (recorded in the artifact)")
     fit.add_argument("--pi-u-file", help="external first-stage probabilities (skips the design split)")
@@ -133,18 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", action="append", metavar="CSV",
                     help="labelled data scored by --model-a/--model-b (repeat per split)")
     ev.add_argument("--label-a", default="model_a")
-    ev.add_argument("--label-b", default="model_b")
-    ev.add_argument("--prob-col", default="prob")
-    ev.add_argument("--outcome-col", default="y")
+    ev.add_argument("--label-b", help="model B's label (default: model_b); needs --scored-b or --model-b")
+    ev.add_argument("--prob-col", default=dataio.PROB_COLUMN)
+    ev.add_argument("--outcome-col", default=dataio.OUTCOME_COLUMN)
     ev.add_argument("--thresholds", type=_thresholds, required=True)
     ev.add_argument("--out", required=True, help="output directory")
 
     sim = sub.add_parser("simulate", help="generate a synthetic benchmark dataset")
     sim.add_argument("--study", choices=["sim1", "sim2", "sim3"], required=True)
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--q", type=float, default=1.0, help="sim1 class-balance scalar")
-    sim.add_argument("--prevalence", type=float, default=0.5, help="sim2 class prior")
-    sim.add_argument("--psi", type=float, default=0.0, help="sim3 contamination fraction")
+    sim.add_argument("--q", type=float, default=Sim1Config.q, help="sim1 class-balance scalar")
+    sim.add_argument("--prevalence", type=float, default=Sim2Config.prevalence, help="sim2 class prior")
+    sim.add_argument("--psi", type=float, default=Sim3Config.contamination, help="sim3 contamination fraction")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--with-oracle", action="store_true", help="include the true probability column")
     sim.add_argument("--out", required=True, help="output CSV path")
@@ -167,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     essp.add_argument("--pi-u-file", required=True)
     essp.add_argument("--t", type=float, required=True)
     essp.add_argument("--lambda-grid", type=_csv_floats, default=DEFAULT_LAMBDA_GRID)
-    essp.add_argument("--distance", choices=["squared", "epsilon-insensitive"], default="squared")
-    essp.add_argument("--epsilon", type=float, default=0.0)
+    _distance_flags(essp)
     essp.add_argument("--out", required=True, help="output CSV path")
 
     return parser
@@ -316,6 +322,9 @@ def cmd_evaluate(args) -> int:
     if stray:
         mode = "--model-a" if model_mode else "--scored-a"
         raise ConfigError(f"{' and '.join(stray)} cannot be used with {mode}")
+    source_b = args.model_b if model_mode else args.scored_b
+    if args.label_b is not None and not source_b:
+        raise ConfigError(f"--label-b names model B, so it needs {'--model-b' if model_mode else '--scored-b'}")
     out = _out_dir(args.out)
     if model_mode and not args.data:
         raise ConfigError("--model-a needs at least one --data file")
@@ -331,7 +340,6 @@ def cmd_evaluate(args) -> int:
             splits.append((predictive_mean(fit.design(raw_x), fit.samples), y))
         return splits
 
-    source_b = args.model_b if model_mode else args.scored_b
     scored_a = scored(args.model_a if model_mode else args.scored_a)
     scored_b = scored(source_b) if source_b else None
     if scored_b is not None and len(scored_b) != len(scored_a):
@@ -342,7 +350,8 @@ def cmd_evaluate(args) -> int:
     nb_rows = []
     # Net Benefit per split, by model and threshold position: labels and thresholds may repeat
     nb_values = []
-    for label, scored in ((args.label_a, scored_a), (args.label_b, scored_b or [])):
+    label_b = "model_b" if args.label_b is None else args.label_b
+    for label, scored in ((args.label_a, scored_a), (label_b, scored_b or [])):
         nb_values.append([[] for _ in args.thresholds])
         for split, (probs, outcomes) in enumerate(scored, start=1):
             for i, t in enumerate(args.thresholds):
@@ -435,8 +444,7 @@ def cmd_reproduce(args) -> int:
         "seed": args.seed,
         "lambda_grid": list(args.lambda_grid),
         "overrides": {k: list(v) for k, v in overrides.items() if v},
-        "sampler": _sampler_block(FINAL_SAMPLER),
-        "cv_chain": list(CV_CHAIN),
+        **result["settings"],
     }
     dataio.write_manifest(out / "manifest.json", manifest)
     print(f"wrote {len(raw)} repetition rows -> {out}")

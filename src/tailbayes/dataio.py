@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 ID_COLUMN = "id"
+OUTCOME_COLUMN = "y"
+PROB_COLUMN = "prob"
 _OUTCOMES = {"0": 0.0, "1": 1.0}
 
 
@@ -159,7 +161,7 @@ def _float_or_nan(cell: str) -> float:
         return math.nan
 
 
-def read_dataset_csv(path, outcome_col: str = "y"):
+def read_dataset_csv(path, outcome_col: str = OUTCOME_COLUMN):
     """Load a labelled dataset.
 
     Returns (raw covariate matrix without intercept, outcomes,
@@ -174,7 +176,7 @@ def read_dataset_csv(path, outcome_col: str = "y"):
     return table.matrix(names), y, names, table.ids()
 
 
-def read_covariates_csv(path, covariate_names: list[str], outcome_col: str = "y"):
+def read_covariates_csv(path, covariate_names: list[str], outcome_col: str = OUTCOME_COLUMN):
     """Load covariates for prediction, enforcing the fitted schema.
 
     The file's covariate columns must match ``covariate_names`` exactly
@@ -199,7 +201,7 @@ def read_pi_u_csv(path, expected_rows: int | None = None) -> np.ndarray:
     return vals
 
 
-def read_scored_csv(path, prob_col: str = "prob", outcome_col: str = "y"):
+def read_scored_csv(path, prob_col: str = PROB_COLUMN, outcome_col: str = OUTCOME_COLUMN):
     """Read a scored file: one probability and one 0/1 outcome per row."""
     table = _read_table(path)
     return table.probabilities(prob_col), table.outcomes(outcome_col)

@@ -29,6 +29,7 @@ __all__ = [
     "TargetThreshold",
     "DistanceFunction",
     "GaussianPrior",
+    "VAGUE_PRIOR_SD",
     "target_threshold",
     "threshold_band_for_benefit",
     "expit",
@@ -38,6 +39,8 @@ __all__ = [
     "effective_sample_size",
     "make_log_posterior",
 ]
+
+VAGUE_PRIOR_SD = 100.0  # the common sd of GaussianPrior.vague, the default prior of every fit
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -201,8 +204,8 @@ class GaussianPrior:
         object.__setattr__(self, "sds", _readonly(sd))
 
     @classmethod
-    def vague(cls, dim: int, sd: float = 100.0) -> "GaussianPrior":
-        """Zero-mean prior with a large common sd (default 100)."""
+    def vague(cls, dim: int, sd: float = VAGUE_PRIOR_SD) -> "GaussianPrior":
+        """Zero-mean prior with a large common sd (default :data:`VAGUE_PRIOR_SD`)."""
         return cls(np.zeros(dim), np.full(dim, float(sd)))
 
 

@@ -13,17 +13,18 @@ depend on neither the rest of its grid nor the number of workers.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
+from .artifact import _sampler_block
 from .errors import ConfigError, require_seed
 from .evaluation import net_benefit, paired_delta
-from .model_core import TargetThreshold
+from .model_core import VAGUE_PRIOR_SD, DistanceFunction, TargetThreshold
 from .predict import predictive_mean
 from .sampler import SamplerConfig
 from .simulation import STUDY_PARAMETER, optimal_nb, study
-from .tuning import DEFAULT_LAMBDA_GRID, fit_pipeline, fit_standard, map_jobs
+from .tuning import DEFAULT_DESIGN_FRACTION, DEFAULT_K_FOLDS, DEFAULT_LAMBDA_GRID, fit_pipeline, fit_standard, map_jobs
 
 __all__ = ["FIGURES", "FULL_SCALE_REPETITIONS", "reproduce_figure"]
 
@@ -109,6 +110,19 @@ def _rep_worker(payload: tuple) -> dict:
     return row
 
 
+def _settings() -> dict:
+    """The settings every repetition's fits share besides the cell, the seed and the lambda grid, for the manifest."""
+    return {
+        "sampler": _sampler_block(FINAL_SAMPLER),
+        "cv_chain": list(CV_CHAIN),
+        "k_folds": DEFAULT_K_FOLDS,
+        "design_fraction": DEFAULT_DESIGN_FRACTION,
+        "distance": asdict(DistanceFunction()),
+        "prior_sd": VAGUE_PRIOR_SD,
+        "test_rows": TEST_SET_SIZE,
+    }
+
+
 def reproduce_figure(
     figure: str,
     scale: float = 1.0,
@@ -117,7 +131,7 @@ def reproduce_figure(
     lambda_grid=DEFAULT_LAMBDA_GRID,
     overrides: dict | None = None,
 ) -> dict:
-    """Run one figure's grid and return its cell keys and its raw and aggregated result rows."""
+    """Run one figure's grid and return its cell keys, its raw and aggregated result rows and its fixed settings."""
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure id {figure!r}; choose from {tuple(FIGURES)}")
     if not (0.0 < scale <= 1.0):
@@ -147,4 +161,5 @@ def reproduce_figure(
         if figure == "sim3-fig6":
             agg["mean_nb_optimal"] = float(np.mean([r["nb_optimal"] for r in rows]))
         aggregated.append(agg)
-    return {"repetitions": reps, "cell_keys": list(cells[0]), "raw": raw, "aggregated": aggregated}
+    return {"repetitions": reps, "cell_keys": list(cells[0]), "raw": raw, "aggregated": aggregated,
+            "settings": _settings()}

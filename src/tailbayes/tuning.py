@@ -45,6 +45,8 @@ from .sampler import PosteriorSamples, SamplerConfig, _check_draw_store, _run_ch
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
+    "DEFAULT_K_FOLDS",
+    "DEFAULT_DESIGN_FRACTION",
     "ESS_WARNING_FRACTION",
     "ACCEPTANCE_WARNING_RANGE",
     "USABLE_CPUS",
@@ -69,6 +71,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_LAMBDA_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0)
+DEFAULT_K_FOLDS = 5
+DEFAULT_DESIGN_FRACTION = 0.20
 ESS_WARNING_FRACTION = 0.10
 # random-walk MH mixes best near 0.234 acceptance (Roberts, Gelman & Gilks 1997); a final chain outside this is reported
 ACCEPTANCE_WARNING_RANGE = (0.15, 0.35)
@@ -94,11 +98,7 @@ class SplitPlan:
         return h.hexdigest()
 
 
-def make_split(
-    n: int,
-    design_fraction: float = 0.20,
-    seed: int = 0,
-) -> SplitPlan:
+def make_split(n: int, design_fraction: float, seed: int) -> SplitPlan:
     """Uniformly random, seed-reproducible design/development partition.
 
     Raises DataError when a positive design fraction floors to an empty
@@ -153,12 +153,7 @@ class CvPlan:
         return np.flatnonzero(self.fold_ids != fold)
 
 
-def make_cv_plan(
-    outcomes,
-    k: int = 5,
-    lambda_grid=DEFAULT_LAMBDA_GRID,
-    seed: int = 0,
-) -> CvPlan:
+def make_cv_plan(outcomes, k: int, lambda_grid, seed: int) -> CvPlan:
     """Outcome-stratified K-fold assignment, reproducible from the seed."""
     y = np.asarray(outcomes, dtype=np.float64).ravel()
     if k < 2:
@@ -247,11 +242,7 @@ def map_jobs(fn, payloads: list, jobs: int) -> list:
         return list(pool.map(fn, payloads))
 
 
-def stage1_pi_u(
-    design: Dataset,
-    sampler_config: SamplerConfig,
-    prior: GaussianPrior | None = None,
-) -> PosteriorSamples:
+def stage1_pi_u(design: Dataset, sampler_config: SamplerConfig, prior: GaussianPrior) -> PosteriorSamples:
     """Fit the first-stage model, a standard logistic fit, on the design set.
 
     Requires both outcome classes to be present; with an externally
@@ -309,7 +300,7 @@ def cv_select_lambda(
     threshold: TargetThreshold,
     cv_plan: CvPlan,
     sampler_config: SamplerConfig,
-    prior: GaussianPrior | None = None,
+    prior: GaussianPrior,
     jobs: int = 1,
 ) -> tuple[float, list[dict]]:
     """Choose lam maximising the fold-average Net Benefit at the threshold.
@@ -332,8 +323,6 @@ def cv_select_lambda(
         raise DataError(f"weights need one row per lambda and one column per development row, "
                         f"{(len(grid), development.n)}, not {weights.shape}")
     _require_full_folds(development, cv_plan)
-    if prior is None:
-        prior = GaussianPrior.vague(development.n_coefficients)
 
     seeds = [fold_seed(sampler_config.rng_seed, fold) for fold in range(cv_plan.k)]
     folds = []
@@ -387,7 +376,6 @@ class FittedTailoredModel:
     split: SplitPlan
     cv_plan: CvPlan
     cv_table: list[dict]
-    ess_t: float
     ess_grid: list[dict]
     weights: np.ndarray
     pi_u_development: np.ndarray | None
@@ -397,8 +385,12 @@ class FittedTailoredModel:
     cv_sampler_config: SamplerConfig
 
     @property
+    def ess_t(self) -> float:  # lam*'s row of ess_grid holds the final chain's weights' effective sample size
+        return self.ess_grid[self.cv_plan.lambda_grid.index(self.lambda_star)]["ess"]
+
+    @property
     def ess_fraction(self) -> float:
-        return self.ess_t / self.weights.shape[0]
+        return self.ess_grid[self.cv_plan.lambda_grid.index(self.lambda_star)]["ess_fraction"]
 
 
 def fit_pipeline(
@@ -406,8 +398,8 @@ def fit_pipeline(
     threshold: TargetThreshold,
     *,
     lambda_grid=DEFAULT_LAMBDA_GRID,
-    k_folds: int = 5,
-    design_fraction: float = 0.20,
+    k_folds: int = DEFAULT_K_FOLDS,
+    design_fraction: float = DEFAULT_DESIGN_FRACTION,
     distance: DistanceFunction = DistanceFunction(),
     sampler_config: SamplerConfig = SamplerConfig(),
     cv_chain: tuple[int, int] | None = None,
@@ -450,10 +442,10 @@ def fit_pipeline(
     elif design_fraction == 0.0:
         raise ConfigError("design fraction 0 leaves no design rows for the first-stage model: give a positive design "
                           "fraction, or first-stage probabilities for every row (--pi-u-file, external_pi_u)")
-    split = make_split(train.n, design_fraction=design_fraction, seed=sampler_config.rng_seed)
+    split = make_split(train.n, design_fraction, sampler_config.rng_seed)
     development = train.subset(split.development_idx)
     # the fold plan is checked before any chain runs, though a one-value grid never uses its folds
-    cv_plan = make_cv_plan(development.outcomes, k_folds, lambda_grid, seed=sampler_config.rng_seed)
+    cv_plan = make_cv_plan(development.outcomes, k_folds, lambda_grid, sampler_config.rng_seed)
     one_value = cv_plan.lambda_grid == (0.0,)  # a CvPlan grid starts at 0, so this is every one-value grid
     # the draws of a lone chain and of the largest fold group's stacked CV chains must fit in memory
     _check_draw_store(1, train.n_coefficients, sampler_config)
@@ -483,15 +475,12 @@ def fit_pipeline(
     else:
         lambda_star, cv_table = cv_select_lambda(development, weights, threshold, cv_plan, cv_config, prior, jobs=jobs)
 
-    final_weights = weights[grid.index(lambda_star)]
-    ess_t = effective_sample_size(final_weights)
-    if ess_t / development.n < ESS_WARNING_FRACTION:
-        logger.warning(
-            "effective sample size %.1f is below %.0f%% of the development rows",
-            ess_t,
-            100 * ESS_WARNING_FRACTION,
-        )
-    samples = fit_tailored(development, final_weights, prior, sampler_config)
+    star = grid.index(lambda_star)
+    ess_rows = ess_grid(grid, weights)
+    if ess_rows[star]["low_ess"]:
+        logger.warning("effective sample size %.1f is below %.0f%% of the development rows",
+                       ess_rows[star]["ess"], 100 * ESS_WARNING_FRACTION)
+    samples = fit_tailored(development, weights[star], prior, sampler_config)
     low, high = ACCEPTANCE_WARNING_RANGE
     if not low <= samples.acceptance_rate <= high:
         logger.warning(
@@ -509,9 +498,8 @@ def fit_pipeline(
         split=split,
         cv_plan=cv_plan,
         cv_table=cv_table,
-        ess_t=ess_t,
-        ess_grid=ess_grid(grid, weights),
-        weights=final_weights,
+        ess_grid=ess_rows,
+        weights=weights[star],
         pi_u_development=pi_u_dev,
         stage1=stage1,
         prior=prior,

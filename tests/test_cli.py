@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +17,9 @@ from tailbayes import cli, dataio, reproduce, simulation, tuning
 from tailbayes.cli import main
 from tailbayes.errors import SamplerError
 from tailbayes.evaluation import net_benefit
-from tailbayes.model_core import TargetThreshold
+from tailbayes.model_core import VAGUE_PRIOR_SD, DistanceFunction, GaussianPrior, TargetThreshold
 from tailbayes.predict import predictive_mean
+from tailbayes.sampler import SamplerConfig
 
 FIT_SPEED = ["--iterations", "1500", "--burn-in", "600", "--cv-iterations", "800", "--cv-burn-in", "300"]
 
@@ -623,6 +623,17 @@ class TestEvaluate:
         assert capsys.readouterr().err == "error: --scored-b cannot be used with --model-a\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["scored", "model"])
+    def test_label_b_without_model_b_is_usage_error(self, tmp_path, capsys, mode):
+        a = self._scored(tmp_path, "a.csv", [0.25, 0.75], [0, 1])
+        source = ["--scored-a", a] if mode == "scored" else ["--model-a", tmp_path / "no_model", "--data", a]
+        out = tmp_path / "x"
+        code = run(["evaluate", *source, "--label-b", "other", "--thresholds", "0.3", "--out", out])
+        assert code == 2  # before the missing artifact is read
+        needed = "--scored-b" if mode == "scored" else "--model-b"
+        assert capsys.readouterr().err == f"error: --label-b names model B, so it needs {needed}\n"
+        assert not out.exists()
+
     def test_evaluate_requires_one_input_mode(self, tmp_path):
         a = self._scored(tmp_path, "a.csv", [0.5], [1])
         assert run(["evaluate", "--thresholds", "0.5", "--out", tmp_path / "x"]) == 2
@@ -683,13 +694,17 @@ class TestReproduceAndEssGrid:
                     "--out", out]) == 0
         header, rows = _read_csv(out / "nb_raw.csv")
         row = dict(zip(header, rows[0]))
-        generate, train_config = simulation.study("sim3", 200, int(row["train_seed"]), 0.1)
-        test = generate(simulation.study("sim3", reproduce.TEST_SET_SIZE, int(row["test_seed"]), 0.0)[1])[0]
-        config = replace(reproduce.FINAL_SAMPLER, rng_seed=int(row["fit_seed"]))
-        train, t = generate(train_config)[0], TargetThreshold(0.3)
-        model = tuning.fit_pipeline(train, t, lambda_grid=(0.0, 10.0), sampler_config=config,
-                                    cv_chain=reproduce.CV_CHAIN)
-        baseline = tuning.fit_standard(train, config)
+        manifest = dataio.read_manifest(out / "manifest.json")
+        generate, train_config = simulation.study("sim3", int(row["n"]), int(row["train_seed"]), float(row["psi"]))
+        test = generate(simulation.study("sim3", manifest["test_rows"], int(row["test_seed"]), 0.0)[1])[0]
+        config = SamplerConfig(**manifest["sampler"], rng_seed=int(row["fit_seed"]))
+        train, t = generate(train_config)[0], TargetThreshold(float(row["t"]))
+        prior = GaussianPrior.vague(train.n_coefficients, sd=manifest["prior_sd"])
+        model = tuning.fit_pipeline(train, t, lambda_grid=manifest["lambda_grid"], k_folds=manifest["k_folds"],
+                                    design_fraction=manifest["design_fraction"],
+                                    distance=DistanceFunction(**manifest["distance"]), sampler_config=config,
+                                    cv_chain=tuple(manifest["cv_chain"]), prior=prior)
+        baseline = tuning.fit_standard(train, config, prior)
         assert float(row["lambda_star"]) == model.lambda_star
         for key, samples in (("nb_tb", model.samples), ("nb_sb", baseline)):
             assert float(row[key]) == net_benefit(predictive_mean(test.covariates, samples), test.outcomes, t).net_benefit
@@ -761,6 +776,24 @@ class TestReproduceAndEssGrid:
         assert float(rows[0][2]) == 1.0
         fractions = [float(r[2]) for r in rows]
         assert fractions[0] > fractions[1] > fractions[2]
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    fit = parser.parse_args(["fit", "d.csv", "--out", "o"])
+    ess = parser.parse_args(["ess-grid", "--pi-u-file", "p.csv", "--t", "0.3", "--out", "e.csv"])
+    sim = parser.parse_args(["simulate", "--study", "sim1", "--n", "5", "--out", "s.csv"])
+    ev = parser.parse_args(["evaluate", "--thresholds", "0.3", "--out", "ev"])
+    sampler = SamplerConfig()
+    assert (fit.iterations, fit.burn_in, fit.thin, fit.initial_sd, fit.seed) == (
+        sampler.n_iterations, sampler.burn_in, sampler.thin, sampler.initial_sd, sampler.rng_seed)
+    assert (fit.k_folds, fit.design_fraction, fit.prior_sd) == (
+        tuning.DEFAULT_K_FOLDS, tuning.DEFAULT_DESIGN_FRACTION, VAGUE_PRIOR_SD)
+    assert cli._distance_from_args(fit) == cli._distance_from_args(ess) == DistanceFunction()
+    assert (sim.q, sim.prevalence, sim.psi) == (simulation.Sim1Config(n=5).q, simulation.Sim2Config(n=5).prevalence,
+                                                simulation.Sim3Config(n=5).contamination)
+    assert fit.outcome_col == ev.outcome_col == dataio.OUTCOME_COLUMN
+    assert ev.prob_col == dataio.PROB_COLUMN
 
 
 def _no_fit(*args, **kwargs):

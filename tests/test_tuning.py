@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -35,6 +36,7 @@ from tailbayes.tuning import (
 FAST = SamplerConfig(n_iterations=2500, burn_in=1000, rng_seed=11)
 FASTER = SamplerConfig(n_iterations=1200, burn_in=500, rng_seed=11)
 FASTER_CHAIN = (FASTER.n_iterations, FASTER.burn_in)  # (iterations, burn-in) of CV chains beside a FAST final chain
+VAGUE = GaussianPrior.vague(3)  # fit_pipeline's default prior on two covariates and the intercept
 
 
 def grid_weights(pi_u, plan):
@@ -49,11 +51,11 @@ class TestMakeSplit:
         assert plan.development_idx.shape[0] == 8
 
     def test_deterministic(self):
-        a = make_split(100, seed=42)
-        b = make_split(100, seed=42)
+        a = make_split(100, design_fraction=0.2, seed=42)
+        b = make_split(100, design_fraction=0.2, seed=42)
         assert np.array_equal(a.design_idx, b.design_idx)
         assert a.digest() == b.digest()
-        c = make_split(100, seed=43)
+        c = make_split(100, design_fraction=0.2, seed=43)
         assert c.digest() != a.digest()
 
     def test_floor_rounding_rule_at_registry_scale(self):
@@ -88,7 +90,7 @@ class TestCvPlan:
         rng = np.random.default_rng(4)
         for prevalence in (0.1, 0.35, 0.5):
             y = (rng.uniform(size=203) < prevalence).astype(float)
-            plan = make_cv_plan(y, k=5, seed=9)
+            plan = make_cv_plan(y, k=5, lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=9)
             n_pos = y.sum()
             for fold in range(5):
                 idx = plan.fold_indices(fold)
@@ -97,7 +99,7 @@ class TestCvPlan:
 
     def test_folds_partition_rows(self):
         y = (np.arange(40) % 3 == 0).astype(float)
-        plan = make_cv_plan(y, k=4, seed=2)
+        plan = make_cv_plan(y, k=4, lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=2)
         combined = np.concatenate([plan.fold_indices(k) for k in range(4)])
         assert np.array_equal(np.sort(combined), np.arange(40))
         for k in range(4):
@@ -109,16 +111,16 @@ class TestCvPlan:
     def test_grid_must_start_at_zero(self):
         y = (np.arange(20) % 2).astype(float)
         with pytest.raises(ConfigError):
-            make_cv_plan(y, lambda_grid=(1.0, 5.0))
+            make_cv_plan(y, k=5, lambda_grid=(1.0, 5.0), seed=0)
         with pytest.raises(ConfigError):
-            make_cv_plan(y, lambda_grid=())
+            make_cv_plan(y, k=5, lambda_grid=(), seed=0)
         with pytest.raises(ConfigError):
-            make_cv_plan(y, lambda_grid=(0.0, 5.0, 2.0))
+            make_cv_plan(y, k=5, lambda_grid=(0.0, 5.0, 2.0), seed=0)
 
     def test_deterministic(self):
         y = (np.arange(30) % 2).astype(float)
-        a = make_cv_plan(y, seed=5)
-        b = make_cv_plan(y, seed=5)
+        a = make_cv_plan(y, k=5, lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=5)
+        b = make_cv_plan(y, k=5, lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=5)
         assert np.array_equal(a.fold_ids, b.fold_ids)
 
     @settings(derandomize=True, max_examples=50, deadline=None, database=None)
@@ -128,7 +130,7 @@ class TestCvPlan:
         """Each fold holds its share of each class within one, so fold (and training) sizes differ by at most 2."""
         k, outcomes, seed = case
         y = np.array(outcomes, dtype=float)
-        plan = make_cv_plan(y, k=k, seed=seed)
+        plan = make_cv_plan(y, k=k, lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=seed)
         for label in (0.0, 1.0):
             share = np.count_nonzero(y == label) / k
             for fold in range(k):
@@ -143,18 +145,18 @@ class TestStage1:
     def test_single_class_design_rejected(self):
         data = Dataset.from_raw(np.random.default_rng(0).standard_normal((30, 2)), np.ones(30))
         with pytest.raises(DataError):
-            stage1_pi_u(data, FAST)
+            stage1_pi_u(data, FAST, VAGUE)
 
     def test_equals_standard_fit_bitwise(self):
         design, _, _ = generate_sim3(Sim3Config(n=120, seed=3))
-        stage1 = stage1_pi_u(design, FAST)
+        stage1 = stage1_pi_u(design, FAST, VAGUE)
         baseline = fit_standard(design, FAST)
         assert np.array_equal(stage1.draws, baseline.draws)
 
     def test_probabilities_approximately_calibrated(self):
         """Binned check on fresh rows from the same distribution."""
         design, _, _ = generate_sim3(Sim3Config(n=2500, seed=40))
-        stage1 = stage1_pi_u(design, SamplerConfig(n_iterations=5000, burn_in=2000, rng_seed=8))
+        stage1 = stage1_pi_u(design, SamplerConfig(n_iterations=5000, burn_in=2000, rng_seed=8), VAGUE)
         fresh, _, _ = generate_sim3(Sim3Config(n=3000, seed=41))
         pi = predictive_mean_sd(fresh.covariates, stage1)[0]
         curve = calibration_curve(pi, fresh.outcomes, n_bins=8)
@@ -172,7 +174,7 @@ class TestCvSelectLambda:
         t = TargetThreshold(0.3)
         pi_u = np.full(train.n, 0.3)
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0, 50.0), seed=1)
-        lam, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER)
+        lam, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER, VAGUE)
         assert lam == 0.0
         by_lam = {}
         for row in table:
@@ -183,9 +185,9 @@ class TestCvSelectLambda:
         train, _ = generate_sim1(Sim1Config(n=60, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0), seed=1)
         with pytest.raises(DataError, match=r"development row, \(2, 60\), not \(2, 10\)$"):
-            cv_select_lambda(train, grid_weights(np.full(10, 0.3), plan), TargetThreshold(0.3), plan, FASTER)
+            cv_select_lambda(train, grid_weights(np.full(10, 0.3), plan), TargetThreshold(0.3), plan, FASTER, VAGUE)
         with pytest.raises(DataError, match=r"development row, \(2, 60\), not \(1, 60\)$"):
-            cv_select_lambda(train, np.ones((1, train.n)), TargetThreshold(0.3), plan, FASTER)
+            cv_select_lambda(train, np.ones((1, train.n)), TargetThreshold(0.3), plan, FASTER, VAGUE)
 
     def test_process_pool_matches_serial(self):
         """Cells own their seeds, so parallel and serial runs agree exactly."""
@@ -194,8 +196,8 @@ class TestCvSelectLambda:
         pi_u = rng.uniform(0.1, 0.9, size=train.n)
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 10.0), seed=1)
         weights = grid_weights(pi_u, plan)
-        serial = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, jobs=1)
-        parallel = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, jobs=2)
+        serial = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
+        parallel = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=2)
         assert serial == parallel
 
     @staticmethod
@@ -217,7 +219,7 @@ class TestCvSelectLambda:
         self.fail_folds(monkeypatch, {FASTER.rng_seed + 1})  # fold 1 always fails
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
         weights = grid_weights(np.full(train.n, 0.4), plan)
-        lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER)
+        lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE)
         failures = [row for row in table if row["error"]]
         assert len(failures) == 2  # one per lam
         assert all(row["fold"] == 1 for row in failures)
@@ -227,8 +229,9 @@ class TestCvSelectLambda:
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
         self.fail_folds(monkeypatch, {FASTER.rng_seed + 1, FASTER.rng_seed + 2})
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
+        weights = grid_weights(np.full(train.n, 0.4), plan)
         with pytest.raises(SamplerError):
-            cv_select_lambda(train, grid_weights(np.full(train.n, 0.4), plan), TargetThreshold(0.3), plan, FASTER)
+            cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE)
 
     def test_nonfinite_start_fails_only_its_cells(self):
         """Infinite weights at lam = 5 make that chain's start point NaN in every fold."""
@@ -238,7 +241,7 @@ class TestCvSelectLambda:
         weights = grid_weights(pi_u, plan)
         weights[plan.lambda_grid.index(5.0)] = np.inf
         with np.errstate(invalid="ignore"):
-            lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER)
+            lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE)
         failed = {(row["lambda"], row["fold"]) for row in table if row["error"]}
         assert failed == {(5.0, 1), (5.0, 2), (5.0, 3)}
         assert all("initial point" in row["error"] for row in table if row["error"])
@@ -260,7 +263,7 @@ class TestCvSelectLambda:
             return result
 
         monkeypatch.setattr(tuning, "fit_folds", recording)
-        _, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER)
+        _, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER, VAGUE)
         monkeypatch.undo()
         prior = GaussianPrior.vague(train.n_coefficients)
         assert len(batches) == plan.k
@@ -303,7 +306,8 @@ class TestCvSelectLambda:
         monkeypatch.setattr(tuning, "map_jobs", None)  # no chain may run
         message = "cannot make 9 non-empty CV folds from 9 development rows: the outcome classes have 5 and 4 rows"
         with pytest.raises(DataError, match=message):
-            cv_select_lambda(development, grid_weights(np.full(9, 0.4), plan), TargetThreshold(0.3), plan, FASTER)
+            cv_select_lambda(development, grid_weights(np.full(9, 0.4), plan), TargetThreshold(0.3), plan, FASTER,
+                             GaussianPrior.vague(development.n_coefficients))
 
 
 class TestFitFolds:
@@ -399,16 +403,16 @@ class TestMapJobs:
         train, _ = generate_sim1(Sim1Config(n=130, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
         weights = grid_weights(np.full(train.n, 0.4), plan)
-        pooled = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, jobs=64)
+        pooled = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=64)
         assert pool_sizes == [2, 2]
-        assert pooled == cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER)
+        assert pooled == cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE)
 
     def test_cv_pool_gets_one_worker_per_fold(self, pool_sizes):
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0), seed=1)
         weights = grid_weights(np.full(train.n, 0.4), plan)
-        serial = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER)
-        pooled = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, jobs=64)
+        serial = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE)
+        pooled = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=64)
         assert pool_sizes == [3]
         assert pooled == serial
 
@@ -425,8 +429,9 @@ class TestMapJobs:
             return real_map_jobs(fn, payloads, jobs)
 
         monkeypatch.setattr(tuning, "map_jobs", recording)
+        weights = grid_weights(pi_u, plan)
         results = {
-            jobs: cv_select_lambda(train, grid_weights(pi_u, plan), TargetThreshold(0.3), plan, FASTER, jobs=jobs)
+            jobs: cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=jobs)
             for jobs in (1, 2, 3, 64)
         }
         assert all(result == results[1] for result in results.values())
@@ -446,6 +451,18 @@ class TestFitPipeline:
         assert np.all(model.weights == 1.0)
         assert model.ess_t == development.n
         assert model.ess_grid == [{"lambda": 0.0, "ess": development.n, "ess_fraction": 1.0, "low_ess": False}]
+
+    def test_low_ess_warning_and_ess_t_read_the_lambda_star_row(self, monkeypatch, caplog):
+        train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=7))
+        pi_u = np.where(np.arange(train.n) % 20 == 0, 0.3, 0.95)  # at lam = 200 only every 20th row keeps weight
+        monkeypatch.setattr(tuning, "cv_select_lambda", lambda *args, **kwargs: (200.0, []))
+        with caplog.at_level(logging.WARNING, logger="tailbayes.tuning"):
+            model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 200.0), external_pi_u=pi_u,
+                                 sampler_config=FASTER)
+        row = model.ess_grid[1]
+        assert row["low_ess"] and not model.ess_grid[0]["low_ess"]
+        assert (model.ess_t, model.ess_fraction) == (row["ess"], row["ess_fraction"])
+        assert f"effective sample size {row['ess']:.1f} is below 10% of the development rows" in caplog.messages
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_value_grid_runs_only_the_final_chain(self, jobs, monkeypatch):

@@ -14,9 +14,7 @@ runs three cases:
   8-value default grid, n = 880, 3000 iterations (1200 burn-in), in
   process: the 40 CV chains of one ``reproduce`` repetition, plus their
   predictions and Net Benefit.  It passes the grid's weight matrix, built
-  by the tree's own ``compute_weights``, to a ``cv_select_lambda`` that
-  takes ``weights``, and the first-stage probabilities to one that does
-  not;
+  by the tree's own ``compute_weights``, and the vague prior;
 - ``CV1`` and ``CV2``: ``fit_folds`` on 5 and on 10 folds stacked in one
   call, each fold with its own rows (n = 640) and seed and eight lambda
   chains, 3000 iterations (1200 burn-in): the CV chains of one
@@ -46,7 +44,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
-import inspect
 import statistics
 import sys
 import time
@@ -92,9 +89,8 @@ def make_inputs(tree: dict, case: dict) -> tuple:
         ((data, pi_u),) = rows
         plan = tuning.make_cv_plan(data.outcomes, k=case["folds"], lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=31)
         threshold = core.TargetThreshold(0.3)
-        if "weights" in inspect.signature(tuning.cv_select_lambda).parameters:
-            return (data, core.compute_weights(pi_u, threshold, plan.lambda_grid), threshold, plan, config)
-        return (data, pi_u, threshold, plan, config)
+        weights = core.compute_weights(pi_u, threshold, plan.lambda_grid)
+        return (data, weights, threshold, plan, config, core.GaussianPrior.vague(data.n_coefficients))
     lams = [0.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0][: case["chains"]]
     weights = [np.exp(-np.outer(lams, (pi_u - 0.3) ** 2)) for _, pi_u in rows]
     seeds = [config.rng_seed + g for g in range(len(rows))]

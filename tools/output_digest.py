@@ -92,6 +92,9 @@ RUNS = [
     ("evaluate_scored_unpaired", ["evaluate", "--scored-a", "sim1_oracle.csv",
                                   "--scored-b", "sim1_oracle.csv", "--prob-col", "true_probability",
                                   "--thresholds", "0.3", "--out", "evaluate_scored_unpaired"]),
+    # a label for model B with no model B: a usage error raised before any file is read
+    ("evaluate_label_b_without_b", ["evaluate", "--scored-a", "sim1_oracle.csv", "--prob-col", "true_probability",
+                                    "--label-b", "b", "--thresholds", "0.3", "--out", "evaluate_label_b_without_b"]),
     ("reproduce", [*REPRODUCE, "--n-list", "200", "--t-list", "0.3", "--jobs", "2",
                    "--out", "reproduce"]),
     ("reproduce_repeated_t", [*REPRODUCE, "--n-list", "200", "--t-list", "0.3,0.3", "--jobs", "1",
