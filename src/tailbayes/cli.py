@@ -19,13 +19,13 @@ import numpy as np
 from . import __version__, dataio
 from .artifact import load_fit, save_fit
 from .errors import ConfigError, DataError, SamplerError, TailbayesError
-from .evaluation import net_benefit, paired_delta
+from .evaluation import net_benefit_tables
 from .model_core import (VAGUE_PRIOR_SD, Dataset, DistanceFunction, GaussianPrior, TargetThreshold, UtilitySpec,
                          compute_weights, target_threshold)
 from .predict import positive_mask, predictive_mean, predictive_mean_sd
-from .reproduce import FIGURES, reproduce_figure
+from .reproduce import DEFAULT_SCALE, DEFAULT_SEED, FIGURES, reproduce_figure
 from .sampler import SamplerConfig, _check_draw_store
-from .simulation import STUDY_PARAMETER, Sim1Config, Sim2Config, Sim3Config, study
+from .simulation import STUDY_DEFAULT, STUDY_PARAMETER, Sim1Config, study
 from .tuning import (DEFAULT_DESIGN_FRACTION, DEFAULT_K_FOLDS, DEFAULT_LAMBDA_GRID, USABLE_CPUS, ess_grid,
                      final_fit_rhat, fit_pipeline)
 
@@ -149,18 +149,19 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic benchmark dataset")
     sim.add_argument("--study", choices=["sim1", "sim2", "sim3"], required=True)
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--q", type=float, default=Sim1Config.q, help="sim1 class-balance scalar")
-    sim.add_argument("--prevalence", type=float, default=Sim2Config.prevalence, help="sim2 class prior")
-    sim.add_argument("--psi", type=float, default=Sim3Config.contamination, help="sim3 contamination fraction")
-    sim.add_argument("--seed", type=int, default=0)
+    # each study takes only its own parameter; an unset one is the study's default (STUDY_DEFAULT)
+    sim.add_argument("--q", type=float, help="sim1 class-balance scalar")
+    sim.add_argument("--prevalence", type=float, help="sim2 class prior")
+    sim.add_argument("--psi", type=float, help="sim3 contamination fraction")
+    sim.add_argument("--seed", type=int, default=Sim1Config.seed)
     sim.add_argument("--with-oracle", action="store_true", help="include the true probability column")
     sim.add_argument("--out", required=True, help="output CSV path")
 
     rep = sub.add_parser("reproduce", help="rerun a benchmark figure grid at desk scale")
     rep.add_argument("--figure", choices=list(FIGURES), required=True)
-    rep.add_argument("--scale", type=float, default=1.0,
+    rep.add_argument("--scale", type=float, default=DEFAULT_SCALE,
                      help="fraction of the full 20 repetitions per cell")
-    rep.add_argument("--seed", type=int, default=0)
+    rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     rep.add_argument("--jobs", type=_jobs, default=USABLE_CPUS)
     rep.add_argument("--lambda-grid", type=_csv_floats, default=DEFAULT_LAMBDA_GRID)
     rep.add_argument("--n-list", type=_csv_floats)
@@ -247,6 +248,13 @@ def _resolve_threshold(args) -> tuple[TargetThreshold, UtilitySpec | None]:
     return target_threshold(spec), spec
 
 
+def _write_tables(out: Path, tables: dict) -> None:
+    """Write each table the library returns, file name -> (header, rows), into the ``--out`` directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        dataio.write_rows(out / name, header, rows)
+
+
 def cmd_fit(args) -> int:
     if args.rhat_chains != 0 and args.rhat_chains < 2:
         raise ConfigError(
@@ -325,6 +333,7 @@ def cmd_evaluate(args) -> int:
     source_b = args.model_b if model_mode else args.scored_b
     if args.label_b is not None and not source_b:
         raise ConfigError(f"--label-b names model B, so it needs {'--model-b' if model_mode else '--scored-b'}")
+    thresholds = [TargetThreshold(t) for t in args.thresholds]
     out = _out_dir(args.out)
     if model_mode and not args.data:
         raise ConfigError("--model-a needs at least one --data file")
@@ -340,47 +349,24 @@ def cmd_evaluate(args) -> int:
             splits.append((predictive_mean(fit.design(raw_x), fit.samples), y))
         return splits
 
-    scored_a = scored(args.model_a if model_mode else args.scored_a)
-    scored_b = scored(source_b) if source_b else None
-    if scored_b is not None and len(scored_b) != len(scored_a):
-        raise DataError("paired evaluation needs the same number of splits for both models")
-    if scored_b is not None and len(scored_a) < 2:
-        raise DataError("paired delta needs at least two splits per model")
-
-    nb_rows = []
-    # Net Benefit per split, by model and threshold position: labels and thresholds may repeat
-    nb_values = []
-    label_b = "model_b" if args.label_b is None else args.label_b
-    for label, scored in ((args.label_a, scored_a), (label_b, scored_b or [])):
-        nb_values.append([[] for _ in args.thresholds])
-        for split, (probs, outcomes) in enumerate(scored, start=1):
-            for i, t in enumerate(args.thresholds):
-                report = net_benefit(probs, outcomes, t)
-                nb_rows.append(
-                    (t, label, split, report.tp_count, report.fp_count, report.n, report.net_benefit)
-                )
-                nb_values[-1][i].append(report.net_benefit)
-
-    out.mkdir(parents=True, exist_ok=True)
-    dataio.write_rows(out / "nb.csv", ["threshold", "model", "split", "tp", "fp", "n", "nb"], nb_rows)
-    written = [out / "nb.csv"]
-    if scored_b is not None:
-        delta_rows = []
-        for t, nb_a, nb_b in zip(args.thresholds, *nb_values):
-            delta = paired_delta(nb_a, nb_b)
-            delta_rows.append((t, delta.mean_delta, delta.se_delta))
-        dataio.write_rows(out / "delta_nb.csv", ["threshold", "mean_delta", "se_delta"], delta_rows)
-        written.append(out / "delta_nb.csv")
-    print("wrote " + ", ".join(str(p) for p in written))
+    model_a = (args.label_a, scored(args.model_a if model_mode else args.scored_a))
+    model_b = ("model_b" if args.label_b is None else args.label_b, scored(source_b)) if source_b else None
+    tables = net_benefit_tables(thresholds, model_a, model_b)
+    _write_tables(out, tables)
+    print("wrote " + ", ".join(str(out / name) for name in tables))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    _out_file(args.out, str(args.out) + ".meta.json")
     key = STUDY_PARAMETER[args.study]
-    generate, config = study(args.study, args.n, args.seed, getattr(args, key))
+    stray = [f"--{k}" for k in STUDY_PARAMETER.values() if k != key and getattr(args, k) is not None]
+    if stray:
+        raise ConfigError(f"--study {args.study} varies only --{key}, so it takes no {' or '.join(stray)}")
+    _out_file(args.out, str(args.out) + ".meta.json")
+    param = STUDY_DEFAULT[args.study] if getattr(args, key) is None else getattr(args, key)
+    generate, config = study(args.study, args.n, args.seed, param)
     data, oracle, *mask = generate(config)  # only sim3 returns a contamination mask
-    meta = {"study": args.study, "n": args.n, key: getattr(args, key), "seed": args.seed,
+    meta = {"study": args.study, "n": args.n, key: param, "seed": args.seed,
             "oracle_included": args.with_oracle, "rows_written": data.n}
 
     dataio.write_simulated_csv(
@@ -413,48 +399,17 @@ def cmd_reproduce(args) -> int:
         lambda_grid=args.lambda_grid,
         overrides={k: v for k, v in overrides.items() if v},
     )
-    out.mkdir(parents=True, exist_ok=True)
-
-    raw = result["raw"]
-    cell_keys = result["cell_keys"]
-    dataio.write_rows(out / "nb_raw.csv", list(raw[0]), [list(row.values()) for row in raw])
-
-    aggregated = result["aggregated"]
-    groups = [k for k in cell_keys if k != "t"]
-    dataio.write_rows(
-        out / "delta_nb.csv",
-        groups + ["threshold", "mean_delta", "se_delta"],
-        [[agg[k] for k in groups + ["t", "mean_delta", "se_delta"]] for agg in aggregated],
-    )
-    if args.figure == "sim3-fig6":
-        summary = ["psi", "mean_nb_tb", "mean_nb_sb", "mean_nb_optimal", "mean_delta", "se_delta"]
-        dataio.write_rows(
-            out / "nb_summary.csv",
-            ["threshold"] + summary,
-            [[agg["t"]] + [agg[k] for k in summary] for agg in aggregated],
-        )
-
-    manifest = {
-        "tool": "tailbayes",
-        "version": __version__,
-        "command": "reproduce",
-        "figure": args.figure,
-        "scale": args.scale,
-        "repetitions": result["repetitions"],
-        "seed": args.seed,
-        "lambda_grid": list(args.lambda_grid),
-        "overrides": {k: list(v) for k, v in overrides.items() if v},
-        **result["settings"],
-    }
-    dataio.write_manifest(out / "manifest.json", manifest)
-    print(f"wrote {len(raw)} repetition rows -> {out}")
+    _write_tables(out, result["tables"])
+    dataio.write_manifest(out / "manifest.json", result["manifest"])
+    print(f"wrote {len(result['raw'])} repetition rows -> {out}")
     return EXIT_OK
 
 
 def cmd_ess_grid(args) -> int:
     _out_file(args.out)
+    threshold, distance = TargetThreshold(args.t), _distance_from_args(args)
     pi_u = dataio.read_pi_u_csv(args.pi_u_file)
-    weights = compute_weights(pi_u, TargetThreshold(args.t), args.lambda_grid, _distance_from_args(args))
+    weights = compute_weights(pi_u, threshold, args.lambda_grid, distance)
     rows = ess_grid(args.lambda_grid, weights)
     dataio.write_ess_table(args.out, rows)
     print(f"wrote {len(rows)} rows -> {args.out}")

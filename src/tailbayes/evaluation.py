@@ -20,6 +20,7 @@ __all__ = [
     "NetBenefitReport",
     "PairedDelta",
     "net_benefit",
+    "net_benefit_tables",
     "paired_delta",
 ]
 
@@ -82,3 +83,30 @@ def paired_delta(nb_a, nb_b) -> PairedDelta:
     mean = float(d.mean())
     se = math.sqrt(float(np.sum((d - mean) ** 2)) / (m * (m - 1)))
     return PairedDelta(mean_delta=mean, se_delta=se)
+
+
+def net_benefit_tables(thresholds: list[TargetThreshold], model_a: tuple, model_b: tuple | None) -> dict:
+    """The ``nb.csv`` and, with ``model_b``, ``delta_nb.csv`` tables, as file name -> (header, rows).
+
+    Each model is (label, splits), a split one (probabilities, outcomes) pair.  The paired
+    delta A - B per threshold needs both models scored on the same m >= 2 splits.
+    """
+    if model_b is not None and len(model_b[1]) != len(model_a[1]):
+        raise DataError("paired evaluation needs the same number of splits for both models")
+    if model_b is not None and len(model_a[1]) < 2:
+        raise DataError("paired delta needs at least two splits per model")
+    nb_rows = []
+    nb_values = []  # per model, per threshold position, one Net Benefit per split: labels and thresholds may repeat
+    for label, splits in [model_a] if model_b is None else [model_a, model_b]:
+        nb_values.append([[] for _ in thresholds])
+        for split, (probs, outcomes) in enumerate(splits, start=1):
+            for i, t in enumerate(thresholds):
+                report = net_benefit(probs, outcomes, t)
+                nb_rows.append((t.t, label, split, report.tp_count, report.fp_count, report.n, report.net_benefit))
+                nb_values[-1][i].append(report.net_benefit)
+    tables = {"nb.csv": (["threshold", "model", "split", "tp", "fp", "n", "nb"], nb_rows)}
+    if model_b is not None:
+        deltas = [paired_delta(nb_a, nb_b) for nb_a, nb_b in zip(*nb_values)]
+        tables["delta_nb.csv"] = (["threshold", "mean_delta", "se_delta"],
+                                  [(t.t, d.mean_delta, d.se_delta) for t, d in zip(thresholds, deltas)])
+    return tables

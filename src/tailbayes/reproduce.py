@@ -17,6 +17,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
+from . import __version__
 from .artifact import _sampler_block
 from .errors import ConfigError, require_seed
 from .evaluation import net_benefit, paired_delta
@@ -29,6 +30,8 @@ from .tuning import DEFAULT_DESIGN_FRACTION, DEFAULT_K_FOLDS, DEFAULT_LAMBDA_GRI
 __all__ = ["FIGURES", "FULL_SCALE_REPETITIONS", "reproduce_figure"]
 
 FULL_SCALE_REPETITIONS = 20
+DEFAULT_SCALE = 1.0  # reproduce_figure's scale and seed, which the CLI shares
+DEFAULT_SEED = 0
 TEST_SET_SIZE = 2000
 
 # Shorter chains than the library defaults keep a full figure grid at
@@ -110,35 +113,26 @@ def _rep_worker(payload: tuple) -> dict:
     return row
 
 
-def _settings() -> dict:
-    """The settings every repetition's fits share besides the cell, the seed and the lambda grid, for the manifest."""
-    return {
-        "sampler": _sampler_block(FINAL_SAMPLER),
-        "cv_chain": list(CV_CHAIN),
-        "k_folds": DEFAULT_K_FOLDS,
-        "design_fraction": DEFAULT_DESIGN_FRACTION,
-        "distance": asdict(DistanceFunction()),
-        "prior_sd": VAGUE_PRIOR_SD,
-        "test_rows": TEST_SET_SIZE,
-    }
-
-
 def reproduce_figure(
     figure: str,
-    scale: float = 1.0,
-    seed: int = 0,
+    scale: float = DEFAULT_SCALE,
+    seed: int = DEFAULT_SEED,
     jobs: int = 1,
     lambda_grid=DEFAULT_LAMBDA_GRID,
     overrides: dict | None = None,
 ) -> dict:
-    """Run one figure's grid and return its cell keys, its raw and aggregated result rows and its fixed settings."""
+    """Run one figure's grid; return its raw and aggregated rows, its ``tables`` and its ``manifest``.
+
+    ``tables`` maps a file name to (header, rows); the manifest records every setting a row depends on.
+    """
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure id {figure!r}; choose from {tuple(FIGURES)}")
     if not (0.0 < scale <= 1.0):
         raise ConfigError("scale must lie in (0, 1]")
     require_seed(seed, "seed")
+    overrides = overrides or {}
     reps = max(1, round(FULL_SCALE_REPETITIONS * scale))
-    cells = _cells(figure, overrides or {})
+    cells = _cells(figure, overrides)
     payloads = [(figure, cell, rep, seed, tuple(lambda_grid)) for cell in cells for rep in range(reps)]
     raw = map_jobs(_rep_worker, payloads, jobs)
 
@@ -161,5 +155,34 @@ def reproduce_figure(
         if figure == "sim3-fig6":
             agg["mean_nb_optimal"] = float(np.mean([r["nb_optimal"] for r in rows]))
         aggregated.append(agg)
-    return {"repetitions": reps, "cell_keys": list(cells[0]), "raw": raw, "aggregated": aggregated,
-            "settings": _settings()}
+
+    groups = [k for k in cells[0] if k != "t"]
+    tables = {
+        "nb_raw.csv": (list(raw[0]), [list(row.values()) for row in raw]),
+        "delta_nb.csv": (groups + ["threshold", "mean_delta", "se_delta"],
+                         [[agg[k] for k in groups + ["t", "mean_delta", "se_delta"]] for agg in aggregated]),
+    }
+    if figure == "sim3-fig6":
+        summary = ["psi", "mean_nb_tb", "mean_nb_sb", "mean_nb_optimal", "mean_delta", "se_delta"]
+        tables["nb_summary.csv"] = (["threshold"] + summary,
+                                    [[agg["t"]] + [agg[k] for k in summary] for agg in aggregated])
+    manifest = {
+        "tool": "tailbayes",
+        "version": __version__,
+        "command": "reproduce",
+        "figure": figure,
+        "scale": scale,
+        "repetitions": reps,
+        "seed": seed,
+        "lambda_grid": list(lambda_grid),
+        "overrides": {k: list(v) for k, v in overrides.items() if v},
+        # the settings every repetition's fits share besides the cell, the seed and the lambda grid
+        "sampler": _sampler_block(FINAL_SAMPLER),
+        "cv_chain": list(CV_CHAIN),
+        "k_folds": DEFAULT_K_FOLDS,
+        "design_fraction": DEFAULT_DESIGN_FRACTION,
+        "distance": asdict(DistanceFunction()),
+        "prior_sd": VAGUE_PRIOR_SD,
+        "test_rows": TEST_SET_SIZE,
+    }
+    return {"repetitions": reps, "raw": raw, "aggregated": aggregated, "tables": tables, "manifest": manifest}

@@ -18,6 +18,7 @@ per row so optimal classifiers and their Net Benefit can be computed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +33,7 @@ __all__ = [
     "Sim2Config",
     "Sim3Config",
     "STUDY_PARAMETER",
+    "STUDY_DEFAULT",
     "study",
     "generate_sim1",
     "generate_sim2",
@@ -55,10 +57,12 @@ SIM3_CONTAMINANT_SD = 0.5
 
 
 def _check_n(n: int) -> None:
-    """ConfigError unless n >= 1 and a study's (n, 3) float64 design matrix, 24 n bytes, fits in physical memory.
+    """ConfigError unless n is an integer >= 1 whose (n, 3) float64 design matrix, 24 n bytes, fits in physical memory.
 
     This is a floor: the generators and a fit need several such arrays.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ConfigError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ConfigError("n must be >= 1")
     require_memory(24 * n, f"the {n} rows of a study's (n, 3) float64 design matrix")
@@ -193,8 +197,9 @@ def generate_sim3(config: Sim3Config) -> tuple[Dataset, np.ndarray, np.ndarray]:
     return data, probs, mask
 
 
-# The parameter each study varies, named as in the CLI flags, sidecars and reproduce grids.
+# The parameter each study varies, named as in the CLI flags, sidecars and reproduce grids, and its default.
 STUDY_PARAMETER = {"sim1": "q", "sim2": "prevalence", "sim3": "psi"}
+STUDY_DEFAULT = {"sim1": Sim1Config.q, "sim2": Sim2Config.prevalence, "sim3": Sim3Config.contamination}
 
 
 def study(name: str, n: int, seed: int, param: float) -> tuple[Callable, Sim1Config | Sim2Config | Sim3Config]:

@@ -428,9 +428,13 @@ def fit_pipeline(
     (:func:`cv_select_lambda`).  Every chain runs on the same inputs and
     seed whatever ``jobs`` is, so the result does not depend on it.
     """
-    cv_config = sampler_config if cv_chain is None else replace(
-        sampler_config, n_iterations=cv_chain[0], burn_in=cv_chain[1]
-    )
+    try:
+        cv_config = sampler_config if cv_chain is None else replace(
+            sampler_config, n_iterations=cv_chain[0], burn_in=cv_chain[1]
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"the CV chain (cv_chain, --cv-iterations/--cv-burn-in) of {cv_chain[0]} iterations "
+                          f"and burn-in {cv_chain[1]}: {exc}") from None
     if prior is None:
         prior = GaussianPrior.vague(train.n_coefficients)
 

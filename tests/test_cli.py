@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import logging
 import math
 import os
@@ -83,6 +84,27 @@ class TestSimulate:
         assert run(["simulate", "--study", "sim1", "--n", 50, "--seed", seed, "--out", tmp_path / "sim.csv"]) == 2
         assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "study, flags, message",
+        [("sim2", ["--q", 5, "--psi", 0.3], "--study sim2 varies only --prevalence, so it takes no --q or --psi"),
+         ("sim1", ["--prevalence", 0.5], "--study sim1 varies only --q, so it takes no --prevalence"),
+         ("sim3", ["--q", 1.0], "--study sim3 varies only --psi, so it takes no --q")],
+        ids=["sim2", "sim1", "sim3"],
+    )
+    def test_another_studys_parameter_is_usage_error_without_outputs(self, tmp_path, capsys, study, flags, message):
+        # an explicit value equal to the other study's default is refused too
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--study", study, "--n", 5, *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("study, key, value",
+                             [("sim1", "q", 1.0), ("sim2", "prevalence", 0.5), ("sim3", "psi", 0.0)])
+    def test_unset_study_parameter_is_the_config_default(self, tmp_path, study, key, value):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--study", study, "--n", 5, "--out", out]) == 0
+        assert dataio.read_manifest(str(out) + ".meta.json")[key] == value
 
 
 class TestFit:
@@ -199,6 +221,17 @@ class TestFit:
         assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0,5", "--jobs", 1,
                     "--out", out, *chain]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cv_chain_that_retains_no_draw_names_the_cv_chain(self, tmp_path, train_csv, capsys, monkeypatch):
+        # the final chain's flags are valid; the CV chain takes --burn-in 350 with --cv-iterations 300
+        monkeypatch.setattr(tuning, "run_mh", _no_chain)
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0,5", "--cv-iterations", 300,
+                    "--iterations", 400, "--burn-in", 350, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: the CV chain (cv_chain, --cv-iterations/--cv-burn-in) of 300 iterations and burn-in 350: "
+            "burn_in must satisfy 0 <= burn_in < n_iterations\n")
         assert not out.exists()
 
     def test_draw_store_beyond_physical_memory_is_usage_error(self, tmp_path, train_csv, capsys):
@@ -784,16 +817,35 @@ def test_cli_defaults_are_the_library_defaults():
     ess = parser.parse_args(["ess-grid", "--pi-u-file", "p.csv", "--t", "0.3", "--out", "e.csv"])
     sim = parser.parse_args(["simulate", "--study", "sim1", "--n", "5", "--out", "s.csv"])
     ev = parser.parse_args(["evaluate", "--thresholds", "0.3", "--out", "ev"])
+    rep = parser.parse_args(["reproduce", "--figure", "sim3-fig6", "--out", "r"])
+    reproduce_defaults = inspect.signature(reproduce.reproduce_figure).parameters
     sampler = SamplerConfig()
     assert (fit.iterations, fit.burn_in, fit.thin, fit.initial_sd, fit.seed) == (
         sampler.n_iterations, sampler.burn_in, sampler.thin, sampler.initial_sd, sampler.rng_seed)
     assert (fit.k_folds, fit.design_fraction, fit.prior_sd) == (
         tuning.DEFAULT_K_FOLDS, tuning.DEFAULT_DESIGN_FRACTION, VAGUE_PRIOR_SD)
     assert cli._distance_from_args(fit) == cli._distance_from_args(ess) == DistanceFunction()
-    assert (sim.q, sim.prevalence, sim.psi) == (simulation.Sim1Config(n=5).q, simulation.Sim2Config(n=5).prevalence,
-                                                simulation.Sim3Config(n=5).contamination)
+    # an unset study parameter is the study's own default, which simulate reads from STUDY_DEFAULT
+    assert (sim.q, sim.prevalence, sim.psi) == (None, None, None)
+    sim1, sim2, sim3 = simulation.Sim1Config(n=5), simulation.Sim2Config(n=5), simulation.Sim3Config(n=5)
+    assert simulation.STUDY_DEFAULT == {"sim1": sim1.q, "sim2": sim2.prevalence, "sim3": sim3.contamination}
+    assert sim1.seed == sim2.seed == sim3.seed == sim.seed  # one seed default for the three studies
+    assert (rep.scale, rep.seed, rep.lambda_grid) == tuple(
+        reproduce_defaults[name].default for name in ("scale", "seed", "lambda_grid"))
     assert fit.outcome_col == ev.outcome_col == dataio.OUTCOME_COLUMN
     assert ev.prob_col == dataio.PROB_COLUMN
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate", "ess-grid"])
+def test_threshold_outside_the_unit_interval_is_usage_error_before_any_file_is_read(tmp_path, capsys, command):
+    missing = tmp_path / "missing.csv"
+    args = {"fit": ["fit", missing, "--t", 1.5],
+            "evaluate": ["evaluate", "--scored-a", missing, "--thresholds", "0.3,1.0"],
+            "ess-grid": ["ess-grid", "--pi-u-file", missing, "--t", 1.5]}[command]
+    assert run([*args, "--out", tmp_path / "out"]) == 2
+    bad = 1.0 if command == "evaluate" else 1.5
+    assert capsys.readouterr().err == f"error: target threshold must lie strictly in (0, 1), got {bad}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _no_fit(*args, **kwargs):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tailbayes.errors import ConfigError, DataError
-from tailbayes.evaluation import net_benefit, paired_delta
+from tailbayes.evaluation import net_benefit, net_benefit_tables, paired_delta
+from tailbayes.model_core import TargetThreshold
 
 
 def confusion_vectors(tp, fp, fn, tn, t):
@@ -96,3 +97,37 @@ class TestPairedDelta:
     def test_needs_two_splits(self):
         with pytest.raises(DataError):
             paired_delta([0.1], [0.2])
+
+
+class TestNetBenefitTables:
+    SPLITS = [(np.array([0.2, 0.6, 0.9]), np.array([0, 1, 1])), (np.array([0.7, 0.1, 0.4]), np.array([0, 0, 1]))]
+
+    def test_rows_per_model_split_and_threshold(self):
+        thresholds = [TargetThreshold(0.3), TargetThreshold(0.5)]
+        tables = net_benefit_tables(thresholds, ("a", self.SPLITS), ("b", self.SPLITS[::-1]))
+        header, rows = tables["nb.csv"]
+        assert header == ["threshold", "model", "split", "tp", "fp", "n", "nb"]
+        assert [row[:3] for row in rows] == [(t, label, split) for label in "ab" for split in (1, 2)
+                                             for t in (0.3, 0.5)]
+        report = net_benefit(*self.SPLITS[1], 0.5)
+        assert rows[3][3:] == (report.tp_count, report.fp_count, report.n, report.net_benefit)
+        header, deltas = tables["delta_nb.csv"]
+        assert header == ["threshold", "mean_delta", "se_delta"]
+        nb = {row[:3]: row[6] for row in rows}
+        for t, mean, se in deltas:
+            delta = paired_delta(*([nb[t, label, split] for split in (1, 2)] for label in "ab"))
+            assert (mean, se) == (delta.mean_delta, delta.se_delta) and se > 0.0
+        assert [row[0] for row in deltas] == [0.3, 0.5]
+
+    def test_without_model_b_there_is_no_delta_table(self):
+        tables = net_benefit_tables([TargetThreshold(0.3)], ("a", self.SPLITS[:1]), None)
+        assert list(tables) == ["nb.csv"] and len(tables["nb.csv"][1]) == 1
+
+    @pytest.mark.parametrize(
+        "splits_a, splits_b, message",
+        [(SPLITS, SPLITS[:1], "paired evaluation needs the same number of splits for both models"),
+         (SPLITS[:1], SPLITS[:1], "paired delta needs at least two splits per model")],
+    )
+    def test_unpaired_splits_are_data_errors(self, splits_a, splits_b, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            net_benefit_tables([TargetThreshold(0.3)], ("a", splits_a), ("b", splits_b))

@@ -20,7 +20,7 @@ def _stub_rep_worker(payload):
 def test_distinct_t_values_aggregate_their_own_rows(monkeypatch):
     monkeypatch.setattr(reproduce, "_rep_worker", _stub_rep_worker)
     result = reproduce.reproduce_figure("sim3-fig6", scale=0.1, overrides=dict(OVERRIDES, t=(0.3, 0.5)))
-    assert result["cell_keys"] == ["n", "psi", "t"]
+    assert result["tables"]["delta_nb.csv"][0] == ["n", "psi", "threshold", "mean_delta", "se_delta"]
     reps = result["repetitions"]
     assert reps == 2 and len(result["raw"]) == 2 * reps
     assert [cell["t"] for cell in result["aggregated"]] == [0.3, 0.5]
@@ -52,6 +52,8 @@ def test_repeated_override_value_is_config_error(monkeypatch):
         ("sim3-fig6", {"q": (0.5,), "t": (0.3,)}),
         ("sim1-fig2", {"psi": (0.1,), "t": (0.3,)}),
         ("sim2-fig4", {"q": (0.5,), "t": (0.3,)}),
+        # a study size that is not an integer, which numpy would refuse only inside the first repetition
+        ("sim3-fig6", {"n": (1.5,), "psi": (0.1,), "t": (0.3,)}),
     ],
 )
 def test_bad_override_value_fails_before_any_fit(monkeypatch, figure, overrides):
@@ -129,3 +131,29 @@ def test_seed_outside_the_unsigned_64_bit_range_fails_before_any_repetition(monk
     with pytest.raises(ConfigError, match="seed must fit in an unsigned 64-bit integer"):
         reproduce.reproduce_figure("sim3-fig6", scale=0.1, seed=seed, overrides=dict(OVERRIDES, t=(0.3,)))
     assert calls == []
+
+
+def test_tables_and_manifest_are_built_from_the_rows(monkeypatch):
+    monkeypatch.setattr(reproduce, "_rep_worker", _stub_rep_worker)
+    result = reproduce.reproduce_figure("sim3-fig6", scale=0.1, seed=4, lambda_grid=(0.0, 10.0),
+                                        overrides=dict(OVERRIDES, t=(0.3, 0.5)))
+    tables, (agg_a, agg_b) = result["tables"], result["aggregated"]
+    assert list(tables) == ["nb_raw.csv", "delta_nb.csv", "nb_summary.csv"]
+    assert tables["nb_raw.csv"] == (list(result["raw"][0]), [list(row.values()) for row in result["raw"]])
+    assert tables["delta_nb.csv"][1] == [[200, 0.1, agg["t"], agg["mean_delta"], agg["se_delta"]]
+                                         for agg in (agg_a, agg_b)]
+    assert tables["nb_summary.csv"][1][0] == [0.3, 0.1, agg_a["mean_nb_tb"], agg_a["mean_nb_sb"],
+                                              agg_a["mean_nb_optimal"], agg_a["mean_delta"], agg_a["se_delta"]]
+    manifest = result["manifest"]
+    assert {k: manifest[k] for k in ("command", "figure", "scale", "repetitions", "seed", "lambda_grid")} == {
+        "command": "reproduce", "figure": "sim3-fig6", "scale": 0.1, "repetitions": 2, "seed": 4,
+        "lambda_grid": [0.0, 10.0]}
+    assert manifest["overrides"] == {"n": [200], "psi": [0.1], "t": [0.3, 0.5]}
+    assert (manifest["cv_chain"], manifest["test_rows"]) == ([3000, 1200], reproduce.TEST_SET_SIZE)
+
+
+def test_only_sim3_writes_a_summary_table(monkeypatch):
+    monkeypatch.setattr(reproduce, "_rep_worker", _stub_rep_worker)
+    result = reproduce.reproduce_figure("sim1-fig2", scale=0.1, overrides={"n": (200,), "q": (1.0,), "t": (0.3,)})
+    assert list(result["tables"]) == ["nb_raw.csv", "delta_nb.csv"]
+    assert result["tables"]["delta_nb.csv"][0] == ["n", "q", "threshold", "mean_delta", "se_delta"]

@@ -89,6 +89,14 @@ def test_n_whose_design_matrix_exceeds_physical_memory_is_config_error(config):
         config(n=10**13)
 
 
+@pytest.mark.parametrize("config", [Sim1Config, Sim2Config, Sim3Config])
+@pytest.mark.parametrize("n", [2.5, 200.0])
+def test_n_that_is_not_an_integer_is_config_error(config, n):
+    # the generators would fail inside numpy, at the first draw, on a float size
+    with pytest.raises(ConfigError, match=f"^n must be an integer, got {n!r}$"):
+        config(n=n, seed=0)
+
+
 class TestSim2:
     def test_oracle_against_scipy_densities(self):
         """Bayes-rule oracle vs independent scipy normal pdfs, 100x100 grid."""

@@ -299,6 +299,15 @@ class TestCvSelectLambda:
             fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), external_pi_u=np.full(train.n, 0.4),
                          sampler_config=SamplerConfig(n_iterations=10**15, burn_in=0), cv_chain=FASTER_CHAIN)
 
+    def test_cv_chain_that_retains_no_draw_names_the_cv_chain(self):
+        # the final chain's (400, 350) is valid; the CV chain's burn-in of 350 is not below its 300 iterations
+        train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=7))
+        message = (r"^the CV chain \(cv_chain, --cv-iterations/--cv-burn-in\) of 300 iterations and burn-in 350: "
+                   r"burn_in must satisfy 0 <= burn_in < n_iterations$")
+        with pytest.raises(ConfigError, match=message):
+            fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), cv_chain=(300, 350),
+                         sampler_config=SamplerConfig(n_iterations=400, burn_in=350))
+
     def test_empty_fold_rejected_before_any_chain(self, monkeypatch):
         # 9 rows, 4 of them positive: the plan exists, but folds 5 to 8 of its k = 9 hold no row
         development = Dataset.from_raw(np.random.default_rng(2).standard_normal((9, 1)), np.arange(9) % 2)

@@ -167,6 +167,16 @@ RUNS = [
                               "--out", "ess_grid_header_only.csv"]),
     ("evaluate_scored_float_outcome", ["evaluate", "--scored-a", "scored_float_outcome.csv", "--thresholds", "0.3",
                                        "--out", "evaluate_scored_float_outcome"]),
+    # a threshold outside (0, 1) with an input file that does not exist: the usage error comes first
+    ("evaluate_threshold_missing_file", ["evaluate", "--scored-a", "missing.csv", "--thresholds", "1.0",
+                                         "--out", "evaluate_threshold_missing_file"]),
+    ("ess_grid_threshold_missing_file", ["ess-grid", "--pi-u-file", "missing.csv", "--t", "1.5",
+                                         "--out", "ess_grid_threshold_missing_file.csv"]),
+    # another study's parameter flag, and a CV chain whose burn-in (the final chain's) is not below its length
+    ("simulate_other_study_flag", ["simulate", "--study", "sim2", "--n", "5", "--q", "5", "--psi", "0.3",
+                                   "--out", "simulate_other_study_flag.csv"]),
+    ("fit_cv_chain_no_draws", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0,5", "--cv-iterations", "300",
+                               "--iterations", "400", "--burn-in", "350", "--out", "fit_cv_chain_no_draws"]),
 ]
 
 
