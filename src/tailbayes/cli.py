@@ -397,7 +397,7 @@ def cmd_reproduce(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         lambda_grid=args.lambda_grid,
-        overrides={k: v for k, v in overrides.items() if v},
+        overrides=overrides,
     )
     _write_tables(out, result["tables"])
     dataio.write_manifest(out / "manifest.json", result["manifest"])

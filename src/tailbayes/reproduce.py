@@ -4,16 +4,23 @@ Each figure id maps to a grid of simulation cells; every repetition
 draws fresh training and test data, fits the tailored pipeline and the
 standard baseline, and scores both by Net Benefit on the clean test
 set.  Repetition counts scale with the ``scale`` factor (full scale is
-20 repetitions per cell).  Cells are independent, so they parallelise
-over a process pool; aggregation is deterministic regardless of
-completion order.  A repetition's seeds mix the base seed, the whole
-cell and the repetition index through ``SeedSequence``, so a cell's rows
-depend on neither the rest of its grid nor the number of workers.
+20 repetitions per cell).  A repetition's seeds mix the base seed, the
+cell without its threshold t and the repetition index through
+``SeedSequence``.  So the thresholds of one repetition share its data,
+its design/development split, its stage 1 and its baseline, which are
+computed once (:func:`~tailbayes.tuning.first_stage`), and the
+comparison across t is a paired design.  This is the package's own
+choice: the source paper's abstract does not say whether its thresholds
+shared their data.  Each repetition is one task of a process pool, and
+a cell's rows depend on neither the rest of its grid nor the number of
+workers; aggregation is deterministic regardless of completion order.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, replace
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -25,7 +32,8 @@ from .model_core import VAGUE_PRIOR_SD, DistanceFunction, TargetThreshold
 from .predict import predictive_mean
 from .sampler import SamplerConfig
 from .simulation import STUDY_PARAMETER, optimal_nb, study
-from .tuning import DEFAULT_DESIGN_FRACTION, DEFAULT_K_FOLDS, DEFAULT_LAMBDA_GRID, fit_pipeline, fit_standard, map_jobs
+from .tuning import (DEFAULT_DESIGN_FRACTION, DEFAULT_K_FOLDS, DEFAULT_LAMBDA_GRID, first_stage, fit_pipeline,
+                     fit_standard, map_jobs)
 
 __all__ = ["FIGURES", "FULL_SCALE_REPETITIONS", "reproduce_figure"]
 
@@ -58,7 +66,7 @@ def _cells(figure: str, overrides: dict) -> list[dict]:
     unknown = sorted(set(overrides) - set(base))
     if unknown:
         raise ConfigError(f"{figure} varies only {list(base)}, so it takes no override of {unknown}")
-    grid = {key: tuple(overrides.get(key) or vals) for key, vals in base.items()}
+    grid = {key: tuple(overrides.get(key, vals)) for key, vals in base.items()}
     for key, vals in grid.items():
         if len(set(vals)) < len(vals):
             raise ConfigError(f"override {key!r} repeats a value: {list(vals)}")
@@ -80,29 +88,53 @@ def _sim_configs(figure: str, cell: dict, train_seed: int, test_seed: int) -> tu
     return generate, train_config, test_config
 
 
-def _rep_worker(payload: tuple) -> dict:
-    figure, cell, rep, base_seed, lambda_grid = payload
-    text = ",".join(f"{k}={cell[k]!r}" for k in sorted(cell))
+def _without_t(cell: dict) -> tuple:
+    return tuple(sorted((k, v) for k, v in cell.items() if k != "t"))
+
+
+@lru_cache(maxsize=1)
+def _repetition(figure: str, cell: tuple, rep: int, base_seed: int, lambda_grid: tuple) -> tuple:
+    """What repetition ``rep`` of a cell shares at every t: seeds, data, stage 1 and the baseline's test probabilities.
+
+    ``cell`` holds the cell's (key, value) pairs but t's, sorted by key.  The
+    cache keeps one repetition, which :func:`_rep_worker` reuses for its next
+    threshold; its arrays are read-only.  A {0} grid runs no stage 1, so its
+    fit data is the whole training set, as ``fit_pipeline(train, t)`` takes it.
+    """
+    text = ",".join(f"{k}={v!r}" for k, v in cell)
     seeds = np.random.SeedSequence([int(base_seed), *text.encode(), rep]).generate_state(3)
     train_seed, test_seed, fit_seed = (int(s) for s in seeds)
-    t = TargetThreshold(cell["t"])
-    generate, train_config, test_config = _sim_configs(figure, cell, train_seed, test_seed)
+    generate, train_config, test_config = _sim_configs(figure, dict(cell), train_seed, test_seed)
     train = generate(train_config)[0]
     test, oracle = generate(test_config)[:2]
 
     config = replace(FINAL_SAMPLER, rng_seed=fit_seed)
-    model = fit_pipeline(train, t, lambda_grid=lambda_grid, sampler_config=config, cv_chain=CV_CHAIN)
-    baseline = fit_standard(train, config)
+    first = first_stage(train, lambda_grid=lambda_grid, k_folds=DEFAULT_K_FOLDS,
+                        design_fraction=DEFAULT_DESIGN_FRACTION, sampler_config=config, cv_chain=CV_CHAIN,
+                        prior=None, external_pi_u=None, jobs=1)
+    fit_data, pi_u = (train, None) if first.pi_u_development is None else (first.development, first.pi_u_development)
+    standard_probs = predictive_mean(test.covariates, fit_standard(train, config))
+    for arr in (oracle, standard_probs, pi_u):
+        if arr is not None:
+            arr.setflags(write=False)
+    return (train_seed, test_seed, fit_seed), config, fit_data, pi_u, test, oracle, standard_probs
 
+
+def _rep_worker(payload: tuple) -> dict:
+    figure, cell, rep, base_seed, lambda_grid = payload
+    seeds, config, fit_data, pi_u, test, oracle, standard_probs = _repetition(figure, _without_t(cell), rep,
+                                                                              base_seed, lambda_grid)
+    t = TargetThreshold(cell["t"])
+    model = fit_pipeline(fit_data, t, lambda_grid=lambda_grid, sampler_config=config, cv_chain=CV_CHAIN,
+                         external_pi_u=pi_u)
     tailored_probs = predictive_mean(test.covariates, model.samples)
-    standard_probs = predictive_mean(test.covariates, baseline)
 
     row = dict(cell)
     row.update(
         rep=rep,
-        train_seed=train_seed,
-        test_seed=test_seed,
-        fit_seed=fit_seed,
+        train_seed=seeds[0],
+        test_seed=seeds[1],
+        fit_seed=seeds[2],
         lambda_star=model.lambda_star,
         nb_tb=net_benefit(tailored_probs, test.outcomes, t).net_benefit,
         nb_sb=net_benefit(standard_probs, test.outcomes, t).net_benefit,
@@ -111,6 +143,11 @@ def _rep_worker(payload: tuple) -> dict:
     if figure == "sim3-fig6":
         row["nb_optimal"] = optimal_nb(oracle, test.outcomes, t).net_benefit
     return row
+
+
+def _rep_group(payloads: list) -> list[dict]:
+    """The rows of one repetition's thresholds, in one process so they share :func:`_repetition`."""
+    return [_rep_worker(p) for p in payloads]
 
 
 def reproduce_figure(
@@ -130,11 +167,17 @@ def reproduce_figure(
     if not (0.0 < scale <= 1.0):
         raise ConfigError("scale must lie in (0, 1]")
     require_seed(seed, "seed")
-    overrides = overrides or {}
+    overrides = {k: v for k, v in (overrides or {}).items() if v}  # None or an empty list overrides nothing
     reps = max(1, round(FULL_SCALE_REPETITIONS * scale))
     cells = _cells(figure, overrides)
     payloads = [(figure, cell, rep, seed, tuple(lambda_grid)) for cell in cells for rep in range(reps)]
-    raw = map_jobs(_rep_worker, payloads, jobs)
+    groups: dict[tuple, list[int]] = {}  # one task per repetition: the payload indices of its thresholds
+    for i, (_, cell, rep, _, _) in enumerate(payloads):
+        groups.setdefault((_without_t(cell), rep), []).append(i)
+    _repetition.cache_clear()  # no repetition carries over from an earlier call
+    rows = map_jobs(_rep_group, [[payloads[i] for i in group] for group in groups.values()], jobs)
+    by_index = dict(zip(chain.from_iterable(groups.values()), chain.from_iterable(rows)))
+    raw = [by_index[i] for i in range(len(payloads))]
 
     aggregated = []
     for i, cell in enumerate(cells):
@@ -175,7 +218,7 @@ def reproduce_figure(
         "repetitions": reps,
         "seed": seed,
         "lambda_grid": list(lambda_grid),
-        "overrides": {k: list(v) for k, v in overrides.items() if v},
+        "overrides": {k: list(v) for k, v in overrides.items()},
         # the settings every repetition's fits share besides the cell, the seed and the lambda grid
         "sampler": _sampler_block(FINAL_SAMPLER),
         "cv_chain": list(CV_CHAIN),

@@ -25,6 +25,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,8 @@ __all__ = [
     "final_fit_rhat",
     "map_jobs",
     "stage1_pi_u",
+    "FirstStage",
+    "first_stage",
     "cv_select_lambda",
     "fit_pipeline",
     "ess_grid",
@@ -422,11 +425,88 @@ def fit_pipeline(
     the design rows' classes, and its ``stage1`` and ``pi_u_development``
     are None.  Without ``external_pi_u`` the design fraction must be
     positive.  The grid's weight matrix, made once, feeds CV, the final
-    chain (its lam* row) and ``ess_grid``.
+    chain (its lam* row) and ``ess_grid``.  Everything before the weights
+    is :func:`first_stage`, which the thresholds of one training set can share.
 
     ``jobs`` bounds the worker processes of the CV fold groups
     (:func:`cv_select_lambda`).  Every chain runs on the same inputs and
     seed whatever ``jobs`` is, so the result does not depend on it.
+    """
+    split, development, cv_plan, cv_config, prior, stage1, pi_u_dev = first_stage(
+        train, lambda_grid=lambda_grid, k_folds=k_folds, design_fraction=design_fraction,
+        sampler_config=sampler_config, cv_chain=cv_chain, prior=prior, external_pi_u=external_pi_u, jobs=jobs,
+    )
+
+    n_boundary = 0 if pi_u_dev is None else int(np.count_nonzero((pi_u_dev == 0.0) | (pi_u_dev == 1.0)))
+    if n_boundary:
+        logger.warning("%d first-stage probabilities sit exactly at 0 or 1", n_boundary)
+
+    grid = cv_plan.lambda_grid
+    # one weight row per lam; without pi_u the grid is {0}, whose one row is all 1
+    weights = np.ones((1, development.n)) if pi_u_dev is None else compute_weights(pi_u_dev, threshold, grid, distance)
+    if grid == (0.0,):
+        lambda_star, cv_table = 0.0, []
+    else:
+        lambda_star, cv_table = cv_select_lambda(development, weights, threshold, cv_plan, cv_config, prior, jobs=jobs)
+
+    star = grid.index(lambda_star)
+    ess_rows = ess_grid(grid, weights)
+    if ess_rows[star]["low_ess"]:
+        logger.warning("effective sample size %.1f is below %.0f%% of the development rows",
+                       ess_rows[star]["ess"], 100 * ESS_WARNING_FRACTION)
+    samples = fit_tailored(development, weights[star], prior, sampler_config)
+    low, high = ACCEPTANCE_WARNING_RANGE
+    if not low <= samples.acceptance_rate <= high:
+        logger.warning(
+            "final chain acceptance rate %.3f is outside [%.2f, %.2f] (final proposal sd %.3g)",
+            samples.acceptance_rate,
+            low,
+            high,
+            samples.final_proposal_sd,
+        )
+    return FittedTailoredModel(
+        lambda_star=lambda_star,
+        threshold=threshold,
+        distance=distance,
+        samples=samples,
+        split=split,
+        cv_plan=cv_plan,
+        cv_table=cv_table,
+        ess_grid=ess_rows,
+        weights=weights[star],
+        pi_u_development=pi_u_dev,
+        stage1=stage1,
+        prior=prior,
+        sampler_config=sampler_config,
+        cv_sampler_config=cv_config,
+    )
+
+
+class FirstStage(NamedTuple):
+    """The part of a :func:`fit_pipeline` fit that its threshold does not change (:func:`first_stage`)."""
+
+    split: SplitPlan
+    development: Dataset
+    cv_plan: CvPlan
+    cv_config: SamplerConfig
+    prior: GaussianPrior
+    stage1: PosteriorSamples | None
+    pi_u_development: np.ndarray | None
+
+
+def first_stage(train: Dataset, *, lambda_grid, k_folds: int, design_fraction: float, sampler_config: SamplerConfig,
+                cv_chain: tuple[int, int] | None, prior: GaussianPrior | None, external_pi_u: np.ndarray | None,
+                jobs: int) -> FirstStage:
+    """The threshold-free part of :func:`fit_pipeline`, on its arguments: split, fold plan, stage 1 and pi_u.
+
+    It resolves the CV chain and the prior, checks the fold plan and the
+    draw stores before any chain runs, and fits stage 1 and its pi_u on the
+    development rows (both None for a one-value grid).  With those pi_u,
+    ``fit_pipeline(development, t, external_pi_u=pi_u_development)`` is
+    ``fit_pipeline(train, t)`` bit for bit at every t: a zero design
+    fraction keeps the development rows in order, and the fold plan reads
+    only the seed and the outcomes.  So the thresholds of one training set
+    can share this part.
     """
     try:
         cv_config = sampler_config if cv_chain is None else replace(
@@ -466,50 +546,7 @@ def fit_pipeline(
     else:
         stage1 = stage1_pi_u(train.subset(split.design_idx), sampler_config, prior)
         pi_u_dev = predictive_mean(development.covariates, stage1)
-
-    n_boundary = 0 if pi_u_dev is None else int(np.count_nonzero((pi_u_dev == 0.0) | (pi_u_dev == 1.0)))
-    if n_boundary:
-        logger.warning("%d first-stage probabilities sit exactly at 0 or 1", n_boundary)
-
-    grid = cv_plan.lambda_grid
-    # one weight row per lam; without pi_u the grid is {0}, whose one row is all 1
-    weights = np.ones((1, development.n)) if pi_u_dev is None else compute_weights(pi_u_dev, threshold, grid, distance)
-    if one_value:
-        lambda_star, cv_table = 0.0, []
-    else:
-        lambda_star, cv_table = cv_select_lambda(development, weights, threshold, cv_plan, cv_config, prior, jobs=jobs)
-
-    star = grid.index(lambda_star)
-    ess_rows = ess_grid(grid, weights)
-    if ess_rows[star]["low_ess"]:
-        logger.warning("effective sample size %.1f is below %.0f%% of the development rows",
-                       ess_rows[star]["ess"], 100 * ESS_WARNING_FRACTION)
-    samples = fit_tailored(development, weights[star], prior, sampler_config)
-    low, high = ACCEPTANCE_WARNING_RANGE
-    if not low <= samples.acceptance_rate <= high:
-        logger.warning(
-            "final chain acceptance rate %.3f is outside [%.2f, %.2f] (final proposal sd %.3g)",
-            samples.acceptance_rate,
-            low,
-            high,
-            samples.final_proposal_sd,
-        )
-    return FittedTailoredModel(
-        lambda_star=lambda_star,
-        threshold=threshold,
-        distance=distance,
-        samples=samples,
-        split=split,
-        cv_plan=cv_plan,
-        cv_table=cv_table,
-        ess_grid=ess_rows,
-        weights=weights[star],
-        pi_u_development=pi_u_dev,
-        stage1=stage1,
-        prior=prior,
-        sampler_config=sampler_config,
-        cv_sampler_config=cv_config,
-    )
+    return FirstStage(split, development, cv_plan, cv_config, prior, stage1, pi_u_dev)
 
 
 def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int, jobs: int) -> tuple[np.ndarray, list[int]]:

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from tailbayes import reproduce
+from tailbayes import reproduce, simulation, tuning
 from tailbayes.errors import ConfigError
 
 OVERRIDES = {"n": (200,), "psi": (0.1,)}
+
+
+@pytest.fixture(autouse=True)
+def _fresh_repetition_cache():
+    """Tests that call ``_rep_worker`` directly start from an empty repetition cache, as ``reproduce_figure`` does."""
+    reproduce._repetition.cache_clear()
 
 
 def _stub_rep_worker(payload):
@@ -69,7 +75,7 @@ class _Stop(Exception):
 
 
 def _record_seeds(monkeypatch):
-    """Make ``_rep_worker`` record each repetition's configs and fit seed, then stop before any fit."""
+    """Make ``_rep_worker`` record each repetition's configs and fit seed, then stop before any chain runs."""
     seen = []
     real_sim_configs = reproduce._sim_configs
 
@@ -78,12 +84,12 @@ def _record_seeds(monkeypatch):
         seen.append({"cell": cell, "configs": configs})
         return configs
 
-    def stop(train, t, *, sampler_config, **kwargs):
+    def stop(train, *, sampler_config, **kwargs):
         seen[-1]["fit_seed"] = sampler_config.rng_seed
         raise _Stop
 
     monkeypatch.setattr(reproduce, "_sim_configs", sim_configs)
-    monkeypatch.setattr(reproduce, "fit_pipeline", stop)
+    monkeypatch.setattr(reproduce, "first_stage", stop)
     return seen
 
 
@@ -92,14 +98,20 @@ def _first_repetition(figure, cell):
         reproduce._rep_worker((figure, cell, 0, 0, (0.0, 10.0)))
 
 
-def test_every_default_cell_gets_its_own_seeds(monkeypatch):
+def test_cells_differing_only_in_t_share_their_seeds(monkeypatch):
     cells = [(figure, cell) for figure in reproduce.FIGURES for cell in reproduce._cells(figure, {})]
     assert len(cells) == 60 + 60 + 54
     seen = _record_seeds(monkeypatch)
     for figure, cell in cells:
         _first_repetition(figure, cell)
-    triples = {(s["configs"][1].seed, s["configs"][2].seed, s["fit_seed"]) for s in seen}
-    assert len(triples) == len(cells)
+    assert len(seen) == len(cells)  # the cache keeps no repetition that raised, so each cell drew its own configs
+    triples = {}  # (figure, cell without t) -> the seed triples of its thresholds
+    for (figure, cell), s in zip(cells, seen):
+        t_free = (figure, tuple((k, v) for k, v in cell.items() if k != "t"))
+        triples.setdefault(t_free, set()).add((s["configs"][1].seed, s["configs"][2].seed, s["fit_seed"]))
+    assert len(triples) == 12 + 12 + 6
+    assert all(len(shared) == 1 for shared in triples.values())
+    assert len(set.union(*triples.values())) == len(triples)
 
 
 def test_sim3_cells_differing_only_in_psi_draw_different_test_sets(monkeypatch):
@@ -122,6 +134,47 @@ def test_cell_rows_depend_on_neither_the_rest_of_the_grid_nor_jobs():
     assert rows((0.2, 0.3, 0.5), 1) == alone
     assert rows((0.3,), 2) == alone
     assert rows((0.5, 0.3), 2) == alone
+
+
+def test_a_repetition_draws_its_data_and_fits_stage_1_and_its_baseline_once_per_call(monkeypatch):
+    calls = {"generate": [], "stage1": 0, "baseline": 0}
+    real_generate, real_stage1, real_fit_standard = simulation.generate_sim3, tuning.stage1_pi_u, reproduce.fit_standard
+
+    def generate(config):
+        calls["generate"].append(config.n)
+        return real_generate(config)
+
+    def stage1(*args):
+        calls["stage1"] += 1
+        return real_stage1(*args)
+
+    def baseline(*args):
+        calls["baseline"] += 1
+        return real_fit_standard(*args)
+
+    monkeypatch.setattr(simulation, "generate_sim3", generate)
+    monkeypatch.setattr(tuning, "stage1_pi_u", stage1)
+    monkeypatch.setattr(reproduce, "fit_standard", baseline)
+
+    def run():
+        return reproduce.reproduce_figure("sim3-fig6", scale=0.1, seed=5, jobs=1, lambda_grid=(0.0, 10.0),
+                                          overrides=dict(OVERRIDES, t=(0.2, 0.3, 0.5)))
+
+    first = run()
+    assert len(first["raw"]) == 6  # 3 thresholds of 2 repetitions
+    assert calls == {"generate": [200, 2000] * 2, "stage1": 2, "baseline": 2}
+    assert run()["raw"] == first["raw"]
+    assert calls == {"generate": [200, 2000] * 4, "stage1": 4, "baseline": 4}
+
+
+def test_none_overrides_nothing_for_every_key(monkeypatch):
+    monkeypatch.setattr(reproduce, "_rep_worker", _stub_rep_worker)
+    grid = {"n": (200,), "t": (0.3,)}
+    plain = reproduce.reproduce_figure("sim3-fig6", scale=0.1, overrides=grid)
+    assert plain["manifest"]["overrides"] == {"n": [200], "t": [0.3]}
+    for key in ("q", "prevalence", "psi"):
+        unset = reproduce.reproduce_figure("sim3-fig6", scale=0.1, overrides=dict(grid, **{key: None}))
+        assert unset["raw"] == plain["raw"] and unset["manifest"] == plain["manifest"]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

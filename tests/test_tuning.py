@@ -19,11 +19,14 @@ from tailbayes.model_core import (
 )
 from tailbayes.predict import predictive_mean_sd
 from tailbayes.sampler import PosteriorSamples, SamplerConfig, run_mh
-from tailbayes.simulation import Sim1Config, Sim3Config, generate_sim1, generate_sim3
+from tailbayes.simulation import Sim1Config, Sim2Config, Sim3Config, generate_sim1, generate_sim2, generate_sim3
 from tailbayes.tuning import (
+    DEFAULT_DESIGN_FRACTION,
+    DEFAULT_K_FOLDS,
     cv_select_lambda,
     ess_grid,
     final_fit_rhat,
+    first_stage,
     fit_pipeline,
     fit_standard,
     fit_tailored,
@@ -599,6 +602,25 @@ class TestFitPipeline:
                 sampler_config=FASTER,
                 external_pi_u=np.full(99, 0.5),
             )
+
+    @pytest.mark.parametrize("train", [generate_sim1(Sim1Config(n=300, q=1.0, seed=6))[0],
+                                       generate_sim2(Sim2Config(n=300, seed=6, prevalence=0.3))[0]],
+                             ids=["sim1", "sim2"])
+    def test_thresholds_sharing_one_first_stage_fit_as_the_full_pipeline(self, train):
+        """fit_pipeline on first_stage's development rows and pi_u is fit_pipeline on the training set, at every t."""
+        kwargs = dict(lambda_grid=(0.0, 5.0, 25.0), sampler_config=FAST, cv_chain=FASTER_CHAIN)
+        first = first_stage(train, **kwargs, k_folds=DEFAULT_K_FOLDS, design_fraction=DEFAULT_DESIGN_FRACTION,
+                            prior=None, external_pi_u=None, jobs=1)
+        for t in (0.2, 0.5):
+            full = fit_pipeline(train, TargetThreshold(t), **kwargs)
+            shared = fit_pipeline(first.development, TargetThreshold(t), **kwargs,
+                                  external_pi_u=first.pi_u_development)
+            assert np.array_equal(first.stage1.draws, full.stage1.draws)
+            assert np.array_equal(shared.pi_u_development, full.pi_u_development)
+            assert shared.lambda_star == full.lambda_star
+            assert shared.cv_table == full.cv_table
+            assert np.array_equal(shared.weights, full.weights)
+            assert np.array_equal(shared.samples.draws, full.samples.draws)
 
     def test_weights_bump_centered_at_threshold(self):
         """Weights against pi_u form the exponential bump peaked at t."""
