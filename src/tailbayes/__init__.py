@@ -44,10 +44,12 @@ from .evaluation import (
 from .tuning import (
     DEFAULT_LAMBDA_GRID,
     CvPlan,
+    FirstStage,
     FittedTailoredModel,
     SplitPlan,
     cv_select_lambda,
     ess_grid,
+    first_stage,
     fit_pipeline,
     fit_standard,
     make_cv_plan,

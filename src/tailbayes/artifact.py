@@ -39,8 +39,8 @@ def save_fit(
     (``design_fraction`` even where external first-stage probabilities skip the split), and the (R-hat,
     rerun seeds) pair of :func:`~tailbayes.tuning.final_fit_rhat` or None.  ``seeds`` lists the chains that ran.
     """
-    base = model.sampler_config.rng_seed
-    split = model.split
+    first = model.first
+    base, split = first.sampler_config.rng_seed, first.split
     manifest = {
         "tool": "tailbayes",
         "version": __version__,
@@ -49,18 +49,18 @@ def save_fit(
                  "outcome_col": outcome_col, "covariates": covariates},
         "threshold": model.threshold.t,
         "utilities": asdict(utilities) if utilities else None,
-        "lambda_grid": list(model.cv_plan.lambda_grid),
+        "lambda_grid": list(first.cv_plan.lambda_grid),
         "lambda_star": model.lambda_star,
-        "k_folds": model.cv_plan.k,
+        "k_folds": first.cv_plan.k,
         "design_fraction": design_fraction,
         "distance": asdict(model.distance),
-        "prior": {"means": model.prior.means.tolist(), "sds": model.prior.sds.tolist()},
+        "prior": {"means": first.prior.means.tolist(), "sds": first.prior.sds.tolist()},
         "standardize": standardizer.to_dict() if standardizer else None,
         "external_pi_u": str(external_pi_u) if external_pi_u else None,
-        "sampler": dict(_sampler_block(model.sampler_config), target_acceptance=TARGET_ACCEPTANCE),
-        "cv_sampler": _sampler_block(model.cv_sampler_config) if model.cv_table else None,
+        "sampler": dict(_sampler_block(first.sampler_config), target_acceptance=TARGET_ACCEPTANCE),
+        "cv_sampler": _sampler_block(first.cv_config) if model.cv_table else None,
         "seeds": {"base": base, "split": base, "final_fit": model.samples.rng_seed,
-                  "stage1": None if model.stage1 is None else model.stage1.rng_seed,
+                  "stage1": None if first.stage1 is None else first.stage1.rng_seed,
                   "cv_folds": list({row["fold"]: row["seed"] for row in model.cv_table}.values()),
                   "rhat_chains": [] if rhat is None else rhat[1]},
         "split": {"design_rows": split.design_idx.size, "development_rows": split.development_idx.size,
@@ -78,7 +78,7 @@ def save_fit(
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_manifest(out / "manifest.json", manifest)
     dataio.write_draws_csv(out / "draws.csv", ["intercept"] + covariates, model.samples.draws)
-    pi_u = [None] * split.development_idx.size if model.pi_u_development is None else model.pi_u_development.tolist()
+    pi_u = [None] * split.development_idx.size if first.pi_u_development is None else first.pi_u_development.tolist()
     dataio.write_rows(
         out / "weights.csv",
         ["row", "pi_u", "weight"],  # a pi_u cell is empty where no stage 1 ran

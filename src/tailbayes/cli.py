@@ -27,7 +27,7 @@ from .reproduce import DEFAULT_SCALE, DEFAULT_SEED, FIGURES, reproduce_figure
 from .sampler import SamplerConfig, _check_draw_store
 from .simulation import STUDY_DEFAULT, STUDY_PARAMETER, Sim1Config, study
 from .tuning import (DEFAULT_DESIGN_FRACTION, DEFAULT_K_FOLDS, DEFAULT_LAMBDA_GRID, USABLE_CPUS, ess_grid,
-                     final_fit_rhat, fit_pipeline)
+                     final_fit_rhat, first_stage, fit_pipeline)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -182,19 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Inject key=value config entries as flags ahead of the user's flags."""
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            return argv
+    """Inject key=value config entries as flags ahead of the user's flags; a second ``--config`` is a usage error."""
+    given = [i for i, arg in enumerate(argv) if arg == "--config" or arg.startswith("--config=")]
+    if len(given) > 1:
+        raise ConfigError(f"--config may be given once, not {len(given)} times")
+    if not given:
+        return argv
+    idx = given[0]
+    if argv[idx] != "--config":
+        path = argv[idx].split("=", 1)[1]
+    elif idx + 1 < len(argv):
         path = argv[idx + 1]
     else:
-        prefixed = [a for a in argv if a.startswith("--config=")]
-        if not prefixed:
-            return argv
-        path = prefixed[0].split("=", 1)[1]
+        return argv
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is not part of the first key
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     flags: list[str] = []
@@ -280,13 +282,11 @@ def cmd_fit(args) -> int:
     _check_draw_store(args.rhat_chains, train.n_coefficients, sampler_config)
     prior = GaussianPrior.vague(train.n_coefficients, sd=args.prior_sd)
 
-    model = fit_pipeline(
+    first = first_stage(
         train,
-        threshold,
         lambda_grid=args.lambda_grid,
         k_folds=args.k_folds,
         design_fraction=args.design_fraction,
-        distance=distance,
         sampler_config=sampler_config,
         cv_chain=(
             args.cv_iterations if args.cv_iterations is not None else args.iterations,
@@ -296,8 +296,9 @@ def cmd_fit(args) -> int:
         external_pi_u=external_pi_u,
         jobs=args.jobs,
     )
+    model = fit_pipeline(first, threshold, distance=distance)
 
-    rhat = final_fit_rhat(train, model, args.rhat_chains, args.jobs) if args.rhat_chains else None
+    rhat = final_fit_rhat(model, args.rhat_chains, args.jobs) if args.rhat_chains else None
     save_fit(out, model, data_path=args.data, outcome_col=args.outcome_col, covariates=names,
              utilities=utilities, design_fraction=args.design_fraction, standardizer=standardizer,
              external_pi_u=args.pi_u_file, rhat=rhat)

@@ -1,7 +1,8 @@
 """CSV and manifest I/O with strict schema validation.
 
-Every input CSV needs a header row of distinct names, at least one data
-row and as many fields in each row as in the header.  Readers pick their
+Every input CSV is UTF-8 text, with or without a byte-order mark, and
+needs a header row of distinct names, at least one data row and as many
+fields in each row as in the header.  Readers pick their
 columns by name, and each column obeys one rule: covariates, draws and
 probabilities are finite numbers, probabilities (``prob``, ``pi_u``) lie
 in [0, 1], and outcomes, in data and scored files alike (default column
@@ -75,7 +76,7 @@ class Standardizer:
 
 def _read_table(path) -> _Table:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is not part of a name
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = [row for row in reader if row]

@@ -7,8 +7,9 @@ set.  Repetition counts scale with the ``scale`` factor (full scale is
 20 repetitions per cell).  A repetition's seeds mix the base seed, the
 cell without its threshold t and the repetition index through
 ``SeedSequence``.  So the thresholds of one repetition share its data,
-its design/development split, its stage 1 and its baseline, which are
-computed once (:func:`~tailbayes.tuning.first_stage`), and the
+its baseline and its first stage (the design/development split, the
+fold plan and stage 1: :func:`~tailbayes.tuning.first_stage`), which are
+computed once; each t then runs ``fit_pipeline(first, t)``, and the
 comparison across t is a paired design.  This is the package's own
 choice: the source paper's abstract does not say whether its thresholds
 shared their data.  Each repetition is one task of a process pool, and
@@ -94,12 +95,11 @@ def _without_t(cell: dict) -> tuple:
 
 @lru_cache(maxsize=1)
 def _repetition(figure: str, cell: tuple, rep: int, base_seed: int, lambda_grid: tuple) -> tuple:
-    """What repetition ``rep`` of a cell shares at every t: seeds, data, stage 1 and the baseline's test probabilities.
+    """What repetition ``rep`` of a cell shares at every t: seeds, data, first stage and baseline test probabilities.
 
     ``cell`` holds the cell's (key, value) pairs but t's, sorted by key.  The
     cache keeps one repetition, which :func:`_rep_worker` reuses for its next
-    threshold; its arrays are read-only.  A {0} grid runs no stage 1, so its
-    fit data is the whole training set, as ``fit_pipeline(train, t)`` takes it.
+    threshold; its arrays are read-only.
     """
     text = ",".join(f"{k}={v!r}" for k, v in cell)
     seeds = np.random.SeedSequence([int(base_seed), *text.encode(), rep]).generate_state(3)
@@ -109,24 +109,18 @@ def _repetition(figure: str, cell: tuple, rep: int, base_seed: int, lambda_grid:
     test, oracle = generate(test_config)[:2]
 
     config = replace(FINAL_SAMPLER, rng_seed=fit_seed)
-    first = first_stage(train, lambda_grid=lambda_grid, k_folds=DEFAULT_K_FOLDS,
-                        design_fraction=DEFAULT_DESIGN_FRACTION, sampler_config=config, cv_chain=CV_CHAIN,
-                        prior=None, external_pi_u=None, jobs=1)
-    fit_data, pi_u = (train, None) if first.pi_u_development is None else (first.development, first.pi_u_development)
+    first = first_stage(train, lambda_grid=lambda_grid, sampler_config=config, cv_chain=CV_CHAIN)
     standard_probs = predictive_mean(test.covariates, fit_standard(train, config))
-    for arr in (oracle, standard_probs, pi_u):
-        if arr is not None:
-            arr.setflags(write=False)
-    return (train_seed, test_seed, fit_seed), config, fit_data, pi_u, test, oracle, standard_probs
+    for arr in (oracle, standard_probs):
+        arr.setflags(write=False)
+    return (train_seed, test_seed, fit_seed), first, test, oracle, standard_probs
 
 
 def _rep_worker(payload: tuple) -> dict:
     figure, cell, rep, base_seed, lambda_grid = payload
-    seeds, config, fit_data, pi_u, test, oracle, standard_probs = _repetition(figure, _without_t(cell), rep,
-                                                                              base_seed, lambda_grid)
+    seeds, first, test, oracle, standard_probs = _repetition(figure, _without_t(cell), rep, base_seed, lambda_grid)
     t = TargetThreshold(cell["t"])
-    model = fit_pipeline(fit_data, t, lambda_grid=lambda_grid, sampler_config=config, cv_chain=CV_CHAIN,
-                         external_pi_u=pi_u)
+    model = fit_pipeline(first, t)
     tailored_probs = predictive_mean(test.covariates, model.samples)
 
     row = dict(cell)

@@ -7,6 +7,10 @@ Net Benefit, then receives the final fit).  With lam = 0 every weight
 is 1 and the pipeline reduces exactly to standard Bayesian logistic
 regression.
 
+A fit is two calls, ``fit_pipeline(first_stage(train, ...), t)``: the
+split, fold plan and stage 1 do not depend on t, so the thresholds of one
+training set share one :func:`first_stage`.
+
 The final, stage-1 and standard fits are single chains, each one
 :func:`~tailbayes.sampler.run_mh` run (:func:`fit_tailored`).  A
 one-value grid {0} weights every row 1 whatever the first-stage model
@@ -304,7 +308,7 @@ def cv_select_lambda(
     cv_plan: CvPlan,
     sampler_config: SamplerConfig,
     prior: GaussianPrior,
-    jobs: int = 1,
+    jobs: int,
 ) -> tuple[float, list[dict]]:
     """Choose lam maximising the fold-average Net Benefit at the threshold.
 
@@ -368,55 +372,36 @@ def cv_select_lambda(
     return best_lam, table
 
 
-@dataclass(frozen=True)
-class FittedTailoredModel:
-    """Everything the pipeline produced, sufficient to re-run bit-identically."""
+class FirstStage(NamedTuple):
+    """The part of a fit that its threshold does not change (:func:`first_stage`), which :func:`fit_pipeline` takes."""
 
-    lambda_star: float
-    threshold: TargetThreshold
-    distance: DistanceFunction
-    samples: PosteriorSamples
     split: SplitPlan
+    development: Dataset
     cv_plan: CvPlan
-    cv_table: list[dict]
-    ess_grid: list[dict]
-    weights: np.ndarray
-    pi_u_development: np.ndarray | None
-    stage1: PosteriorSamples | None
-    prior: GaussianPrior
     sampler_config: SamplerConfig
-    cv_sampler_config: SamplerConfig
-
-    @property
-    def ess_t(self) -> float:  # lam*'s row of ess_grid holds the final chain's weights' effective sample size
-        return self.ess_grid[self.cv_plan.lambda_grid.index(self.lambda_star)]["ess"]
-
-    @property
-    def ess_fraction(self) -> float:
-        return self.ess_grid[self.cv_plan.lambda_grid.index(self.lambda_star)]["ess_fraction"]
+    cv_config: SamplerConfig
+    prior: GaussianPrior
+    stage1: PosteriorSamples | None
+    pi_u_development: np.ndarray | None
+    jobs: int
 
 
-def fit_pipeline(
+def first_stage(
     train: Dataset,
-    threshold: TargetThreshold,
     *,
     lambda_grid=DEFAULT_LAMBDA_GRID,
     k_folds: int = DEFAULT_K_FOLDS,
     design_fraction: float = DEFAULT_DESIGN_FRACTION,
-    distance: DistanceFunction = DistanceFunction(),
     sampler_config: SamplerConfig = SamplerConfig(),
     cv_chain: tuple[int, int] | None = None,
     prior: GaussianPrior | None = None,
     external_pi_u: np.ndarray | None = None,
     jobs: int = 1,
-) -> FittedTailoredModel:
-    """Full pipeline: split, first-stage fit, CV over lam, final fit.
+) -> FirstStage:
+    """The threshold-free stage of a fit: split, fold plan, stage 1 and pi_u on the development rows.
 
-    The final model always fits on the entire development part at the
-    chosen lam, using the sampler config's own seed, so a grid of {0}
-    reproduces a standard fit on the development data bit for bit.
-    The same seed also draws the split and the CV fold assignment; the
-    CV chains (:func:`fold_seed`) differ from the final chain only in
+    The sampler config's seed draws the split and the CV fold assignment.
+    The CV chains (:func:`fold_seed`) differ from the final chain only in
     ``cv_chain``, their (iterations, burn-in), by default the final chain's.
     When ``external_pi_u`` provides per-row probabilities for the whole
     training set, no design split is made and stage 1 is skipped.  A
@@ -424,89 +409,10 @@ def fit_pipeline(
     needs no stage 1 either: without ``external_pi_u`` it splits and checks
     the design rows' classes, and its ``stage1`` and ``pi_u_development``
     are None.  Without ``external_pi_u`` the design fraction must be
-    positive.  The grid's weight matrix, made once, feeds CV, the final
-    chain (its lam* row) and ``ess_grid``.  Everything before the weights
-    is :func:`first_stage`, which the thresholds of one training set can share.
-
-    ``jobs`` bounds the worker processes of the CV fold groups
-    (:func:`cv_select_lambda`).  Every chain runs on the same inputs and
-    seed whatever ``jobs`` is, so the result does not depend on it.
-    """
-    split, development, cv_plan, cv_config, prior, stage1, pi_u_dev = first_stage(
-        train, lambda_grid=lambda_grid, k_folds=k_folds, design_fraction=design_fraction,
-        sampler_config=sampler_config, cv_chain=cv_chain, prior=prior, external_pi_u=external_pi_u, jobs=jobs,
-    )
-
-    n_boundary = 0 if pi_u_dev is None else int(np.count_nonzero((pi_u_dev == 0.0) | (pi_u_dev == 1.0)))
-    if n_boundary:
-        logger.warning("%d first-stage probabilities sit exactly at 0 or 1", n_boundary)
-
-    grid = cv_plan.lambda_grid
-    # one weight row per lam; without pi_u the grid is {0}, whose one row is all 1
-    weights = np.ones((1, development.n)) if pi_u_dev is None else compute_weights(pi_u_dev, threshold, grid, distance)
-    if grid == (0.0,):
-        lambda_star, cv_table = 0.0, []
-    else:
-        lambda_star, cv_table = cv_select_lambda(development, weights, threshold, cv_plan, cv_config, prior, jobs=jobs)
-
-    star = grid.index(lambda_star)
-    ess_rows = ess_grid(grid, weights)
-    if ess_rows[star]["low_ess"]:
-        logger.warning("effective sample size %.1f is below %.0f%% of the development rows",
-                       ess_rows[star]["ess"], 100 * ESS_WARNING_FRACTION)
-    samples = fit_tailored(development, weights[star], prior, sampler_config)
-    low, high = ACCEPTANCE_WARNING_RANGE
-    if not low <= samples.acceptance_rate <= high:
-        logger.warning(
-            "final chain acceptance rate %.3f is outside [%.2f, %.2f] (final proposal sd %.3g)",
-            samples.acceptance_rate,
-            low,
-            high,
-            samples.final_proposal_sd,
-        )
-    return FittedTailoredModel(
-        lambda_star=lambda_star,
-        threshold=threshold,
-        distance=distance,
-        samples=samples,
-        split=split,
-        cv_plan=cv_plan,
-        cv_table=cv_table,
-        ess_grid=ess_rows,
-        weights=weights[star],
-        pi_u_development=pi_u_dev,
-        stage1=stage1,
-        prior=prior,
-        sampler_config=sampler_config,
-        cv_sampler_config=cv_config,
-    )
-
-
-class FirstStage(NamedTuple):
-    """The part of a :func:`fit_pipeline` fit that its threshold does not change (:func:`first_stage`)."""
-
-    split: SplitPlan
-    development: Dataset
-    cv_plan: CvPlan
-    cv_config: SamplerConfig
-    prior: GaussianPrior
-    stage1: PosteriorSamples | None
-    pi_u_development: np.ndarray | None
-
-
-def first_stage(train: Dataset, *, lambda_grid, k_folds: int, design_fraction: float, sampler_config: SamplerConfig,
-                cv_chain: tuple[int, int] | None, prior: GaussianPrior | None, external_pi_u: np.ndarray | None,
-                jobs: int) -> FirstStage:
-    """The threshold-free part of :func:`fit_pipeline`, on its arguments: split, fold plan, stage 1 and pi_u.
-
-    It resolves the CV chain and the prior, checks the fold plan and the
-    draw stores before any chain runs, and fits stage 1 and its pi_u on the
-    development rows (both None for a one-value grid).  With those pi_u,
-    ``fit_pipeline(development, t, external_pi_u=pi_u_development)`` is
-    ``fit_pipeline(train, t)`` bit for bit at every t: a zero design
-    fraction keeps the development rows in order, and the fold plan reads
-    only the seed and the outcomes.  So the thresholds of one training set
-    can share this part.
+    positive.  The fold plan and the draw stores are checked before any
+    chain runs.  ``jobs`` bounds the worker processes of the CV fold groups
+    (:func:`cv_select_lambda`).  ``pi_u_development`` is read-only, so the
+    thresholds of one training set can share one first stage.
     """
     try:
         cv_config = sampler_config if cv_chain is None else replace(
@@ -546,19 +452,85 @@ def first_stage(train: Dataset, *, lambda_grid, k_folds: int, design_fraction: f
     else:
         stage1 = stage1_pi_u(train.subset(split.design_idx), sampler_config, prior)
         pi_u_dev = predictive_mean(development.covariates, stage1)
-    return FirstStage(split, development, cv_plan, cv_config, prior, stage1, pi_u_dev)
+    if pi_u_dev is not None:
+        pi_u_dev.setflags(write=False)
+        n_boundary = int(np.count_nonzero((pi_u_dev == 0.0) | (pi_u_dev == 1.0)))
+        if n_boundary:
+            logger.warning("%d first-stage probabilities sit exactly at 0 or 1", n_boundary)
+    return FirstStage(split, development, cv_plan, sampler_config, cv_config, prior, stage1, pi_u_dev, jobs)
 
 
-def final_fit_rhat(train: Dataset, model: FittedTailoredModel, n_chains: int, jobs: int) -> tuple[np.ndarray, list[int]]:
+@dataclass(frozen=True)
+class FittedTailoredModel:
+    """Everything a fit produced, sufficient to re-run it bit-identically: its first stage and the threshold's part."""
+
+    first: FirstStage
+    lambda_star: float
+    threshold: TargetThreshold
+    distance: DistanceFunction
+    samples: PosteriorSamples
+    cv_table: list[dict]
+    ess_grid: list[dict]
+    weights: np.ndarray
+
+    @property
+    def ess_t(self) -> float:  # lam*'s row of ess_grid holds the final chain's weights' effective sample size
+        return self.ess_grid[self.first.cv_plan.lambda_grid.index(self.lambda_star)]["ess"]
+
+    @property
+    def ess_fraction(self) -> float:
+        return self.ess_grid[self.first.cv_plan.lambda_grid.index(self.lambda_star)]["ess_fraction"]
+
+
+def fit_pipeline(
+    first: FirstStage,
+    threshold: TargetThreshold,
+    *,
+    distance: DistanceFunction = DistanceFunction(),
+) -> FittedTailoredModel:
+    """The threshold's stage of a fit on ``first`` (:func:`first_stage`): weights, CV over lam, final fit.
+
+    The final model always fits on the entire development part at the
+    chosen lam, using the sampler config's own seed, so a grid of {0}
+    reproduces a standard fit on the development data bit for bit.  The
+    grid's weight matrix, made once, feeds CV, the final chain (its lam*
+    row) and ``ess_grid``.  Every chain runs on the same inputs and seed
+    whatever ``first.jobs`` is, so the result does not depend on it.
+    ``first`` is only read, so the thresholds of one training set share it.
+    """
+    development, cv_plan, pi_u_dev = first.development, first.cv_plan, first.pi_u_development
+    grid = cv_plan.lambda_grid
+    # one weight row per lam; without pi_u the grid is {0}, whose one row is all 1
+    weights = np.ones((1, development.n)) if pi_u_dev is None else compute_weights(pi_u_dev, threshold, grid, distance)
+    if grid == (0.0,):
+        lambda_star, cv_table = 0.0, []
+    else:
+        lambda_star, cv_table = cv_select_lambda(development, weights, threshold, cv_plan, first.cv_config,
+                                                 first.prior, first.jobs)
+
+    star = grid.index(lambda_star)
+    ess_rows = ess_grid(grid, weights)
+    if ess_rows[star]["low_ess"]:
+        logger.warning("effective sample size %.1f is below %.0f%% of the development rows",
+                       ess_rows[star]["ess"], 100 * ESS_WARNING_FRACTION)
+    samples = fit_tailored(development, weights[star], first.prior, first.sampler_config)
+    low, high = ACCEPTANCE_WARNING_RANGE
+    if not low <= samples.acceptance_rate <= high:
+        logger.warning("final chain acceptance rate %.3f is outside [%.2f, %.2f] (final proposal sd %.3g)",
+                       samples.acceptance_rate, low, high, samples.final_proposal_sd)
+    return FittedTailoredModel(first, lambda_star, threshold, distance, samples, cv_table, ess_rows, weights[star])
+
+
+def final_fit_rhat(model: FittedTailoredModel, n_chains: int, jobs: int) -> tuple[np.ndarray, list[int]]:
     """Gelman-Rubin R-hat per coefficient of the final chain plus ``n_chains - 1`` reruns, and the reruns' seeds.
 
     The reruns run on :func:`rhat_seeds`, side by side over at most ``jobs`` worker
     processes (:func:`map_jobs`); the first failed one, in seed order, is raised.
     """
-    dev = train.subset(model.split.development_idx)
+    first = model.first
     tasks = [
-        (dev, model.weights, model.prior, replace(model.sampler_config, rng_seed=seed))
-        for seed in rhat_seeds(model.sampler_config.rng_seed, n_chains)
+        (first.development, model.weights, first.prior, replace(first.sampler_config, rng_seed=seed))
+        for seed in rhat_seeds(first.sampler_config.rng_seed, n_chains)
     ]
     reruns = map_jobs(_lone_fit, tasks, jobs)
     return gelman_rubin([model.samples.draws] + [c.draws for c in reruns]), [c.rng_seed for c in reruns]

@@ -33,7 +33,7 @@ from tailbayes.simulation import (
     generate_sim1,
     sim1_boundary_slope,
 )
-from tailbayes.tuning import DEFAULT_LAMBDA_GRID, fit_pipeline, fit_standard
+from tailbayes.tuning import DEFAULT_LAMBDA_GRID, first_stage, fit_pipeline, fit_standard
 
 
 def test_criterion_01_reduction_identity():
@@ -41,8 +41,8 @@ def test_criterion_01_reduction_identity():
     start = time.perf_counter()
     train, _ = generate_sim1(Sim1Config(n=1000, q=1.0, seed=5))
     config = SamplerConfig(rng_seed=17)  # library defaults: 20k iterations
-    model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=config)
-    development = train.subset(model.split.development_idx)
+    model = fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=config), TargetThreshold(0.3))
+    development = train.subset(model.first.split.development_idx)
     baseline = fit_standard(development, config)
 
     assert np.array_equal(model.samples.draws, baseline.draws)
@@ -116,10 +116,8 @@ def test_criterion_04_sim1_boundary_geometry():
     """The tailored 0.3 boundary rotates toward the optimal 0.3 slope."""
     train, _ = generate_sim1(Sim1Config(n=5000, q=1.0, seed=0))
     model = fit_pipeline(
-        train,
+        first_stage(train, sampler_config=replace(FINAL_SAMPLER, rng_seed=100), cv_chain=CV_CHAIN),
         TargetThreshold(0.3),
-        sampler_config=replace(FINAL_SAMPLER, rng_seed=100),
-        cv_chain=CV_CHAIN,
     )
     baseline = fit_standard(train, replace(FINAL_SAMPLER, rng_seed=100))
 

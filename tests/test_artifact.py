@@ -16,7 +16,7 @@ from tailbayes.model_core import TargetThreshold
 from tailbayes.predict import predictive_mean_sd
 from tailbayes.sampler import SamplerConfig
 from tailbayes.simulation import Sim1Config, Sim2Config, Sim3Config, study
-from tailbayes.tuning import fit_pipeline
+from tailbayes.tuning import first_stage, fit_pipeline
 
 # derandomized: every run tries the same examples, so the suite stays deterministic
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
@@ -29,8 +29,9 @@ threshold = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @functools.cache
 def small_model():
     train, _ = simulation.generate_sim1(Sim1Config(n=80, seed=1))
-    return fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,),
-                        sampler_config=SamplerConfig(n_iterations=200, burn_in=50, rng_seed=2))
+    return fit_pipeline(first_stage(train, lambda_grid=(0.0,),
+                                    sampler_config=SamplerConfig(n_iterations=200, burn_in=50, rng_seed=2)),
+                        TargetThreshold(0.3))
 
 
 @st.composite
@@ -104,9 +105,10 @@ def test_manifest_seeds_are_the_seeds_the_fit_ran(monkeypatch, grid, external, r
 
     monkeypatch.setattr(tuning, "run_mh", recording_run_mh)  # every lone chain; the stacked CV chains are in cv_table
     pi_u = np.linspace(0.05, 0.95, train.n) if external else None
-    model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=grid, cv_chain=(400, 150), external_pi_u=pi_u,
-                         sampler_config=SamplerConfig(n_iterations=600, burn_in=200, rng_seed=5))
-    rhat = tuning.final_fit_rhat(train, model, rhat_chains, jobs=1) if rhat_chains else None
+    model = fit_pipeline(first_stage(train, lambda_grid=grid, cv_chain=(400, 150), external_pi_u=pi_u,
+                                     sampler_config=SamplerConfig(n_iterations=600, burn_in=200, rng_seed=5)),
+                         TargetThreshold(0.3))
+    rhat = tuning.final_fit_rhat(model, rhat_chains, jobs=1) if rhat_chains else None
     with tempfile.TemporaryDirectory() as out:
         save_fit(Path(out), model, data_path="train.csv", outcome_col="y", covariates=["x1", "x2"],
                  utilities=None, design_fraction=0.2, standardizer=None, external_pi_u="pi_u.csv" if external else None,
@@ -115,7 +117,7 @@ def test_manifest_seeds_are_the_seeds_the_fit_ran(monkeypatch, grid, external, r
     seeds = manifest["seeds"]
     assert seeds["base"] == seeds["split"] == seeds["final_fit"] == 5
     stage1_ran = not external and grid != (0.0,)  # a {0} grid weights every row 1, so it needs no stage 1
-    assert (seeds["stage1"] is None) == (model.stage1 is None) == (not stage1_ran)
+    assert (seeds["stage1"] is None) == (model.first.stage1 is None) == (not stage1_ran)
     assert ran == ([seeds["stage1"]] if stage1_ran else []) + [seeds["final_fit"]] + seeds["rhat_chains"]
     assert len(seeds["rhat_chains"]) == max(rhat_chains - 1, 0)
     assert sorted({(row["fold"], row["seed"]) for row in model.cv_table}) == list(enumerate(seeds["cv_folds"], 1))

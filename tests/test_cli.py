@@ -406,6 +406,28 @@ class TestFit:
         assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg}: ")
         assert not out.exists()
 
+    def test_config_file_with_byte_order_mark(self, tmp_path, train_csv):
+        # Excel's "CSV UTF-8" and Windows Notepad's "UTF-8 with BOM" put a byte-order mark before the first key
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("\ufeffseed = 7\nt = 0.3\nlambda-grid = 0\n", encoding="utf-8")
+        out = tmp_path / "m_bom"
+        assert run(["fit", train_csv, "--config", cfg, "--jobs", 1, "--out", out, *FIT_SPEED]) == 0
+        manifest = dataio.read_manifest(out / "manifest.json")
+        assert (manifest["seeds"]["base"], manifest["threshold"], manifest["lambda_grid"]) == (7, 0.3, [0.0])
+
+    @pytest.mark.parametrize(
+        "configs",
+        [["--config", "a.cfg", "--config", "b.cfg"], ["--config=b.cfg", "--config", "a.cfg"],
+         ["--config=a.cfg", "--config=b.cfg"]],
+        ids=["spaced", "mixed", "equals"],
+    )
+    def test_repeated_config_is_usage_error_before_any_file_is_read(self, tmp_path, capsys, configs):
+        # neither config file nor the data file exists: reading any of them would be a different error
+        out = tmp_path / "m"
+        assert run(["fit", tmp_path / "missing.csv", *configs, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --config may be given once, not 2 times\n"
+        assert not out.exists()
+
     def test_external_pi_u(self, tmp_path, train_csv):
         pi_path = tmp_path / "pi.csv"
         pi_path.write_text("pi_u\n" + "\n".join(["0.3"] * 300) + "\n", encoding="utf-8")
@@ -733,10 +755,10 @@ class TestReproduceAndEssGrid:
         config = SamplerConfig(**manifest["sampler"], rng_seed=int(row["fit_seed"]))
         train, t = generate(train_config)[0], TargetThreshold(float(row["t"]))
         prior = GaussianPrior.vague(train.n_coefficients, sd=manifest["prior_sd"])
-        model = tuning.fit_pipeline(train, t, lambda_grid=manifest["lambda_grid"], k_folds=manifest["k_folds"],
-                                    design_fraction=manifest["design_fraction"],
-                                    distance=DistanceFunction(**manifest["distance"]), sampler_config=config,
-                                    cv_chain=tuple(manifest["cv_chain"]), prior=prior)
+        first = tuning.first_stage(train, lambda_grid=manifest["lambda_grid"], k_folds=manifest["k_folds"],
+                                   design_fraction=manifest["design_fraction"], sampler_config=config,
+                                   cv_chain=tuple(manifest["cv_chain"]), prior=prior)
+        model = tuning.fit_pipeline(first, t, distance=DistanceFunction(**manifest["distance"]))
         baseline = tuning.fit_standard(train, config, prior)
         assert float(row["lambda_star"]) == model.lambda_star
         for key, samples in (("nb_tb", model.samples), ("nb_sb", baseline)):

@@ -27,6 +27,15 @@ class TestReadDataset:
         np.testing.assert_allclose(x, [[0.5, 1.5], [-0.25, 2.0]])
         np.testing.assert_allclose(y, [1.0, 0.0])
 
+    @pytest.mark.parametrize("first", ["y", "id"])
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, first):
+        """Excel's "CSV UTF-8" files start with a byte-order mark, whatever the first column is."""
+        text = {"y": "y,x1\n1,0.5\n0,1.5\n", "id": "id,x1,y\na,0.5,1\nb,1.5,0\n"}[first]
+        plain = dataio.read_dataset_csv(write(tmp_path, "plain.csv", text))
+        marked = dataio.read_dataset_csv(write(tmp_path, "marked.csv", "\ufeff" + text))
+        for a, b in zip(marked, plain):
+            np.testing.assert_array_equal(a, b)
+
     def test_id_column_passthrough(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,x1,y\npatient-7,0.5,1\npatient-9,1.5,0\n")
         x, y, names, ids = dataio.read_dataset_csv(path)

@@ -34,7 +34,7 @@ from tailbayes.model_core import (
     threshold_band_for_benefit,
 )
 from tailbayes.sampler import SamplerConfig
-from tailbayes.tuning import fit_pipeline
+from tailbayes.tuning import first_stage, fit_pipeline
 
 
 def random_dataset(rng, n=30, d=2, beta_scale=1.0):
@@ -240,10 +240,9 @@ class TestWeights:
         data, _ = random_dataset(np.random.default_rng(5), n=40)
         pi_u = np.concatenate([[0.0, 1.0, 0.0], np.linspace(0.1, 0.9, 37)])
         with caplog.at_level(logging.WARNING, logger="tailbayes.tuning"):
-            fit_pipeline(
-                data, TargetThreshold(0.3), lambda_grid=(0.0,), external_pi_u=pi_u,
-                sampler_config=SamplerConfig(n_iterations=300, burn_in=100, rng_seed=1),
-            )
+            fit_pipeline(first_stage(data, lambda_grid=(0.0,), external_pi_u=pi_u,
+                                     sampler_config=SamplerConfig(n_iterations=300, burn_in=100, rng_seed=1)),
+                         TargetThreshold(0.3))
         assert "3 first-stage probabilities sit exactly at 0 or 1" in caplog.messages
 
 

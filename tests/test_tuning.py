@@ -21,8 +21,6 @@ from tailbayes.predict import predictive_mean_sd
 from tailbayes.sampler import PosteriorSamples, SamplerConfig, run_mh
 from tailbayes.simulation import Sim1Config, Sim2Config, Sim3Config, generate_sim1, generate_sim2, generate_sim3
 from tailbayes.tuning import (
-    DEFAULT_DESIGN_FRACTION,
-    DEFAULT_K_FOLDS,
     cv_select_lambda,
     ess_grid,
     final_fit_rhat,
@@ -39,7 +37,7 @@ from tailbayes.tuning import (
 FAST = SamplerConfig(n_iterations=2500, burn_in=1000, rng_seed=11)
 FASTER = SamplerConfig(n_iterations=1200, burn_in=500, rng_seed=11)
 FASTER_CHAIN = (FASTER.n_iterations, FASTER.burn_in)  # (iterations, burn-in) of CV chains beside a FAST final chain
-VAGUE = GaussianPrior.vague(3)  # fit_pipeline's default prior on two covariates and the intercept
+VAGUE = GaussianPrior.vague(3)  # first_stage's default prior on two covariates and the intercept
 
 
 def grid_weights(pi_u, plan):
@@ -177,7 +175,7 @@ class TestCvSelectLambda:
         t = TargetThreshold(0.3)
         pi_u = np.full(train.n, 0.3)
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0, 50.0), seed=1)
-        lam, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER, VAGUE)
+        lam, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER, VAGUE, jobs=1)
         assert lam == 0.0
         by_lam = {}
         for row in table:
@@ -188,9 +186,10 @@ class TestCvSelectLambda:
         train, _ = generate_sim1(Sim1Config(n=60, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0), seed=1)
         with pytest.raises(DataError, match=r"development row, \(2, 60\), not \(2, 10\)$"):
-            cv_select_lambda(train, grid_weights(np.full(10, 0.3), plan), TargetThreshold(0.3), plan, FASTER, VAGUE)
+            cv_select_lambda(train, grid_weights(np.full(10, 0.3), plan), TargetThreshold(0.3), plan, FASTER, VAGUE,
+                             jobs=1)
         with pytest.raises(DataError, match=r"development row, \(2, 60\), not \(1, 60\)$"):
-            cv_select_lambda(train, np.ones((1, train.n)), TargetThreshold(0.3), plan, FASTER, VAGUE)
+            cv_select_lambda(train, np.ones((1, train.n)), TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
 
     def test_process_pool_matches_serial(self):
         """Cells own their seeds, so parallel and serial runs agree exactly."""
@@ -222,7 +221,7 @@ class TestCvSelectLambda:
         self.fail_folds(monkeypatch, {FASTER.rng_seed + 1})  # fold 1 always fails
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
         weights = grid_weights(np.full(train.n, 0.4), plan)
-        lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE)
+        lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
         failures = [row for row in table if row["error"]]
         assert len(failures) == 2  # one per lam
         assert all(row["fold"] == 1 for row in failures)
@@ -234,7 +233,7 @@ class TestCvSelectLambda:
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
         weights = grid_weights(np.full(train.n, 0.4), plan)
         with pytest.raises(SamplerError):
-            cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE)
+            cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
 
     def test_nonfinite_start_fails_only_its_cells(self):
         """Infinite weights at lam = 5 make that chain's start point NaN in every fold."""
@@ -244,7 +243,7 @@ class TestCvSelectLambda:
         weights = grid_weights(pi_u, plan)
         weights[plan.lambda_grid.index(5.0)] = np.inf
         with np.errstate(invalid="ignore"):
-            lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE)
+            lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
         failed = {(row["lambda"], row["fold"]) for row in table if row["error"]}
         assert failed == {(5.0, 1), (5.0, 2), (5.0, 3)}
         assert all("initial point" in row["error"] for row in table if row["error"])
@@ -266,7 +265,7 @@ class TestCvSelectLambda:
             return result
 
         monkeypatch.setattr(tuning, "fit_folds", recording)
-        _, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER, VAGUE)
+        _, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER, VAGUE, jobs=1)
         monkeypatch.undo()
         prior = GaussianPrior.vague(train.n_coefficients)
         assert len(batches) == plan.k
@@ -291,7 +290,8 @@ class TestCvSelectLambda:
         train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=7))
         monkeypatch.setattr(tuning, "run_mh", None)  # no chain may run, stage 1's included
         with pytest.raises(DataError, match="cannot make 200 non-empty CV folds from 240 development rows"):
-            fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), k_folds=200, sampler_config=FASTER)
+            fit_pipeline(first_stage(train, lambda_grid=(0.0, 5.0), k_folds=200, sampler_config=FASTER),
+                         TargetThreshold(0.3))
 
     def test_final_draw_store_beyond_physical_memory_fails_before_cv(self, monkeypatch):
         # external pi_u skips stage 1, so CV would otherwise run to its end before the final chain
@@ -299,8 +299,9 @@ class TestCvSelectLambda:
         monkeypatch.setattr(tuning, "run_mh", None)
         monkeypatch.setattr(tuning, "fit_folds", None)  # no chain may run
         with pytest.raises(ConfigError, match="need 33000000000000000 bytes, more than the"):
-            fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), external_pi_u=np.full(train.n, 0.4),
-                         sampler_config=SamplerConfig(n_iterations=10**15, burn_in=0), cv_chain=FASTER_CHAIN)
+            fit_pipeline(first_stage(train, lambda_grid=(0.0, 5.0), external_pi_u=np.full(train.n, 0.4),
+                                     sampler_config=SamplerConfig(n_iterations=10**15, burn_in=0),
+                                     cv_chain=FASTER_CHAIN), TargetThreshold(0.3))
 
     def test_cv_chain_that_retains_no_draw_names_the_cv_chain(self):
         # the final chain's (400, 350) is valid; the CV chain's burn-in of 350 is not below its 300 iterations
@@ -308,8 +309,8 @@ class TestCvSelectLambda:
         message = (r"^the CV chain \(cv_chain, --cv-iterations/--cv-burn-in\) of 300 iterations and burn-in 350: "
                    r"burn_in must satisfy 0 <= burn_in < n_iterations$")
         with pytest.raises(ConfigError, match=message):
-            fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), cv_chain=(300, 350),
-                         sampler_config=SamplerConfig(n_iterations=400, burn_in=350))
+            fit_pipeline(first_stage(train, lambda_grid=(0.0, 5.0), cv_chain=(300, 350),
+                                     sampler_config=SamplerConfig(n_iterations=400, burn_in=350)), TargetThreshold(0.3))
 
     def test_empty_fold_rejected_before_any_chain(self, monkeypatch):
         # 9 rows, 4 of them positive: the plan exists, but folds 5 to 8 of its k = 9 hold no row
@@ -319,7 +320,7 @@ class TestCvSelectLambda:
         message = "cannot make 9 non-empty CV folds from 9 development rows: the outcome classes have 5 and 4 rows"
         with pytest.raises(DataError, match=message):
             cv_select_lambda(development, grid_weights(np.full(9, 0.4), plan), TargetThreshold(0.3), plan, FASTER,
-                             GaussianPrior.vague(development.n_coefficients))
+                             GaussianPrior.vague(development.n_coefficients), jobs=1)
 
 
 class TestFitFolds:
@@ -417,13 +418,13 @@ class TestMapJobs:
         weights = grid_weights(np.full(train.n, 0.4), plan)
         pooled = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=64)
         assert pool_sizes == [2, 2]
-        assert pooled == cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE)
+        assert pooled == cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
 
     def test_cv_pool_gets_one_worker_per_fold(self, pool_sizes):
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0), seed=1)
         weights = grid_weights(np.full(train.n, 0.4), plan)
-        serial = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE)
+        serial = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
         pooled = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=64)
         assert pool_sizes == [3]
         assert pooled == serial
@@ -455,8 +456,8 @@ class TestMapJobs:
 class TestFitPipeline:
     def test_grid_of_zero_reduces_to_standard_fit(self):
         train, _ = generate_sim1(Sim1Config(n=400, q=1.0, seed=1))
-        model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FAST)
-        development = train.subset(model.split.development_idx)
+        model = fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=FAST), TargetThreshold(0.3))
+        development = train.subset(model.first.split.development_idx)
         baseline = fit_standard(development, FAST)
         assert model.lambda_star == 0.0
         assert np.array_equal(model.samples.draws, baseline.draws)
@@ -469,8 +470,8 @@ class TestFitPipeline:
         pi_u = np.where(np.arange(train.n) % 20 == 0, 0.3, 0.95)  # at lam = 200 only every 20th row keeps weight
         monkeypatch.setattr(tuning, "cv_select_lambda", lambda *args, **kwargs: (200.0, []))
         with caplog.at_level(logging.WARNING, logger="tailbayes.tuning"):
-            model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0, 200.0), external_pi_u=pi_u,
-                                 sampler_config=FASTER)
+            first = first_stage(train, lambda_grid=(0.0, 200.0), external_pi_u=pi_u, sampler_config=FASTER)
+            model = fit_pipeline(first, TargetThreshold(0.3))
         row = model.ess_grid[1]
         assert row["low_ess"] and not model.ess_grid[0]["low_ess"]
         assert (model.ess_t, model.ess_fraction) == (row["ess"], row["ess_fraction"])
@@ -489,14 +490,15 @@ class TestFitPipeline:
 
         monkeypatch.setattr(tuning, "run_mh", recording)
         monkeypatch.setattr(tuning, "map_jobs", None)
-        model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER, jobs=jobs)
+        model = fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=FASTER, jobs=jobs),
+                             TargetThreshold(0.3))
         assert seeds == [FASTER.rng_seed]
-        baseline = fit_standard(train.subset(model.split.development_idx), FASTER)
+        baseline = fit_standard(train.subset(model.first.split.development_idx), FASTER)
         assert np.array_equal(model.samples.draws, baseline.draws)
         assert np.array_equal(model.samples.log_posterior_trace, baseline.log_posterior_trace)
         assert np.array_equal(model.samples.accepted, baseline.accepted)
         assert np.array_equal(model.samples.proposal_sd_trace, baseline.proposal_sd_trace)
-        assert model.stage1 is None and model.pi_u_development is None
+        assert model.first.stage1 is None and model.first.pi_u_development is None
         assert np.all(model.weights == 1.0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -504,20 +506,21 @@ class TestFitPipeline:
         data = Dataset.from_raw(np.random.default_rng(0).standard_normal((60, 2)), np.ones(60))
         monkeypatch.setattr(tuning, "map_jobs", None)  # raised before any chain runs, the final one included
         with pytest.raises(DataError, match="design set contains a single outcome class"):
-            fit_pipeline(data, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER, jobs=jobs)
+            fit_pipeline(first_stage(data, lambda_grid=(0.0,), sampler_config=FASTER, jobs=jobs),
+                         TargetThreshold(0.3))
 
     def test_rhat_reruns_do_not_depend_on_jobs(self):
         train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=9))
-        model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER)
-        serial, serial_seeds = final_fit_rhat(train, model, 3, jobs=1)
+        model = fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=FASTER), TargetThreshold(0.3))
+        serial, serial_seeds = final_fit_rhat(model, 3, jobs=1)
         assert serial.shape == (3,) and serial_seeds == tuning.rhat_seeds(FASTER.rng_seed, 3)
-        pooled, pooled_seeds = final_fit_rhat(train, model, 3, jobs=2)
+        pooled, pooled_seeds = final_fit_rhat(model, 3, jobs=2)
         assert np.array_equal(pooled, serial) and pooled_seeds == serial_seeds
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_failed_rhat_rerun_in_seed_order_is_raised(self, jobs, monkeypatch):
         train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=9))
-        model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=FASTER)
+        model = fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=FASTER), TargetThreshold(0.3))
         seeds = tuning.rhat_seeds(FASTER.rng_seed, 4)
         real = tuning.fit_tailored
 
@@ -528,13 +531,13 @@ class TestFitPipeline:
 
         monkeypatch.setattr(tuning, "fit_tailored", fail_after_the_first)
         with pytest.raises(SamplerError, match=f"^rerun of seed {seeds[1]} failed$"):
-            final_fit_rhat(train, model, 4, jobs=jobs)
+            final_fit_rhat(model, 4, jobs=jobs)
 
     def test_deterministic_rerun(self):
         train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=2))
         kwargs = dict(lambda_grid=(0.0, 5.0, 25.0), sampler_config=FAST, cv_chain=FASTER_CHAIN)
-        a = fit_pipeline(train, TargetThreshold(0.3), **kwargs)
-        b = fit_pipeline(train, TargetThreshold(0.3), **kwargs)
+        a = fit_pipeline(first_stage(train, **kwargs), TargetThreshold(0.3))
+        b = fit_pipeline(first_stage(train, **kwargs), TargetThreshold(0.3))
         assert a.lambda_star == b.lambda_star
         assert np.array_equal(a.samples.draws, b.samples.draws)
         assert a.cv_table == b.cv_table
@@ -542,16 +545,13 @@ class TestFitPipeline:
     def test_refit_at_lambda_star_reproduces_posterior(self):
         train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=3))
         model = fit_pipeline(
-            train,
+            first_stage(train, lambda_grid=(0.0, 5.0, 25.0), sampler_config=FAST, cv_chain=FASTER_CHAIN),
             TargetThreshold(0.3),
-            lambda_grid=(0.0, 5.0, 25.0),
-            sampler_config=FAST,
-            cv_chain=FASTER_CHAIN,
         )
-        development = train.subset(model.split.development_idx)
-        (weights,) = compute_weights(model.pi_u_development, model.threshold, [model.lambda_star], model.distance)
+        development = train.subset(model.first.split.development_idx)
+        (weights,) = compute_weights(model.first.pi_u_development, model.threshold, [model.lambda_star], model.distance)
         refit = run_mh(
-            make_log_posterior(development, weights, model.prior),
+            make_log_posterior(development, weights, model.first.prior),
             development.n_coefficients,
             FAST,
         )
@@ -562,16 +562,14 @@ class TestFitPipeline:
 
     def test_no_leakage_index_bookkeeping(self):
         train, _ = generate_sim1(Sim1Config(n=250, q=1.0, seed=4))
-        model = fit_pipeline(
-            train, TargetThreshold(0.3), lambda_grid=(0.0, 5.0), sampler_config=FASTER
-        )
-        design, dev = model.split.design_idx, model.split.development_idx
+        model = fit_pipeline(first_stage(train, lambda_grid=(0.0, 5.0), sampler_config=FASTER), TargetThreshold(0.3))
+        design, dev = model.first.split.design_idx, model.first.split.development_idx
         assert np.intersect1d(design, dev).size == 0
         assert np.array_equal(np.sort(np.concatenate([design, dev])), np.arange(250))
-        assert np.array_equal(model.stage1.draws, fit_standard(train.subset(design), FASTER).draws)
-        assert model.pi_u_development.shape[0] == dev.shape[0]
+        assert np.array_equal(model.first.stage1.draws, fit_standard(train.subset(design), FASTER).draws)
+        assert model.first.pi_u_development.shape[0] == dev.shape[0]
         folds = np.concatenate(
-            [model.cv_plan.fold_indices(k) for k in range(model.cv_plan.k)]
+            [model.first.cv_plan.fold_indices(k) for k in range(model.first.cv_plan.k)]
         )
         assert np.array_equal(np.sort(folds), np.arange(dev.shape[0]))
 
@@ -579,60 +577,56 @@ class TestFitPipeline:
         train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=5))
         pi_u = np.clip(train.covariates[:, 2], 0.01, 0.99)
         model = fit_pipeline(
-            train,
+            first_stage(train, lambda_grid=(0.0, 10.0), sampler_config=FASTER, external_pi_u=pi_u),
             TargetThreshold(0.3),
-            lambda_grid=(0.0, 10.0),
-            sampler_config=FASTER,
-            external_pi_u=pi_u,
         )
-        assert model.stage1 is None
-        assert model.split.design_idx.shape[0] == 0
-        assert model.split.development_idx.shape[0] == 200
+        assert model.first.stage1 is None
+        assert model.first.split.design_idx.shape[0] == 0
+        assert model.first.split.development_idx.shape[0] == 200
         np.testing.assert_array_equal(
-            model.pi_u_development, pi_u[model.split.development_idx]
+            model.first.pi_u_development, pi_u[model.first.split.development_idx]
         )
 
     def test_external_pi_u_length_checked(self):
         train, _ = generate_sim1(Sim1Config(n=100, q=1.0, seed=5))
         with pytest.raises(DataError):
             fit_pipeline(
-                train,
+                first_stage(train, lambda_grid=(0.0,), sampler_config=FASTER, external_pi_u=np.full(99, 0.5)),
                 TargetThreshold(0.3),
-                lambda_grid=(0.0,),
-                sampler_config=FASTER,
-                external_pi_u=np.full(99, 0.5),
             )
 
     @pytest.mark.parametrize("train", [generate_sim1(Sim1Config(n=300, q=1.0, seed=6))[0],
                                        generate_sim2(Sim2Config(n=300, seed=6, prevalence=0.3))[0]],
                              ids=["sim1", "sim2"])
     def test_thresholds_sharing_one_first_stage_fit_as_the_full_pipeline(self, train):
-        """fit_pipeline on first_stage's development rows and pi_u is fit_pipeline on the training set, at every t."""
+        """One first stage serves t = 0.2 and 0.5 as a fresh one per threshold does, and neither fit writes to it."""
         kwargs = dict(lambda_grid=(0.0, 5.0, 25.0), sampler_config=FAST, cv_chain=FASTER_CHAIN)
-        first = first_stage(train, **kwargs, k_folds=DEFAULT_K_FOLDS, design_fraction=DEFAULT_DESIGN_FRACTION,
-                            prior=None, external_pi_u=None, jobs=1)
+        shared = first_stage(train, **kwargs)
+
+        def arrays(first):
+            return [first.split.design_idx, first.split.development_idx, first.development.outcomes,
+                    first.development.covariates, first.cv_plan.fold_ids, first.stage1.draws, first.pi_u_development]
+
+        before = [a.copy() for a in arrays(shared)]
+        assert not shared.pi_u_development.flags.writeable
         for t in (0.2, 0.5):
-            full = fit_pipeline(train, TargetThreshold(t), **kwargs)
-            shared = fit_pipeline(first.development, TargetThreshold(t), **kwargs,
-                                  external_pi_u=first.pi_u_development)
-            assert np.array_equal(first.stage1.draws, full.stage1.draws)
-            assert np.array_equal(shared.pi_u_development, full.pi_u_development)
-            assert shared.lambda_star == full.lambda_star
-            assert shared.cv_table == full.cv_table
-            assert np.array_equal(shared.weights, full.weights)
-            assert np.array_equal(shared.samples.draws, full.samples.draws)
+            full = fit_pipeline(first_stage(train, **kwargs), TargetThreshold(t))
+            model = fit_pipeline(shared, TargetThreshold(t))
+            assert model.first is shared
+            assert model.lambda_star == full.lambda_star
+            assert model.cv_table == full.cv_table
+            assert np.array_equal(model.weights, full.weights)
+            assert np.array_equal(model.samples.draws, full.samples.draws)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(shared), before))
 
     def test_weights_bump_centered_at_threshold(self):
         """Weights against pi_u form the exponential bump peaked at t."""
         train, _ = generate_sim1(Sim1Config(n=400, q=1.0, seed=7))
         model = fit_pipeline(
-            train,
+            first_stage(train, lambda_grid=(0.0, 25.0), sampler_config=FAST, cv_chain=FASTER_CHAIN),
             TargetThreshold(0.3),
-            lambda_grid=(0.0, 25.0),
-            sampler_config=FAST,
-            cv_chain=FASTER_CHAIN,
         )
-        dist = np.abs(model.pi_u_development - 0.3)
+        dist = np.abs(model.first.pi_u_development - 0.3)
         order = np.argsort(dist)
         w = model.weights[order]
         assert np.all(np.diff(w) <= 1e-12)
@@ -646,10 +640,10 @@ def test_grid_of_zero_is_a_standard_fit_on_the_development_rows(n, data_seed, rn
     train, _ = generate_sim1(Sim1Config(n=n, q=1.0, seed=data_seed))
     config = SamplerConfig(n_iterations=400, burn_in=150, rng_seed=rng_seed)
     try:
-        model = fit_pipeline(train, TargetThreshold(0.3), lambda_grid=(0.0,), sampler_config=config)
+        model = fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=config), TargetThreshold(0.3))
     except DataError:  # a single-class design set: no stage 1, so nothing to compare
         assume(False)
-    baseline = fit_standard(train.subset(model.split.development_idx), config)
+    baseline = fit_standard(train.subset(model.first.split.development_idx), config)
     assert np.array_equal(model.samples.draws, baseline.draws)
     assert np.array_equal(model.samples.log_posterior_trace, baseline.log_posterior_trace)
     assert np.array_equal(model.samples.accepted, baseline.accepted)
@@ -666,11 +660,13 @@ class TestLambdaSelectionSignal:
         for rep in range(20):
             train, _ = generate_sim1(Sim1Config(n=600, q=1.0, seed=3000 + rep))
             model = fit_pipeline(
-                train,
+                first_stage(
+                    train,
+                    lambda_grid=(0.0, 5.0, 10.0, 25.0, 50.0),
+                    sampler_config=replace(fast, rng_seed=rep),
+                    cv_chain=(1000, 400),
+                ),
                 TargetThreshold(0.3),
-                lambda_grid=(0.0, 5.0, 10.0, 25.0, 50.0),
-                sampler_config=replace(fast, rng_seed=rep),
-                cv_chain=(1000, 400),
             )
             positive += model.lambda_star > 0.0
         assert positive > 10

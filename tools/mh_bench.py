@@ -12,7 +12,7 @@ runs three cases:
   ``reproduce`` run it;
 - ``CV``: ``tailbayes.tuning.cv_select_lambda`` over K = 5 folds and the
   8-value default grid, n = 880, 3000 iterations (1200 burn-in), in
-  process: the 40 CV chains of one ``reproduce`` repetition, plus their
+  process (``jobs=1``): the 40 CV chains of one ``reproduce`` repetition, plus their
   predictions and Net Benefit.  It passes the grid's weight matrix, built
   by the tree's own ``compute_weights``, and the vague prior;
 - ``CV1`` and ``CV2``: ``fit_folds`` on 5 and on 10 folds stacked in one
@@ -90,7 +90,7 @@ def make_inputs(tree: dict, case: dict) -> tuple:
         plan = tuning.make_cv_plan(data.outcomes, k=case["folds"], lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=31)
         threshold = core.TargetThreshold(0.3)
         weights = core.compute_weights(pi_u, threshold, plan.lambda_grid)
-        return (data, weights, threshold, plan, config, core.GaussianPrior.vague(data.n_coefficients))
+        return (data, weights, threshold, plan, config, core.GaussianPrior.vague(data.n_coefficients), 1)  # jobs
     lams = [0.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0][: case["chains"]]
     weights = [np.exp(-np.outer(lams, (pi_u - 0.3) ** 2)) for _, pi_u in rows]
     seeds = [config.rng_seed + g for g in range(len(rows))]

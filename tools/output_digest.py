@@ -139,6 +139,9 @@ RUNS = [
                            "--jobs", "1", "--seed", str(2**64 - 1), "--out", "fit_max_seed_rhat", *FAST]),
     # a directory as the config file, and an existing file (train.csv, hashed below) as --out
     ("fit_config_dir", ["fit", "train.csv", "--config", "fit_zero", "--out", "fit_config_dir"]),
+    # two config files, neither of which exists: a usage error raised before either is read
+    ("fit_config_twice", ["fit", "train.csv", "--config=missing_b.cfg", "--config", "missing_a.cfg",
+                          "--out", "fit_config_twice"]),
     ("fit_out_file", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--seed", "12",
                       "--out", "train.csv", *FAST]),
     # a file --out that is an existing directory, or lies in a directory that does not exist
