@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit a tailored model and write the artifact")
+    # no abbreviated flags: _apply_config_file must see every --config, and argparse would read --conf as one
+    fit = sub.add_parser("fit", help="fit a tailored model and write the artifact", allow_abbrev=False)
     fit.add_argument("data", help="training data CSV (header row required)")
     fit.add_argument("--config", help="key=value file supplying flag defaults")
     fit.add_argument("--out", required=True, help="output directory for the model artifact")
@@ -208,6 +209,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             raise ConfigError(f"{path}:{line_no}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
+        if flag == "--config":
+            raise ConfigError(f"{path}:{line_no}: a config file cannot name another config file")
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 flags.append(flag)
@@ -298,7 +301,7 @@ def cmd_fit(args) -> int:
     )
     model = fit_pipeline(first, threshold, distance=distance)
 
-    rhat = final_fit_rhat(model, args.rhat_chains, args.jobs) if args.rhat_chains else None
+    rhat = final_fit_rhat(model, args.rhat_chains) if args.rhat_chains else None
     save_fit(out, model, data_path=args.data, outcome_col=args.outcome_col, covariates=names,
              utilities=utilities, design_fraction=args.design_fraction, standardizer=standardizer,
              external_pi_u=args.pi_u_file, rhat=rhat)

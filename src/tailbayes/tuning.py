@@ -301,45 +301,38 @@ def _cv_score(samples, test: Dataset, threshold: TargetThreshold) -> tuple[float
     return net_benefit(means, test.outcomes, threshold).net_benefit, None
 
 
-def cv_select_lambda(
-    development: Dataset,
-    weights: np.ndarray,
-    threshold: TargetThreshold,
-    cv_plan: CvPlan,
-    sampler_config: SamplerConfig,
-    prior: GaussianPrior,
-    jobs: int,
-) -> tuple[float, list[dict]]:
-    """Choose lam maximising the fold-average Net Benefit at the threshold.
+def cv_select_lambda(first: FirstStage, weights: np.ndarray, threshold: TargetThreshold) -> tuple[float, list[dict]]:
+    """Choose lam maximising the fold-average Net Benefit at the threshold, on ``first``'s development rows.
 
-    ``weights`` holds one row per lam of the grid and one column per
+    ``weights`` holds one row per lam of ``first``'s grid and one column per
     development row, and a fold's chains take its training columns.
-    Fold fits share one sampler configuration with per-fold seeds
+    Fold fits share ``first.cv_config`` with per-fold seeds
     (:func:`fold_seed`).  A fold's lam chains share its seed and so one
-    random stream.  ``jobs`` splits the folds into at most ``jobs``
+    random stream.  ``first.jobs`` splits the folds into at most that many
     contiguous groups (:func:`_fold_groups`), one per worker process,
     and each group's folds run stacked (:func:`fit_folds`); the result
     does not depend on ``jobs``.  Ties break toward the smallest lam.  A
     sampler failure invalidates its cell; a lam stays eligible only if at
     least K - 1 of its folds succeeded (the average then runs over the
-    successes, and the failure is logged).
+    successes, and the failure is logged).  Every fold holds a row, as
+    :func:`first_stage` checks for a grid of more than one value.
     """
+    development, cv_plan, config = first.development, first.cv_plan, first.cv_config
     grid = cv_plan.lambda_grid
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(grid), development.n):
         raise DataError(f"weights need one row per lambda and one column per development row, "
                         f"{(len(grid), development.n)}, not {weights.shape}")
-    _require_full_folds(development, cv_plan)
 
-    seeds = [fold_seed(sampler_config.rng_seed, fold) for fold in range(cv_plan.k)]
+    seeds = [fold_seed(config.rng_seed, fold) for fold in range(cv_plan.k)]
     folds = []
     for fold, seed in enumerate(seeds):
         tr = cv_plan.train_indices(fold)
         test = development.subset(cv_plan.fold_indices(fold))
         folds.append((development.subset(tr), weights[:, tr], test, seed))
-    groups = _fold_groups(cv_plan.k, jobs)
-    payloads = [([folds[f] for f in group], threshold, prior, sampler_config) for group in groups]
-    scores = [fold for group in map_jobs(_cv_folds, payloads, jobs) for fold in group]
+    groups = _fold_groups(cv_plan.k, first.jobs)
+    payloads = [([folds[f] for f in group], threshold, first.prior, config) for group in groups]
+    scores = [fold for group in map_jobs(_cv_folds, payloads, first.jobs) for fold in group]
 
     table: list[dict] = []
     best_lam = None
@@ -411,8 +404,9 @@ def first_stage(
     are None.  Without ``external_pi_u`` the design fraction must be
     positive.  The fold plan and the draw stores are checked before any
     chain runs.  ``jobs`` bounds the worker processes of the CV fold groups
-    (:func:`cv_select_lambda`).  ``pi_u_development`` is read-only, so the
-    thresholds of one training set can share one first stage.
+    (:func:`cv_select_lambda`) and of the R-hat reruns (:func:`final_fit_rhat`).
+    ``pi_u_development`` is read-only, so the thresholds of one training set
+    can share one first stage.
     """
     try:
         cv_config = sampler_config if cv_chain is None else replace(
@@ -505,8 +499,7 @@ def fit_pipeline(
     if grid == (0.0,):
         lambda_star, cv_table = 0.0, []
     else:
-        lambda_star, cv_table = cv_select_lambda(development, weights, threshold, cv_plan, first.cv_config,
-                                                 first.prior, first.jobs)
+        lambda_star, cv_table = cv_select_lambda(first, weights, threshold)
 
     star = grid.index(lambda_star)
     ess_rows = ess_grid(grid, weights)
@@ -521,18 +514,18 @@ def fit_pipeline(
     return FittedTailoredModel(first, lambda_star, threshold, distance, samples, cv_table, ess_rows, weights[star])
 
 
-def final_fit_rhat(model: FittedTailoredModel, n_chains: int, jobs: int) -> tuple[np.ndarray, list[int]]:
+def final_fit_rhat(model: FittedTailoredModel, n_chains: int) -> tuple[np.ndarray, list[int]]:
     """Gelman-Rubin R-hat per coefficient of the final chain plus ``n_chains - 1`` reruns, and the reruns' seeds.
 
-    The reruns run on :func:`rhat_seeds`, side by side over at most ``jobs`` worker
-    processes (:func:`map_jobs`); the first failed one, in seed order, is raised.
+    The reruns run on :func:`rhat_seeds`, side by side over at most ``model.first.jobs``
+    worker processes (:func:`map_jobs`); the first failed one, in seed order, is raised.
     """
     first = model.first
     tasks = [
         (first.development, model.weights, first.prior, replace(first.sampler_config, rng_seed=seed))
         for seed in rhat_seeds(first.sampler_config.rng_seed, n_chains)
     ]
-    reruns = map_jobs(_lone_fit, tasks, jobs)
+    reruns = map_jobs(_lone_fit, tasks, first.jobs)
     return gelman_rubin([model.samples.draws] + [c.draws for c in reruns]), [c.rng_seed for c in reruns]
 
 

@@ -108,7 +108,7 @@ def test_manifest_seeds_are_the_seeds_the_fit_ran(monkeypatch, grid, external, r
     model = fit_pipeline(first_stage(train, lambda_grid=grid, cv_chain=(400, 150), external_pi_u=pi_u,
                                      sampler_config=SamplerConfig(n_iterations=600, burn_in=200, rng_seed=5)),
                          TargetThreshold(0.3))
-    rhat = tuning.final_fit_rhat(model, rhat_chains, jobs=1) if rhat_chains else None
+    rhat = tuning.final_fit_rhat(model, rhat_chains) if rhat_chains else None
     with tempfile.TemporaryDirectory() as out:
         save_fit(Path(out), model, data_path="train.csv", outcome_col="y", covariates=["x1", "x2"],
                  utilities=None, design_fraction=0.2, standardizer=None, external_pi_u="pi_u.csv" if external else None,

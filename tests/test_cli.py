@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
-from tailbayes import cli, dataio, reproduce, simulation, tuning
+from tailbayes import cli, dataio, reproduce, sampler, simulation, tuning
 from tailbayes.cli import main
 from tailbayes.errors import SamplerError
 from tailbayes.evaluation import net_benefit
@@ -210,6 +210,17 @@ class TestFit:
         assert run(["fit", train_csv, "--out", tmp_path / "x"]) == 2
 
     @pytest.mark.parametrize(
+        "threshold, message",
+        [([], "exactly one of --t and --utilities must be given"),
+         (["--utilities", "9,0,1"], "--utilities needs exactly four values: UTP,UFP,UFN,UTN")],
+        ids=["neither", "three-utilities"],
+    )
+    def test_threshold_usage_error_comes_before_the_data_file_is_read(self, tmp_path, capsys, threshold, message):
+        assert run(["fit", tmp_path / "missing.csv", *threshold, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "chain, message",
         [(["--iterations", 1500, "--burn-in", 600, "--cv-iterations", 0], "n_iterations must be positive"),
          (["--iterations", 600, "--burn-in", 200, "--thin", 1000], "thin must not exceed")],
@@ -379,6 +390,7 @@ class TestFit:
                                                                               monkeypatch):
         # 10^15 chains of 900 draws of 3 coefficients would be held at once after the fit: refused before it
         monkeypatch.setattr(cli, "fit_pipeline", _no_chain)
+        _forbid_chains(monkeypatch)
         out = tmp_path / "m"
         assert run(["fit", train_csv, "--t", 0.3, "--lambda-grid", "0", "--jobs", 1,
                     "--rhat-chains", 10**15, "--out", out, *FIT_SPEED]) == 2
@@ -426,6 +438,27 @@ class TestFit:
         out = tmp_path / "m"
         assert run(["fit", tmp_path / "missing.csv", *configs, "--out", out]) == 2
         assert capsys.readouterr().err == "error: --config may be given once, not 2 times\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--conf", "a.cfg"], ["--co=a.cfg"], ["--iter", "100"]],
+                             ids=["conf", "co-equals", "iter"])
+    def test_abbreviated_flag_is_usage_error_before_any_file_is_read(self, tmp_path, capsys, flag):
+        # argparse would take --conf as --config, which nothing reads, so no fit flag may be abbreviated
+        out = tmp_path / "m"
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", tmp_path / "missing.csv", *flag, "--t", 0.3, "--out", out])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_naming_a_config_file_is_usage_error_before_any_chain(self, tmp_path, train_csv, capsys,
+                                                                             monkeypatch):
+        _forbid_chains(monkeypatch)
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("t = 0.3\nconfig = b.cfg\nlambda-grid = 0\n", encoding="utf-8")
+        out = tmp_path / "m"
+        assert run(["fit", train_csv, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: a config file cannot name another config file\n"
         assert not out.exists()
 
     def test_external_pi_u(self, tmp_path, train_csv):
@@ -878,9 +911,16 @@ def _no_chain(*args, **kwargs):
     raise AssertionError("the error must be raised before any chain runs")
 
 
+def _forbid_chains(monkeypatch):
+    """Fail on any MH chain, stage 1's included: every chain runs in sampler._run_chains, which tuning imports."""
+    monkeypatch.setattr(sampler, "_run_chains", _no_chain)
+    monkeypatch.setattr(tuning, "_run_chains", _no_chain)
+
+
 @pytest.mark.parametrize("command", ["fit", "ess-grid"])
 def test_nan_epsilon_is_usage_error_before_any_fit(tmp_path, train_csv, capsys, monkeypatch, command):
     monkeypatch.setattr(cli, "fit_pipeline", _no_fit)
+    _forbid_chains(monkeypatch)
     out = tmp_path / "out"
     if command == "fit":
         args = ["fit", train_csv, "--t", 0.3, "--jobs", 1, *FIT_SPEED]
@@ -897,6 +937,7 @@ def test_nan_epsilon_is_usage_error_before_any_fit(tmp_path, train_csv, capsys, 
 def test_infinite_epsilon_is_usage_error_before_any_fit(tmp_path, train_csv, capsys, monkeypatch, command):
     # written to the fit manifest, an infinite epsilon would be Infinity, which is not JSON
     monkeypatch.setattr(cli, "fit_pipeline", _no_fit)
+    _forbid_chains(monkeypatch)
     pi = tmp_path / "pi.csv"
     pi.write_text("pi_u\n0.1\n0.4\n", encoding="utf-8")
     args = {"fit": ["fit", train_csv, "--t", 0.3, "--jobs", 1, *FIT_SPEED],
@@ -911,6 +952,7 @@ def test_infinite_epsilon_is_usage_error_before_any_fit(tmp_path, train_csv, cap
 def test_epsilon_with_squared_distance_is_usage_error_before_any_fit(tmp_path, train_csv, capsys, monkeypatch,
                                                                       command):
     monkeypatch.setattr(cli, "fit_pipeline", _no_fit)
+    _forbid_chains(monkeypatch)
     pi = tmp_path / "pi.csv"
     pi.write_text("pi_u\n0.1\n0.4\n", encoding="utf-8")
     args = {"fit": ["fit", train_csv, "--t", 0.3, "--jobs", 1, *FIT_SPEED],
@@ -926,6 +968,7 @@ def test_epsilon_with_squared_distance_is_usage_error_before_any_fit(tmp_path, t
 @pytest.mark.parametrize("command", ["fit", "fit-under-file", "evaluate", "reproduce"])
 def test_out_that_is_a_file_is_usage_error_before_any_work(tmp_path, train_csv, capsys, monkeypatch, command):
     monkeypatch.setattr(cli, "fit_pipeline", _no_fit)
+    _forbid_chains(monkeypatch)
     monkeypatch.setattr(cli, "reproduce_figure", _no_fit)
     taken = tmp_path / "taken"
     taken.write_text("keep\n", encoding="utf-8")

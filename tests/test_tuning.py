@@ -40,6 +40,12 @@ FASTER_CHAIN = (FASTER.n_iterations, FASTER.burn_in)  # (iterations, burn-in) of
 VAGUE = GaussianPrior.vague(3)  # first_stage's default prior on two covariates and the intercept
 
 
+def cv_first(development, plan, jobs=1):
+    """A first stage holding what cv_select_lambda reads: these development rows and folds, FASTER CV chains, jobs."""
+    split = make_split(development.n, 0.0, FASTER.rng_seed)
+    return tuning.FirstStage(split, development, plan, FASTER, FASTER, VAGUE, None, None, jobs)
+
+
 def grid_weights(pi_u, plan):
     """The (L, n) weight matrix of ``plan``'s grid at t = 0.3, as fit_pipeline passes it to cv_select_lambda."""
     return compute_weights(pi_u, TargetThreshold(0.3), plan.lambda_grid)
@@ -175,7 +181,7 @@ class TestCvSelectLambda:
         t = TargetThreshold(0.3)
         pi_u = np.full(train.n, 0.3)
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0, 50.0), seed=1)
-        lam, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER, VAGUE, jobs=1)
+        lam, table = cv_select_lambda(cv_first(train, plan), grid_weights(pi_u, plan), t)
         assert lam == 0.0
         by_lam = {}
         for row in table:
@@ -186,10 +192,9 @@ class TestCvSelectLambda:
         train, _ = generate_sim1(Sim1Config(n=60, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0), seed=1)
         with pytest.raises(DataError, match=r"development row, \(2, 60\), not \(2, 10\)$"):
-            cv_select_lambda(train, grid_weights(np.full(10, 0.3), plan), TargetThreshold(0.3), plan, FASTER, VAGUE,
-                             jobs=1)
+            cv_select_lambda(cv_first(train, plan), grid_weights(np.full(10, 0.3), plan), TargetThreshold(0.3))
         with pytest.raises(DataError, match=r"development row, \(2, 60\), not \(1, 60\)$"):
-            cv_select_lambda(train, np.ones((1, train.n)), TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
+            cv_select_lambda(cv_first(train, plan), np.ones((1, train.n)), TargetThreshold(0.3))
 
     def test_process_pool_matches_serial(self):
         """Cells own their seeds, so parallel and serial runs agree exactly."""
@@ -198,8 +203,8 @@ class TestCvSelectLambda:
         pi_u = rng.uniform(0.1, 0.9, size=train.n)
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 10.0), seed=1)
         weights = grid_weights(pi_u, plan)
-        serial = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
-        parallel = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=2)
+        serial = cv_select_lambda(cv_first(train, plan), weights, TargetThreshold(0.3))
+        parallel = cv_select_lambda(cv_first(train, plan, jobs=2), weights, TargetThreshold(0.3))
         assert serial == parallel
 
     @staticmethod
@@ -221,7 +226,7 @@ class TestCvSelectLambda:
         self.fail_folds(monkeypatch, {FASTER.rng_seed + 1})  # fold 1 always fails
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
         weights = grid_weights(np.full(train.n, 0.4), plan)
-        lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
+        lam, table = cv_select_lambda(cv_first(train, plan), weights, TargetThreshold(0.3))
         failures = [row for row in table if row["error"]]
         assert len(failures) == 2  # one per lam
         assert all(row["fold"] == 1 for row in failures)
@@ -233,7 +238,7 @@ class TestCvSelectLambda:
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
         weights = grid_weights(np.full(train.n, 0.4), plan)
         with pytest.raises(SamplerError):
-            cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
+            cv_select_lambda(cv_first(train, plan), weights, TargetThreshold(0.3))
 
     def test_nonfinite_start_fails_only_its_cells(self):
         """Infinite weights at lam = 5 make that chain's start point NaN in every fold."""
@@ -243,7 +248,7 @@ class TestCvSelectLambda:
         weights = grid_weights(pi_u, plan)
         weights[plan.lambda_grid.index(5.0)] = np.inf
         with np.errstate(invalid="ignore"):
-            lam, table = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
+            lam, table = cv_select_lambda(cv_first(train, plan), weights, TargetThreshold(0.3))
         failed = {(row["lambda"], row["fold"]) for row in table if row["error"]}
         assert failed == {(5.0, 1), (5.0, 2), (5.0, 3)}
         assert all("initial point" in row["error"] for row in table if row["error"])
@@ -265,7 +270,7 @@ class TestCvSelectLambda:
             return result
 
         monkeypatch.setattr(tuning, "fit_folds", recording)
-        _, table = cv_select_lambda(train, grid_weights(pi_u, plan), t, plan, FASTER, VAGUE, jobs=1)
+        _, table = cv_select_lambda(cv_first(train, plan), grid_weights(pi_u, plan), t)
         monkeypatch.undo()
         prior = GaussianPrior.vague(train.n_coefficients)
         assert len(batches) == plan.k
@@ -315,12 +320,11 @@ class TestCvSelectLambda:
     def test_empty_fold_rejected_before_any_chain(self, monkeypatch):
         # 9 rows, 4 of them positive: the plan exists, but folds 5 to 8 of its k = 9 hold no row
         development = Dataset.from_raw(np.random.default_rng(2).standard_normal((9, 1)), np.arange(9) % 2)
-        plan = make_cv_plan(development.outcomes, k=9, lambda_grid=(0.0, 5.0), seed=1)
         monkeypatch.setattr(tuning, "map_jobs", None)  # no chain may run
         message = "cannot make 9 non-empty CV folds from 9 development rows: the outcome classes have 5 and 4 rows"
         with pytest.raises(DataError, match=message):
-            cv_select_lambda(development, grid_weights(np.full(9, 0.4), plan), TargetThreshold(0.3), plan, FASTER,
-                             GaussianPrior.vague(development.n_coefficients), jobs=1)
+            first_stage(development, lambda_grid=(0.0, 5.0), k_folds=9, sampler_config=FASTER,
+                        external_pi_u=np.full(9, 0.4))
 
 
 class TestFitFolds:
@@ -416,16 +420,16 @@ class TestMapJobs:
         train, _ = generate_sim1(Sim1Config(n=130, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=5, lambda_grid=(0.0, 5.0), seed=1)
         weights = grid_weights(np.full(train.n, 0.4), plan)
-        pooled = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=64)
+        pooled = cv_select_lambda(cv_first(train, plan, jobs=64), weights, TargetThreshold(0.3))
         assert pool_sizes == [2, 2]
-        assert pooled == cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
+        assert pooled == cv_select_lambda(cv_first(train, plan), weights, TargetThreshold(0.3))
 
     def test_cv_pool_gets_one_worker_per_fold(self, pool_sizes):
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0), seed=1)
         weights = grid_weights(np.full(train.n, 0.4), plan)
-        serial = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=1)
-        pooled = cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=64)
+        serial = cv_select_lambda(cv_first(train, plan), weights, TargetThreshold(0.3))
+        pooled = cv_select_lambda(cv_first(train, plan, jobs=64), weights, TargetThreshold(0.3))
         assert pool_sizes == [3]
         assert pooled == serial
 
@@ -444,7 +448,7 @@ class TestMapJobs:
         monkeypatch.setattr(tuning, "map_jobs", recording)
         weights = grid_weights(pi_u, plan)
         results = {
-            jobs: cv_select_lambda(train, weights, TargetThreshold(0.3), plan, FASTER, VAGUE, jobs=jobs)
+            jobs: cv_select_lambda(cv_first(train, plan, jobs=jobs), weights, TargetThreshold(0.3))
             for jobs in (1, 2, 3, 64)
         }
         assert all(result == results[1] for result in results.values())
@@ -511,16 +515,18 @@ class TestFitPipeline:
 
     def test_rhat_reruns_do_not_depend_on_jobs(self):
         train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=9))
-        model = fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=FASTER), TargetThreshold(0.3))
-        serial, serial_seeds = final_fit_rhat(model, 3, jobs=1)
+        model = {jobs: fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=FASTER, jobs=jobs),
+                                    TargetThreshold(0.3)) for jobs in (1, 2)}
+        serial, serial_seeds = final_fit_rhat(model[1], 3)
         assert serial.shape == (3,) and serial_seeds == tuning.rhat_seeds(FASTER.rng_seed, 3)
-        pooled, pooled_seeds = final_fit_rhat(model, 3, jobs=2)
+        pooled, pooled_seeds = final_fit_rhat(model[2], 3)
         assert np.array_equal(pooled, serial) and pooled_seeds == serial_seeds
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_failed_rhat_rerun_in_seed_order_is_raised(self, jobs, monkeypatch):
         train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=9))
-        model = fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=FASTER), TargetThreshold(0.3))
+        model = fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=FASTER, jobs=jobs),
+                             TargetThreshold(0.3))
         seeds = tuning.rhat_seeds(FASTER.rng_seed, 4)
         real = tuning.fit_tailored
 
@@ -531,7 +537,7 @@ class TestFitPipeline:
 
         monkeypatch.setattr(tuning, "fit_tailored", fail_after_the_first)
         with pytest.raises(SamplerError, match=f"^rerun of seed {seeds[1]} failed$"):
-            final_fit_rhat(model, 4, jobs=jobs)
+            final_fit_rhat(model, 4)
 
     def test_deterministic_rerun(self):
         train, _ = generate_sim1(Sim1Config(n=300, q=1.0, seed=2))

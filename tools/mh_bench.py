@@ -14,7 +14,8 @@ runs three cases:
   8-value default grid, n = 880, 3000 iterations (1200 burn-in), in
   process (``jobs=1``): the 40 CV chains of one ``reproduce`` repetition, plus their
   predictions and Net Benefit.  It passes the grid's weight matrix, built
-  by the tree's own ``compute_weights``, and the vague prior;
+  by the tree's own ``compute_weights``, and the vague prior, inside a
+  ``FirstStage`` to a tree whose ``cv_select_lambda`` takes ``first``;
 - ``CV1`` and ``CV2``: ``fit_folds`` on 5 and on 10 folds stacked in one
   call, each fold with its own rows (n = 640) and seed and eight lambda
   chains, 3000 iterations (1200 burn-in): the CV chains of one
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import inspect
 import statistics
 import sys
 import time
@@ -90,7 +92,11 @@ def make_inputs(tree: dict, case: dict) -> tuple:
         plan = tuning.make_cv_plan(data.outcomes, k=case["folds"], lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=31)
         threshold = core.TargetThreshold(0.3)
         weights = core.compute_weights(pi_u, threshold, plan.lambda_grid)
-        return (data, weights, threshold, plan, config, core.GaussianPrior.vague(data.n_coefficients), 1)  # jobs
+        prior = core.GaussianPrior.vague(data.n_coefficients)
+        if "first" in inspect.signature(tuning.cv_select_lambda).parameters:
+            split = tuning.make_split(n, 0.0, config.rng_seed)
+            return (tuning.FirstStage(split, data, plan, config, config, prior, None, pi_u, 1), weights, threshold)
+        return (data, weights, threshold, plan, config, prior, 1)  # jobs
     lams = [0.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0][: case["chains"]]
     weights = [np.exp(-np.outer(lams, (pi_u - 0.3) ** 2)) for _, pi_u in rows]
     seeds = [config.rng_seed + g for g in range(len(rows))]

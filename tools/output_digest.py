@@ -142,6 +142,13 @@ RUNS = [
     # two config files, neither of which exists: a usage error raised before either is read
     ("fit_config_twice", ["fit", "train.csv", "--config=missing_b.cfg", "--config", "missing_a.cfg",
                           "--out", "fit_config_twice"]),
+    # an abbreviation of --config, and a config file naming another one: usage errors raised before any fit
+    ("fit_config_abbreviated", ["fit", "train.csv", "--conf", "missing_a.cfg", "--t", "0.3", "--lambda-grid", "0",
+                                "--out", "fit_config_abbreviated", *FAST]),
+    ("fit_config_nested", ["fit", "train.csv", "--config", "nested.cfg", "--out", "fit_config_nested", *FAST]),
+    # no threshold, and three utilities, with a data file that does not exist: the usage error comes first
+    ("fit_no_threshold", ["fit", "missing.csv", "--out", "fit_no_threshold"]),
+    ("fit_three_utilities", ["fit", "missing.csv", "--utilities", "9,0,1", "--out", "fit_three_utilities"]),
     ("fit_out_file", ["fit", "train.csv", "--t", "0.3", "--lambda-grid", "0", "--seed", "12",
                       "--out", "train.csv", *FAST]),
     # a file --out that is an existing directory, or lies in a directory that does not exist
@@ -218,6 +225,7 @@ def run_all(src: Path, work: Path) -> None:
     write_not_utf8(work / "not_utf8.csv")
     (work / "pi_u_header_only.csv").write_text("pi_u\n", encoding="utf-8")
     (work / "scored_float_outcome.csv").write_text("prob,y\n0.25,0\n0.75,1.0\n", encoding="utf-8")
+    (work / "nested.cfg").write_text("t = 0.3\nlambda-grid = 0\nconfig = missing_b.cfg\n", encoding="utf-8")
     for name, argv in RUNS:
         if name.startswith("copy:"):
             copy_with_malformed_manifest(work, name[len("copy:"):])
