@@ -183,7 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Inject key=value config entries as flags ahead of the user's flags; a second ``--config`` is a usage error."""
+    """Inject a ``fit`` config file's key=value entries as flags ahead of the user's flags.
+
+    Only ``fit`` takes ``--config``; another command's argv is returned as it is, for argparse to refuse the flag.
+    A second ``--config``, and a key that is not a ``fit`` flag, are usage errors.
+    """
+    if argv[:1] != ["fit"]:
+        return argv
     given = [i for i, arg in enumerate(argv) if arg == "--config" or arg.startswith("--config=")]
     if len(given) > 1:
         raise ConfigError(f"--config may be given once, not {len(given)} times")
@@ -200,6 +206,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is not part of the first key
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    subcommands = next(action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    fit_flags = set(subcommands.choices["fit"]._option_string_actions) - {"-h", "--help"}
     flags: list[str] = []
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -211,6 +219,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if flag == "--config":
             raise ConfigError(f"{path}:{line_no}: a config file cannot name another config file")
+        if flag not in fit_flags:
+            raise ConfigError(f"{path}:{line_no}: {key!r} is not a fit flag")
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 flags.append(flag)

@@ -9,12 +9,16 @@ cell without its threshold t and the repetition index through
 ``SeedSequence``.  So the thresholds of one repetition share its data,
 its baseline and its first stage (the design/development split, the
 fold plan and stage 1: :func:`~tailbayes.tuning.first_stage`), which are
-computed once; each t then runs ``fit_pipeline(first, t)``, and the
-comparison across t is a paired design.  This is the package's own
-choice: the source paper's abstract does not say whether its thresholds
-shared their data.  Each repetition is one task of a process pool, and
-a cell's rows depend on neither the rest of its grid nor the number of
-workers; aggregation is deterministic regardless of completion order.
+computed once, and so is the CV of all its thresholds, as one stacked
+run (:func:`~tailbayes.tuning.cv_select_lambdas`) in which the all-1
+lam = 0 weight row runs one chain that every threshold scores and no
+chain's bits depend on the rest of its stack.  Each t then runs
+``fit_pipeline(first, t, cv=...)``, and the comparison across t is a
+paired design.  This is the package's own choice: the source paper's
+abstract does not say whether its thresholds shared their data.  Each
+repetition is one task of a process pool, and a cell's rows depend on
+neither the rest of its grid nor the number of workers; aggregation is
+deterministic regardless of completion order.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ from . import __version__
 from .artifact import _sampler_block
 from .errors import ConfigError, require_seed
 from .evaluation import net_benefit, paired_delta
-from .model_core import VAGUE_PRIOR_SD, DistanceFunction, TargetThreshold
+from .model_core import VAGUE_PRIOR_SD, DistanceFunction, TargetThreshold, compute_weights
 from .predict import predictive_mean
 from .sampler import SamplerConfig
 from .simulation import STUDY_PARAMETER, optimal_nb, study
-from .tuning import (DEFAULT_DESIGN_FRACTION, DEFAULT_K_FOLDS, DEFAULT_LAMBDA_GRID, first_stage, fit_pipeline,
-                     fit_standard, map_jobs)
+from .tuning import (DEFAULT_DESIGN_FRACTION, DEFAULT_K_FOLDS, DEFAULT_LAMBDA_GRID, cv_select_lambdas, first_stage,
+                     fit_pipeline, fit_standard, map_jobs)
 
 __all__ = ["FIGURES", "FULL_SCALE_REPETITIONS", "reproduce_figure"]
 
@@ -94,12 +98,13 @@ def _without_t(cell: dict) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _repetition(figure: str, cell: tuple, rep: int, base_seed: int, lambda_grid: tuple) -> tuple:
-    """What repetition ``rep`` of a cell shares at every t: seeds, data, first stage and baseline test probabilities.
+def _repetition(figure: str, cell: tuple, rep: int, base_seed: int, lambda_grid: tuple, thresholds: tuple) -> tuple:
+    """What repetition ``rep`` of a cell shares at its ``thresholds``: seeds, data, first stage, baseline and CV.
 
-    ``cell`` holds the cell's (key, value) pairs but t's, sorted by key.  The
-    cache keeps one repetition, which :func:`_rep_worker` reuses for its next
-    threshold; its arrays are read-only.
+    ``cell`` holds the cell's (key, value) pairs but t's, sorted by key, and
+    the CV maps each t to its (lam*, cv_table).  The cache keeps one
+    repetition, which :func:`_rep_worker` reuses for its next threshold; its
+    arrays are read-only.
     """
     text = ",".join(f"{k}={v!r}" for k, v in cell)
     seeds = np.random.SeedSequence([int(base_seed), *text.encode(), rep]).generate_state(3)
@@ -113,14 +118,23 @@ def _repetition(figure: str, cell: tuple, rep: int, base_seed: int, lambda_grid:
     standard_probs = predictive_mean(test.covariates, fit_standard(train, config))
     for arr in (oracle, standard_probs):
         arr.setflags(write=False)
-    return (train_seed, test_seed, fit_seed), first, test, oracle, standard_probs
+    cv = dict.fromkeys(thresholds)  # a one-value grid runs no CV
+    grid = first.cv_plan.lambda_grid
+    if len(grid) > 1:  # the weights fit_pipeline makes, under its default distance
+        ts = [TargetThreshold(t) for t in thresholds]
+        weights = [compute_weights(first.pi_u_development, t, grid) for t in ts]
+        cv.update(zip(thresholds, cv_select_lambdas(first, weights, ts)))
+    return (train_seed, test_seed, fit_seed), first, test, oracle, standard_probs, cv
 
 
 def _rep_worker(payload: tuple) -> dict:
-    figure, cell, rep, base_seed, lambda_grid = payload
-    seeds, first, test, oracle, standard_probs = _repetition(figure, _without_t(cell), rep, base_seed, lambda_grid)
+    """The raw row of one repetition at one threshold; ``thresholds``, all of the repetition's, share its CV."""
+    figure, cell, rep, base_seed, lambda_grid, thresholds = payload
+    seeds, first, test, oracle, standard_probs, cv = _repetition(
+        figure, _without_t(cell), rep, base_seed, lambda_grid, thresholds
+    )
     t = TargetThreshold(cell["t"])
-    model = fit_pipeline(first, t)
+    model = fit_pipeline(first, t, cv=cv[cell["t"]])
     tailored_probs = predictive_mean(test.covariates, model.samples)
 
     row = dict(cell)
@@ -164,9 +178,10 @@ def reproduce_figure(
     overrides = {k: v for k, v in (overrides or {}).items() if v}  # None or an empty list overrides nothing
     reps = max(1, round(FULL_SCALE_REPETITIONS * scale))
     cells = _cells(figure, overrides)
-    payloads = [(figure, cell, rep, seed, tuple(lambda_grid)) for cell in cells for rep in range(reps)]
+    thresholds = tuple(dict.fromkeys(cell["t"] for cell in cells))  # every repetition runs at each t of the grid
+    payloads = [(figure, cell, rep, seed, tuple(lambda_grid), thresholds) for cell in cells for rep in range(reps)]
     groups: dict[tuple, list[int]] = {}  # one task per repetition: the payload indices of its thresholds
-    for i, (_, cell, rep, _, _) in enumerate(payloads):
+    for i, (_, cell, rep, *_) in enumerate(payloads):
         groups.setdefault((_without_t(cell), rep), []).append(i)
     _repetition.cache_clear()  # no repetition carries over from an earlier call
     rows = map_jobs(_rep_group, [[payloads[i] for i in group] for group in groups.values()], jobs)

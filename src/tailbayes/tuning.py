@@ -17,8 +17,10 @@ one-value grid {0} weights every row 1 whatever the first-stage model
 says, so it runs no stage 1.  Each CV fold's lam chains share the fold's
 seed and so its random stream, and the folds a worker takes run stacked
 in one sampler loop, with one log-posterior call per iteration for all
-their chains (:func:`fit_folds`).  CV fold groups and the R-hat reruns
-run side by side over :func:`map_jobs`.
+their chains (:func:`fit_folds`).  The thresholds of one first stage
+share its folds and fold seeds, so their CV can run as one stack per fold
+(:func:`cv_select_lambdas`), each bit-identical weight row once.  CV fold
+groups and the R-hat reruns run side by side over :func:`map_jobs`.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ __all__ = [
     "FirstStage",
     "first_stage",
     "cv_select_lambda",
+    "cv_select_lambdas",
     "fit_pipeline",
     "ess_grid",
 ]
@@ -286,18 +289,25 @@ def _lone_fit(payload: tuple) -> PosteriorSamples:
     return fit_tailored(*payload)
 
 
-def _cv_folds(payload: tuple) -> list[list[tuple[float, str | None]]]:
-    """(Net Benefit, error) of each lam chain of each fold of one group; top-level so pools can pickle it."""
-    folds, threshold, prior, config = payload
+def _cv_folds(payload: tuple) -> list[list[list[tuple[float, str | None]]]]:
+    """(Net Benefit, error) of each threshold's lam chains in each fold of one group; top-level so pools can pickle it.
+
+    ``rows[i][l]`` is the chain of the stack that threshold i's lam l reads.  A
+    chain's predictive means are computed once, whatever number of thresholds read it.
+    """
+    folds, thresholds, rows, prior, config = payload
     trains, weights, tests, seeds = zip(*folds)
     fits = fit_folds(trains, weights, prior, config, seeds)
-    return [[_cv_score(samples, test, threshold) for samples in chains] for chains, test in zip(fits, tests)]
+    scores = []
+    for chains, test in zip(fits, tests):
+        means = [c if isinstance(c, SamplerError) else predictive_mean(test.covariates, c) for c in chains]
+        scores.append([[_cv_score(means[c], test, t) for c in row] for t, row in zip(thresholds, rows)])
+    return scores
 
 
-def _cv_score(samples, test: Dataset, threshold: TargetThreshold) -> tuple[float, str | None]:
-    if isinstance(samples, SamplerError):
-        return float("nan"), str(samples)
-    means = predictive_mean(test.covariates, samples)
+def _cv_score(means, test: Dataset, threshold: TargetThreshold) -> tuple[float, str | None]:
+    if isinstance(means, SamplerError):
+        return float("nan"), str(means)
     return net_benefit(means, test.outcomes, threshold).net_benefit, None
 
 
@@ -315,25 +325,59 @@ def cv_select_lambda(first: FirstStage, weights: np.ndarray, threshold: TargetTh
     sampler failure invalidates its cell; a lam stays eligible only if at
     least K - 1 of its folds succeeded (the average then runs over the
     successes, and the failure is logged).  Every fold holds a row, as
-    :func:`first_stage` checks for a grid of more than one value.
+    :func:`first_stage` checks for a grid of more than one value.  This is
+    the one-threshold case of :func:`cv_select_lambdas`.
+    """
+    (result,) = cv_select_lambdas(first, [weights], [threshold])
+    return result
+
+
+def cv_select_lambdas(first: FirstStage, weights: list, thresholds: list) -> list[tuple[float, list[dict]]]:
+    """:func:`cv_select_lambda` at each of ``thresholds``, with its ``weights[i]``, as one stacked CV run on ``first``.
+
+    Each fold stacks every threshold's weight rows on its seed's stream
+    (:func:`fit_folds`).  A later threshold's row that is bit for bit one
+    already in the stack, such as the all-1 lam = 0 row, runs no chain of
+    its own and reads that row's chain; the first threshold's rows all run,
+    as in its own call.  A chain's bits do not depend on the rest of its
+    stack (``tests/test_model_core.py::TestRoundingClasses``), so each
+    threshold gets the result of its own :func:`cv_select_lambda` call.  The
+    largest fold group's draw stores are checked before any chain runs.
     """
     development, cv_plan, config = first.development, first.cv_plan, first.cv_config
     grid = cv_plan.lambda_grid
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(grid), development.n):
-        raise DataError(f"weights need one row per lambda and one column per development row, "
-                        f"{(len(grid), development.n)}, not {weights.shape}")
+    stack, rows, seen = [], [], {}  # the weight rows that run; each threshold's stack row per lam; row bytes -> row
+    for i, w in enumerate(weights):
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (len(grid), development.n):
+            raise DataError(f"weights need one row per lambda and one column per development row, "
+                            f"{(len(grid), development.n)}, not {w.shape}")
+        rows.append([])
+        for row in w:
+            key = row.tobytes()
+            if i and key in seen:
+                rows[-1].append(seen[key])
+            else:
+                seen.setdefault(key, len(stack))
+                rows[-1].append(len(stack))
+                stack.append(row)
+    stack = np.array(stack)
+    groups = _fold_groups(cv_plan.k, first.jobs)
+    _check_draw_store(max(len(group) for group in groups) * len(stack), development.n_coefficients, config)
 
     seeds = [fold_seed(config.rng_seed, fold) for fold in range(cv_plan.k)]
     folds = []
     for fold, seed in enumerate(seeds):
         tr = cv_plan.train_indices(fold)
         test = development.subset(cv_plan.fold_indices(fold))
-        folds.append((development.subset(tr), weights[:, tr], test, seed))
-    groups = _fold_groups(cv_plan.k, first.jobs)
-    payloads = [([folds[f] for f in group], threshold, first.prior, config) for group in groups]
+        folds.append((development.subset(tr), stack[:, tr], test, seed))
+    payloads = [([folds[f] for f in group], thresholds, rows, first.prior, config) for group in groups]
     scores = [fold for group in map_jobs(_cv_folds, payloads, first.jobs) for fold in group]
+    return [_select_lambda(grid, seeds, [fold[i] for fold in scores]) for i in range(len(thresholds))]
 
+
+def _select_lambda(grid: tuple, seeds: list[int], scores: list) -> tuple[float, list[dict]]:
+    """lam* and the CV table of one threshold from its (Net Benefit, error) ``scores[fold][lam]``."""
     table: list[dict] = []
     best_lam = None
     best_nb = -np.inf
@@ -348,12 +392,12 @@ def cv_select_lambda(first: FirstStage, weights: np.ndarray, threshold: TargetTh
                 successes.append(nb)
             else:
                 logger.warning("CV cell lam=%s fold=%d failed: %s", lam, fold + 1, error)
-        if len(successes) < cv_plan.k - 1:
+        if len(successes) < len(seeds) - 1:
             logger.warning(
                 "lam=%s dropped: only %d of %d folds succeeded",
                 lam,
                 len(successes),
-                cv_plan.k,
+                len(seeds),
             )
             continue
         avg = float(np.mean(successes))
@@ -481,6 +525,7 @@ def fit_pipeline(
     threshold: TargetThreshold,
     *,
     distance: DistanceFunction = DistanceFunction(),
+    cv: tuple[float, list[dict]] | None = None,
 ) -> FittedTailoredModel:
     """The threshold's stage of a fit on ``first`` (:func:`first_stage`): weights, CV over lam, final fit.
 
@@ -491,6 +536,10 @@ def fit_pipeline(
     row) and ``ess_grid``.  Every chain runs on the same inputs and seed
     whatever ``first.jobs`` is, so the result does not depend on it.
     ``first`` is only read, so the thresholds of one training set share it.
+    ``cv``, when given, is the threshold's (lam*, cv_table) from a
+    :func:`cv_select_lambdas` run on ``first`` with these weights, which is
+    what this fit's own :func:`cv_select_lambda` call would give; the fit
+    then runs no CV chain.
     """
     development, cv_plan, pi_u_dev = first.development, first.cv_plan, first.pi_u_development
     grid = cv_plan.lambda_grid
@@ -499,7 +548,7 @@ def fit_pipeline(
     if grid == (0.0,):
         lambda_star, cv_table = 0.0, []
     else:
-        lambda_star, cv_table = cv_select_lambda(first, weights, threshold)
+        lambda_star, cv_table = cv or cv_select_lambda(first, weights, threshold)
 
     star = grid.index(lambda_star)
     ess_rows = ess_grid(grid, weights)

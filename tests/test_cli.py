@@ -461,6 +461,32 @@ class TestFit:
         assert capsys.readouterr().err == f"error: {cfg}:2: a config file cannot name another config file\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["iter", "data", "help", "no_such_flag"])
+    def test_config_key_that_is_not_a_fit_flag_is_usage_error_before_the_data_file_is_read(self, tmp_path, capsys,
+                                                                                           key):
+        # an abbreviation, the positional, argparse's own --help and a typo; the data file does not exist
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"t = 0.3\n{key} = 100\n", encoding="utf-8")
+        out = tmp_path / "m"
+        assert run(["fit", tmp_path / "missing.csv", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: {key!r} is not a fit flag\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "--model", "m", "--data", "d.csv", "--out", "o.csv"],
+        ["ess-grid", "--pi-u-file", "p.csv", "--t", "0.3", "--out", "o.csv"],
+    ], ids=["predict", "ess-grid"])
+    def test_config_for_another_command_is_refused_unread(self, tmp_path, capsys, monkeypatch, command):
+        # only fit takes --config: argparse refuses it before any file, the config among them, is opened
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.cfg").write_text("iterations = 100\n", encoding="utf-8")
+        for cfg in ("missing.cfg", "p.cfg"):
+            with pytest.raises(SystemExit) as exc:
+                run([*command[:1], "--config", cfg, *command[1:]])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: --config {cfg}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.cfg"]
+
     def test_external_pi_u(self, tmp_path, train_csv):
         pi_path = tmp_path / "pi.csv"
         pi_path.write_text("pi_u\n" + "\n".join(["0.3"] * 300) + "\n", encoding="utf-8")

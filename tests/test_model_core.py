@@ -545,6 +545,23 @@ class TestRoundingClasses:
                 assert np.array_equal(logpost(b[start : start + m]), blocks[start : start + m]), (m, start)
         assert np.array_equal(make_log_posterior(data, np.tile(w, (8, 1)), self.PRIOR)(b), blocks)
 
+    @pytest.mark.parametrize("n", [200, 640, 3200, 8000])
+    @pytest.mark.parametrize("n_rows", [8, 15, 22, 64])
+    def test_a_stack_of_thresholds_gives_each_row_the_bits_of_its_own_eight_row_stack(self, n, n_rows):
+        """CV stacks the grids of T thresholds in C = 1 + 7 T rows: one all-1 lam = 0 row, then 7 rows per threshold.
+
+        Every row must get the bits that its own threshold's 8-row stack, the lam = 0 row and its 7 rows, gives it,
+        so that a threshold's CV chains do not depend on the other thresholds of the stack.
+        """
+        rng = np.random.default_rng(n + n_rows)
+        data, _ = random_dataset(rng, n=n)
+        w = np.vstack([np.ones(n), rng.uniform(0.0, 2.0, size=(n_rows - 1, n))])
+        b = rng.standard_normal((n_rows, 3)) * 0.5
+        stacked = tailbayes.model_core._stacked_log_posterior([data], [w], self.PRIOR)(b)
+        for i in range((n_rows - 1) // 7):
+            own = [0, *range(1 + 7 * i, 8 + 7 * i)]
+            assert np.array_equal(make_log_posterior(data, w[own], self.PRIOR)(b[own]), stacked[own]), i
+
     def test_a_chain_on_more_than_ten_thousand_rows_does_not_depend_on_the_blas_thread_count(self):
         """OpenBLAS splits a ddot longer than 10 000 elements across threads; each row sum stays in shorter chunks."""
         code = (

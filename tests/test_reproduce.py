@@ -15,7 +15,7 @@ def _fresh_repetition_cache():
 
 def _stub_rep_worker(payload):
     """A cheap deterministic stand-in for one repetition: delta is t + 0.01 * rep^2."""
-    _figure, cell, rep, _seed, _grid = payload
+    _figure, cell, rep, _seed, _grid, _thresholds = payload
     row = dict(cell, rep=rep, lambda_star=0.0,
                nb_tb=0.1 + cell["t"] + 0.01 * rep**2, nb_sb=0.1)
     row["delta"] = row["nb_tb"] - row["nb_sb"]
@@ -95,7 +95,7 @@ def _record_seeds(monkeypatch):
 
 def _first_repetition(figure, cell):
     with pytest.raises(_Stop):
-        reproduce._rep_worker((figure, cell, 0, 0, (0.0, 10.0)))
+        reproduce._rep_worker((figure, cell, 0, 0, (0.0, 10.0), (cell["t"],)))
 
 
 def test_cells_differing_only_in_t_share_their_seeds(monkeypatch):
@@ -165,6 +165,26 @@ def test_a_repetition_draws_its_data_and_fits_stage_1_and_its_baseline_once_per_
     assert calls == {"generate": [200, 2000] * 2, "stage1": 2, "baseline": 2}
     assert run()["raw"] == first["raw"]
     assert calls == {"generate": [200, 2000] * 4, "stage1": 4, "baseline": 4}
+
+
+def test_a_repetition_runs_the_cv_of_its_thresholds_as_one_stack(monkeypatch):
+    """One fit_folds call per repetition, whose folds each run the lam = 0 chain once and each threshold's lam = 10."""
+    stacks = []
+    real_fit_folds = tuning.fit_folds
+
+    def recording(datasets, weights, prior, config, seeds):
+        stacks.append([len(w) for w in weights])
+        return real_fit_folds(datasets, weights, prior, config, seeds)
+
+    def alone(*args):
+        raise AssertionError("a repetition's thresholds share one stacked CV run")
+
+    monkeypatch.setattr(tuning, "fit_folds", recording)
+    monkeypatch.setattr(tuning, "cv_select_lambda", alone)
+    result = reproduce.reproduce_figure("sim3-fig6", scale=0.1, seed=5, jobs=1, lambda_grid=(0.0, 10.0),
+                                        overrides=dict(OVERRIDES, t=(0.2, 0.3, 0.5)))
+    assert len(result["raw"]) == 6  # 3 thresholds of 2 repetitions
+    assert stacks == [[1 + 3] * tuning.DEFAULT_K_FOLDS] * 2
 
 
 def test_none_overrides_nothing_for_every_key(monkeypatch):

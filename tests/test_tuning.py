@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -289,6 +290,56 @@ class TestCvSelectLambda:
         # the lam chains of a fold sample different posteriors
         assert not np.array_equal(batches[FASTER.rng_seed + 1][0].draws, batches[FASTER.rng_seed + 1][2].draws)
         assert len(table) == len(plan.lambda_grid) * plan.k
+
+    def test_stacked_thresholds_give_each_chain_the_bits_of_its_own_call(self, monkeypatch):
+        """Three thresholds' CV in one stack: each chain is its one-threshold chain, and a fold runs one lam = 0 chain."""
+        train, _ = generate_sim1(Sim1Config(n=150, q=1.0, seed=8))
+        pi_u = np.random.default_rng(0).uniform(0.1, 0.9, size=train.n)
+        plan = make_cv_plan(train.outcomes, k=3, lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=1)
+        thresholds = [TargetThreshold(t) for t in (0.2, 0.3, 0.4)]
+        weights = [compute_weights(pi_u, t, plan.lambda_grid) for t in thresholds]
+        calls = []
+        real_fit_folds = tuning.fit_folds
+
+        def recording(datasets, fold_weights, prior, config, seeds):
+            result = real_fit_folds(datasets, fold_weights, prior, config, seeds)
+            calls.append(dict(zip(seeds, zip(fold_weights, result))))
+            return result
+
+        monkeypatch.setattr(tuning, "fit_folds", recording)
+        stacked = tuning.cv_select_lambdas(cv_first(train, plan), weights, thresholds)
+        alone = [cv_select_lambda(cv_first(train, plan), w, t) for w, t in zip(weights, thresholds)]
+        assert stacked == alone
+        (stack, *own_calls) = calls
+        n_lams = len(plan.lambda_grid)
+        for seed, (stack_weights, chains) in stack.items():
+            assert len(chains) == 1 + 3 * (n_lams - 1)
+            assert sum(np.all(row == 1.0) for row in stack_weights) == 1  # one lam = 0 chain per fold
+            for own in own_calls:
+                own_weights, own_chains = own[seed]
+                for row, chain in zip(own_weights, own_chains):
+                    (match,) = [c for w, c in zip(stack_weights, chains) if np.array_equal(w, row)]
+                    assert np.array_equal(match.draws, chain.draws)
+                    assert np.array_equal(match.accepted, chain.accepted)
+                    assert np.array_equal(match.proposal_sd_trace, chain.proposal_sd_trace)
+                    assert np.array_equal(match.log_posterior_trace, chain.log_posterior_trace)
+
+    def test_stack_beyond_physical_memory_fails_before_any_chain(self, monkeypatch):
+        """One threshold's 3 folds x 3 chains fit in memory; three thresholds' 3 x 7 distinct chains do not."""
+        train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
+        plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0, 50.0), seed=1)
+        per_draw = 3 * 8 + 8 + 1  # three float64 coefficients, a float64 trace value and a bool flag
+        retained = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // (9 * per_draw)
+        config = SamplerConfig(n_iterations=retained, burn_in=0, rng_seed=11)
+        tuning._check_draw_store(9, 3, config)  # a one-threshold call's stack fits
+        first = cv_first(train, plan)._replace(cv_config=config)
+        monkeypatch.setattr(tuning, "map_jobs", None)
+        monkeypatch.setattr(tuning, "fit_folds", None)  # no chain may run
+        pi_u = np.random.default_rng(2).uniform(0.1, 0.9, size=train.n)
+        thresholds = [TargetThreshold(t) for t in (0.2, 0.3, 0.4)]
+        with pytest.raises(ConfigError, match=f"of 21 chains of {retained} draws need"):
+            tuning.cv_select_lambdas(first, [compute_weights(pi_u, t, plan.lambda_grid) for t in thresholds],
+                                     thresholds)
 
     def test_empty_fold_rejected_before_stage_one(self, monkeypatch):
         # 240 development rows, so at most 240 folds: k = 200 leaves folds empty, though make_cv_plan accepts it

@@ -2,7 +2,7 @@
 
     python tools/mh_bench.py --src path/to/parent/src --src path/to/change/src [--pairs 15]
 
-runs three cases:
+runs six cases:
 
 - ``C=8``: ``tailbayes.tuning.fit_folds`` on one fold with eight lambda
   chains, n = 640, 3000 iterations (1200 burn-in), the size of one CV
@@ -20,6 +20,12 @@ runs three cases:
   call, each fold with its own rows (n = 640) and seed and eight lambda
   chains, 3000 iterations (1200 burn-in): the CV chains of one
   ``reproduce`` repetition, and those of two repetitions run together.
+- ``CV3``: the CV of ``CV`` at t = 0.2, 0.3 and 0.4 on one first stage,
+  as one ``reproduce`` repetition of three thresholds runs it: one
+  ``tailbayes.tuning.cv_select_lambdas`` call on a tree that has it (one
+  stack per fold, the lambda = 0 chain once), else one
+  ``cv_select_lambda`` call per threshold.  It needs trees whose
+  ``cv_select_lambda`` takes ``first``.
 
 Both trees are imported into one process, each under its own copy of the
 ``tailbayes`` modules, and run the same inputs.  After one untimed run
@@ -32,8 +38,9 @@ microseconds per iteration, the median over pairs of the second tree's
 time as a ratio of the first's, and per tree its sha256 hashes: for
 ``C=8`` and ``C=1`` a ``chains`` hash over every chain's draws,
 ``accepted`` flags, proposal-sd trace and non-finite count, and an
-``lp`` hash over every chain's ``log_posterior_trace``; for ``CV`` a
-``cv`` hash over lambda* and the bits of every cell's Net Benefit.
+``lp`` hash over every chain's ``log_posterior_trace``; for ``CV`` and
+``CV3`` a ``cv`` hash over each threshold's lambda* and the bits of every
+cell's Net Benefit.
 Equal hashes mean the two trees give bit for bit the same results, and
 equal ``chains`` with unequal ``lp`` hashes mean the same chains whose
 stored log-posterior values moved in the last bits.  Outside the test
@@ -59,6 +66,7 @@ CASES = {
     "CV": {"chains": 8, "n": 880, "iterations": 3000, "burn_in": 1200, "folds": 5},
     "CV1": {"chains": 8, "n": 640, "iterations": 3000, "burn_in": 1200, "groups": 5},
     "CV2": {"chains": 8, "n": 640, "iterations": 3000, "burn_in": 1200, "groups": 10},
+    "CV3": {"chains": 8, "n": 880, "iterations": 3000, "burn_in": 1200, "folds": 5, "thresholds": (0.2, 0.3, 0.4)},
 }
 
 
@@ -90,13 +98,16 @@ def make_inputs(tree: dict, case: dict) -> tuple:
     if "folds" in case:
         ((data, pi_u),) = rows
         plan = tuning.make_cv_plan(data.outcomes, k=case["folds"], lambda_grid=tuning.DEFAULT_LAMBDA_GRID, seed=31)
-        threshold = core.TargetThreshold(0.3)
-        weights = core.compute_weights(pi_u, threshold, plan.lambda_grid)
+        thresholds = [core.TargetThreshold(t) for t in case.get("thresholds", (0.3,))]
+        weights = [core.compute_weights(pi_u, t, plan.lambda_grid) for t in thresholds]
         prior = core.GaussianPrior.vague(data.n_coefficients)
-        if "first" in inspect.signature(tuning.cv_select_lambda).parameters:
-            split = tuning.make_split(n, 0.0, config.rng_seed)
-            return (tuning.FirstStage(split, data, plan, config, config, prior, None, pi_u, 1), weights, threshold)
-        return (data, weights, threshold, plan, config, prior, 1)  # jobs
+        if "first" not in inspect.signature(tuning.cv_select_lambda).parameters:
+            return (data, weights[0], thresholds[0], plan, config, prior, 1)  # jobs
+        split = tuning.make_split(n, 0.0, config.rng_seed)
+        first = tuning.FirstStage(split, data, plan, config, config, prior, None, pi_u, 1)
+        if "thresholds" in case:
+            return first, weights, thresholds
+        return first, weights[0], thresholds[0]
     lams = [0.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0][: case["chains"]]
     weights = [np.exp(-np.outer(lams, (pi_u - 0.3) ** 2)) for _, pi_u in rows]
     seeds = [config.rng_seed + g for g in range(len(rows))]
@@ -104,10 +115,12 @@ def make_inputs(tree: dict, case: dict) -> tuple:
 
 
 def digest(result) -> tuple:
-    """(name, sha256) pairs: ``cv`` for a cv_select_lambda result, else ``chains`` and ``lp``."""
+    """(name, sha256) pairs: ``cv`` for (lambda*, table) results, one per threshold, else ``chains`` and ``lp``."""
     if isinstance(result, tuple):  # cv_select_lambda: (lambda*, table)
-        lam, table = result
-        values = np.array([lam] + [np.nan if row["nb"] is None else row["nb"] for row in table])
+        result = [result]
+    if isinstance(result[0], tuple):
+        values = np.array([v for lam, table in result
+                           for v in [lam] + [np.nan if row["nb"] is None else row["nb"] for row in table]])
         return (("cv", hashlib.sha256(values.tobytes()).hexdigest()),)
     chains, lp = hashlib.sha256(), hashlib.sha256()
     for chain in (chain for fold in result for chain in fold):
@@ -119,7 +132,16 @@ def digest(result) -> tuple:
 
 
 def timed_run(tree: dict, inputs: tuple, iterations: int) -> tuple[float, tuple]:
-    run = tree["tuning"].fit_folds if isinstance(inputs[0], list) else tree["tuning"].cv_select_lambda
+    tuning = tree["tuning"]
+    if isinstance(inputs[0], list):
+        run = tuning.fit_folds
+    elif not isinstance(inputs[1], list):
+        run = tuning.cv_select_lambda
+    elif hasattr(tuning, "cv_select_lambdas"):  # several thresholds, one stacked call
+        run = tuning.cv_select_lambdas
+    else:
+        run = lambda first, weights, thresholds: [  # noqa: E731
+            tuning.cv_select_lambda(first, w, t) for w, t in zip(weights, thresholds)]
     start = time.process_time()
     result = run(*inputs)
     return (time.process_time() - start) / iterations * 1e6, digest(result)

@@ -146,6 +146,11 @@ RUNS = [
     ("fit_config_abbreviated", ["fit", "train.csv", "--conf", "missing_a.cfg", "--t", "0.3", "--lambda-grid", "0",
                                 "--out", "fit_config_abbreviated", *FAST]),
     ("fit_config_nested", ["fit", "train.csv", "--config", "nested.cfg", "--out", "fit_config_nested", *FAST]),
+    # a config key that is not a fit flag, and --config given to a command without one: usage errors, no file read
+    ("fit_config_unknown_key", ["fit", "missing.csv", "--config", "unknown_key.cfg",
+                                "--out", "fit_config_unknown_key"]),
+    ("predict_config", ["predict", "--config", "missing.cfg", "--model", "fit_zero", "--data", "test_a.csv",
+                        "--out", "predict_config.csv"]),
     # no threshold, and three utilities, with a data file that does not exist: the usage error comes first
     ("fit_no_threshold", ["fit", "missing.csv", "--out", "fit_no_threshold"]),
     ("fit_three_utilities", ["fit", "missing.csv", "--utilities", "9,0,1", "--out", "fit_three_utilities"]),
@@ -226,6 +231,7 @@ def run_all(src: Path, work: Path) -> None:
     (work / "pi_u_header_only.csv").write_text("pi_u\n", encoding="utf-8")
     (work / "scored_float_outcome.csv").write_text("prob,y\n0.25,0\n0.75,1.0\n", encoding="utf-8")
     (work / "nested.cfg").write_text("t = 0.3\nlambda-grid = 0\nconfig = missing_b.cfg\n", encoding="utf-8")
+    (work / "unknown_key.cfg").write_text("t = 0.3\niter = 100\n", encoding="utf-8")
     for name, argv in RUNS:
         if name.startswith("copy:"):
             copy_with_malformed_manifest(work, name[len("copy:"):])
