@@ -14,6 +14,7 @@ from .errors import (
     DataError,
     SamplerError,
     TailbayesError,
+    WorkerLostError,
 )
 from .model_core import (
     Dataset,

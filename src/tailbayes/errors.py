@@ -19,6 +19,10 @@ class SamplerError(TailbayesError, RuntimeError):
     """MCMC failure, e.g. non-finite log-posterior at the start point."""
 
 
+class WorkerLostError(TailbayesError, RuntimeError):
+    """A worker process of a pool died (killed, out of memory or crashed), so a task's result was lost."""
+
+
 def require_memory(needed: int, what: str) -> None:
     """ConfigError unless ``needed`` bytes, those ``what`` names, fit in physical memory."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

@@ -9,10 +9,11 @@ cell without its threshold t and the repetition index through
 ``SeedSequence``.  So the thresholds of one repetition share its data,
 its baseline and its first stage (the design/development split, the
 fold plan and stage 1: :func:`~tailbayes.tuning.first_stage`), which are
-computed once, and so is the CV of all its thresholds, as one stacked
-run (:func:`~tailbayes.tuning.cv_select_lambdas`) in which the all-1
-lam = 0 weight row runs one chain that every threshold scores and no
-chain's bits depend on the rest of its stack.  Each t then runs
+computed once, and so is the CV of all its thresholds on their
+:meth:`~tailbayes.tuning.FirstStage.weights`, as one stacked run
+(:func:`~tailbayes.tuning.cv_select_lambdas`) in which the all-1 lam = 0
+row runs one chain that every threshold scores and no chain's bits
+depend on the rest of its stack.  Each t then runs
 ``fit_pipeline(first, t, cv=...)``, and the comparison across t is a
 paired design.  This is the package's own choice: the source paper's
 abstract does not say whether its thresholds shared their data.  Each
@@ -33,7 +34,7 @@ from . import __version__
 from .artifact import _sampler_block
 from .errors import ConfigError, require_seed
 from .evaluation import net_benefit, paired_delta
-from .model_core import VAGUE_PRIOR_SD, DistanceFunction, TargetThreshold, compute_weights
+from .model_core import VAGUE_PRIOR_SD, DistanceFunction, TargetThreshold
 from .predict import predictive_mean
 from .sampler import SamplerConfig
 from .simulation import STUDY_PARAMETER, optimal_nb, study
@@ -118,12 +119,8 @@ def _repetition(figure: str, cell: tuple, rep: int, base_seed: int, lambda_grid:
     standard_probs = predictive_mean(test.covariates, fit_standard(train, config))
     for arr in (oracle, standard_probs):
         arr.setflags(write=False)
-    cv = dict.fromkeys(thresholds)  # a one-value grid runs no CV
-    grid = first.cv_plan.lambda_grid
-    if len(grid) > 1:  # the weights fit_pipeline makes, under its default distance
-        ts = [TargetThreshold(t) for t in thresholds]
-        weights = [compute_weights(first.pi_u_development, t, grid) for t in ts]
-        cv.update(zip(thresholds, cv_select_lambdas(first, weights, ts)))
+    ts = [TargetThreshold(t) for t in thresholds]
+    cv = dict(zip(thresholds, cv_select_lambdas(first, [first.weights(t, DistanceFunction()) for t in ts], ts)))
     return (train_seed, test_seed, fit_seed), first, test, oracle, standard_probs, cv
 
 
@@ -208,11 +205,11 @@ def reproduce_figure(
             agg["mean_nb_optimal"] = float(np.mean([r["nb_optimal"] for r in rows]))
         aggregated.append(agg)
 
-    groups = [k for k in cells[0] if k != "t"]
+    cell_keys = [k for k in cells[0] if k != "t"]
     tables = {
         "nb_raw.csv": (list(raw[0]), [list(row.values()) for row in raw]),
-        "delta_nb.csv": (groups + ["threshold", "mean_delta", "se_delta"],
-                         [[agg[k] for k in groups + ["t", "mean_delta", "se_delta"]] for agg in aggregated]),
+        "delta_nb.csv": (cell_keys + ["threshold", "mean_delta", "se_delta"],
+                         [[agg[k] for k in cell_keys + ["t", "mean_delta", "se_delta"]] for agg in aggregated]),
     }
     if figure == "sim3-fig6":
         summary = ["psi", "mean_nb_tb", "mean_nb_sb", "mean_nb_optimal", "mean_delta", "se_delta"]

@@ -12,15 +12,16 @@ split, fold plan and stage 1 do not depend on t, so the thresholds of one
 training set share one :func:`first_stage`.
 
 The final, stage-1 and standard fits are single chains, each one
-:func:`~tailbayes.sampler.run_mh` run (:func:`fit_tailored`).  A
-one-value grid {0} weights every row 1 whatever the first-stage model
-says, so it runs no stage 1.  Each CV fold's lam chains share the fold's
-seed and so its random stream, and the folds a worker takes run stacked
-in one sampler loop, with one log-posterior call per iteration for all
-their chains (:func:`fit_folds`).  The thresholds of one first stage
+:func:`~tailbayes.sampler.run_mh` run (:func:`fit_tailored`).  A one-value
+grid {0} weights every row 1 whatever the first-stage model says, so it
+runs no stage 1 and no CV chain.  Each CV fold's lam chains share the
+fold's seed and so its random stream, and the folds a worker takes run
+stacked in one sampler loop, with one log-posterior call per iteration for
+all their chains (:func:`fit_folds`).  The thresholds of one first stage
 share its folds and fold seeds, so their CV can run as one stack per fold
 (:func:`cv_select_lambdas`), each bit-identical weight row once.  CV fold
-groups and the R-hat reruns run side by side over :func:`map_jobs`.
+groups and the R-hat reruns run side by side over :func:`map_jobs`.  A
+worker process that dies is a :class:`~tailbayes.errors.WorkerLostError`.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SamplerError
+from .errors import ConfigError, DataError, SamplerError, WorkerLostError
 from .model_core import (
     Dataset,
     DistanceFunction,
@@ -241,15 +243,23 @@ def map_jobs(fn, payloads: list, jobs: int) -> list:
     The pool gets one worker per payload at most and no more workers than
     :data:`USABLE_CPUS`, and a single worker runs in-process.  Results
     keep the payload order, and the first call in payload order that
-    raises is raised here, as in the serial loop.
+    raises is raised here, as in the serial loop.  A worker process that
+    dies raises :class:`~tailbayes.errors.WorkerLostError`, which names the
+    first task, in payload order, whose result was lost.
     ``fn`` must be a top-level function so the pool can pickle it; callers
     pass it at call time.
     """
     workers = min(jobs, len(payloads), USABLE_CPUS)
     if workers <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads))
+    results = []
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results.extend(pool.map(fn, payloads))  # keeps the results that arrived before a worker died
+    except BrokenProcessPool:
+        raise WorkerLostError(f"a worker process died (killed, out of memory or crashed), so the result of task "
+                              f"{len(results) + 1} of {len(payloads)} was lost") from None
+    return results
 
 
 def stage1_pi_u(design: Dataset, sampler_config: SamplerConfig, prior: GaussianPrior) -> PosteriorSamples:
@@ -342,10 +352,13 @@ def cv_select_lambdas(first: FirstStage, weights: list, thresholds: list) -> lis
     as in its own call.  A chain's bits do not depend on the rest of its
     stack (``tests/test_model_core.py::TestRoundingClasses``), so each
     threshold gets the result of its own :func:`cv_select_lambda` call.  The
-    largest fold group's draw stores are checked before any chain runs.
+    largest fold group's draw stores are checked before any chain runs.  A
+    {0} grid gives each threshold (0.0, []) before any check or chain.
     """
     development, cv_plan, config = first.development, first.cv_plan, first.cv_config
     grid = cv_plan.lambda_grid
+    if grid == (0.0,):  # a CvPlan grid starts at 0, so this is every one-value grid
+        return [(0.0, []) for _ in thresholds]
     stack, rows, seen = [], [], {}  # the weight rows that run; each threshold's stack row per lam; row bytes -> row
     for i, w in enumerate(weights):
         w = np.asarray(w, dtype=np.float64)
@@ -421,6 +434,12 @@ class FirstStage(NamedTuple):
     stage1: PosteriorSamples | None
     pi_u_development: np.ndarray | None
     jobs: int
+
+    def weights(self, threshold: TargetThreshold, distance: DistanceFunction) -> np.ndarray:
+        """exp(-lam * h(pi_u, t)) per lam of the grid (rows) and development row; without pi_u, one row of 1s."""
+        if self.pi_u_development is None:
+            return np.ones((1, self.development.n))
+        return compute_weights(self.pi_u_development, threshold, self.cv_plan.lambda_grid, distance)
 
 
 def first_stage(
@@ -541,21 +560,15 @@ def fit_pipeline(
     what this fit's own :func:`cv_select_lambda` call would give; the fit
     then runs no CV chain.
     """
-    development, cv_plan, pi_u_dev = first.development, first.cv_plan, first.pi_u_development
-    grid = cv_plan.lambda_grid
-    # one weight row per lam; without pi_u the grid is {0}, whose one row is all 1
-    weights = np.ones((1, development.n)) if pi_u_dev is None else compute_weights(pi_u_dev, threshold, grid, distance)
-    if grid == (0.0,):
-        lambda_star, cv_table = 0.0, []
-    else:
-        lambda_star, cv_table = cv or cv_select_lambda(first, weights, threshold)
+    grid, weights = first.cv_plan.lambda_grid, first.weights(threshold, distance)
+    lambda_star, cv_table = cv or cv_select_lambda(first, weights, threshold)
 
     star = grid.index(lambda_star)
     ess_rows = ess_grid(grid, weights)
     if ess_rows[star]["low_ess"]:
         logger.warning("effective sample size %.1f is below %.0f%% of the development rows",
                        ess_rows[star]["ess"], 100 * ESS_WARNING_FRACTION)
-    samples = fit_tailored(development, weights[star], first.prior, first.sampler_config)
+    samples = fit_tailored(first.development, weights[star], first.prior, first.sampler_config)
     low, high = ACCEPTANCE_WARNING_RANGE
     if not low <= samples.acceptance_rate <= high:
         logger.warning("final chain acceptance rate %.3f is outside [%.2f, %.2f] (final proposal sd %.3g)",

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from tailbayes import cli, dataio, reproduce, sampler, simulation, tuning
 from tailbayes.cli import main
-from tailbayes.errors import SamplerError
+from tailbayes.errors import SamplerError, WorkerLostError
 from tailbayes.evaluation import net_benefit
 from tailbayes.model_core import VAGUE_PRIOR_SD, DistanceFunction, GaussianPrior, TargetThreshold
 from tailbayes.predict import predictive_mean
@@ -1013,6 +1013,17 @@ def test_out_that_is_a_file_is_usage_error_before_any_work(tmp_path, train_csv, 
     assert capsys.readouterr().err == f"error: --out {out}: {taken} exists and is not a directory\n"
     assert sorted(tmp_path.rglob("*")) == before
     assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_a_lost_worker_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatch):
+    def lost(*args, **kwargs):
+        raise WorkerLostError("a worker process died (killed, out of memory or crashed), "
+                              "so the result of task 3 of 5 was lost")
+
+    monkeypatch.setattr(cli, "reproduce_figure", lost)
+    assert run(["reproduce", "--figure", "sim3-fig6", "--scale", 0.1, "--jobs", 2, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == ("error: a worker process died (killed, out of memory or crashed), "
+                                       "so the result of task 3 of 5 was lost\n")
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import tailbayes.tuning as tuning
 from conftest import calibration_curve
-from tailbayes.errors import ConfigError, DataError, SamplerError
+from tailbayes.errors import ConfigError, DataError, SamplerError, WorkerLostError
 from tailbayes.model_core import (
     Dataset,
     DistanceFunction,
@@ -50,6 +50,13 @@ def cv_first(development, plan, jobs=1):
 def grid_weights(pi_u, plan):
     """The (L, n) weight matrix of ``plan``'s grid at t = 0.3, as fit_pipeline passes it to cv_select_lambda."""
     return compute_weights(pi_u, TargetThreshold(0.3), plan.lambda_grid)
+
+
+def _exit_on_zero(x):
+    """A pool task whose worker process dies on payload 0, as one the kernel kills would."""
+    if x == 0:
+        os._exit(1)
+    return x
 
 
 class TestMakeSplit:
@@ -324,6 +331,20 @@ class TestCvSelectLambda:
                     assert np.array_equal(match.proposal_sd_trace, chain.proposal_sd_trace)
                     assert np.array_equal(match.log_posterior_trace, chain.log_posterior_trace)
 
+    def test_one_value_grid_selects_zero_before_any_check_or_chain(self, monkeypatch):
+        """A {0} grid's CV is lam* = 0 with an empty table at every threshold, with no pool, chain or weight check."""
+        train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
+        first = cv_first(train, make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0,), seed=1))
+
+        def forbidden(*args):
+            raise AssertionError("a {0} grid runs no CV chain")
+
+        monkeypatch.setattr(tuning, "fit_folds", forbidden)
+        monkeypatch.setattr(tuning, "map_jobs", forbidden)
+        thresholds = [TargetThreshold(t) for t in (0.2, 0.3, 0.4)]
+        assert tuning.cv_select_lambdas(first, [np.ones((1, train.n))] * 3, thresholds) == [(0.0, [])] * 3
+        assert cv_select_lambda(first, np.ones((2, 5)), thresholds[0]) == (0.0, [])  # the shape is not checked
+
     def test_stack_beyond_physical_memory_fails_before_any_chain(self, monkeypatch):
         """One threshold's 3 folds x 3 chains fit in memory; three thresholds' 3 x 7 distinct chains do not."""
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
@@ -475,6 +496,14 @@ class TestMapJobs:
         assert pool_sizes == [2, 2]
         assert pooled == cv_select_lambda(cv_first(train, plan), weights, TargetThreshold(0.3))
 
+    def test_a_worker_that_dies_is_a_worker_lost_error(self, monkeypatch):
+        """Payload 0 kills its worker in a pool of two: task 1 of 2 lost its result; no BrokenProcessPool escapes."""
+        monkeypatch.setattr(tuning, "USABLE_CPUS", 2)  # a pool of two, so the dying task never runs in this process
+        with pytest.raises(WorkerLostError, match=r"^a worker process died \(killed, out of memory or crashed\), "
+                                                  r"so the result of task 1 of 2 was lost$"):
+            tuning.map_jobs(_exit_on_zero, [0, 1], 2)
+        assert tuning.map_jobs(_exit_on_zero, [1, 2], 2) == [1, 2]
+
     def test_cv_pool_gets_one_worker_per_fold(self, pool_sizes):
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
         plan = make_cv_plan(train.outcomes, k=3, lambda_grid=(0.0, 5.0), seed=1)
@@ -506,6 +535,26 @@ class TestMapJobs:
         seeds = [fold_seed(FASTER.rng_seed, fold) for fold in range(5)]
         assert groups == [[seeds], [seeds[:3], seeds[3:]], [seeds[:2], seeds[2:4], seeds[4:]], [[s] for s in seeds]]
         assert pool_sizes == [2, 3, 5]
+
+
+class TestFirstStageWeights:
+    def test_without_pi_u_one_row_of_ones(self):
+        train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=4))
+        first = first_stage(train, lambda_grid=(0.0,), sampler_config=FASTER)
+        weights = first.weights(TargetThreshold(0.3), DistanceFunction())
+        assert first.pi_u_development is None
+        assert weights.shape == (1, first.development.n)
+        assert np.all(weights == 1.0)
+
+    @pytest.mark.parametrize("distance", [DistanceFunction(), DistanceFunction("epsilon_insensitive", 0.05)])
+    def test_with_pi_u_the_grid_weights_bit_for_bit(self, distance):
+        train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=4))
+        pi_u = np.random.default_rng(5).uniform(0.0, 1.0, size=train.n)
+        first = first_stage(train, lambda_grid=(0.0, 2.0, 50.0), sampler_config=FASTER, external_pi_u=pi_u)
+        t = TargetThreshold(0.3)
+        expected = compute_weights(first.pi_u_development, t, (0.0, 2.0, 50.0), distance)
+        assert first.weights(t, distance).tobytes() == expected.tobytes()
+        assert first.weights(t, distance).shape == (3, train.n)
 
 
 class TestFitPipeline:

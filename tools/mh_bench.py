@@ -14,18 +14,16 @@ runs six cases:
   8-value default grid, n = 880, 3000 iterations (1200 burn-in), in
   process (``jobs=1``): the 40 CV chains of one ``reproduce`` repetition, plus their
   predictions and Net Benefit.  It passes the grid's weight matrix, built
-  by the tree's own ``compute_weights``, and the vague prior, inside a
-  ``FirstStage`` to a tree whose ``cv_select_lambda`` takes ``first``;
+  by the tree's own ``compute_weights``, and the vague prior inside a
+  ``FirstStage``;
 - ``CV1`` and ``CV2``: ``fit_folds`` on 5 and on 10 folds stacked in one
   call, each fold with its own rows (n = 640) and seed and eight lambda
   chains, 3000 iterations (1200 burn-in): the CV chains of one
   ``reproduce`` repetition, and those of two repetitions run together.
 - ``CV3``: the CV of ``CV`` at t = 0.2, 0.3 and 0.4 on one first stage,
   as one ``reproduce`` repetition of three thresholds runs it: one
-  ``tailbayes.tuning.cv_select_lambdas`` call on a tree that has it (one
-  stack per fold, the lambda = 0 chain once), else one
-  ``cv_select_lambda`` call per threshold.  It needs trees whose
-  ``cv_select_lambda`` takes ``first``.
+  ``tailbayes.tuning.cv_select_lambdas`` call (one stack per fold, the
+  lambda = 0 chain once).
 
 Both trees are imported into one process, each under its own copy of the
 ``tailbayes`` modules, and run the same inputs.  After one untimed run
@@ -52,7 +50,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
-import inspect
 import statistics
 import sys
 import time
@@ -101,8 +98,6 @@ def make_inputs(tree: dict, case: dict) -> tuple:
         thresholds = [core.TargetThreshold(t) for t in case.get("thresholds", (0.3,))]
         weights = [core.compute_weights(pi_u, t, plan.lambda_grid) for t in thresholds]
         prior = core.GaussianPrior.vague(data.n_coefficients)
-        if "first" not in inspect.signature(tuning.cv_select_lambda).parameters:
-            return (data, weights[0], thresholds[0], plan, config, prior, 1)  # jobs
         split = tuning.make_split(n, 0.0, config.rng_seed)
         first = tuning.FirstStage(split, data, plan, config, config, prior, None, pi_u, 1)
         if "thresholds" in case:
@@ -137,11 +132,8 @@ def timed_run(tree: dict, inputs: tuple, iterations: int) -> tuple[float, tuple]
         run = tuning.fit_folds
     elif not isinstance(inputs[1], list):
         run = tuning.cv_select_lambda
-    elif hasattr(tuning, "cv_select_lambdas"):  # several thresholds, one stacked call
+    else:  # several thresholds, one stacked call
         run = tuning.cv_select_lambdas
-    else:
-        run = lambda first, weights, thresholds: [  # noqa: E731
-            tuning.cv_select_lambda(first, w, t) for w, t in zip(weights, thresholds)]
     start = time.process_time()
     result = run(*inputs)
     return (time.process_time() - start) / iterations * 1e6, digest(result)
