@@ -34,6 +34,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SAMPLER = 4
 MAX_THRESHOLDS = 10_000  # a lo:hi:step range of more values is a usage error
+# the grid keys of reproduce's figures, t last, each overridden by its own --KEY-list flag
+OVERRIDE_KEYS = sorted(dict.fromkeys(key for _, grid in FIGURES.values() for key in grid), key=lambda key: key == "t")
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -165,11 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     rep.add_argument("--jobs", type=_jobs, default=USABLE_CPUS)
     rep.add_argument("--lambda-grid", type=_csv_floats, default=DEFAULT_LAMBDA_GRID)
-    rep.add_argument("--n-list", type=_csv_floats)
-    rep.add_argument("--q-list", type=_csv_floats)
-    rep.add_argument("--prevalence-list", type=_csv_floats)
-    rep.add_argument("--psi-list", type=_csv_floats)
-    rep.add_argument("--t-list", type=_csv_floats)
+    for key in OVERRIDE_KEYS:
+        rep.add_argument(f"--{key}-list", type=_csv_floats)
     rep.add_argument("--out", required=True, help="output directory")
 
     essp = sub.add_parser("ess-grid", help="effective sample size per lambda, before any fit")
@@ -395,16 +394,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.n_list and not all(v.is_integer() for v in args.n_list):
-        raise ConfigError(f"--n-list values must be whole numbers, got {list(args.n_list)}")
+    overrides = {key: getattr(args, f"{key}_list") for key in OVERRIDE_KEYS}
+    if overrides["n"]:
+        if not all(v.is_integer() for v in overrides["n"]):
+            raise ConfigError(f"--n-list values must be whole numbers, got {list(overrides['n'])}")
+        overrides["n"] = tuple(int(v) for v in overrides["n"])
     out = _out_dir(args.out)
-    overrides = {
-        "n": tuple(int(v) for v in args.n_list) if args.n_list else None,
-        "q": args.q_list,
-        "prevalence": args.prevalence_list,
-        "psi": args.psi_list,
-        "t": args.t_list,
-    }
     result = reproduce_figure(
         args.figure,
         scale=args.scale,

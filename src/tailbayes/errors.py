@@ -20,7 +20,19 @@ class SamplerError(TailbayesError, RuntimeError):
 
 
 class WorkerLostError(TailbayesError, RuntimeError):
-    """A worker process of a pool died (killed, out of memory or crashed), so a task's result was lost."""
+    """A worker process of a pool died (killed, out of memory or crashed), so a task's result was lost.
+
+    ``task`` is the lost task's index in its pool's payload order, which callers turn into their own terms.
+    """
+
+    task: int | None = None
+
+    @classmethod
+    def lost(cls, what: str, task: int) -> "WorkerLostError":
+        """The error that says the result of ``what``, the pool's task ``task``, was lost."""
+        error = cls(f"a worker process died (killed, out of memory or crashed), so the result of {what} was lost")
+        error.task = task
+        return error
 
 
 def require_memory(needed: int, what: str) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .artifact import _sampler_block
-from .errors import ConfigError, require_seed
+from .errors import ConfigError, WorkerLostError, require_seed
 from .evaluation import net_benefit, paired_delta
 from .model_core import VAGUE_PRIOR_SD, DistanceFunction, TargetThreshold
 from .predict import predictive_mean
@@ -53,6 +53,7 @@ TEST_SET_SIZE = 2000
 # posteriors.  The CV chains differ from FINAL_SAMPLER only in length.
 FINAL_SAMPLER = SamplerConfig(n_iterations=8000, burn_in=3000, initial_sd=0.15)
 CV_CHAIN = (3000, 1200)
+DISTANCE = DistanceFunction()  # the CV weights, the final chains and the manifest all read this one
 
 _T_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 # figure id -> (study, default grid); the grid's keys are the cell's keys in order
@@ -120,7 +121,7 @@ def _repetition(figure: str, cell: tuple, rep: int, base_seed: int, lambda_grid:
     for arr in (oracle, standard_probs):
         arr.setflags(write=False)
     ts = [TargetThreshold(t) for t in thresholds]
-    cv = dict(zip(thresholds, cv_select_lambdas(first, [first.weights(t, DistanceFunction()) for t in ts], ts)))
+    cv = dict(zip(thresholds, cv_select_lambdas(first, [first.weights(t, DISTANCE) for t in ts], ts)))
     return (train_seed, test_seed, fit_seed), first, test, oracle, standard_probs, cv
 
 
@@ -131,7 +132,7 @@ def _rep_worker(payload: tuple) -> dict:
         figure, _without_t(cell), rep, base_seed, lambda_grid, thresholds
     )
     t = TargetThreshold(cell["t"])
-    model = fit_pipeline(first, t, cv=cv[cell["t"]])
+    model = fit_pipeline(first, t, distance=DISTANCE, cv=cv[cell["t"]])
     tailored_probs = predictive_mean(test.covariates, model.samples)
 
     row = dict(cell)
@@ -166,6 +167,7 @@ def reproduce_figure(
     """Run one figure's grid; return its raw and aggregated rows, its ``tables`` and its ``manifest``.
 
     ``tables`` maps a file name to (header, rows); the manifest records every setting a row depends on.
+    A worker that dies raises a WorkerLostError that names its repetition.
     """
     if figure not in FIGURES:
         raise ConfigError(f"unknown figure id {figure!r}; choose from {tuple(FIGURES)}")
@@ -181,7 +183,12 @@ def reproduce_figure(
     for i, (_, cell, rep, *_) in enumerate(payloads):
         groups.setdefault((_without_t(cell), rep), []).append(i)
     _repetition.cache_clear()  # no repetition carries over from an earlier call
-    rows = map_jobs(_rep_group, [[payloads[i] for i in group] for group in groups.values()], jobs)
+    try:
+        rows = map_jobs(_rep_group, [[payloads[i] for i in group] for group in groups.values()], jobs)
+    except WorkerLostError as exc:
+        cell, rep = list(groups)[exc.task]
+        lost = f"repetition {rep} of the cell {', '.join(f'{k}={v}' for k, v in cell)}"
+        raise WorkerLostError.lost(lost, exc.task) from None
     by_index = dict(zip(chain.from_iterable(groups.values()), chain.from_iterable(rows)))
     raw = [by_index[i] for i in range(len(payloads))]
 
@@ -230,7 +237,7 @@ def reproduce_figure(
         "cv_chain": list(CV_CHAIN),
         "k_folds": DEFAULT_K_FOLDS,
         "design_fraction": DEFAULT_DESIGN_FRACTION,
-        "distance": asdict(DistanceFunction()),
+        "distance": asdict(DISTANCE),
         "prior_sd": VAGUE_PRIOR_SD,
         "test_rows": TEST_SET_SIZE,
     }

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -158,6 +159,11 @@ class CvPlan:
             raise ConfigError("lambda grid must be strictly ascending")
         object.__setattr__(self, "lambda_grid", grid)
 
+    @property
+    def one_value(self) -> bool:
+        """A {0} grid, the only one-value grid: lam* = 0 weights every row 1 whatever pi_u is, so no stage 1 or CV."""
+        return self.lambda_grid == (0.0,)
+
     def fold_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_ids == fold)
 
@@ -245,11 +251,12 @@ def map_jobs(fn, payloads: list, jobs: int) -> list:
     keep the payload order, and the first call in payload order that
     raises is raised here, as in the serial loop.  A worker process that
     dies raises :class:`~tailbayes.errors.WorkerLostError`, which names the
-    first task, in payload order, whose result was lost.
+    first task, in payload order, whose result was lost, and holds its index
+    as ``task`` for the caller to name in its own terms.
     ``fn`` must be a top-level function so the pool can pickle it; callers
     pass it at call time.
     """
-    workers = min(jobs, len(payloads), USABLE_CPUS)
+    workers = _workers(jobs, len(payloads))
     if workers <= 1:
         return [fn(p) for p in payloads]
     results = []
@@ -257,8 +264,7 @@ def map_jobs(fn, payloads: list, jobs: int) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results.extend(pool.map(fn, payloads))  # keeps the results that arrived before a worker died
     except BrokenProcessPool:
-        raise WorkerLostError(f"a worker process died (killed, out of memory or crashed), so the result of task "
-                              f"{len(results) + 1} of {len(payloads)} was lost") from None
+        raise WorkerLostError.lost(f"task {len(results) + 1} of {len(payloads)}", len(results)) from None
     return results
 
 
@@ -289,9 +295,16 @@ def _require_full_folds(development: Dataset, cv_plan: CvPlan) -> None:
         )
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """``min(jobs, tasks, USABLE_CPUS)`` workers for ``tasks`` tasks; ConfigError unless ``jobs`` is an integer >= 1."""
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    return min(jobs, tasks, USABLE_CPUS)
+
+
 def _fold_groups(k: int, jobs: int) -> list[np.ndarray]:
-    """The K folds in ``min(jobs, K, USABLE_CPUS)`` contiguous groups, one per worker (3 + 2 at jobs 2, K = 5)."""
-    return np.array_split(np.arange(k), min(jobs, k, USABLE_CPUS))
+    """The K folds in :func:`_workers` contiguous groups, one per worker (3 + 2 at jobs 2, K = 5), the larger first."""
+    return np.array_split(np.arange(k), _workers(jobs, k))
 
 
 def _lone_fit(payload: tuple) -> PosteriorSamples:
@@ -353,11 +366,12 @@ def cv_select_lambdas(first: FirstStage, weights: list, thresholds: list) -> lis
     stack (``tests/test_model_core.py::TestRoundingClasses``), so each
     threshold gets the result of its own :func:`cv_select_lambda` call.  The
     largest fold group's draw stores are checked before any chain runs.  A
-    {0} grid gives each threshold (0.0, []) before any check or chain.
+    {0} grid gives each threshold (0.0, []) before any check or chain.  A
+    worker that dies raises a WorkerLostError that names its folds.
     """
     development, cv_plan, config = first.development, first.cv_plan, first.cv_config
     grid = cv_plan.lambda_grid
-    if grid == (0.0,):  # a CvPlan grid starts at 0, so this is every one-value grid
+    if cv_plan.one_value:
         return [(0.0, []) for _ in thresholds]
     stack, rows, seen = [], [], {}  # the weight rows that run; each threshold's stack row per lam; row bytes -> row
     for i, w in enumerate(weights):
@@ -376,7 +390,7 @@ def cv_select_lambdas(first: FirstStage, weights: list, thresholds: list) -> lis
                 stack.append(row)
     stack = np.array(stack)
     groups = _fold_groups(cv_plan.k, first.jobs)
-    _check_draw_store(max(len(group) for group in groups) * len(stack), development.n_coefficients, config)
+    _check_draw_store(len(groups[0]) * len(stack), development.n_coefficients, config)
 
     seeds = [fold_seed(config.rng_seed, fold) for fold in range(cv_plan.k)]
     folds = []
@@ -385,7 +399,11 @@ def cv_select_lambdas(first: FirstStage, weights: list, thresholds: list) -> lis
         test = development.subset(cv_plan.fold_indices(fold))
         folds.append((development.subset(tr), stack[:, tr], test, seed))
     payloads = [([folds[f] for f in group], thresholds, rows, first.prior, config) for group in groups]
-    scores = [fold for group in map_jobs(_cv_folds, payloads, first.jobs) for fold in group]
+    try:
+        scores = [fold for group in map_jobs(_cv_folds, payloads, first.jobs) for fold in group]
+    except WorkerLostError as exc:
+        low, high = groups[exc.task][[0, -1]] + 1
+        raise WorkerLostError.lost(f"CV folds {low}-{high}" if high > low else f"CV fold {low}", exc.task) from None
     return [_select_lambda(grid, seeds, [fold[i] for fold in scores]) for i in range(len(thresholds))]
 
 
@@ -466,7 +484,8 @@ def first_stage(
     the design rows' classes, and its ``stage1`` and ``pi_u_development``
     are None.  Without ``external_pi_u`` the design fraction must be
     positive.  The fold plan and the draw stores are checked before any
-    chain runs.  ``jobs`` bounds the worker processes of the CV fold groups
+    chain runs, and so is ``jobs``, which must be an integer of at least 1
+    whatever the grid.  It bounds the worker processes of the CV fold groups
     (:func:`cv_select_lambda`) and of the R-hat reruns (:func:`final_fit_rhat`).
     ``pi_u_development`` is read-only, so the thresholds of one training set
     can share one first stage.
@@ -493,18 +512,17 @@ def first_stage(
     development = train.subset(split.development_idx)
     # the fold plan is checked before any chain runs, though a one-value grid never uses its folds
     cv_plan = make_cv_plan(development.outcomes, k_folds, lambda_grid, sampler_config.rng_seed)
-    one_value = cv_plan.lambda_grid == (0.0,)  # a CvPlan grid starts at 0, so this is every one-value grid
+    groups = _fold_groups(cv_plan.k, jobs)  # checks jobs, for a one-value grid too
     # the draws of a lone chain and of the largest fold group's stacked CV chains must fit in memory
     _check_draw_store(1, train.n_coefficients, sampler_config)
-    if not one_value:
+    if not cv_plan.one_value:
         _require_full_folds(development, cv_plan)
-        largest = max(len(group) for group in _fold_groups(cv_plan.k, jobs))
-        _check_draw_store(largest * len(cv_plan.lambda_grid), train.n_coefficients, cv_config)
+        _check_draw_store(len(groups[0]) * len(cv_plan.lambda_grid), train.n_coefficients, cv_config)
 
     stage1 = pi_u_dev = None
     if external_pi_u is not None:
         pi_u_dev = external_pi_u[split.development_idx]
-    elif one_value:  # lam* = 0 weights every row 1 whatever pi_u is, so stage 1 has nothing to give
+    elif cv_plan.one_value:  # stage 1 has nothing to give
         _require_both_classes(train.subset(split.design_idx))
     else:
         stage1 = stage1_pi_u(train.subset(split.design_idx), sampler_config, prior)
@@ -580,14 +598,19 @@ def final_fit_rhat(model: FittedTailoredModel, n_chains: int) -> tuple[np.ndarra
     """Gelman-Rubin R-hat per coefficient of the final chain plus ``n_chains - 1`` reruns, and the reruns' seeds.
 
     The reruns run on :func:`rhat_seeds`, side by side over at most ``model.first.jobs``
-    worker processes (:func:`map_jobs`); the first failed one, in seed order, is raised.
+    worker processes (:func:`map_jobs`); the first failed one, in seed order, is raised,
+    and a worker that dies raises a WorkerLostError that names its rerun's seed.
     """
     first = model.first
+    seeds = rhat_seeds(first.sampler_config.rng_seed, n_chains)
     tasks = [
         (first.development, model.weights, first.prior, replace(first.sampler_config, rng_seed=seed))
-        for seed in rhat_seeds(first.sampler_config.rng_seed, n_chains)
+        for seed in seeds
     ]
-    reruns = map_jobs(_lone_fit, tasks, first.jobs)
+    try:
+        reruns = map_jobs(_lone_fit, tasks, first.jobs)
+    except WorkerLostError as exc:
+        raise WorkerLostError.lost(f"the R-hat rerun of seed {seeds[exc.task]}", exc.task) from None
     return gelman_rubin([model.samples.draws] + [c.draws for c in reruns]), [c.rng_seed for c in reruns]
 
 

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +21,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for name, passed in _acceptance_results:
             terminalreporter.write_line(f"{'PASS' if passed else 'FAIL'}  {name}")
+
+
+def exit_in_worker(*args, **kwargs):
+    """A stand-in for a pool task's work whose worker process dies, as one the kernel kills would.
+
+    Patch it over a function that a pool worker looks up by name, with a pool of at least two
+    workers; called in the test process itself it fails instead of ending the test run.
+    """
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("a task meant for a pool worker ran in the test process")
+    os._exit(1)
 
 
 class CalibrationCurve(NamedTuple):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
+from conftest import exit_in_worker
 from tailbayes import cli, dataio, reproduce, sampler, simulation, tuning
 from tailbayes.cli import main
 from tailbayes.errors import SamplerError, WorkerLostError
@@ -844,6 +845,22 @@ class TestReproduceAndEssGrid:
         assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_each_key_a_figure_varies_has_its_own_list_flag(self, tmp_path, monkeypatch):
+        """--n-list is whole numbers, passed as ints; the other lists pass their floats as given."""
+        keys = {key for _, grid in reproduce.FIGURES.values() for key in grid}
+        assert keys == {"n", "q", "prevalence", "psi", "t"}
+        passed = []
+
+        def reproduce_figure(*args, overrides, **kwargs):
+            passed.append(overrides)
+            return {"tables": {}, "manifest": {}, "raw": []}
+
+        monkeypatch.setattr(cli, "reproduce_figure", reproduce_figure)
+        lists = [arg for key in sorted(keys) for arg in (f"--{key}-list", "200,300" if key == "n" else "0.25")]
+        assert run(["reproduce", "--figure", "sim1-fig2", "--out", tmp_path / "rep", *lists]) == 0
+        assert passed == [{"n": (200, 300), **{key: (0.25,) for key in keys - {"n"}}}]
+        assert all(type(n) is int for n in passed[0]["n"])
+
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rep"
         with pytest.raises(SystemExit) as exc:
@@ -1024,6 +1041,15 @@ def test_a_lost_worker_is_one_error_line_and_exit_1(tmp_path, capsys, monkeypatc
     assert run(["reproduce", "--figure", "sim3-fig6", "--scale", 0.1, "--jobs", 2, "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == ("error: a worker process died (killed, out of memory or crashed), "
                                        "so the result of task 3 of 5 was lost\n")
+
+
+def test_a_worker_that_dies_in_reproduce_is_one_error_line_naming_its_repetition(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tuning, "USABLE_CPUS", 2)
+    monkeypatch.setattr(reproduce, "_rep_worker", exit_in_worker)
+    assert run(["reproduce", "--figure", "sim3-fig6", "--scale", 0.1, "--jobs", 2, "--n-list", "200",
+                "--psi-list", "0.1", "--t-list", "0.3", "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == ("error: a worker process died (killed, out of memory or crashed), "
+                                       "so the result of repetition 0 of the cell n=200, psi=0.1 was lost\n")
 
 
 @pytest.mark.parametrize(

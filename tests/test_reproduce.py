@@ -1,8 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from conftest import exit_in_worker
 from tailbayes import reproduce, simulation, tuning
-from tailbayes.errors import ConfigError
+from tailbayes.errors import ConfigError, WorkerLostError
+from tailbayes.model_core import DistanceFunction
 
 OVERRIDES = {"n": (200,), "psi": (0.1,)}
 
@@ -45,6 +49,26 @@ def test_repeated_override_value_is_config_error(monkeypatch):
     monkeypatch.setattr(reproduce, "_rep_worker", never)
     with pytest.raises(ConfigError, match="'t'"):
         reproduce.reproduce_figure("sim3-fig6", scale=0.1, overrides=dict(OVERRIDES, t=(0.3, 0.3)))
+
+
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.5])
+def test_jobs_that_is_not_an_integer_of_at_least_1_fails_before_any_repetition(jobs, monkeypatch):
+    def never(payload):
+        raise AssertionError("no repetition may run")
+
+    monkeypatch.setattr(reproduce, "_rep_worker", never)
+    with pytest.raises(ConfigError, match=f"^jobs must be an integer of at least 1, got {jobs!r}$"):
+        reproduce.reproduce_figure("sim3-fig6", scale=0.1, jobs=jobs, overrides=dict(OVERRIDES, t=(0.3,)))
+
+
+def test_a_lost_repetition_is_named_by_its_cell_and_rep(monkeypatch):
+    """Every repetition's worker dies in a pool of two, so repetition 0's rows are the first lost."""
+    monkeypatch.setattr(tuning, "USABLE_CPUS", 2)
+    monkeypatch.setattr(reproduce, "_rep_worker", exit_in_worker)
+    with pytest.raises(WorkerLostError, match=r"^a worker process died \(killed, out of memory or crashed\), so the "
+                                              r"result of repetition 0 of the cell n=200, psi=0.1 was lost$") as lost:
+        reproduce.reproduce_figure("sim3-fig6", scale=0.1, jobs=2, overrides=dict(OVERRIDES, t=(0.3, 0.5)))
+    assert lost.value.task == 0
 
 
 @pytest.mark.parametrize(
@@ -185,6 +209,24 @@ def test_a_repetition_runs_the_cv_of_its_thresholds_as_one_stack(monkeypatch):
                                         overrides=dict(OVERRIDES, t=(0.2, 0.3, 0.5)))
     assert len(result["raw"]) == 6  # 3 thresholds of 2 repetitions
     assert stacks == [[1 + 3] * tuning.DEFAULT_K_FOLDS] * 2
+
+
+def test_one_distance_feeds_the_cv_weights_the_final_chain_and_the_manifest(monkeypatch):
+    distance = DistanceFunction("epsilon_insensitive", 0.05)
+    monkeypatch.setattr(reproduce, "DISTANCE", distance)
+    read = []  # the distance of every weight matrix a repetition builds
+    real_weights = tuning.FirstStage.weights
+
+    def weights(first, threshold, distance):
+        read.append(distance)
+        return real_weights(first, threshold, distance)
+
+    monkeypatch.setattr(tuning.FirstStage, "weights", weights)
+    result = reproduce.reproduce_figure("sim3-fig6", scale=0.05, seed=5, jobs=1, lambda_grid=(0.0, 10.0),
+                                        overrides=dict(OVERRIDES, t=(0.3, 0.5)))
+    assert len(result["raw"]) == 2
+    assert read == [distance] * 4  # each threshold's CV weights, then each final fit's
+    assert result["manifest"]["distance"] == asdict(distance)
 
 
 def test_none_overrides_nothing_for_every_key(monkeypatch):

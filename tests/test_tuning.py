@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tailbayes.tuning as tuning
-from conftest import calibration_curve
+from conftest import calibration_curve, exit_in_worker
 from tailbayes.errors import ConfigError, DataError, SamplerError, WorkerLostError
 from tailbayes.model_core import (
     Dataset,
@@ -448,6 +449,37 @@ class TestFitFolds:
         assert "initial point" in str(stacked[1][2])
 
 
+class TestJobsCheck:
+    """``jobs`` is checked once, in ``tuning._workers``: every entry point refuses a bad value before any chain."""
+
+    BAD_JOBS = [0, -3, True, 2.5]
+
+    @staticmethod
+    def message(jobs):
+        return "^" + re.escape(f"jobs must be an integer of at least 1, got {jobs!r}") + "$"
+
+    @pytest.mark.parametrize("grid", [tuning.DEFAULT_LAMBDA_GRID, (0.0,)])
+    @pytest.mark.parametrize("jobs", BAD_JOBS)
+    def test_first_stage_refuses_it_before_any_chain(self, jobs, grid, monkeypatch):
+        def no_chain(*args):
+            raise AssertionError("no chain may run")
+
+        monkeypatch.setattr(tuning, "stage1_pi_u", no_chain)
+        monkeypatch.setattr(tuning, "fit_folds", no_chain)
+        train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=6))
+        with pytest.raises(ConfigError, match=self.message(jobs)):
+            first_stage(train, lambda_grid=grid, sampler_config=FASTER, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", BAD_JOBS)
+    def test_map_jobs_refuses_it_before_any_pool(self, jobs, monkeypatch):
+        monkeypatch.setattr(tuning, "ProcessPoolExecutor", None)
+        with pytest.raises(ConfigError, match=self.message(jobs)):
+            tuning.map_jobs(abs, [1, 2], jobs)
+
+    def test_a_numpy_integer_is_an_integer(self):
+        assert tuning.map_jobs(abs, [-1, -2], np.int64(1)) == [1, 2]
+
+
 class TestMapJobs:
     class RecordingPool:
         """Stands in for ProcessPoolExecutor: records max_workers and maps in-process."""
@@ -503,6 +535,30 @@ class TestMapJobs:
                                                   r"so the result of task 1 of 2 was lost$"):
             tuning.map_jobs(_exit_on_zero, [0, 1], 2)
         assert tuning.map_jobs(_exit_on_zero, [1, 2], 2) == [1, 2]
+
+    @pytest.mark.parametrize("k, lost", [(5, "CV folds 1-3"), (2, "CV fold 1")])
+    def test_a_lost_cv_fold_group_is_named_by_its_folds(self, k, lost, monkeypatch):
+        """Every fold group's worker dies in a pool of two, so the first group's result is the first lost."""
+        monkeypatch.setattr(tuning, "USABLE_CPUS", 2)
+        monkeypatch.setattr(tuning, "fit_folds", exit_in_worker)
+        train, _ = generate_sim1(Sim1Config(n=130, q=1.0, seed=6))
+        plan = make_cv_plan(train.outcomes, k=k, lambda_grid=(0.0, 5.0), seed=1)
+        with pytest.raises(WorkerLostError, match=rf"^a worker process died \(killed, out of memory or crashed\), "
+                                                  rf"so the result of {lost} was lost$") as lost_error:
+            cv_select_lambda(cv_first(train, plan, jobs=2), grid_weights(np.full(train.n, 0.4), plan),
+                             TargetThreshold(0.3))
+        assert lost_error.value.task == 0
+
+    def test_a_lost_rhat_rerun_is_named_by_its_seed(self, monkeypatch):
+        train, _ = generate_sim1(Sim1Config(n=200, q=1.0, seed=9))
+        model = fit_pipeline(first_stage(train, lambda_grid=(0.0,), sampler_config=FASTER, jobs=2),
+                             TargetThreshold(0.3))
+        monkeypatch.setattr(tuning, "USABLE_CPUS", 2)
+        monkeypatch.setattr(tuning, "fit_tailored", exit_in_worker)
+        seed = tuning.rhat_seeds(FASTER.rng_seed, 3)[0]
+        with pytest.raises(WorkerLostError, match=rf"^a worker process died \(killed, out of memory or crashed\), "
+                                                  rf"so the result of the R-hat rerun of seed {seed} was lost$"):
+            final_fit_rhat(model, 3)
 
     def test_cv_pool_gets_one_worker_per_fold(self, pool_sizes):
         train, _ = generate_sim1(Sim1Config(n=120, q=1.0, seed=6))
